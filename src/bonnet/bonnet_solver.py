@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .q_family import ConsistencyError, QFamily, SingularityGuard, eval_c, eval_c_prime, eval_q
+from .rk4 import rk4_step
 
 __all__ = [
     "HInitialData",
@@ -88,12 +89,15 @@ class HInitialData:
             raise ValueError("tau_c must be positive")
 
 
-def h_third_derivative(s, H, Hp, Hpp, fam: QFamily, tau_c: float):
-    """H''' isolated from the profile equation."""
-    q = eval_q(fam, s)
+def _h3(q, H, Hp, Hpp, tau_c: float):
     return Hpp * Hpp / Hp + Hp * (
         2.0 * q * q * (1.0 + tau_c * H * H / Hp) - 2.0 * tau_c * Hp
     )
+
+
+def h_third_derivative(s, H, Hp, Hpp, fam: QFamily, tau_c: float):
+    """H''' isolated from the profile equation."""
+    return _h3(eval_q(fam, s), H, Hp, Hpp, tau_c)
 
 
 def h_ode_residual(s, H, Hp, Hpp, Hppp, fam: QFamily, tau_c: float):
@@ -180,18 +184,12 @@ def validate_profile(profile: SurfaceProfile, rtol: float = 1e-10) -> None:
     close(p.e * p.e, p.E, "e^2 = E")
 
 
-def _rhs(s, y, fam: QFamily, tau_c: float):
-    H, Hp, Hpp = y
-    if not (Hp > 0):
-        raise RegimeError(s)
-    return np.array([Hp, Hpp, float(h_third_derivative(s, H, Hp, Hpp, fam, tau_c))])
-
-
 def integrate_h(ics: HInitialData, fam: QFamily, s1: float, step: float) -> SurfaceProfile:
     """RK4 march of (H, H', H'') from s0 to s1, sampled at every step.
 
     Raises RegimeError when H' hits zero (with the last s still inside
-    the regime) and BlowUpError past the magnitude guard.
+    the regime) and BlowUpError past the magnitude guard.  Q is evaluated
+    once, at every stage abscissa of the march.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError("step must be positive and finite")
@@ -202,23 +200,25 @@ def integrate_h(ics: HInitialData, fam: QFamily, s1: float, step: float) -> Surf
     n = int(math.ceil((s1 - ics.s0) / step - 1e-12))
     h = (s1 - ics.s0) / n
     s_out = ics.s0 + h * np.arange(n + 1)
+    s_k = s_out[:-1]
+    q_start, q_mid, q_end = eval_q(fam, np.stack([s_k, s_k + 0.5 * h, s_k + h]))
+    tau_c = ics.tau_c
+
+    def rhs(q, y):
+        H, Hp, Hpp = y
+        if not Hp > 0:
+            raise RegimeError(s_k[k])  # k: the step being taken
+        return Hp, Hpp, _h3(q, H, Hp, Hpp, tau_c)
+
     out = np.empty((n + 1, 3))
-    out[0] = (ics.H0, ics.H0p, ics.H0pp)
-    y = out[0].copy()
+    out[0] = y = [float(ics.H0), float(ics.H0p), float(ics.H0pp)]
     for k in range(n):
-        s = s_out[k]
-        try:
-            k1 = _rhs(s, y, fam, ics.tau_c)
-            k2 = _rhs(s + 0.5 * h, y + 0.5 * h * k1, fam, ics.tau_c)
-            k3 = _rhs(s + 0.5 * h, y + 0.5 * h * k2, fam, ics.tau_c)
-            k4 = _rhs(s + h, y + h * k3, fam, ics.tau_c)
-        except RegimeError:
-            raise RegimeError(s) from None
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > H_BLOWUP:
-            raise BlowUpError(s)
-        if not (y[1] > 0):
-            raise RegimeError(s)
+        y = rk4_step(rhs, y, h, q_start.item(k), q_mid.item(k), q_end.item(k))
+        H, Hp, Hpp = y
+        if not (abs(H) <= H_BLOWUP and abs(Hp) <= H_BLOWUP and abs(Hpp) <= H_BLOWUP):
+            raise BlowUpError(s_k[k])
+        if not Hp > 0:
+            raise RegimeError(s_k[k])
         out[k + 1] = y
 
     profile = SurfaceProfile.from_h_samples(

@@ -49,6 +49,7 @@ from .q_family import (
     integrate_q_ode,
     q_ode_residual,
 )
+from .surface_embed import FrameStepError
 
 __all__ = ["main", "RunConfig", "ConfigError", "cmd_verify"]
 
@@ -61,6 +62,31 @@ K_T_VARIATION_TOL = 1e-10
 
 class ConfigError(ValueError):
     """Bad or missing configuration values (exit code 2)."""
+
+
+def _to_float(value) -> float:
+    if isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _number(value, name: str) -> float:
+    """A finite config number (numeric strings allowed), else ConfigError."""
+    x = _to_float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _count(value, name: str) -> int:
+    """An integer config value: 64 and 64.0 pass, 64.7 and "three" do not."""
+    x = _to_float(value)
+    if not x.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +103,17 @@ class RunConfig:
         self.grid = self._parse_grid(data)
         self.psi_branch, self.psi0, self.psi_substeps = self._parse_psi(data)
         self.h_initial = self._parse_h(data)
-        self.profile_substeps = int(data.get("profile_substeps", 8))
+        self.profile_substeps = _count(data.get("profile_substeps", 8), "profile_substeps")
         if self.profile_substeps < 1:
             raise ConfigError("profile_substeps must be >= 1")
-        self.t0 = None if data.get("t0") is None else float(data["t0"])
+        self.t0 = None if data.get("t0") is None else _number(data["t0"], "t0")
         self.out_dir = str(data.get("out_dir", "out"))
-        self.refine_levels = int(data.get("refine_levels", 3))
+        self.refine_levels = _count(data.get("refine_levels", 3), "refine_levels")
         tol = data.get("tolerances", {})
         if not isinstance(tol, dict):
             raise ConfigError("tolerances must be an object")
-        self.tol_algebraic = float(tol.get("algebraic", 1e-10))
-        self.fd_factor = float(tol.get("fd_factor", 25.0))
+        self.tol_algebraic = _number(tol.get("algebraic", 1e-10), "tolerances.algebraic")
+        self.fd_factor = _number(tol.get("fd_factor", 25.0), "tolerances.fd_factor")
         if self.tol_algebraic <= 0 or self.fd_factor <= 0:
             raise ConfigError("tolerances must be positive")
         # the grid must sit inside the guarded family domain
@@ -114,10 +140,10 @@ class RunConfig:
         if kind not in KINDS:
             raise ConfigError(f"family.kind must be one of {KINDS}")
         sign = fam.get("sign", 1)
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ConfigError("family.sign must be 1 or -1")
         try:
-            return QFamily(kind, int(sign), float(fam.get("a", 1.0)))
+            return QFamily(kind, int(sign), _number(fam.get("a", 1.0), "family.a"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -125,9 +151,8 @@ class RunConfig:
         g = self._req(data, "grid")
         try:
             return Grid(
-                float(g["s_min"]), float(g["s_max"]),
-                float(g["t_min"]), float(g["t_max"]),
-                int(g["ns"]), int(g["nt"]),
+                *(_number(g[k], f"grid.{k}") for k in ("s_min", "s_max", "t_min", "t_max")),
+                _count(g["ns"], "grid.ns"), _count(g["nt"], "grid.nt"),
             )
         except KeyError as exc:
             raise ConfigError(f"grid is missing {exc}") from exc
@@ -136,31 +161,34 @@ class RunConfig:
 
     def _parse_psi(self, data):
         p = self._req(data, "psi")
-        if p.get("integrate"):
+        substeps = _count(p.get("substeps", 8), "psi.substeps")
+        if substeps < 1:
+            raise ConfigError("psi.substeps must be >= 1")
+        integrate = p.get("integrate", False)
+        if not isinstance(integrate, bool):
+            raise ConfigError(f"psi.integrate must be true or false, got {integrate!r}")
+        if integrate:
             if "psi0" not in p:
                 raise ConfigError("psi.integrate requires psi.psi0")
-            substeps = int(p.get("substeps", 8))
-            if substeps < 1:
-                raise ConfigError("psi.substeps must be >= 1")
-            return None, float(p["psi0"]), substeps
+            return None, _number(p["psi0"], "psi.psi0"), substeps
         case = p.get("case")
         if case not in CASES:
             raise ConfigError(f"psi.case must be one of {CASES} (or psi.integrate)")
         try:
             branch = PsiBranch(
-                case, self.family, float(p.get("sigma", 0.0)), float(p.get("eta", 0.0))
+                case, self.family,
+                _number(p.get("sigma", 0.0), "psi.sigma"), _number(p.get("eta", 0.0), "psi.eta"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return branch, None, int(p.get("substeps", 8))
+        return branch, None, substeps
 
     def _parse_h(self, data) -> HInitialData:
         h = self._req(data, "h_initial")
         try:
-            return HInitialData(
-                float(h["s0"]), float(h["H0"]), float(h["H0p"]),
-                float(h["H0pp"]), float(h["tau_c"]),
-            )
+            return HInitialData(*(
+                _number(h[k], f"h_initial.{k}") for k in ("s0", "H0", "H0p", "H0pp", "tau_c")
+            ))
         except KeyError as exc:
             raise ConfigError(f"h_initial is missing {exc}") from exc
         except ValueError as exc:
@@ -360,15 +388,21 @@ def _fd_check_specs():
 
 
 def _rk4_crosscheck(fam: QFamily):
-    """Max relative error at step 1e-3 and the step-halving error ratio."""
-    lo, hi = SingularityGuard(fam).interval()
+    """Max relative error at step 1e-3 and the step-halving error ratio.
+
+    The window starts a fifth of the way into the guarded sign +1 domain,
+    counted from the pole at s = 0.  For sign -1 it is the mirror image
+    s -> -s of that window, so both signs march away from the pole over
+    the same values of Q and give the same error and ratio.
+    """
+    lo, hi = SingularityGuard(QFamily(fam.kind, 1, fam.a)).interval()
     if not math.isfinite(hi):
         hi = lo + 5.0 / fam.a
-    if not math.isfinite(lo):
-        lo = hi - 5.0 / fam.a
     width = hi - lo
     s0 = lo + 0.2 * width
     s1 = s0 + min(1.0, 0.6 * width)
+    if fam.sign == -1:
+        s0, s1 = -s0, -s1
     q0, q0p, _ = eval_q_derivatives(fam, s0)
     errs = []
     for step in (1e-3, 5e-4):
@@ -791,6 +825,7 @@ _MODULE_ERRORS = (
     BlowUpError,
     LaxBlowUpError,
     CoframeSingularError,
+    FrameStepError,
 )
 
 

@@ -30,6 +30,7 @@ from .forms2d import (
     laplacian,
 )
 from .q_family import DomainError, QFamily, SingularityGuard, eval_dlog_q, eval_q, eval_c
+from .rk4 import rk4_step
 
 __all__ = [
     "PsiBranch",
@@ -245,18 +246,13 @@ def _check_grid_domain(fam: QFamily, grid: Grid) -> None:
         )
 
 
-def _rk4_scalar(y, h, rhs, substeps: int):
-    """substeps RK4 stages across one grid interval; rhs = rhs(frac, y)
-    with frac in [0, 1] the position inside the interval."""
-    hh = h / substeps
-    for m in range(substeps):
-        x0 = m / substeps
-        k1 = rhs(x0, y)
-        k2 = rhs(x0 + 0.5 / substeps, y + 0.5 * hh * k1)
-        k3 = rhs(x0 + 0.5 / substeps, y + 0.5 * hh * k2)
-        k4 = rhs(x0 + 1.0 / substeps, y + hh * k3)
-        y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _rhs_s(q, y):
+    return [-0.5 * q * np.sin(2.0 * y[0])]
+
+
+def _rhs_t(q_dlq, y):
+    q, dlq = q_dlq
+    return [0.5 * dlq - 0.5 * q * np.cos(2.0 * y[0])]
 
 
 def integrate_lax(
@@ -271,51 +267,51 @@ def integrate_lax(
     order "t_first" integrates psi_t along the t-edge, then psi_s along
     every s-line (vectorized across lines); "s_first" swaps the roles.
     The coefficients are analytic in s, so each interval takes `substeps`
-    full RK4 stages.
+    full RK4 steps.  Q and (log Q)' are evaluated once, at every stage
+    abscissa of the march.
     """
     if order not in ("t_first", "s_first"):
         raise ValueError("order must be 't_first' or 's_first'")
     _check_grid_domain(fam, grid)
     s = grid.s_nodes()
+    hs, ht = grid.h_s / substeps, grid.h_t / substeps
     vals = np.empty(grid.shape)
+    # Q at the (start, mid, end) abscissae of every substep of every
+    # s-interval, shape (ns - 1, substeps, 3)
+    x0 = np.arange(substeps) / substeps
+    frac = np.stack([x0, x0 + 0.5 / substeps, x0 + 1.0 / substeps], axis=-1)
+    q_s = eval_q(fam, s[:-1, None, None] + frac * (s[1:] - s[:-1])[:, None, None])
+    # psi_t runs along lines of fixed s, so its coefficients stay fixed
+    q_t = (eval_q(fam, s), eval_dlog_q(fam, s))
+    q_t_edge = (q_t[0][0], q_t[1][0])
 
-    def rhs_s(sv, psi):
-        return -0.5 * eval_q(fam, sv) * np.sin(2.0 * psi)
-
-    def rhs_t(sv, psi):
-        return 0.5 * eval_dlog_q(fam, sv) - 0.5 * eval_q(fam, sv) * np.cos(2.0 * psi)
-
+    psi = float(psi0)
+    vals[0, 0] = psi
     if order == "t_first":
         # t-edge: s fixed at s_min
-        psi = float(psi0)
-        vals[0, 0] = psi
         for j in range(grid.nt - 1):
-            psi = _rk4_scalar(psi, grid.h_t, lambda f, y: rhs_t(s[0], y), substeps)
+            for _ in range(substeps):
+                psi, = rk4_step(_rhs_t, [psi], ht, q_t_edge, q_t_edge, q_t_edge)
             _guard_psi(psi, (0, j + 1))
             vals[0, j + 1] = psi
         # s-lines, all t-columns at once
         row = vals[0, :].copy()
         for i in range(grid.ns - 1):
-            s0, s1 = s[i], s[i + 1]
-            row = _rk4_scalar(
-                row, grid.h_s, lambda f, y: rhs_s(s0 + f * (s1 - s0), y), substeps
-            )
+            for q0, qm, q1 in q_s[i].tolist():
+                row, = rk4_step(_rhs_s, [row], hs, q0, qm, q1)
             _guard_psi(row, (i + 1, None))
             vals[i + 1, :] = row
     else:
         # s-edge: t fixed at t_min
-        psi = float(psi0)
-        vals[0, 0] = psi
         for i in range(grid.ns - 1):
-            s0, s1 = s[i], s[i + 1]
-            psi = _rk4_scalar(
-                psi, grid.h_s, lambda f, y: rhs_s(s0 + f * (s1 - s0), y), substeps
-            )
+            for q0, qm, q1 in q_s[i].tolist():
+                psi, = rk4_step(_rhs_s, [psi], hs, q0, qm, q1)
             _guard_psi(psi, (i + 1, 0))
             vals[i + 1, 0] = psi
         col = vals[:, 0].copy()
         for j in range(grid.nt - 1):
-            col = _rk4_scalar(col, grid.h_t, lambda f, y: rhs_t(s, y), substeps)
+            for _ in range(substeps):
+                col, = rk4_step(_rhs_t, [col], ht, q_t, q_t, q_t)
             _guard_psi(col, (None, j + 1))
             vals[:, j + 1] = col
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rk4 import rk4_step
+
 __all__ = [
     "QFamily",
     "SingularityGuard",
@@ -275,30 +277,33 @@ def integrate_q_ode(q0: float, q0p: float, s0: float, s1: float, step: float) ->
     if s1 == s0:
         raise ValueError("empty integration interval")
 
-    kappa = (q0p / q0) ** 2 - q0 * q0
+    kappa = float((q0p / q0) ** 2 - q0 * q0)
     n = int(math.ceil(abs(s1 - s0) / step - 1e-12))
     h = (s1 - s0) / n
-
-    def f(y):
-        return np.array([y[1], 2.0 * y[0] ** 3 + kappa * y[0]])
 
     ss = [s0]
     qs = [q0]
     qps = [q0p]
-    y = np.array([q0, q0p], dtype=float)
+    y = [float(q0), float(q0p)]
     truncated = False
     for k in range(n):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or abs(y[0]) > Q_BLOWUP:
+        try:
+            y = rk4_step(_q_rhs, y, h, kappa, kappa, kappa)
+        except OverflowError:  # Q**3 of a float past the pole
+            truncated = True
+            break
+        q, qp = y
+        if not (math.isfinite(q) and math.isfinite(qp)) or abs(q) > Q_BLOWUP:
             truncated = True
             break
         ss.append(s0 + (k + 1) * h)
-        qs.append(float(y[0]))
-        qps.append(float(y[1]))
+        qs.append(q)
+        qps.append(qp)
     return QTrajectory(
-        np.array(ss), np.array(qs), np.array(qps), float(kappa), truncated
+        np.array(ss), np.array(qs), np.array(qps), kappa, truncated
     )
+
+
+def _q_rhs(kappa, y):
+    q, qp = y
+    return qp, 2.0 * q**3 + kappa * q

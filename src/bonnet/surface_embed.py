@@ -41,10 +41,12 @@ from .forms2d import (
 )
 from .lax_psi import PsiField
 from .q_family import ConsistencyError
+from .rk4 import rk4_step
 
 __all__ = [
     "FrameSeed",
     "FrameField",
+    "FrameStepError",
     "CoframeSet",
     "FundamentalForms",
     "DeformationParam",
@@ -75,6 +77,10 @@ __all__ = [
 MAX_STEP_ANGLE = 0.5
 T_CLAMP = 1e12
 POLE_EPS = 1e-12
+
+
+class FrameStepError(ValueError):
+    """A frame step would rotate by more than MAX_STEP_ANGLE; the grid is too coarse."""
 
 
 def _field(grid: Grid, values) -> ScalarField:
@@ -360,7 +366,7 @@ def _rot_exp(m12, m13, m23) -> np.ndarray:
     th2 = m12 * m12 + m13 * m13 + m23 * m23
     th = np.sqrt(th2)
     if np.max(th) > MAX_STEP_ANGLE:
-        raise ValueError(
+        raise FrameStepError(
             f"rotation step of {np.max(th):.3g} rad exceeds {MAX_STEP_ANGLE}; refine the grid"
         )
     small = th < 1e-4
@@ -603,6 +609,24 @@ class DeformationParam:
     sign_flips: int = 0
 
 
+def _rhs_tau(alpha, y):
+    ca, cb = alpha
+    st = np.sin(y[0])
+    return [st * st * cb - st * np.cos(y[0]) * ca]
+
+
+def _advance_tau(y, h, frac, c1a, c1b, c2a, c2b):
+    """RK4 across one cell in len(frac) steps.  c*a/c*b are the alpha
+    coefficients at the two ends, interpolated linearly at every stage
+    fraction in frac (one row of start, mid, end per step) up front."""
+    ca = np.multiply.outer(1.0 - frac, c1a) + np.multiply.outer(frac, c1b)
+    cb = np.multiply.outer(1.0 - frac, c2a) + np.multiply.outer(frac, c2b)
+    hh = h / len(frac)
+    for a, b in zip(ca, cb):
+        y, = rk4_step(_rhs_tau, [y], hh, (a[0], b[0]), (a[1], b[1]), (a[2], b[2]))
+    return y
+
+
 def integrate_deformation(
     cf: CoframeSet, t0: float, order: str = "t_first", substeps: int = 4
 ) -> DeformationParam:
@@ -624,46 +648,26 @@ def integrate_deformation(
     a2p, a2q = cf.alpha2.p.values, cf.alpha2.q.values
     tau = np.empty(g.shape)
     tau[0, 0] = math.atan2(1.0, t0)
-
-    def advance(y, h, c1a, c1b, c2a, c2b):
-        # RK4 across one cell; c*a/c*b are the alpha coefficients at the
-        # two ends, interpolated linearly at the stage fractions.
-        m = substeps
-        hh = h / m
-        for k in range(m):
-            base = k / m
-
-            def rhs(frac, yv):
-                f = base + frac / m
-                ca = (1.0 - f) * c1a + f * c1b
-                cb = (1.0 - f) * c2a + f * c2b
-                st = np.sin(yv)
-                return st * st * cb - st * np.cos(yv) * ca
-
-            k1 = rhs(0.0, y)
-            k2 = rhs(0.5, y + 0.5 * hh * k1)
-            k3 = rhs(0.5, y + 0.5 * hh * k2)
-            k4 = rhs(1.0, y + hh * k3)
-            y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
+    # (start, mid, end) fractions of every substep inside a cell
+    frac = np.arange(substeps)[:, None] / substeps + np.array([0.0, 0.5, 1.0]) / substeps
 
     if order == "t_first":
         for j in range(nt - 1):
-            tau[0, j + 1] = advance(
-                tau[0, j], g.h_t, a1q[0, j], a1q[0, j + 1], a2q[0, j], a2q[0, j + 1]
+            tau[0, j + 1] = _advance_tau(
+                tau[0, j], g.h_t, frac, a1q[0, j], a1q[0, j + 1], a2q[0, j], a2q[0, j + 1]
             )
         for i in range(ns - 1):
-            tau[i + 1, :] = advance(
-                tau[i, :], g.h_s, a1p[i, :], a1p[i + 1, :], a2p[i, :], a2p[i + 1, :]
+            tau[i + 1, :] = _advance_tau(
+                tau[i, :], g.h_s, frac, a1p[i, :], a1p[i + 1, :], a2p[i, :], a2p[i + 1, :]
             )
     else:
         for i in range(ns - 1):
-            tau[i + 1, 0] = advance(
-                tau[i, 0], g.h_s, a1p[i, 0], a1p[i + 1, 0], a2p[i, 0], a2p[i + 1, 0]
+            tau[i + 1, 0] = _advance_tau(
+                tau[i, 0], g.h_s, frac, a1p[i, 0], a1p[i + 1, 0], a2p[i, 0], a2p[i + 1, 0]
             )
         for j in range(nt - 1):
-            tau[:, j + 1] = advance(
-                tau[:, j], g.h_t, a1q[:, j], a1q[:, j + 1], a2q[:, j], a2q[:, j + 1]
+            tau[:, j + 1] = _advance_tau(
+                tau[:, j], g.h_t, frac, a1q[:, j], a1q[:, j + 1], a2q[:, j], a2q[:, j + 1]
             )
 
     st = np.sin(tau)

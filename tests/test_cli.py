@@ -5,12 +5,22 @@ Exit code contract: 0 all checks pass, 1 a residual check failed,
 reruns of the same config.
 """
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from bonnet.cli import ConfigError, RunConfig, load_config, main
+from bonnet.cli import (
+    RK4_RATIO_HIGH,
+    RK4_RATIO_LOW,
+    ConfigError,
+    RunConfig,
+    _rk4_crosscheck,
+    load_config,
+    main,
+)
+from bonnet.q_family import KINDS, QFamily
 
 SMALL_CONFIG = {
     "family": {"kind": "rational", "sign": 1, "a": 1.0},
@@ -70,6 +80,49 @@ def test_config_validation_errors(tmp_path):
     # the profile march must start at the grid edge
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, h_initial={"s0": 1.5}))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"profile_substeps": "abc"},
+    {"t0": "x"},
+    {"refine_levels": "three"},
+    {"psi": {"integrate": True, "psi0": 0.0, "substeps": "x"}},
+    {"psi": {"substeps": 2.5}},
+    {"grid": {"ns": 17.5}},
+    {"grid": {"t_max": None}},
+    {"h_initial": {"H0": None}},
+    {"family": {"a": "wide"}},
+    {"family": {"sign": True}},
+    {"psi": {"integrate": "no", "psi0": 0.0}},
+    {"tolerances": {"fd_factor": math.nan}},
+    {"tolerances": {"algebraic": math.inf}},
+], ids=lambda o: json.dumps(o))
+def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = load_config(write_config(tmp_path, grid={"ns": 17.0}, refine_levels=2.0))
+    assert cfg.grid.ns == 17 and cfg.refine_levels == 2
+
+
+def test_too_coarse_frame_step_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, grid={"ns": 5, "nt": 5, "t_max": 40.0})
+    assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "FrameStepError" in err and "refine the grid" in err
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_crosscheck_is_fourth_order_for_both_signs(kind, sign):
+    err, ratio = _rk4_crosscheck(QFamily(kind, sign, 1.0))
+    assert RK4_RATIO_LOW <= ratio <= RK4_RATIO_HIGH
+    # the sign -1 window mirrors the +1 one, so the march is its mirror image
+    assert (err, ratio) == _rk4_crosscheck(QFamily(kind, 1, 1.0))
 
 
 def test_families_listing(capsys):
