@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .forms2d import _second_derivative, max_interior
 from .q_family import ConsistencyError, QFamily, SingularityGuard, eval_c, eval_c_prime, eval_q
 from .rk4 import rk4_step
 
@@ -250,26 +251,14 @@ def _d1(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.gradient(vals, s, edge_order=2)
 
 
-def _d2(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
-    h = s[1] - s[0]
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / (h * h)
-    out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / (h * h)
-    out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / (h * h)
-    return out
-
-
-def _max_interior_1d(vals: np.ndarray, margin: int) -> float:
-    if margin == 0:
-        return float(np.max(np.abs(vals)))
-    return float(np.max(np.abs(vals[margin:-margin])))
-
-
 def gauss_s_residual(profile: SurfaceProfile, margin: int = 2) -> float:
     """Gauss equation reduced to s: (log E)'' - 2 Q^2 + (H''/H')' -> 0."""
     p = profile
-    resid = _d2(np.log(p.E), p.s) - 2.0 * p.Q * p.Q + _d1(p.Hpp / p.Hp, p.s)
-    return _max_interior_1d(resid, margin)
+    resid = (
+        _second_derivative(np.log(p.E), p.s[1] - p.s[0], 0)
+        - 2.0 * p.Q * p.Q + _d1(p.Hpp / p.Hp, p.s)
+    )
+    return max_interior(resid, margin)
 
 
 def ideal_residuals(profile: SurfaceProfile, margin: int = 2) -> dict:
@@ -288,14 +277,14 @@ def ideal_residuals(profile: SurfaceProfile, margin: int = 2) -> dict:
         "dh": p.Hp - p.Q * p.J,
         "dlog_j": _d1(np.log(p.J), p.s) - p.Q * (2.0 * p.B + p.C),
     }
-    return {k: _max_interior_1d(v, margin) for k, v in res.items()}
+    return {k: max_interior(v, margin) for k, v in res.items()}
 
 
 def geodesic_curvature_residual(profile: SurfaceProfile, margin: int = 2) -> float:
     """Geodesic curvature of the t-lines: e'/e^2 + A (B + C) -> 0."""
     p = profile
     resid = _d1(p.e, p.s) / (p.e * p.e) + p.A * (p.B + p.C)
-    return _max_interior_1d(resid, margin)
+    return max_interior(resid, margin)
 
 
 def perturbed_profile(profile: SurfaceProfile, **overrides) -> SurfaceProfile:

@@ -7,10 +7,12 @@ Commands
     deform    one companion surface of the isometric family, plus report
     verify    every named residual check with observed convergence orders
 
-Configs are single JSON files (see configs/demo_rational.json).  All
-outputs are deterministic: fixed check order, sorted JSON keys, 17
-significant digits, no timestamps.  Exit codes: 0 success, 1 residual
-failure, 2 config or domain error.
+solve, mesh, deform and verify share one table of checks (CHECKS) and one
+refinement ladder (_ladder): they differ only in the rows they select and
+the number of levels they run.  Configs are single JSON files (see
+configs/demo_rational.json).  All outputs are deterministic: fixed check
+order, sorted JSON keys, 17 significant digits, no timestamps.  Exit
+codes: 0 success, 1 residual failure, 2 config or domain error.
 """
 
 from __future__ import annotations
@@ -20,19 +22,20 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from . import bonnet_solver, lax_psi, q_family, surface_embed
+from . import bonnet_solver, lax_psi, surface_embed
 from .bonnet_solver import BlowUpError, HInitialData, RegimeError
 from .forms2d import (
     CoframeSingularError,
     Grid,
     ScalarField,
-    d_scalar,
     mixed_partial_residual,
     observed_order,
-    wedge,
     write_scalar_csv,
 )
 from .lax_psi import CASES, LaxBlowUpError, PsiBranch
@@ -207,11 +210,16 @@ def load_config(path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# pipeline pieces shared by the commands
+# one level of the refinement ladder
 
 
 class PipelineData:
-    """Everything the checks need on one grid, built lazily."""
+    """Everything the checks need on one grid.
+
+    psi, the profile and the coframes are built on construction; the frame,
+    the fundamental forms, the deformed surface and every battery are built
+    on first use, at most once.
+    """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
         self.cfg = cfg
@@ -227,7 +235,6 @@ class PipelineData:
             cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
         )
         self.cf = surface_embed.build_coframes(self.profile, self.psi, grid)
-        self._frame = None
         q = self.profile.Q
         self.scale_q = max(1.0, float(np.max(np.abs(q))))
         self.scale_q2 = max(1.0, float(np.max(2.0 * q * q)))
@@ -237,50 +244,218 @@ class PipelineData:
             1.0,
             float(np.max(self.profile.E * (np.abs(self.profile.H) + self.profile.J))),
         )
+        self.scale_structure = max(self.scale_e, self.scale_ii)
+        self._batteries = {}
+
+    def battery(self, name: str):
+        """BATTERIES[name] on this level, computed at most once."""
+        if name not in self._batteries:
+            self._batteries[name] = BATTERIES[name](self)
+        return self._batteries[name]
+
+    def evaluate(self, row: Check):
+        """(value, scale, details) of one check row on this level."""
+        result = self.battery(row.battery) if isinstance(row.battery, str) else row.battery(self)
+        value = result if row.key is None else result[row.key]
+        scale = getattr(self, row.scale) if isinstance(row.scale, str) else row.scale
+        return value, scale, {key: result[key] for key in row.details}
 
     @property
+    def scale_q4(self) -> float:
+        return self.battery("q")["q4"]
+
+    @cached_property
     def frame(self) -> surface_embed.FrameField:
-        if self._frame is None:
-            self._frame = surface_embed.integrate_frame(
-                self.profile, self.psi, self.grid, coframes=self.cf
-            )
-        return self._frame
-
-    def smooth_test_field(self) -> ScalarField:
-        return ScalarField.from_function(
-            self.grid, lambda s, t: np.sin(s + 2.0 * t)
+        """The t-first frame march from the default seed."""
+        return surface_embed.integrate_frame(
+            self.profile, self.psi, self.grid, coframes=self.cf
         )
 
-    def rotation_angle_field(self) -> ScalarField:
-        return ScalarField.from_function(
-            self.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)
+    @cached_property
+    def forms(self) -> surface_embed.FundamentalForms:
+        return surface_embed.fundamental_forms(self.profile, self.psi)
+
+    @cached_property
+    def deformed(self) -> tuple:
+        """(frame, deformation_report) of the companion at the config's t0 (default 1)."""
+        t0 = 1.0 if self.cfg.t0 is None else self.cfg.t0
+        dp = surface_embed.integrate_deformation(self.cf, t0)
+        frame, _ = surface_embed.build_deformed_surface(
+            self.profile, self.psi, dp, self.grid, coframes=self.cf
         )
-
-    def scaling_field(self) -> ScalarField:
-        return ScalarField.from_function(
-            self.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))
-        )
+        return frame, surface_embed.deformation_report(self.profile, self.forms, dp, frame)
 
 
-def _check(name, kind, value, tolerance, passed, order=None, details=None) -> dict:
-    out = {
-        "name": name,
-        "kind": kind,
-        "value": float(value),
-        "tolerance": None if tolerance is None else float(tolerance),
-        "passed": bool(passed),
+def _q_identities(L: PipelineData) -> dict:
+    """Q ODE and first-integral residuals over 200 guarded samples, and max Q^4."""
+    fam = L.fam
+    s = guarded_samples(fam, 200)
+    q, qp, _ = eval_q_derivatives(fam, s)
+    return {
+        "q4": float(np.max(eval_q(fam, s) ** 4)),
+        "exactness": float(np.max(np.abs(q_ode_residual(fam, s)))),
+        "first_integral": float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q))),
+        "kappa": first_integral_kappa(fam),
     }
-    if order is not None:
-        out["order"] = order
-    if details:
-        out["details"] = details
-    return out
 
 
-def _order_ok(order) -> bool:
-    if order == "converged":
-        return True
-    return isinstance(order, float) and order >= ORDER_TARGET
+# the batteries that several check rows read, by name
+BATTERIES = {
+    "q": _q_identities,
+    "rk4": lambda L: _rk4_crosscheck(L.fam),  # (error, halving ratio)
+    "structure": lambda L: surface_embed.structure_residuals(L.cf, L.profile),
+    "codazzi": lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile),
+    "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
+    "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
+    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(
+        L.profile, L.psi, L.grid, frame=L.frame)),
+    "deformation": lambda L: L.deformed[1],
+}
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+
+class Check(NamedTuple):
+    """One row of the check table.
+
+    battery is the name of a shared battery (BATTERIES) or a function of
+    the level computing this row alone; key picks the value out of its
+    result (None: the result is the value); details names result keys
+    copied into the report.  scale is a number or the name of a
+    PipelineData scale.  rule sets the tolerance and the pass test, with
+    h the base grid's h_max and F the fd_factor:
+
+      algebraic    value <= tolerances.algebraic * scale
+      bound        value <= scale
+      ratio        RK4_RATIO_LOW <= value <= RK4_RATIO_HIGH
+      fd           value <= F h^2 scale, on the base level only
+      lower_bound  value > 10 F h^2 scale, on the base level only
+      ladder       fd on every level, and the observed order >= ORDER_TARGET
+    """
+
+    name: str
+    scale: object
+    battery: object
+    key: object = None
+    rule: str = "ladder"
+    details: tuple = ()
+
+
+# report order; verify runs every row, the other commands a prefix filter
+CHECKS = (
+    Check("q.exactness", "scale_q4", "q", "exactness", "algebraic"),
+    Check("q.first_integral", "scale_q4", "q", "first_integral", "algebraic", ("kappa",)),
+    Check("q.rk4_error", RK4_TOL, "rk4", 0, "bound"),
+    Check("q.rk4_halving", None, "rk4", 1, "ratio"),
+    Check("lax.closed_form", "scale_q", lambda L: max(
+        r.max_abs() for r in lax_psi.branch_lax_residuals(L.cfg.psi_branch, L.grid)
+    ), rule="algebraic"),
+    Check("psi.branch_consistency", 1.0, lambda L: lax_psi.branch_consistency_error(L.psi),
+          rule="algebraic"),
+    Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
+          rule="bound"),
+    Check("frame.handedness", ORTHONORMALITY_TOL, lambda L: 1.0 - L.frame.min_handedness(),
+          rule="bound"),
+    Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound"),
+    Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
+    Check("deform.h", "scale_h", "deformation", "h_deviation", "fd", ("t0",)),
+    Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
+          ("t0", "pole_count")),
+    Check("lax.compat", "scale_q", lambda L: max(
+        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam))),
+    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi, 1)),
+    Check("psi.constraint", "scale_q",
+          lambda L: lax_psi.psi_constraint_residual(L.psi, L.fam).max_abs_interior(2)),
+    Check("psi.c_relation", "scale_q", lambda L: max(
+        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam))),
+    Check("psi.second_order", "scale_q",
+          lambda L: lax_psi.psi_second_order_residual(L.psi, L.fam).max_abs_interior(2)),
+    Check("psi.mixed_partial", 1.0, lambda L: mixed_partial_residual(
+        ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
+        L.cf.alpha1, L.cf.alpha2,
+    ).max_abs_interior(2)),
+    Check("profile.gauss", "scale_q2", lambda L: bonnet_solver.gauss_s_residual(L.profile)),
+    Check("profile.ideal_dlog_a", "scale_q2", "ideal", "dlog_a"),
+    Check("profile.ideal_db", "scale_q2", "ideal", "db"),
+    Check("profile.ideal_dc", "scale_q2", "ideal", "dc"),
+    Check("profile.ideal_dh", "scale_q2", "ideal", "dh"),
+    Check("profile.ideal_dlog_j", "scale_q2", "ideal", "dlog_j"),
+    Check("profile.geodesic", "scale_q2",
+          lambda L: bonnet_solver.geodesic_curvature_residual(L.profile)),
+    Check("structure.d_omega1", "scale_structure", "structure", "d_omega1"),
+    Check("structure.d_omega2", "scale_structure", "structure", "d_omega2"),
+    Check("structure.d_omega13", "scale_structure", "structure", "d_omega13"),
+    Check("structure.d_omega23", "scale_structure", "structure", "d_omega23"),
+    Check("structure.d_omega12", "scale_structure", "structure", "d_omega12"),
+    Check("codazzi.dh", "scale_q", "codazzi", "codazzi_dh"),
+    Check("codazzi.dlog_j", "scale_q", "codazzi", "codazzi_dlog_j"),
+    Check("codazzi.d_theta1", "scale_q", "codazzi", "d_theta1"),
+    Check("codazzi.d_alpha1", "scale_q", "codazzi", "d_alpha1"),
+    Check("codazzi.d_alpha2", "scale_q", "codazzi", "d_alpha2"),
+    Check("theta12.via_psi", "scale_q", "theta12", "theta12_via_psi"),
+    Check("theta12.hodge", "scale_q", "theta12", "theta12_hodge"),
+    Check("theta12.dpsi", "scale_q", "theta12", "dpsi_theta"),
+    Check("theta12.d_star_omega12", "scale_q", "theta12", "d_star_omega12"),
+    Check("theta12.d_star_theta12", "scale_q", "theta12", "d_star_theta12"),
+    Check("theta12.xi12", "scale_q", "theta12", "xi12_relation"),
+    Check("transform.rotation", "scale_q", lambda L: surface_embed.rotation_transform_residual(
+        L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
+    Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
+        L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
+    Check("frame.two_path", 1.0, lambda L: surface_embed.two_path_residual(
+        L.profile, L.psi, L.grid, frame=L.frame, coframes=L.cf)),
+    Check("frame.metric_recovery", "scale_e",
+          lambda L: surface_embed.metric_recovery_residual(L.frame, L.profile)),
+    Check("frame.second_form", "scale_ii",
+          lambda L: surface_embed.second_form_vs_frame(L.forms, L.frame)),
+    Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual"),
+)
+
+
+def _select(cfg: RunConfig, prefixes: tuple, only: str | None = None) -> list:
+    """Rows whose name starts with one of `prefixes` and contains `only`."""
+    rows = [
+        row for row in CHECKS
+        if row.name.startswith(prefixes) and (only is None or only in row.name)
+        and not (cfg.psi_branch is None
+                 and row.name in ("lax.closed_form", "psi.branch_consistency"))
+    ]
+    if not rows:
+        raise ConfigError(f"--only '{only}' matched no checks")
+    return rows
+
+
+def _rk4_crosscheck(fam: QFamily):
+    """Max relative error at step 1e-3/a and the step-halving error ratio.
+
+    The window starts a fifth of the way into the guarded sign +1 domain,
+    counted from the pole at s = 0, and is at most 1/a long.  Window and
+    steps are measured in the natural length 1/a, so every frequency
+    marches the same steps over the same values of a*s.  For sign -1 the
+    window is the mirror image s -> -s of the +1 window, so both signs
+    march away from the pole over the same values of Q and give the same
+    error and ratio.
+    """
+    lo, hi = SingularityGuard(QFamily(fam.kind, 1, fam.a)).interval()
+    if not math.isfinite(hi):
+        hi = lo + 5.0 / fam.a
+    width = hi - lo
+    s0 = lo + 0.2 * width
+    s1 = s0 + min(1.0 / fam.a, 0.6 * width)
+    if fam.sign == -1:
+        s0, s1 = -s0, -s1
+    q0, q0p, _ = eval_q_derivatives(fam, s0)
+    errs = []
+    for step in (1e-3 / fam.a, 5e-4 / fam.a):
+        traj = integrate_q_ode(float(q0), float(q0p), s0, s1, step)
+        if traj.truncated:
+            raise ConsistencyError(f"RK4 cross-check blew up for {fam.describe()}")
+        exact = eval_q(fam, traj.s)
+        errs.append(float(np.max(np.abs(traj.q - exact)) / np.max(np.abs(exact))))
+    ratio = errs[0] / max(errs[1], 1e-300)
+    return errs[0], ratio
 
 
 def _fmt_order(order) -> str:
@@ -291,280 +466,105 @@ def _fmt_order(order) -> str:
     return f" order={order:.2f}"
 
 
-# ---------------------------------------------------------------------------
-# the named FD checks (each returns max residual and its field scale)
-
-
-def _fd_check_specs():
-    """(name, fn(PipelineData) -> (value, scale)) in fixed report order."""
-
-    def lax_compat(L):
-        r1, r2 = lax_psi.lax_residuals(L.psi, L.fam)
-        return max(r1.max_abs_interior(1), r2.max_abs_interior(1)), L.scale_q
-
-    def c_relation(L):
-        r1, r2 = lax_psi.c_relation_residuals(L.psi, L.fam)
-        return max(r1.max_abs_interior(2), r2.max_abs_interior(2)), L.scale_q
-
-    def ideal(key):
-        def run(L):
-            return bonnet_solver.ideal_residuals(L.profile)[key], L.scale_q2
-        return run
-
-    def structure(key):
-        def run(L):
-            value = surface_embed.structure_residuals(L.cf, L.profile)[key]
-            return value, max(L.scale_e, L.scale_ii)
-        return run
-
-    def codazzi(key):
-        def run(L):
-            value = surface_embed.codazzi_summary_residuals(L.cf, L.profile)[key]
-            return value, L.scale_q
-        return run
-
-    def theta12(key):
-        def run(L):
-            value = surface_embed.theta12_report(L.cf, L.psi, L.profile)[key]
-            return value, L.scale_q
-        return run
-
-    return [
-        ("lax.compat", lax_compat),
-        ("psi.harmonic", lambda L: (lax_psi.harmonic_residual(L.psi, 1), L.scale_q2)),
-        ("psi.constraint", lambda L: (
-            lax_psi.psi_constraint_residual(L.psi, L.fam).max_abs_interior(2), L.scale_q)),
-        ("psi.c_relation", c_relation),
-        ("psi.second_order", lambda L: (
-            lax_psi.psi_second_order_residual(L.psi, L.fam).max_abs_interior(2), L.scale_q)),
-        ("psi.mixed_partial", lambda L: (
-            mixed_partial_residual(
-                L.smooth_test_field(), L.cf.alpha1, L.cf.alpha2
-            ).max_abs_interior(2), 1.0)),
-        ("profile.gauss", lambda L: (
-            bonnet_solver.gauss_s_residual(L.profile), L.scale_q2)),
-        ("profile.ideal_dlog_a", ideal("dlog_a")),
-        ("profile.ideal_db", ideal("db")),
-        ("profile.ideal_dc", ideal("dc")),
-        ("profile.ideal_dh", ideal("dh")),
-        ("profile.ideal_dlog_j", ideal("dlog_j")),
-        ("profile.geodesic", lambda L: (
-            bonnet_solver.geodesic_curvature_residual(L.profile), L.scale_q2)),
-        ("structure.d_omega1", structure("d_omega1")),
-        ("structure.d_omega2", structure("d_omega2")),
-        ("structure.d_omega13", structure("d_omega13")),
-        ("structure.d_omega23", structure("d_omega23")),
-        ("structure.d_omega12", structure("d_omega12")),
-        ("codazzi.dh", codazzi("codazzi_dh")),
-        ("codazzi.dlog_j", codazzi("codazzi_dlog_j")),
-        ("codazzi.d_theta1", codazzi("d_theta1")),
-        ("codazzi.d_alpha1", codazzi("d_alpha1")),
-        ("codazzi.d_alpha2", codazzi("d_alpha2")),
-        ("theta12.via_psi", theta12("theta12_via_psi")),
-        ("theta12.hodge", theta12("theta12_hodge")),
-        ("theta12.dpsi", theta12("dpsi_theta")),
-        ("theta12.d_star_omega12", theta12("d_star_omega12")),
-        ("theta12.d_star_theta12", theta12("d_star_theta12")),
-        ("theta12.xi12", theta12("xi12_relation")),
-        ("transform.rotation", lambda L: (
-            surface_embed.rotation_transform_residual(L.cf, L.rotation_angle_field()),
-            L.scale_q)),
-        ("transform.scaling", lambda L: (
-            surface_embed.scaling_transform_residual(L.cf, L.scaling_field()),
-            L.scale_q)),
-        ("frame.two_path", lambda L: (
-            surface_embed.two_path_residual(L.profile, L.psi, L.grid), 1.0)),
-        ("frame.metric_recovery", lambda L: (
-            surface_embed.metric_recovery_residual(L.frame, L.profile), L.scale_e)),
-        ("frame.second_form", lambda L: (
-            surface_embed.second_form_vs_frame(
-                surface_embed.fundamental_forms(L.profile, L.psi), L.frame
-            ), L.scale_ii)),
-        ("weingarten.wedge", lambda L: (
-            surface_embed.weingarten_residual(
-                L.profile, L.psi, L.grid, frame=L.frame
-            ).wedge_residual, 1.0)),
-    ]
-
-
-def _rk4_crosscheck(fam: QFamily):
-    """Max relative error at step 1e-3 and the step-halving error ratio.
-
-    The window starts a fifth of the way into the guarded sign +1 domain,
-    counted from the pole at s = 0.  For sign -1 it is the mirror image
-    s -> -s of that window, so both signs march away from the pole over
-    the same values of Q and give the same error and ratio.
-    """
-    lo, hi = SingularityGuard(QFamily(fam.kind, 1, fam.a)).interval()
-    if not math.isfinite(hi):
-        hi = lo + 5.0 / fam.a
-    width = hi - lo
-    s0 = lo + 0.2 * width
-    s1 = s0 + min(1.0, 0.6 * width)
-    if fam.sign == -1:
-        s0, s1 = -s0, -s1
-    q0, q0p, _ = eval_q_derivatives(fam, s0)
-    errs = []
-    for step in (1e-3, 5e-4):
-        traj = integrate_q_ode(float(q0), float(q0p), s0, s1, step)
-        if traj.truncated:
-            raise ConsistencyError(f"RK4 cross-check blew up for {fam.describe()}")
-        exact = eval_q(fam, traj.s)
-        errs.append(float(np.max(np.abs(traj.q - exact)) / np.max(np.abs(exact))))
-    ratio = errs[0] / max(errs[1], 1e-300)
-    return errs[0], ratio
-
-
-def _base_checks(
-    cfg: RunConfig,
-    base: PipelineData,
-    only: str | None = None,
-    include_embed: bool = True,
-) -> list:
-    """Checks evaluated on the base grid only (no convergence order).
-
-    `only` filters by substring before anything expensive runs, so
-    `--only gauss` does not integrate frames it will never report on.
-    """
-    checks = []
-
-    def want(*names) -> bool:
-        return only is None or any(only in n for n in names)
-
-    fam = cfg.family
-    if want("q.exactness", "q.first_integral"):
-        s = guarded_samples(fam, 200)
-        q4 = float(np.max(eval_q(fam, s) ** 4))
-        tol = cfg.tol_algebraic * q4
-        if want("q.exactness"):
-            exact = float(np.max(np.abs(q_ode_residual(fam, s))))
-            checks.append(_check("q.exactness", "algebraic", exact, tol, exact <= tol))
-        if want("q.first_integral"):
-            q, qp, _ = eval_q_derivatives(fam, s)
-            fi = float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q)))
-            checks.append(_check(
-                "q.first_integral", "algebraic", fi, tol, fi <= tol,
-                details={"kappa": first_integral_kappa(fam)},
-            ))
-
-    if want("q.rk4_error", "q.rk4_halving"):
-        err, ratio = _rk4_crosscheck(fam)
-        if want("q.rk4_error"):
-            checks.append(_check("q.rk4_error", "bound", err, RK4_TOL, err <= RK4_TOL))
-        if want("q.rk4_halving"):
-            checks.append(_check(
-                "q.rk4_halving", "ratio", ratio, None,
-                RK4_RATIO_LOW <= ratio <= RK4_RATIO_HIGH,
-                details={"low": RK4_RATIO_LOW, "high": RK4_RATIO_HIGH},
-            ))
-
-    if cfg.psi_branch is not None:
-        if want("lax.closed_form"):
-            r1, r2 = lax_psi.branch_lax_residuals(cfg.psi_branch, base.grid)
-            worst = max(r1.max_abs(), r2.max_abs())
-            tol = cfg.tol_algebraic * base.scale_q
-            checks.append(_check("lax.closed_form", "algebraic", worst, tol, worst <= tol))
-        if want("psi.branch_consistency"):
-            dev = lax_psi.branch_consistency_error(base.psi)
-            tol = cfg.tol_algebraic
-            checks.append(_check("psi.branch_consistency", "algebraic", dev, tol, dev <= tol))
-
-    if not include_embed:
-        return checks
-
-    if want("frame.orthonormality"):
-        drift = base.frame.orthonormality_error()
-        checks.append(_check(
-            "frame.orthonormality", "bound", drift, ORTHONORMALITY_TOL,
-            drift <= ORTHONORMALITY_TOL,
-        ))
-    if want("frame.handedness"):
-        hand = 1.0 - base.frame.min_handedness()
-        checks.append(_check(
-            "frame.handedness", "bound", hand, ORTHONORMALITY_TOL,
-            hand <= ORTHONORMALITY_TOL,
-        ))
-
-    if want("weingarten.k_t_variation"):
-        wg = surface_embed.weingarten_residual(
-            base.profile, base.psi, base.grid, frame=base.frame
-        )
-        checks.append(_check(
-            "weingarten.k_t_variation", "bound", wg.k_t_variation,
-            K_T_VARIATION_TOL, wg.k_t_variation <= K_T_VARIATION_TOL,
-        ))
-
-    if want("deform.metric", "deform.h", "deform.ii_distinct"):
-        t0 = 1.0 if cfg.t0 is None else cfg.t0
-        rep = surface_embed.deformation_report(base.profile, base.psi, base.grid, t0)
-        h2 = cfg.fd_factor * base.grid.h_max**2
-        tol_metric = h2 * rep["metric_scale"]
-        tol_h = h2 * rep["h_scale"]
-        tol_ii = h2 * base.scale_ii
-        ii = max(rep["l_deviation"], rep["m_deviation"], rep["n_deviation"])
-        if want("deform.metric"):
-            checks.append(_check(
-                "deform.metric", "fd", rep["metric_deviation"], tol_metric,
-                rep["metric_deviation"] <= tol_metric, details={"t0": t0},
-            ))
-        if want("deform.h"):
-            checks.append(_check(
-                "deform.h", "fd", rep["h_deviation"], tol_h,
-                rep["h_deviation"] <= tol_h, details={"t0": t0},
-            ))
-        if want("deform.ii_distinct"):
-            checks.append(_check(
-                "deform.ii_distinct", "lower_bound", ii, 10.0 * tol_ii,
-                ii > 10.0 * tol_ii,
-                details={"t0": t0, "pole_count": rep["pole_count"]},
-            ))
-    return checks
-
-
-def _verify_checks(cfg: RunConfig, levels: int, only: str | None) -> list:
-    """All named checks; FD checks carry observed orders over the levels."""
-    grids = [cfg.grid.refined(2**k) for k in range(levels)]
-    datas = [PipelineData(cfg, g) for g in grids]
-    base = datas[0]
-    hs = [g.h_max for g in grids]
-
-    checks = _base_checks(cfg, base, only=only)
-
-    h2 = cfg.fd_factor * base.grid.h_max**2
-    for name, fn in _fd_check_specs():
-        if only is not None and only not in name:
-            continue
-        values, scale = [], 1.0
-        for data in datas:
-            value, scale = fn(data)
-            values.append(value)
+def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: list) -> dict:
+    """The report entry of one row from its values on the levels run."""
+    value = values[0]
+    h2 = cfg.fd_factor * cfg.grid.h_max**2
+    order = None
+    if row.rule == "algebraic":
+        tol = cfg.tol_algebraic * scale
+        passed = value <= tol
+    elif row.rule == "bound":
+        tol = scale
+        passed = value <= tol
+    elif row.rule == "ratio":
+        tol = None
+        passed = RK4_RATIO_LOW <= value <= RK4_RATIO_HIGH
+        details = {"low": RK4_RATIO_LOW, "high": RK4_RATIO_HIGH}
+    elif row.rule == "lower_bound":
+        tol = 10.0 * (h2 * scale)
+        passed = value > tol
+    else:  # fd, ladder
         tol = h2 * scale
-        floor = 1e-13 * scale
-        order = observed_order(hs, values, floor=floor)
-        if order == math.inf:
-            order = "converged"
-        passed = values[0] <= tol and _order_ok(order)
-        checks.append(_check(
-            name, "fd", values[0], tol, passed, order=order,
-            details={"residuals": values},
-        ))
-    return checks
+        passed = value <= tol
+        if row.rule == "ladder":
+            details = {"residuals": values}
+        if len(values) >= 2:  # only ladder rows run on more than one level
+            order = observed_order(hs, values, floor=1e-13 * scale)
+            if order == math.inf:
+                order = "converged"
+            elif order is None or order < ORDER_TARGET:
+                passed = False
+    entry = {
+        "name": row.name,
+        "kind": "fd" if row.rule == "ladder" else row.rule,
+        "value": float(value),
+        "tolerance": None if tol is None else float(tol),
+        "passed": bool(passed),
+    }
+    if order is not None:
+        entry["order"] = order
+    if details:
+        entry["details"] = details
+    return entry
+
+
+def _ladder(cfg: RunConfig, rows: list, levels: int, export):
+    """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k, one level at a time.
+
+    Each level is built, its rows are evaluated and only their floats are
+    kept before it is dropped, so no grid-sized array outlives its level.
+    Rows other than "ladder" ones run on the base level only, and one level
+    is built when no ladder row is selected.  export(level) runs first, on
+    the base level.  Returns the report entries in row order and what
+    export returned.
+    """
+    values = {row.name: [] for row in rows}
+    scales, details, hs = {}, {}, []
+    on_ladder = [row for row in rows if row.rule == "ladder"]
+    for k in range(levels if on_ladder else 1):
+        level = PipelineData(cfg, cfg.grid.refined(2**k))
+        if k == 0:
+            exported = export(level)
+        for row in rows if k == 0 else on_ladder:
+            value, scales[row.name], extra = level.evaluate(row)
+            values[row.name].append(value)
+            details.setdefault(row.name, extra)
+        hs.append(level.grid.h_max)
+        del level
+    checks = [
+        _judge(cfg, row, values[row.name], scales[row.name], details[row.name], hs)
+        for row in rows
+    ]
+    return checks, exported
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _emit_report(report: dict, path, as_json: bool) -> None:
+def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) -> int:
+    """One command: `rows` over `levels` ladder levels.
+
+    export(level, out) writes the command's files (CSV, OBJ) from the base
+    level and returns the report's header fields.  Writes and prints
+    <command>_report.json; returns the exit code.
+    """
+    out = args.out if args.out else cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    checks, fields = _ladder(cfg, rows, levels, lambda level: export(level, out))
+    report = {"command": command, **fields, "checks": checks,
+              "pass": all(c["passed"] for c in checks)}
+    path = os.path.join(out, f"{command}_report.json")
     text = json.dumps(report, indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-    if as_json:
+    if args.json:
         print(text)
     else:
-        for chk in report.get("checks", []):
+        for chk in checks:
             status = "PASS" if chk["passed"] else "FAIL"
-            tol = chk.get("tolerance")
+            tol = chk["tolerance"]
             tol_s = "" if tol is None else f" tol={tol:.3e}"
             print(
                 f"{status} {chk['name']}: {chk['value']:.6e}{tol_s}"
@@ -572,12 +572,11 @@ def _emit_report(report: dict, path, as_json: bool) -> None:
             )
         print(f"report: {path}")
         print("pass" if report["pass"] else "FAIL")
+    return 0 if report["pass"] else 1
 
 
-def _out_dir(cfg: RunConfig, args) -> str:
-    out = args.out if getattr(args, "out", None) else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
+def _grid_info(g: Grid) -> dict:
+    return {"ns": g.ns, "nt": g.nt, "h_max": g.h_max}
 
 
 def cmd_families(args) -> int:
@@ -608,49 +607,17 @@ def cmd_families(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
-    base = PipelineData(cfg, cfg.grid)
-
-    bonnet_solver.write_profile_csv(base.profile, os.path.join(out, "profile.csv"))
-    write_scalar_csv(base.psi.psi, os.path.join(out, "psi.csv"), "psi")
-
-    solve_names = ("q.", "lax.", "psi.", "profile.")
-    checks = _base_checks(cfg, base, include_embed=False)
-    h2 = cfg.fd_factor * base.grid.h_max**2
-    fd_specs = [
-        (name, fn) for name, fn in _fd_check_specs()
-        if name.startswith(solve_names)
-    ]
-    levels = args.refine if args.refine else 1
+    levels = 1 if args.refine is None else args.refine
     if levels < 1:
         raise ConfigError("--refine must be >= 1")
-    datas = [base] + [
-        PipelineData(cfg, cfg.grid.refined(2**k)) for k in range(1, levels)
-    ]
-    hs = [d.grid.h_max for d in datas]
-    for name, fn in fd_specs:
-        values, scale = [], 1.0
-        for data in datas:
-            value, scale = fn(data)
-            values.append(value)
-        tol = h2 * scale
-        order = None
-        if levels >= 2:
-            order = observed_order(hs, values, floor=1e-13 * scale)
-            if order == math.inf:
-                order = "converged"
-        passed = values[0] <= tol and (levels < 2 or _order_ok(order))
-        checks.append(_check(name, "fd", values[0], tol, passed, order=order))
 
-    report = {
-        "command": "solve",
-        "grid": {"ns": cfg.grid.ns, "nt": cfg.grid.nt, "h_max": cfg.grid.h_max},
-        "family": cfg.family.describe(),
-        "checks": checks,
-        "pass": all(c["passed"] for c in checks),
-    }
-    _emit_report(report, os.path.join(out, "solve_report.json"), args.json)
-    return 0 if report["pass"] else 1
+    def export(level, out):
+        bonnet_solver.write_profile_csv(level.profile, os.path.join(out, "profile.csv"))
+        write_scalar_csv(level.psi.psi, os.path.join(out, "psi.csv"), "psi")
+        return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
+
+    rows = _select(cfg, ("q.", "lax.", "psi.", "profile."))
+    return _run(args, cfg, "solve", rows, levels, export)
 
 
 def _forms_csv(path, ff: surface_embed.FundamentalForms) -> None:
@@ -669,109 +636,56 @@ def _forms_csv(path, ff: surface_embed.FundamentalForms) -> None:
 
 def cmd_mesh(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
-    base = PipelineData(cfg, cfg.grid)
-    frame = base.frame
-    forms = surface_embed.fundamental_forms(base.profile, base.psi)
+    g = cfg.grid
 
-    surface_embed.export_obj(frame, os.path.join(out, "surface.obj"))
-    _forms_csv(os.path.join(out, "forms.csv"), forms)
+    def export(level, out):
+        surface_embed.export_obj(level.frame, os.path.join(out, "surface.obj"))
+        _forms_csv(os.path.join(out, "forms.csv"), level.forms)
+        return {
+            "grid": _grid_info(g),
+            "vertices": g.ns * g.nt,
+            "triangles": 2 * (g.ns - 1) * (g.nt - 1),
+            "structure_residuals": level.battery("structure"),
+        }
 
-    structure = surface_embed.structure_residuals(base.cf, base.profile)
-    h2 = cfg.fd_factor * base.grid.h_max**2
-    checks = []
-    scale = max(base.scale_e, base.scale_ii)
-    for key, value in structure.items():
-        tol = h2 * scale
-        checks.append(_check(f"structure.{key}", "fd", value, tol, value <= tol))
-    drift = frame.orthonormality_error()
-    checks.append(_check(
-        "frame.orthonormality", "bound", drift, ORTHONORMALITY_TOL,
-        drift <= ORTHONORMALITY_TOL,
-    ))
-    metric = surface_embed.metric_recovery_residual(frame, base.profile)
-    tol = h2 * base.scale_e
-    checks.append(_check("frame.metric_recovery", "fd", metric, tol, metric <= tol))
-    second = surface_embed.second_form_vs_frame(forms, frame)
-    tol = h2 * base.scale_ii
-    checks.append(_check("frame.second_form", "fd", second, tol, second <= tol))
-
-    report = {
-        "command": "mesh",
-        "grid": {"ns": cfg.grid.ns, "nt": cfg.grid.nt, "h_max": cfg.grid.h_max},
-        "vertices": cfg.grid.ns * cfg.grid.nt,
-        "triangles": 2 * (cfg.grid.ns - 1) * (cfg.grid.nt - 1),
-        "structure_residuals": structure,
-        "checks": checks,
-        "pass": all(c["passed"] for c in checks),
-    }
-    _emit_report(report, os.path.join(out, "mesh_report.json"), args.json)
-    return 0 if report["pass"] else 1
+    rows = _select(cfg, ("structure.", "frame.orthonormality", "frame.metric_recovery",
+                         "frame.second_form"))
+    return _run(args, cfg, "mesh", rows, 1, export)
 
 
 def cmd_deform(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
-    t0 = args.t0 if args.t0 is not None else cfg.t0
-    if t0 is None:
+    if args.t0 is not None:
+        cfg.t0 = _number(args.t0, "--t0")
+    if cfg.t0 is None:
         raise ConfigError("deform needs --t0 (or t0 in the config)")
-    base = PipelineData(cfg, cfg.grid)
 
-    dp = surface_embed.integrate_deformation(base.cf, t0)
-    frame, _ = surface_embed.build_deformed_surface(
-        base.profile, base.psi, dp, base.grid, coframes=base.cf
-    )
-    surface_embed.export_obj(frame, os.path.join(out, "deformed.obj"))
-    rep = surface_embed.deformation_report(base.profile, base.psi, base.grid, t0)
+    def export(level, out):
+        frame, rep = level.deformed
+        surface_embed.export_obj(frame, os.path.join(out, "deformed.obj"))
+        return {
+            "t0": rep["t0"],
+            "metric_deviation": rep["metric_deviation"],
+            "H_deviation": rep["h_deviation"],
+            "II_deviation": rep["ii_deviation"],
+            "pole_count": rep["pole_count"],
+            "sign_flips": rep["sign_flips"],
+        }
 
-    h2 = cfg.fd_factor * base.grid.h_max**2
-    tol_metric = h2 * rep["metric_scale"]
-    tol_h = h2 * rep["h_scale"]
-    tol_ii = h2 * base.scale_ii
-    ii = max(rep["l_deviation"], rep["m_deviation"], rep["n_deviation"])
-    checks = [
-        _check("deform.metric", "fd", rep["metric_deviation"], tol_metric,
-               rep["metric_deviation"] <= tol_metric),
-        _check("deform.h", "fd", rep["h_deviation"], tol_h,
-               rep["h_deviation"] <= tol_h),
-        _check("deform.ii_distinct", "lower_bound", ii, 10.0 * tol_ii,
-               ii > 10.0 * tol_ii),
-    ]
-    report = {
-        "command": "deform",
-        "t0": t0,
-        "metric_deviation": rep["metric_deviation"],
-        "H_deviation": rep["h_deviation"],
-        "II_deviation": ii,
-        "pole_count": rep["pole_count"],
-        "sign_flips": rep["sign_flips"],
-        "checks": checks,
-        "pass": all(c["passed"] for c in checks),
-    }
-    _emit_report(report, os.path.join(out, "deform_report.json"), args.json)
-    return 0 if report["pass"] else 1
+    return _run(args, cfg, "deform", _select(cfg, ("deform.",)), 1, export)
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
-    levels = args.refine if args.refine else cfg.refine_levels
+    levels = cfg.refine_levels if args.refine is None else args.refine
     if levels < 2:
         raise ConfigError("verify needs at least 2 refinement levels")
-    only = args.only
-    checks = _verify_checks(cfg, levels, only)
-    if not checks:
-        raise ConfigError(f"--only '{only}' matched no checks")
-    grids = [cfg.grid.refined(2**k) for k in range(levels)]
-    report = {
-        "command": "verify",
-        "family": cfg.family.describe(),
-        "levels": [{"ns": g.ns, "nt": g.nt, "h_max": g.h_max} for g in grids],
-        "checks": checks,
-        "pass": all(c["passed"] for c in checks),
-    }
-    _emit_report(report, os.path.join(out, "verify_report.json"), args.json)
-    return 0 if report["pass"] else 1
+
+    def export(level, out):
+        grids = [cfg.grid.refined(2**k) for k in range(levels)]
+        return {"family": cfg.family.describe(), "levels": [_grid_info(g) for g in grids]}
+
+    return _run(args, cfg, "verify", _select(cfg, ("",), args.only), levels, export)
 
 
 # ---------------------------------------------------------------------------

@@ -256,14 +256,18 @@ class TwoForm:
 
 
 def interior(values: np.ndarray, margin: int = 1) -> np.ndarray:
-    """View of the array with `margin` rows/columns stripped on every side."""
+    """View of the array with `margin` rows/columns stripped on every side.
+
+    Only the first two axes are trimmed (the only axis of a 1-D profile
+    array), so trailing vector or matrix axes stay whole.
+    """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if margin == 0:
         return values
     if 2 * margin >= min(values.shape[:2]):
         raise ValueError(f"margin {margin} leaves no interior for shape {values.shape}")
-    return values[margin:-margin, margin:-margin]
+    return values[(slice(margin, -margin),) * min(values.ndim, 2)]
 
 
 def max_interior(values: np.ndarray, margin: int = 1) -> float:

@@ -37,6 +37,7 @@ from .forms2d import (
     d_oneform,
     d_scalar,
     hodge,
+    max_interior,
     wedge,
 )
 from .lax_psi import PsiField
@@ -56,7 +57,6 @@ __all__ = [
     "structure_residuals",
     "codazzi_summary_residuals",
     "theta12_report",
-    "theta12_residual",
     "connection_from_coframe",
     "rotation_transform_residual",
     "scaling_transform_residual",
@@ -305,11 +305,6 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
     return res
 
 
-def theta12_residual(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margin: int = 2) -> float:
-    rep = theta12_report(cf, psi, profile, margin)
-    return max(rep["theta12_via_psi"], rep["theta12_hodge"])
-
-
 def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     """Solve d(c1) = gamma ^ c2, d(c2) = c1 ^ gamma for the connection gamma.
 
@@ -476,12 +471,20 @@ def two_path_residual(
     psi: PsiField,
     grid: Grid | None = None,
     seed: FrameSeed | None = None,
+    frame: FrameField | None = None,
+    coframes: CoframeSet | None = None,
 ) -> float:
-    """Disagreement between the two integration path orders (flatness check)."""
+    """Disagreement between the two integration path orders (flatness check).
+
+    `frame` is the t-first march from the same seed when the caller already
+    holds it; only the s-first march is then integrated here.
+    """
     if grid is None:
         grid = psi.psi.grid
-    cf = build_coframes(profile, psi, grid)
-    fa = integrate_frame(profile, psi, grid, seed, "t_first", coframes=cf)
+    cf = coframes if coframes is not None else build_coframes(profile, psi, grid)
+    fa = frame if frame is not None else integrate_frame(
+        profile, psi, grid, seed, "t_first", coframes=cf
+    )
     fb = integrate_frame(profile, psi, grid, seed, "s_first", coframes=cf)
     return max(
         float(np.max(np.abs(fa.x - fb.x))),
@@ -571,9 +574,9 @@ def metric_recovery_residual(frame: FrameField, profile: SurfaceProfile, margin:
     gss, gst, gtt = first_form_fd(frame)
     e2d = np.broadcast_to(profile.E[:, None], frame.grid.shape)
     return max(
-        float(np.max(np.abs(_trim(gss.values - e2d, margin)))),
-        float(np.max(np.abs(_trim(gst.values, margin)))),
-        float(np.max(np.abs(_trim(gtt.values - e2d, margin)))),
+        max_interior(gss.values - e2d, margin),
+        max_interior(gst.values, margin),
+        max_interior(gtt.values - e2d, margin),
     )
 
 
@@ -585,12 +588,6 @@ def second_form_vs_frame(ff: FundamentalForms, frame: FrameField, margin: int = 
         (M - ff.M).max_abs_interior(margin),
         (N - ff.N).max_abs_interior(margin),
     )
-
-
-def _trim(values: np.ndarray, margin: int) -> np.ndarray:
-    if margin == 0:
-        return values
-    return values[margin:-margin, margin:-margin]
 
 
 @dataclass(frozen=True)
@@ -735,52 +732,45 @@ def build_deformed_surface(
 
 def deformation_report(
     profile: SurfaceProfile,
-    psi: PsiField,
-    grid: Grid | None = None,
-    t0: float = 0.0,
-    seed: FrameSeed | None = None,
+    forms: FundamentalForms,
+    dp: DeformationParam,
+    frame: FrameField,
     margin: int = 2,
 ) -> dict:
     """Numbers the deformation family is judged by at one t0.
 
-    metric_deviation and h_deviation compare the FD metric and FD mean
-    curvature of the deformed immersion against the base profile (both
-    should vanish with h^2); the second-form deviations should not.
+    `forms` are the base surface's fundamental forms, `dp` and `frame` the
+    tau march and the deformed frame of the companion at dp.t0
+    (integrate_deformation, build_deformed_surface).  metric_deviation and
+    h_deviation compare the FD metric and FD mean curvature of the deformed
+    immersion against the base profile (both should vanish with h^2); the
+    second-form deviations, and their max ii_deviation, should not.
     """
-    if grid is None:
-        grid = psi.psi.grid
-    cf = build_coframes(profile, psi, grid)
-    dp = integrate_deformation(cf, t0)
-    frame, _ = build_deformed_surface(profile, psi, dp, grid, seed, coframes=cf)
-
+    grid = frame.grid
     e2d = np.broadcast_to(profile.E[:, None], grid.shape)
     h2d = np.broadcast_to(profile.H[:, None], grid.shape)
-    gss, gst, gtt = first_form_fd(frame)
-    metric_dev = max(
-        float(np.max(np.abs(_trim(gss.values - e2d, margin)))),
-        float(np.max(np.abs(_trim(gst.values, margin)))),
-        float(np.max(np.abs(_trim(gtt.values - e2d, margin)))),
-    )
+    gss, _, gtt = first_form_fd(frame)
     L, M, N = second_form_fd(frame)
     e_fd = 0.5 * (gss.values + gtt.values)
     h_fd = 0.5 * (L.values + N.values) / e_fd
-    h_dev = float(np.max(np.abs(_trim(h_fd - h2d, margin))))
-
-    base = fundamental_forms(profile, psi)
-    report = {
-        "t0": float(t0),
+    l_dev, m_dev, n_dev = (
+        max_interior(fd.values - alg.values, margin)
+        for fd, alg in ((L, forms.L), (M, forms.M), (N, forms.N))
+    )
+    return {
+        "t0": dp.t0,
         "h_max": grid.h_max,
         "metric_scale": max(1.0, float(np.max(np.abs(e2d)))),
         "h_scale": max(1.0, float(np.max(np.abs(h2d)))),
-        "metric_deviation": metric_dev,
-        "h_deviation": h_dev,
-        "l_deviation": float(np.max(np.abs(_trim(L.values - base.L.values, margin)))),
-        "m_deviation": float(np.max(np.abs(_trim(M.values - base.M.values, margin)))),
-        "n_deviation": float(np.max(np.abs(_trim(N.values - base.N.values, margin)))),
+        "metric_deviation": metric_recovery_residual(frame, profile, margin),
+        "h_deviation": max_interior(h_fd - h2d, margin),
+        "l_deviation": l_dev,
+        "m_deviation": m_dev,
+        "n_deviation": n_dev,
+        "ii_deviation": max(l_dev, m_dev, n_dev),
         "pole_count": len(dp.pole_nodes),
         "sign_flips": dp.sign_flips,
     }
-    return report
 
 
 @dataclass(frozen=True)

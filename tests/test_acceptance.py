@@ -317,7 +317,9 @@ def test_c08_isometric_deformation(level_stack):
     scale_ii = max(1.0, float(np.max(prof.E * (np.abs(prof.H) + prof.J))))
     tol_ii = FD_FACTOR * grid.h_max**2 * scale_ii
 
-    rep = se.deformation_report(prof, psi, grid, 1.0)
+    dp = se.integrate_deformation(cf, 1.0)
+    frame, _ = se.build_deformed_surface(prof, psi, dp, grid, coframes=cf)
+    rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), dp, frame)
     tol_metric = FD_FACTOR * grid.h_max**2 * rep["metric_scale"]
     tol_h = FD_FACTOR * grid.h_max**2 * rep["h_scale"]
     ii_dev = max(rep["l_deviation"], rep["m_deviation"], rep["n_deviation"])

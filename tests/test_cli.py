@@ -4,16 +4,20 @@ Exit code contract: 0 all checks pass, 1 a residual check failed,
 2 configuration or domain errors.  Reports must be byte-stable across
 reruns of the same config.
 """
+import collections
 import json
 import math
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from bonnet import bonnet_solver, cli, lax_psi, surface_embed
 from bonnet.cli import (
     RK4_RATIO_HIGH,
     RK4_RATIO_LOW,
+    RK4_TOL,
     ConfigError,
     RunConfig,
     _rk4_crosscheck,
@@ -125,6 +129,18 @@ def test_rk4_crosscheck_is_fourth_order_for_both_signs(kind, sign):
     assert (err, ratio) == _rk4_crosscheck(QFamily(kind, 1, 1.0))
 
 
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_crosscheck_is_measured_in_units_of_one_over_a(kind, sign):
+    # window and steps scale with 1/a, so a power-of-two frequency rescales
+    # every number of the march exactly and reproduces the a = 1 pair
+    ref = _rk4_crosscheck(QFamily(kind, sign, 1.0))
+    for a in (0.25, 0.5, 2.0, 4.0):
+        assert _rk4_crosscheck(QFamily(kind, sign, a)) == ref
+    if kind == "trig":
+        assert _rk4_crosscheck(QFamily(kind, sign, 3.7))[0] <= RK4_TOL
+
+
 def test_families_listing(capsys):
     assert main(["families"]) == 0
     out = capsys.readouterr().out
@@ -227,6 +243,87 @@ def test_verify_only_filter(demo_config_file, tmp_path, capsys):
 def test_verify_rejects_single_level(small_config, tmp_path):
     assert main(["verify", "--config", str(small_config),
                  "--out", str(tmp_path / "o"), "--refine", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--refine", "0"],
+    ["solve", "--refine", "-1"],
+    ["verify", "--refine", "0"],
+    ["verify", "--refine", "1"],
+    ["verify", "--only", "zzz"],
+    ["deform", "--t0", "nan"],
+], ids=" ".join)
+def test_bad_arguments_exit_two_before_any_work(small_config, tmp_path, capsys,
+                                                monkeypatch, argv):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", no_pipeline)
+    out = tmp_path / "out"
+    command, *rest = argv
+    assert main([command, "--config", str(small_config), "--out", str(out), *rest]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()  # no CSV, OBJ or report written
+
+
+COUNTED = {
+    surface_embed: (
+        "integrate_frame", "build_deformed_surface", "build_coframes",
+        "integrate_deformation", "structure_residuals", "codazzi_summary_residuals",
+        "theta12_report", "weingarten_residual",
+    ),
+    bonnet_solver: ("ideal_residuals",),
+    lax_psi: ("lax_residuals", "c_relation_residuals"),
+}
+
+
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Calls of the expensive pipeline functions; also fails a command that
+    builds a PipelineData while an earlier one is still alive."""
+    counts = collections.Counter()
+    for module, names in COUNTED.items():
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    alive = []
+    build = cli.PipelineData.__init__
+
+    def tracked(self, *args, **kwargs):
+        assert all(ref() is None for ref in alive), "two levels alive at once"
+        alive.append(weakref.ref(self))
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", tracked)
+    return counts
+
+
+def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file, tmp_path,
+                                                               work_counts):
+    assert main(["verify", "--config", str(demo_config_file), "--out", str(tmp_path),
+                 "--refine", "3"]) == 0
+    # t-first and s-first frame on each of 3 levels, one deformed frame
+    assert work_counts["integrate_frame"] + work_counts["build_deformed_surface"] == 7
+    for name in ("build_coframes", "structure_residuals", "codazzi_summary_residuals",
+                 "theta12_report", "ideal_residuals", "lax_residuals",
+                 "c_relation_residuals", "weingarten_residual"):
+        assert work_counts[name] == 3, name
+    assert work_counts["integrate_deformation"] == 1
+
+
+def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, work_counts):
+    assert main(["deform", "--config", str(demo_config_file), "--out", str(tmp_path / "d"),
+                 "--t0", "1.0"]) == 0
+    for name in ("integrate_deformation", "build_deformed_surface", "build_coframes"):
+        assert work_counts[name] == 1, name
+    assert work_counts["integrate_frame"] == 0
+    work_counts.clear()
+    assert main(["solve", "--config", str(demo_config_file), "--out", str(tmp_path / "s"),
+                 "--refine", "3"]) == 0
+    assert work_counts["ideal_residuals"] == 3
 
 
 def test_json_flag_prints_report(small_config, tmp_path, capsys):

@@ -200,6 +200,12 @@ def test_interior_margins():
     assert max_interior(vals, 2) == vals[2, 3]
     with pytest.raises(ValueError):
         interior(vals, 3)
+    # 1-D profile arrays are trimmed along their only axis, with the same guard
+    line = np.array([9.0, 1.0, -4.0, 2.0, -7.0])
+    assert np.array_equal(interior(line, 1), line[1:-1])
+    assert max_interior(line, 1) == 4.0
+    with pytest.raises(ValueError):
+        interior(line, 3)
 
 
 @given(st.floats(min_value=0.5, max_value=4.0), st.floats(min_value=-8.0, max_value=2.0))

@@ -161,8 +161,12 @@ def test_frame_integration_stays_orthonormal(demo_frame, demo_grid):
     assert np.array_equal(demo_frame.frames[0, 0], np.eye(3))
 
 
-def test_two_path_agreement(demo_profile, demo_psi):
-    assert two_path_residual(demo_profile, demo_psi) < TOL
+def test_two_path_agreement(demo_profile, demo_psi, demo_frame, demo_coframes):
+    res = two_path_residual(demo_profile, demo_psi)
+    assert res < TOL
+    # handing over the t-first frame and coframes changes no bit of the result
+    assert two_path_residual(demo_profile, demo_psi, frame=demo_frame,
+                             coframes=demo_coframes) == res
 
 
 def test_seed_translation_is_exact(demo_profile, demo_psi, demo_frame):
@@ -253,12 +257,16 @@ def test_deformed_surface_is_isometric_but_distinct(demo_profile, demo_psi,
     assert np.max(np.abs(forms.L.values - demo_forms.L.values)) > 0.5
 
 
-def test_deformation_report_numbers(demo_profile, demo_psi):
-    rep = deformation_report(demo_profile, demo_psi, t0=1.0)
+def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms, demo_psi):
+    dp = integrate_deformation(demo_coframes, t0=1.0)
+    frame, _ = build_deformed_surface(demo_profile, demo_psi, dp, coframes=demo_coframes)
+    rep = deformation_report(demo_profile, demo_forms, dp, frame)
     assert rep["pole_count"] == 0 and rep["sign_flips"] == 0
     assert rep["metric_deviation"] < TOL * rep["metric_scale"]
     assert rep["h_deviation"] < TOL * rep["h_scale"]
     assert rep["l_deviation"] > 0.5
+    assert rep["ii_deviation"] == max(rep["l_deviation"], rep["m_deviation"],
+                                      rep["n_deviation"])
     assert rep["t0"] == 1.0
 
 
