@@ -72,7 +72,7 @@ def _to_float(value) -> float:
         return math.nan
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return math.nan
 
 
@@ -119,6 +119,12 @@ class RunConfig:
         self.fd_factor = _number(tol.get("fd_factor", 25.0), "tolerances.fd_factor")
         if self.tol_algebraic <= 0 or self.fd_factor <= 0:
             raise ConfigError("tolerances must be positive")
+        try:  # the fd tolerance scale of every report, as _judge computes it
+            fd_scale = self.fd_factor * self.grid.h_max**2
+        except OverflowError:
+            fd_scale = math.inf
+        if not math.isfinite(fd_scale):
+            raise ConfigError("tolerances.fd_factor * grid.h_max**2 must be finite")
         # the grid must sit inside the guarded family domain
         try:
             SingularityGuard(self.family).check(

@@ -87,6 +87,8 @@ class Grid:
             raise ValueError("grid needs at least 5 nodes per axis")
         if not (self.s_max > self.s_min and self.t_max > self.t_min):
             raise ValueError("grid bounds must satisfy s_min < s_max, t_min < t_max")
+        if not (0.0 < self.h_s < math.inf and 0.0 < self.h_t < math.inf):
+            raise ValueError("grid spacing must be a positive finite number")
 
     @property
     def h_s(self) -> float:

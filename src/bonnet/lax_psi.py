@@ -30,7 +30,7 @@ from .forms2d import (
     laplacian,
 )
 from .q_family import DomainError, QFamily, SingularityGuard, eval_dlog_q, eval_q, eval_c
-from .rk4 import rk4_step
+from .rk4 import rk4_step, sweep
 
 __all__ = [
     "PsiBranch",
@@ -270,12 +270,9 @@ def integrate_lax(
     full RK4 steps.  Q and (log Q)' are evaluated once, at every stage
     abscissa of the march.
     """
-    if order not in ("t_first", "s_first"):
-        raise ValueError("order must be 't_first' or 's_first'")
     _check_grid_domain(fam, grid)
     s = grid.s_nodes()
     hs, ht = grid.h_s / substeps, grid.h_t / substeps
-    vals = np.empty(grid.shape)
     # Q at the (start, mid, end) abscissae of every substep of every
     # s-interval, shape (ns - 1, substeps, 3)
     x0 = np.arange(substeps) / substeps
@@ -283,48 +280,31 @@ def integrate_lax(
     q_s = eval_q(fam, s[:-1, None, None] + frac * (s[1:] - s[:-1])[:, None, None])
     # psi_t runs along lines of fixed s, so its coefficients stay fixed
     q_t = (eval_q(fam, s), eval_dlog_q(fam, s))
-    q_t_edge = (q_t[0][0], q_t[1][0])
 
-    psi = float(psi0)
-    vals[0, 0] = psi
-    if order == "t_first":
-        # t-edge: s fixed at s_min
-        for j in range(grid.nt - 1):
+    def step(axis, src, dst, y):
+        if axis == 0:
+            for q0, qm, q1 in q_s[src[0]].tolist():
+                y = rk4_step(_rhs_s, y, hs, q0, qm, q1)
+        else:
+            c = (q_t[0][src[0]], q_t[1][src[0]])
             for _ in range(substeps):
-                psi, = rk4_step(_rhs_t, [psi], ht, q_t_edge, q_t_edge, q_t_edge)
-            _guard_psi(psi, (0, j + 1))
-            vals[0, j + 1] = psi
-        # s-lines, all t-columns at once
-        row = vals[0, :].copy()
-        for i in range(grid.ns - 1):
-            for q0, qm, q1 in q_s[i].tolist():
-                row, = rk4_step(_rhs_s, [row], hs, q0, qm, q1)
-            _guard_psi(row, (i + 1, None))
-            vals[i + 1, :] = row
-    else:
-        # s-edge: t fixed at t_min
-        for i in range(grid.ns - 1):
-            for q0, qm, q1 in q_s[i].tolist():
-                psi, = rk4_step(_rhs_s, [psi], hs, q0, qm, q1)
-            _guard_psi(psi, (i + 1, 0))
-            vals[i + 1, 0] = psi
-        col = vals[:, 0].copy()
-        for j in range(grid.nt - 1):
-            for _ in range(substeps):
-                col, = rk4_step(_rhs_t, [col], ht, q_t, q_t, q_t)
-            _guard_psi(col, (None, j + 1))
-            vals[:, j + 1] = col
+                y = rk4_step(_rhs_t, y, ht, c, c, c)
+        _guard_psi(y[0], dst)
+        return y
 
+    vals = np.empty(grid.shape)
+    vals[0, 0] = float(psi0)
+    sweep(order, [vals], step)
     return PsiField(ScalarField(grid, vals), None)
 
 
 def _guard_psi(value, node) -> None:
+    """Raise LaxBlowUpError at the first bad value; a slice in node marks a line."""
     arr = np.atleast_1d(np.asarray(value))
     bad = ~np.isfinite(arr) | (np.abs(arr) > PSI_BLOWUP)
     if np.any(bad):
         k = int(np.argmax(bad))
-        i, j = node
-        raise LaxBlowUpError((k if i is None else i, k if j is None else j))
+        raise LaxBlowUpError(tuple(k if isinstance(n, slice) else n for n in node))
 
 
 def _q_on_grid(fam: QFamily, grid: Grid):

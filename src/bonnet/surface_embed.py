@@ -42,7 +42,7 @@ from .forms2d import (
 )
 from .lax_psi import PsiField
 from .q_family import ConsistencyError
-from .rk4 import rk4_step
+from .rk4 import rk4_step, sweep
 
 __all__ = [
     "FrameSeed",
@@ -224,6 +224,13 @@ def theta12_form(cf: CoframeSet, profile: SurfaceProfile) -> OneForm:
     return cf.xi2 * ca
 
 
+def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
+    """(omega13, omega23) = ((H + J) w1, (H - J) w2) of a coframe (w1, w2)."""
+    grid = w1.grid
+    return (w1 * _profile_field(grid, profile.H + profile.J),
+            w2 * _profile_field(grid, profile.H - profile.J))
+
+
 def structure_residuals(cf: CoframeSet, profile: SurfaceProfile, margin: int = 2) -> dict:
     """Max interior residuals of the five structure equations.
 
@@ -231,12 +238,8 @@ def structure_residuals(cf: CoframeSet, profile: SurfaceProfile, margin: int = 2
     d(omega13) = omega12 ^ omega23      d(omega23) = omega13 ^ omega12
     d(omega12) = -K omega1 ^ omega2,    K = H^2 - J^2
     """
-    g = cf.grid
-    a2d = _profile_field(g, profile.H + profile.J)
-    c2d = _profile_field(g, profile.H - profile.J)
-    k2d = _profile_field(g, profile.H**2 - profile.J**2)
-    w13 = cf.omega1 * a2d
-    w23 = cf.omega2 * c2d
+    k2d = _profile_field(cf.grid, profile.H**2 - profile.J**2)
+    w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
     res = {
         "d_omega1": d_oneform(cf.omega1) - wedge(cf.omega12, cf.omega2),
         "d_omega2": d_oneform(cf.omega2) - wedge(cf.omega1, cf.omega12),
@@ -396,53 +399,20 @@ def _integrate_frame_forms(
     w1: OneForm, w2: OneForm, w12: OneForm, w13: OneForm, w23: OneForm,
     grid: Grid, seed: FrameSeed, order: str,
 ) -> FrameField:
-    if order not in ("t_first", "s_first"):
-        raise ValueError("order must be 't_first' or 's_first'")
-    ns, nt = grid.shape
-    hs, ht = grid.h_s, grid.h_t
-    x = np.empty((ns, nt, 3))
-    E = np.empty((ns, nt, 3, 3))
+    """Sweep the frame from the seed, each step the exp of the trapezoid
+    integrals of (w12, w13, w23) with the position advanced by (w1, w2)."""
+    # components along s, then along t, in the argument order of _step
+    comps = tuple([getattr(w, c).values for w in (w12, w13, w23, w1, w2)] for c in "pq")
+    h = (grid.h_s, grid.h_t)
+
+    def step(axis, src, dst, state):
+        return _step(*state, *(0.5 * (c[src] + c[dst]) * h[axis] for c in comps[axis]))
+
+    x = np.empty(grid.shape + (3,))
+    E = np.empty(grid.shape + (3, 3))
     x[0, 0] = seed.x0
     E[0, 0] = seed.frame_matrix()
-
-    def trap_p(w: OneForm, i):
-        return 0.5 * (w.p.values[i, :] + w.p.values[i + 1, :]) * hs
-
-    def trap_q_edge(w: OneForm, j, i=0):
-        return 0.5 * (w.q.values[i, j] + w.q.values[i, j + 1]) * ht
-
-    def trap_q(w: OneForm, j):
-        return 0.5 * (w.q.values[:, j] + w.q.values[:, j + 1]) * ht
-
-    def trap_p_edge(w: OneForm, i, j=0):
-        return 0.5 * (w.p.values[i, j] + w.p.values[i + 1, j]) * hs
-
-    if order == "t_first":
-        for j in range(nt - 1):
-            x[0, j + 1], E[0, j + 1] = _step(
-                x[0, j], E[0, j],
-                trap_q_edge(w12, j), trap_q_edge(w13, j), trap_q_edge(w23, j),
-                trap_q_edge(w1, j), trap_q_edge(w2, j),
-            )
-        for i in range(ns - 1):
-            x[i + 1, :], E[i + 1, :] = _step(
-                x[i, :], E[i, :],
-                trap_p(w12, i), trap_p(w13, i), trap_p(w23, i),
-                trap_p(w1, i), trap_p(w2, i),
-            )
-    else:
-        for i in range(ns - 1):
-            x[i + 1, 0], E[i + 1, 0] = _step(
-                x[i, 0], E[i, 0],
-                trap_p_edge(w12, i), trap_p_edge(w13, i), trap_p_edge(w23, i),
-                trap_p_edge(w1, i), trap_p_edge(w2, i),
-            )
-        for j in range(nt - 1):
-            x[:, j + 1], E[:, j + 1] = _step(
-                x[:, j], E[:, j],
-                trap_q(w12, j), trap_q(w13, j), trap_q(w23, j),
-                trap_q(w1, j), trap_q(w2, j),
-            )
+    sweep(order, [x, E], step)
     return FrameField(grid, x, E)
 
 
@@ -459,10 +429,7 @@ def integrate_frame(
         grid = psi.psi.grid
     cf = coframes if coframes is not None else build_coframes(profile, psi, grid)
     seed = seed or FrameSeed()
-    a2d = _profile_field(grid, profile.H + profile.J)
-    c2d = _profile_field(grid, profile.H - profile.J)
-    w13 = cf.omega1 * a2d
-    w23 = cf.omega2 * c2d
+    w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
     return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, w13, w23, grid, seed, order)
 
 
@@ -540,15 +507,39 @@ def fundamental_forms(profile: SurfaceProfile, psi: PsiField) -> FundamentalForm
     )
 
 
+def _grad(grid: Grid, values):
+    """(d/ds, d/dt) of node values by finite differences, e.g. (x_s, x_t)."""
+    return (np.gradient(values, grid.h_s, axis=0, edge_order=2),
+            np.gradient(values, grid.h_t, axis=1, edge_order=2))
+
+
+def _fd_first_form(grid: Grid, xs, xt):
+    pairs = ((xs, xs), (xs, xt), (xt, xt))
+    return tuple(ScalarField(grid, np.sum(a * b, axis=-1)) for a, b in pairs)
+
+
+def _fd_second_form(frame: FrameField, xs, xt):
+    g = frame.grid
+    ns_, nt_ = _grad(g, frame.e3)
+    L = ScalarField(g, -np.sum(xs * ns_, axis=-1))
+    M = ScalarField(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
+    N = ScalarField(g, -np.sum(xt * nt_, axis=-1))
+    return L, M, N
+
+
+def _metric_deviation(first, profile: SurfaceProfile, margin: int) -> float:
+    gss, gst, gtt = first
+    e2d = np.broadcast_to(profile.E[:, None], gss.grid.shape)
+    return max(
+        max_interior(gss.values - e2d, margin),
+        max_interior(gst.values, margin),
+        max_interior(gtt.values - e2d, margin),
+    )
+
+
 def first_form_fd(frame: FrameField):
     """Metric coefficients of the integrated immersion by finite differences."""
-    g = frame.grid
-    xs = np.gradient(frame.x, g.h_s, axis=0, edge_order=2)
-    xt = np.gradient(frame.x, g.h_t, axis=1, edge_order=2)
-    gss = ScalarField(g, np.sum(xs * xs, axis=-1))
-    gst = ScalarField(g, np.sum(xs * xt, axis=-1))
-    gtt = ScalarField(g, np.sum(xt * xt, axis=-1))
-    return gss, gst, gtt
+    return _fd_first_form(frame.grid, *_grad(frame.grid, frame.x))
 
 
 def second_form_fd(frame: FrameField):
@@ -557,27 +548,12 @@ def second_form_fd(frame: FrameField):
     Uses L = -<x_s, n_s> and friends, which needs only first
     derivatives and is second-order accurate up to the boundary.
     """
-    g = frame.grid
-    xs = np.gradient(frame.x, g.h_s, axis=0, edge_order=2)
-    xt = np.gradient(frame.x, g.h_t, axis=1, edge_order=2)
-    n = frame.e3
-    ns_ = np.gradient(n, g.h_s, axis=0, edge_order=2)
-    nt_ = np.gradient(n, g.h_t, axis=1, edge_order=2)
-    L = ScalarField(g, -np.sum(xs * ns_, axis=-1))
-    M = ScalarField(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
-    N = ScalarField(g, -np.sum(xt * nt_, axis=-1))
-    return L, M, N
+    return _fd_second_form(frame, *_grad(frame.grid, frame.x))
 
 
 def metric_recovery_residual(frame: FrameField, profile: SurfaceProfile, margin: int = 2) -> float:
     """Max deviation of the FD metric of x from E (ds^2 + dt^2)."""
-    gss, gst, gtt = first_form_fd(frame)
-    e2d = np.broadcast_to(profile.E[:, None], frame.grid.shape)
-    return max(
-        max_interior(gss.values - e2d, margin),
-        max_interior(gst.values, margin),
-        max_interior(gtt.values - e2d, margin),
-    )
+    return _metric_deviation(first_form_fd(frame), profile, margin)
 
 
 def second_form_vs_frame(ff: FundamentalForms, frame: FrameField, margin: int = 2) -> float:
@@ -612,18 +588,6 @@ def _rhs_tau(alpha, y):
     return [st * st * cb - st * np.cos(y[0]) * ca]
 
 
-def _advance_tau(y, h, frac, c1a, c1b, c2a, c2b):
-    """RK4 across one cell in len(frac) steps.  c*a/c*b are the alpha
-    coefficients at the two ends, interpolated linearly at every stage
-    fraction in frac (one row of start, mid, end per step) up front."""
-    ca = np.multiply.outer(1.0 - frac, c1a) + np.multiply.outer(frac, c1b)
-    cb = np.multiply.outer(1.0 - frac, c2a) + np.multiply.outer(frac, c2b)
-    hh = h / len(frac)
-    for a, b in zip(ca, cb):
-        y, = rk4_step(_rhs_tau, [y], hh, (a[0], b[0]), (a[1], b[1]), (a[2], b[2]))
-    return y
-
-
 def integrate_deformation(
     cf: CoframeSet, t0: float, order: str = "t_first", substeps: int = 4
 ) -> DeformationParam:
@@ -633,39 +597,31 @@ def integrate_deformation(
     poles.  Coefficients are interpolated linearly inside each cell and
     each cell is crossed with `substeps` RK4 stages.
     """
-    if order not in ("t_first", "s_first"):
-        raise ValueError("order must be 't_first' or 's_first'")
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     g = cf.grid
-    ns, nt = g.shape
-    a1p, a1q = cf.alpha1.p.values, cf.alpha1.q.values
-    a2p, a2q = cf.alpha2.p.values, cf.alpha2.q.values
-    tau = np.empty(g.shape)
-    tau[0, 0] = math.atan2(1.0, t0)
+    # (alpha1, alpha2) coefficients and RK4 step of a cell along s, then t
+    coef = (
+        (cf.alpha1.p.values, cf.alpha2.p.values, g.h_s / substeps),
+        (cf.alpha1.q.values, cf.alpha2.q.values, g.h_t / substeps),
+    )
     # (start, mid, end) fractions of every substep inside a cell
     frac = np.arange(substeps)[:, None] / substeps + np.array([0.0, 0.5, 1.0]) / substeps
 
-    if order == "t_first":
-        for j in range(nt - 1):
-            tau[0, j + 1] = _advance_tau(
-                tau[0, j], g.h_t, frac, a1q[0, j], a1q[0, j + 1], a2q[0, j], a2q[0, j + 1]
-            )
-        for i in range(ns - 1):
-            tau[i + 1, :] = _advance_tau(
-                tau[i, :], g.h_s, frac, a1p[i, :], a1p[i + 1, :], a2p[i, :], a2p[i + 1, :]
-            )
-    else:
-        for i in range(ns - 1):
-            tau[i + 1, 0] = _advance_tau(
-                tau[i, 0], g.h_s, frac, a1p[i, 0], a1p[i + 1, 0], a2p[i, 0], a2p[i + 1, 0]
-            )
-        for j in range(nt - 1):
-            tau[:, j + 1] = _advance_tau(
-                tau[:, j], g.h_t, frac, a1q[:, j], a1q[:, j + 1], a2q[:, j], a2q[:, j + 1]
-            )
+    def step(axis, src, dst, y):
+        # the coefficients at both ends, interpolated at every stage up front
+        c1, c2, h = coef[axis]
+        ca = np.multiply.outer(1.0 - frac, c1[src]) + np.multiply.outer(frac, c1[dst])
+        cb = np.multiply.outer(1.0 - frac, c2[src]) + np.multiply.outer(frac, c2[dst])
+        for a, b in zip(ca, cb):
+            y = rk4_step(_rhs_tau, y, h, (a[0], b[0]), (a[1], b[1]), (a[2], b[2]))
+        return y
+
+    tau = np.empty(g.shape)
+    tau[0, 0] = math.atan2(1.0, t0)
+    sweep(order, [tau], step)
 
     st = np.sin(tau)
     ct = np.cos(tau)
@@ -710,23 +666,21 @@ def build_deformed_surface(
     inv = 1.0 / (1.0 + t * t)
     dtau = (cf.alpha2 - cf.alpha1 * t) * inv
     w12s = cf.omega12 - dtau
-    a2d = _profile_field(grid, profile.H + profile.J)
-    c2d = _profile_field(grid, profile.H - profile.J)
-    w13s = w1s * a2d
-    w23s = w2s * c2d
-    frame = _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, grid, seed, order)
+    w13s, w23s = _second_forms(w1s, w2s, profile)
 
     p1, q1 = w1s.p.values, w1s.q.values
     p2, q2 = w2s.p.values, w2s.q.values
-    av = a2d.values
-    cv = c2d.values
+    # L = (H + J) p1^2 + (H - J) p2^2 etc., as w13 = (H + J) w1 and w23 = (H - J) w2
+    p13, q13 = w13s.p.values, w13s.q.values
+    p23, q23 = w23s.p.values, w23s.q.values
     forms = FundamentalForms(
         grid,
         ScalarField(grid, 0.5 * (p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2)),
-        ScalarField(grid, av * p1 * p1 + cv * p2 * p2),
-        ScalarField(grid, av * p1 * q1 + cv * p2 * q2),
-        ScalarField(grid, av * q1 * q1 + cv * q2 * q2),
+        ScalarField(grid, p13 * p1 + p23 * p2),
+        ScalarField(grid, p13 * q1 + p23 * q2),
+        ScalarField(grid, q13 * q1 + q23 * q2),
     )
+    frame = _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, grid, seed, order)
     return frame, forms
 
 
@@ -749,8 +703,10 @@ def deformation_report(
     grid = frame.grid
     e2d = np.broadcast_to(profile.E[:, None], grid.shape)
     h2d = np.broadcast_to(profile.H[:, None], grid.shape)
-    gss, _, gtt = first_form_fd(frame)
-    L, M, N = second_form_fd(frame)
+    xs, xt = _grad(grid, frame.x)
+    L, M, N = _fd_second_form(frame, xs, xt)
+    first = _fd_first_form(grid, xs, xt)
+    gss, _, gtt = first
     e_fd = 0.5 * (gss.values + gtt.values)
     h_fd = 0.5 * (L.values + N.values) / e_fd
     l_dev, m_dev, n_dev = (
@@ -762,7 +718,7 @@ def deformation_report(
         "h_max": grid.h_max,
         "metric_scale": max(1.0, float(np.max(np.abs(e2d)))),
         "h_scale": max(1.0, float(np.max(np.abs(h2d)))),
-        "metric_deviation": metric_recovery_residual(frame, profile, margin),
+        "metric_deviation": _metric_deviation(first, profile, margin),
         "h_deviation": max_interior(h_fd - h2d, margin),
         "l_deviation": l_dev,
         "m_deviation": m_dev,
@@ -803,8 +759,9 @@ def weingarten_residual(
         grid = psi.psi.grid
     if frame is None:
         frame = integrate_frame(profile, psi, grid)
-    gss, gst, gtt = first_form_fd(frame)
-    L, M, N = second_form_fd(frame)
+    xs, xt = _grad(frame.grid, frame.x)
+    L, M, N = _fd_second_form(frame, xs, xt)
+    gss, gst, gtt = _fd_first_form(frame.grid, xs, xt)
     det_g = gss.values * gtt.values - gst.values * gst.values
     k_fd = (L.values * N.values - M.values * M.values) / det_g
     h2d = ScalarField(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())

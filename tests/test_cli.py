@@ -7,11 +7,14 @@ reruns of the same config.
 import collections
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonnet import bonnet_solver, cli, lax_psi, surface_embed
 from bonnet.cli import (
@@ -100,12 +103,52 @@ def test_config_validation_errors(tmp_path):
     {"psi": {"integrate": "no", "psi0": 0.0}},
     {"tolerances": {"fd_factor": math.nan}},
     {"tolerances": {"algebraic": math.inf}},
-], ids=lambda o: json.dumps(o))
+    {"grid": {"t_max": 1e160}},                       # fd_factor * h_max**2 overflows
+    {"grid": {"t_min": -1e308, "t_max": 1e308}},      # h_t is infinite
+    {"grid": {"ns": 10**400}},                        # too large for a float
+], ids=lambda o: json.dumps(o)[:60])
 def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert not out.exists()  # rejected before any file is written
+
+
+DEMO_FILE = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo_rational.json").read_text()
+)
+# every key of the demo config, nested ones as (section, key), and the optional psi keys
+FUZZ_KEYS = [(k,) for k in DEMO_FILE] + [
+    (k, sub) for k, v in DEMO_FILE.items() if isinstance(v, dict) for sub in v
+] + [("psi", k) for k in ("integrate", "psi0", "substeps", "eta")]
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308, 10**400]),
+    st.sampled_from([0, -1, 2, 64.0, 0.5]), st.integers(), st.floats(),
+    st.sampled_from(["1", "-2.5", "1e300", "nan", "inf", "64"]), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "a", "ns", "x"]), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES), min_size=1, max_size=3))
+def test_config_loader_returns_or_raises_config_error(mutations):
+    data = json.loads(json.dumps(DEMO_FILE))
+    for path, value in mutations:
+        section = data
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = value
+    try:
+        cfg = RunConfig(data)
+    except ConfigError:
+        return
+    assert math.isfinite(cfg.fd_factor * cfg.grid.h_max**2)
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

@@ -6,6 +6,8 @@ march interpolates its alpha coefficients inside every stage.  The
 package evaluates those state-independent coefficients once per march
 (or per cell) and keeps the arithmetic of each stage, so every sample,
 and every place a march stops with an error, must be exactly equal.
+The psi, tau and frame references also write out the edge-then-lines
+walk for each order by hand, which the package shares in one sweep.
 """
 import math
 
@@ -21,7 +23,7 @@ from bonnet.bonnet_solver import (
     integrate_h,
     integrate_h_on_grid,
 )
-from bonnet.forms2d import Grid
+from bonnet.forms2d import Grid, ScalarField
 from bonnet.lax_psi import PSI_BLOWUP, LaxBlowUpError, integrate_lax
 from bonnet.q_family import (
     KINDS,
@@ -32,7 +34,15 @@ from bonnet.q_family import (
     eval_q_derivatives,
     integrate_q_ode,
 )
-from bonnet.surface_embed import build_coframes, integrate_deformation
+from bonnet.rk4 import sweep
+from bonnet.surface_embed import (
+    FrameSeed,
+    _step,
+    build_coframes,
+    build_deformed_surface,
+    integrate_deformation,
+    integrate_frame,
+)
 
 FAMILIES = [QFamily(kind, sign, 1.0) for kind in KINDS for sign in (1, -1)]
 ICS = dict(H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -222,6 +232,76 @@ def ref_integrate_deformation(cf, t0, order, substeps=4):
     return tau
 
 
+def ref_integrate_frame(w1, w2, w12, w13, w23, grid, seed, order):
+    ns, nt = grid.shape
+    hs, ht = grid.h_s, grid.h_t
+    x = np.empty((ns, nt, 3))
+    E = np.empty((ns, nt, 3, 3))
+    x[0, 0] = seed.x0
+    E[0, 0] = seed.frame_matrix()
+
+    def trap_p(w, i):
+        return 0.5 * (w.p.values[i, :] + w.p.values[i + 1, :]) * hs
+
+    def trap_q_edge(w, j, i=0):
+        return 0.5 * (w.q.values[i, j] + w.q.values[i, j + 1]) * ht
+
+    def trap_q(w, j):
+        return 0.5 * (w.q.values[:, j] + w.q.values[:, j + 1]) * ht
+
+    def trap_p_edge(w, i, j=0):
+        return 0.5 * (w.p.values[i, j] + w.p.values[i + 1, j]) * hs
+
+    if order == "t_first":
+        for j in range(nt - 1):
+            x[0, j + 1], E[0, j + 1] = _step(
+                x[0, j], E[0, j],
+                trap_q_edge(w12, j), trap_q_edge(w13, j), trap_q_edge(w23, j),
+                trap_q_edge(w1, j), trap_q_edge(w2, j),
+            )
+        for i in range(ns - 1):
+            x[i + 1, :], E[i + 1, :] = _step(
+                x[i, :], E[i, :],
+                trap_p(w12, i), trap_p(w13, i), trap_p(w23, i),
+                trap_p(w1, i), trap_p(w2, i),
+            )
+    else:
+        for i in range(ns - 1):
+            x[i + 1, 0], E[i + 1, 0] = _step(
+                x[i, 0], E[i, 0],
+                trap_p_edge(w12, i), trap_p_edge(w13, i), trap_p_edge(w23, i),
+                trap_p_edge(w1, i), trap_p_edge(w2, i),
+            )
+        for j in range(nt - 1):
+            x[:, j + 1], E[:, j + 1] = _step(
+                x[:, j], E[:, j],
+                trap_q(w12, j), trap_q(w13, j), trap_q(w23, j),
+                trap_q(w1, j), trap_q(w2, j),
+            )
+    return x, E
+
+
+def ref_forms(w1, w2, w12, profile):
+    """(w1, w2, w12, w13, w23) with w13 = (H + J) w1 and w23 = (H - J) w2."""
+    shape = w1.grid.shape
+    a2d = ScalarField(w1.grid, np.broadcast_to((profile.H + profile.J)[:, None], shape))
+    c2d = ScalarField(w1.grid, np.broadcast_to((profile.H - profile.J)[:, None], shape))
+    return w1, w2, w12, w1 * a2d, w2 * c2d
+
+
+def ref_deformed_forms(cf, profile, dp):
+    """(w1, w2, w12, w13, w23) of the companion rotated by tau."""
+    t = dp.t_field.values
+    den = np.sqrt(1.0 + t * t)
+    st = 1.0 / den
+    ct = t / den
+    w1s = cf.omega1 * ct - cf.omega2 * st
+    w2s = cf.omega1 * st + cf.omega2 * ct
+    inv = 1.0 / (1.0 + t * t)
+    w12s = cf.omega12 - (cf.alpha2 - cf.alpha1 * t) * inv
+    return ref_forms(w1s, w2s, w12s, profile)
+
+
 def raised(fn, *args, **kwargs):
     """(result, None) or (None, the exception fn raised)."""
     try:
@@ -330,3 +410,78 @@ def test_tau_march_matches_reference(coframe_sets, demo_coframes, order):
             got = integrate_deformation(cf, t0, order=order, substeps=substeps)
             want = ref_integrate_deformation(cf, t0, order, substeps)
             assert np.array_equal(got.tau_field.values, want)
+
+
+@pytest.fixture(scope="module")
+def frame_cases():
+    """(profile, psi, coframes) of two families, one of each sign, on both shapes."""
+    cases = []
+    for fam in (QFamily("rational", 1, 1.0), QFamily("trig", -1, 1.0)):
+        for shape in SHAPES:
+            grid = grid_for(fam, shape)
+            psi = integrate_lax(fam, grid, 0.3)
+            profile = integrate_h_on_grid(HInitialData(s0=grid.s_min, **ICS), fam, grid)
+            cases.append((profile, psi, build_coframes(profile, psi, grid)))
+    return cases
+
+
+@pytest.mark.parametrize("order", ("t_first", "s_first"))
+def test_frame_march_matches_reference(frame_cases, order):
+    seed = FrameSeed(x0=(0.5, -1.0, 2.0))
+    for profile, psi, cf in frame_cases:
+        got = integrate_frame(profile, psi, seed=seed, order=order, coframes=cf)
+        want = ref_integrate_frame(
+            *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, seed, order)
+        assert np.array_equal(got.x, want[0])
+        assert np.array_equal(got.frames, want[1])
+
+
+@pytest.mark.parametrize("order", ("t_first", "s_first"))
+def test_deformed_frame_matches_reference(frame_cases, order):
+    seed = FrameSeed()
+    for profile, psi, cf in frame_cases:
+        dp = integrate_deformation(cf, 1.0)
+        got, _ = build_deformed_surface(profile, psi, dp, coframes=cf, order=order)
+        want = ref_integrate_frame(*ref_deformed_forms(cf, profile, dp), cf.grid, seed, order)
+        assert np.array_equal(got.x, want[0])
+        assert np.array_equal(got.frames, want[1])
+
+
+ALL = slice(None)
+
+
+@pytest.mark.parametrize("order, visits", [
+    ("t_first", [(1, (0, 0), (0, 1)), (1, (0, 1), (0, 2)), (1, (0, 2), (0, 3)),
+                 (0, (0, ALL), (1, ALL)), (0, (1, ALL), (2, ALL))]),
+    ("s_first", [(0, (0, 0), (1, 0)), (0, (1, 0), (2, 0)),
+                 (1, (ALL, 0), (ALL, 1)), (1, (ALL, 1), (ALL, 2)), (1, (ALL, 2), (ALL, 3))]),
+])
+def test_sweep_walks_the_edge_then_the_lines(order, visits):
+    seen = []
+    ij = np.zeros((3, 4, 2))
+    count = np.zeros((3, 4))
+    ij[0, 0] = count[0, 0] = 1.0
+
+    def step(axis, src, dst, state):
+        seen.append((axis, src, dst))
+        pos, n = state
+        assert np.array_equal(n, count[src])
+        pos = pos.copy()
+        pos[..., axis] += 1.0
+        return pos, n + 1.0
+
+    sweep(order, [ij, count], step)
+    assert seen == visits
+    i, j = np.indices(count.shape)
+    assert np.array_equal(ij, np.stack([i + 1.0, j + 1.0], axis=-1))
+    assert np.array_equal(count, 1.0 + i + j)
+
+
+def test_sweep_rejects_an_unknown_order_before_any_step():
+    def step(axis, src, dst, state):
+        raise AssertionError("step called")
+
+    field = np.zeros((5, 5))
+    with pytest.raises(ValueError, match="t_first"):
+        sweep("diagonal", [field], step)
+    assert not field.any()

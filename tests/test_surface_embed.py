@@ -270,6 +270,29 @@ def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms, dem
     assert rep["t0"] == 1.0
 
 
+def test_fd_checks_differentiate_x_and_e3_once(demo_profile, demo_coframes, demo_forms,
+                                               demo_psi, demo_frame, monkeypatch):
+    dp = integrate_deformation(demo_coframes, t0=1.0)
+    frame, _ = build_deformed_surface(demo_profile, demo_psi, dp, coframes=demo_coframes)
+    gradient = np.gradient
+    frame_derivatives = []
+
+    def counted(values, *args, **kwargs):
+        if np.ndim(values) == 3:  # x or e3, not a scalar field
+            frame_derivatives.append(kwargs["axis"])
+        return gradient(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counted)
+    rep = deformation_report(demo_profile, demo_forms, dp, frame)
+    assert sorted(frame_derivatives) == [0, 0, 1, 1]  # x_s, x_t, n_s, n_t
+    frame_derivatives.clear()
+    weingarten_residual(demo_profile, demo_psi, frame=demo_frame)
+    assert sorted(frame_derivatives) == [0, 0, 1, 1]
+    monkeypatch.undo()
+    # sharing the derivatives changes no bit of the public route
+    assert rep["metric_deviation"] == metric_recovery_residual(frame, demo_profile)
+
+
 def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_psi, demo_coframes):
     forms_by_t0 = {}
     for t0 in (0.5, 2.0):
