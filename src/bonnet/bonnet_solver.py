@@ -22,13 +22,12 @@ independent residual check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forms2d import _second_derivative, max_interior
+from .forms2d import _second_derivative, _write_rows, max_interior
 from .q_family import ConsistencyError, QFamily, SingularityGuard, eval_c, eval_c_prime, eval_q
 from .rk4 import rk4_step
 
@@ -297,9 +296,8 @@ def perturbed_profile(profile: SurfaceProfile, **overrides) -> SurfaceProfile:
 
 
 def write_profile_csv(profile: SurfaceProfile, path) -> None:
+    """One row per s sample, 17 significant digits, CRLF line endings."""
     cols = ("s", "H", "Hp", "J", "E", "A", "B", "C", "Q")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(profile.s.size):
-            writer.writerow([f"{getattr(profile, c)[i]:.17g}" for c in cols])
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write(",".join(cols) + "\n")
+        _write_rows(fh, np.column_stack([getattr(profile, c) for c in cols]))

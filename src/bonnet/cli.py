@@ -34,6 +34,7 @@ from .forms2d import (
     CoframeSingularError,
     Grid,
     ScalarField,
+    _write_rows,
     mixed_partial_residual,
     observed_order,
     write_scalar_csv,
@@ -434,27 +435,26 @@ def _select(cfg: RunConfig, prefixes: tuple, only: str | None = None) -> list:
 
 
 def _rk4_crosscheck(fam: QFamily):
-    """Max relative error at step 1e-3/a and the step-halving error ratio.
+    """Max relative error at step 1e-3 L and the step-halving error ratio.
 
-    The window starts a fifth of the way into the guarded sign +1 domain,
-    counted from the pole at s = 0, and is at most 1/a long.  Window and
-    steps are measured in the natural length 1/a, so every frequency
-    marches the same steps over the same values of a*s.  For sign -1 the
-    window is the mirror image s -> -s of the +1 window, so both signs
-    march away from the pole over the same values of Q and give the same
-    error and ratio.
+    L is the family's natural length.  The window starts a fifth of the
+    way into the sampled sign +1 domain (guarded_samples), counted from
+    the pole at s = 0, and is at most L long.  Window and steps are
+    measured in L, so every frequency marches the same steps over the
+    same values of s/L.  For sign -1 the window is the mirror image
+    s -> -s of the +1 window, so both signs march away from the pole
+    over the same values of Q and give the same error and ratio.
     """
-    lo, hi = SingularityGuard(QFamily(fam.kind, 1, fam.a)).interval()
-    if not math.isfinite(hi):
-        hi = lo + 5.0 / fam.a
+    length = fam.length
+    lo, hi = guarded_samples(QFamily(fam.kind, 1, fam.a), 2)
     width = hi - lo
     s0 = lo + 0.2 * width
-    s1 = s0 + min(1.0 / fam.a, 0.6 * width)
+    s1 = s0 + min(length, 0.6 * width)
     if fam.sign == -1:
         s0, s1 = -s0, -s1
     q0, q0p, _ = eval_q_derivatives(fam, s0)
     errs = []
-    for step in (1e-3 / fam.a, 5e-4 / fam.a):
+    for step in (1e-3 * length, 5e-4 * length):
         traj = integrate_q_ode(float(q0), float(q0p), s0, s1, step)
         if traj.truncated:
             raise ConsistencyError(f"RK4 cross-check blew up for {fam.describe()}")
@@ -627,17 +627,11 @@ def cmd_solve(args) -> int:
 
 
 def _forms_csv(path, ff: surface_embed.FundamentalForms) -> None:
-    g = ff.grid
-    s, t = g.s_nodes(), g.t_nodes()
+    s, t = ff.grid.mesh()
     with open(path, "w", newline="") as fh:
         fh.write("s,t,E,L,M,N\n")
-        for i in range(g.ns):
-            for j in range(g.nt):
-                fh.write(
-                    f"{s[i]:.17g},{t[j]:.17g},{ff.E.values[i, j]:.17g},"
-                    f"{ff.L.values[i, j]:.17g},{ff.M.values[i, j]:.17g},"
-                    f"{ff.N.values[i, j]:.17g}\n"
-                )
+        _write_rows(fh, np.column_stack(
+            [a.ravel() for a in (s, t, ff.E.values, ff.L.values, ff.M.values, ff.N.values)]))
 
 
 def cmd_mesh(args) -> int:

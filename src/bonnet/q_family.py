@@ -83,6 +83,11 @@ class QFamily:
             return -self.a * self.a
         return self.a * self.a
 
+    @property
+    def length(self) -> float:
+        """Natural length of s: 1/a, or 1 for rational, whose Q has no a."""
+        return 1.0 if self.kind == "rational" else 1.0 / self.a
+
     def domain(self):
         """Open interval where the branch is positive and finite."""
         if self.kind == "trig":
@@ -110,7 +115,7 @@ class SingularityGuard:
     """Keeps evaluations away from the poles bounding a branch domain.
 
     The default margin is 1e-3 of the domain length; half-lines use the
-    natural length 1/a instead, and infinite endpoints need no margin.
+    family's natural length instead, and infinite endpoints need no margin.
     """
 
     family: QFamily
@@ -126,7 +131,7 @@ class SingularityGuard:
         lo, hi = self.family.domain()
         length = hi - lo
         if not math.isfinite(length):
-            length = 1.0 / self.family.a
+            length = self.family.length
         return 1e-3 * length
 
     def interval(self):
@@ -220,12 +225,12 @@ def c_ode_residual(fam: QFamily, s, guard: SingularityGuard | None = None):
 def guarded_samples(fam: QFamily, n: int = 200, guard: SingularityGuard | None = None):
     """n uniform samples in the guarded domain.
 
-    Half-line domains are sampled over five natural lengths (5/a) from
-    the finite endpoint, which covers the region where Q varies.
+    Half-line domains are sampled over five natural lengths from the
+    finite endpoint, which covers the region where Q varies.
     """
     glo, ghi = (guard or SingularityGuard(fam)).interval()
     if not math.isfinite(ghi - glo):
-        span = 5.0 / fam.a
+        span = 5.0 * fam.length
         if math.isfinite(glo):
             ghi = glo + span
         else:

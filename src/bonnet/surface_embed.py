@@ -34,6 +34,7 @@ from .forms2d import (
     Grid,
     OneForm,
     ScalarField,
+    _write_rows,
     d_oneform,
     d_scalar,
     hodge,
@@ -780,17 +781,9 @@ def export_obj(frame: FrameField, path) -> None:
     along the (i, j) -> (i+1, j+1) diagonal with consistent winding.
     """
     ns, nt = frame.grid.shape
-    lines = []
-    for row in frame.x.reshape(-1, 3):
-        lines.append(f"v {row[0]:.17g} {row[1]:.17g} {row[2]:.17g}")
-    for i in range(ns - 1):
-        base = i * nt
-        for j in range(nt - 1):
-            v00 = base + j + 1
-            v01 = v00 + 1
-            v10 = v00 + nt
-            v11 = v10 + 1
-            lines.append(f"f {v00} {v10} {v11}")
-            lines.append(f"f {v00} {v11} {v01}")
+    v = np.arange(1, ns * nt + 1).reshape(ns, nt)
+    v00, v10, v11, v01 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, frame.x.reshape(-1, 3), " ", "v ")
+        _write_rows(fh, faces, " ", "f ")

@@ -7,6 +7,7 @@ reruns of the same config.
 import collections
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -182,6 +183,24 @@ def test_rk4_crosscheck_is_measured_in_units_of_one_over_a(kind, sign):
         assert _rk4_crosscheck(QFamily(kind, sign, a)) == ref
     if kind == "trig":
         assert _rk4_crosscheck(QFamily(kind, sign, 3.7))[0] <= RK4_TOL
+
+
+def test_rational_solve_does_not_depend_on_a(tmp_path):
+    # Q = sign/s has no frequency, so neither its guard nor its RK4
+    # cross-check may scale with 1/a: every a gives the a = 1 files
+    def solve(a):
+        data = json.loads(json.dumps(DEMO_FILE))
+        data["family"]["a"] = a
+        cfg = tmp_path / f"a{a}.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / f"out{a}"
+        assert main(["solve", "--config", str(cfg), "--refine", "2", "--out", str(out)]) == 0
+        return [(out / name).read_bytes()
+                for name in ("profile.csv", "psi.csv", "solve_report.json")]
+
+    ref = solve(1.0)
+    for a in (1e-300, 0.5, 2.0, 1e308):
+        assert solve(a) == ref
 
 
 def test_families_listing(capsys):
@@ -398,7 +417,10 @@ def test_unknown_command_exits_via_argparse(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same bonnet as this process, however it was found
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "bonnet", "families"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "sinh" in proc.stdout

@@ -228,11 +228,14 @@ def test_observed_order_floor_rule():
 
 def test_scalar_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
-    f = ScalarField(GRID, rng.normal(size=GRID.shape) * np.pi)
+    values = rng.normal(size=GRID.shape) * np.pi
+    values.flat[:8] = (-0.0, 5e-324, -4e-320, 1e300, -1e300, 1e-300, -1e-300, 0.1)
+    f = ScalarField(GRID, values)
     path = tmp_path / "field.csv"
     write_scalar_csv(f, path, "psi")
-    assert path.read_text().splitlines()[0] == "s,t,psi"
+    assert path.read_bytes().startswith(b"s,t,psi\r\n")  # read back from CRLF lines
     back = read_scalar_csv(path)
     assert back.grid.shape == GRID.shape
     assert np.array_equal(back.values, f.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(f.values))
     assert back.grid.s_min == GRID.s_min and back.grid.t_max == GRID.t_max
