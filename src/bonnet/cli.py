@@ -31,6 +31,7 @@ import numpy as np
 from . import bonnet_solver, lax_psi, surface_embed
 from .bonnet_solver import BlowUpError, HInitialData, RegimeError
 from .forms2d import (
+    FLOOR_RTOL,
     CoframeSingularError,
     Grid,
     ScalarField,
@@ -241,7 +242,7 @@ class PipelineData:
         self.profile = bonnet_solver.integrate_h_on_grid(
             cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
         )
-        self.cf = surface_embed.build_coframes(self.profile, self.psi, grid)
+        self.cf = surface_embed.build_coframes(self.profile, self.psi)
         q = self.profile.Q
         self.scale_q = max(1.0, float(np.max(np.abs(q))))
         self.scale_q2 = max(1.0, float(np.max(2.0 * q * q)))
@@ -274,9 +275,7 @@ class PipelineData:
     @cached_property
     def frame(self) -> surface_embed.FrameField:
         """The t-first frame march from the default seed."""
-        return surface_embed.integrate_frame(
-            self.profile, self.psi, self.grid, coframes=self.cf
-        )
+        return surface_embed.integrate_frame(self.cf, self.profile)
 
     @cached_property
     def forms(self) -> surface_embed.FundamentalForms:
@@ -287,9 +286,7 @@ class PipelineData:
         """(frame, deformation_report) of the companion at the config's t0 (default 1)."""
         t0 = 1.0 if self.cfg.t0 is None else self.cfg.t0
         dp = surface_embed.integrate_deformation(self.cf, t0)
-        frame, _ = surface_embed.build_deformed_surface(
-            self.profile, self.psi, dp, self.grid, coframes=self.cf
-        )
+        frame, _ = surface_embed.build_deformed_surface(self.cf, self.profile, dp)
         return frame, surface_embed.deformation_report(self.profile, self.forms, dp, frame)
 
 
@@ -314,8 +311,7 @@ BATTERIES = {
     "codazzi": lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile),
     "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
     "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
-    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(
-        L.profile, L.psi, L.grid, frame=L.frame)),
+    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(L.profile, L.frame)),
     "deformation": lambda L: L.deformed[1],
 }
 
@@ -411,8 +407,8 @@ CHECKS = (
         L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
     Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
         L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
-    Check("frame.two_path", 1.0, lambda L: surface_embed.two_path_residual(
-        L.profile, L.psi, L.grid, frame=L.frame, coframes=L.cf)),
+    Check("frame.two_path", 1.0,
+          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame)),
     Check("frame.metric_recovery", "scale_e",
           lambda L: surface_embed.metric_recovery_residual(L.frame, L.profile)),
     Check("frame.second_form", "scale_ii",
@@ -496,7 +492,7 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
         if row.rule == "ladder":
             details = {"residuals": values}
         if len(values) >= 2:  # only ladder rows run on more than one level
-            order = observed_order(hs, values, floor=1e-13 * scale)
+            order = observed_order(hs, values, floor=FLOOR_RTOL * scale)
             if order == math.inf:
                 order = "converged"
             elif order is None or order < ORDER_TARGET:

@@ -166,38 +166,41 @@ def _tan_parts_upper(branch: PsiBranch, s, t):
     raise ValueError(f"no closed form parts for case {branch.case}")
 
 
-def psi_closed_form(branch: PsiBranch, s, t):
-    """Pointwise psi, principal value in (-pi/2, pi/2] mod pi."""
+def _closed_form_parts(branch: PsiBranch, s, t):
+    """(parts, mirrored) of the closed form at (s, t).
+
+    The constant cases give (broadcast shape, None).  The others give the
+    (N, D, psi_s, psi_t) of _tan_parts_upper; a derived mirror takes them
+    from its sign +1 branch at (-s, t), since psi(s, t) = pi/2 - psi_+(-s, t),
+    so psi_s keeps its sign and psi_t flips.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if branch.case == "constant_zero":
-        return np.zeros(np.broadcast_shapes(s.shape, t.shape))
-    if branch.case == "constant_half_pi":
-        return np.full(np.broadcast_shapes(s.shape, t.shape), np.pi / 2)
+    if branch.case in ("constant_zero", "constant_half_pi"):
+        return np.broadcast_shapes(s.shape, t.shape), None
     if branch.derived_mirror:
-        # sign symmetry: psi(s, t) = pi/2 - psi_+(-s, t)
-        mirror = PsiBranch(branch.case, QFamily(branch.family.kind, 1, branch.family.a),
-                           branch.sigma, branch.eta)
-        N, D, _, _ = _tan_parts_upper(mirror, -s, t)
-        return _principal(np.pi / 2 - np.arctan2(N, D))
-    N, D, _, _ = _tan_parts_upper(branch, s, t)
-    return _principal(np.arctan2(N, D))
+        plus = PsiBranch(branch.case, QFamily(branch.family.kind, 1, branch.family.a),
+                         branch.sigma, branch.eta)
+        return _tan_parts_upper(plus, -s, t), True
+    return _tan_parts_upper(branch, s, t), False
+
+
+def psi_closed_form(branch: PsiBranch, s, t):
+    """Pointwise psi, principal value in (-pi/2, pi/2] mod pi."""
+    parts, mirrored = _closed_form_parts(branch, s, t)
+    if mirrored is None:
+        return np.full(parts, np.pi / 2 if branch.case == "constant_half_pi" else 0.0)
+    angle = np.arctan2(parts[0], parts[1])
+    return _principal(np.pi / 2 - angle if mirrored else angle)
 
 
 def psi_closed_form_derivatives(branch: PsiBranch, s, t):
     """Analytic (psi_s, psi_t); derivative formulas are pole-free."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if branch.case in ("constant_zero", "constant_half_pi"):
-        shape = np.broadcast_shapes(s.shape, t.shape)
-        return np.zeros(shape), np.zeros(shape)
-    if branch.derived_mirror:
-        mirror = PsiBranch(branch.case, QFamily(branch.family.kind, 1, branch.family.a),
-                           branch.sigma, branch.eta)
-        _, _, ps, pt = _tan_parts_upper(mirror, -s, t)
-        return ps, -pt
-    _, _, ps, pt = _tan_parts_upper(branch, s, t)
-    return ps, pt
+    parts, mirrored = _closed_form_parts(branch, s, t)
+    if mirrored is None:
+        return np.zeros(parts), np.zeros(parts)
+    _, _, ps, pt = parts
+    return ps, -pt if mirrored else pt
 
 
 @dataclass(frozen=True)
@@ -224,13 +227,12 @@ def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> PsiField:
     return PsiField(ScalarField(grid, vals), branch)
 
 
-def branch_consistency_error(field: PsiField, branch: PsiBranch | None = None) -> float:
-    """Max distance (mod pi) between stored values and the closed form."""
-    branch = branch or field.branch
-    if branch is None:
+def branch_consistency_error(field: PsiField) -> float:
+    """Max distance (mod pi) between stored values and the field's closed form."""
+    if field.branch is None:
         raise ValueError("no branch attached to this field")
     S, T = field.grid.mesh()
-    delta = field.psi.values - psi_closed_form(branch, S, T)
+    delta = field.psi.values - psi_closed_form(field.branch, S, T)
     # distance to the nearest multiple of pi
     wrapped = np.abs(delta - np.pi * np.round(delta / np.pi))
     return float(np.max(wrapped))
@@ -369,15 +371,11 @@ def _alpha_components(psi: PsiField, fam: QFamily):
     return a1, a2, p1, p2
 
 
-def psi_constraint_residual(psi: PsiField, fam: QFamily, profile=None) -> ScalarField:
+def psi_constraint_residual(psi: PsiField, fam: QFamily) -> ScalarField:
     """Tangency constraint 2 psi_1 cos(2 psi) + (2 psi_2 + 1) sin(2 psi).
 
-    psi_1, psi_2 are the components of d(psi) in the alpha coframe.  A
-    profile may be passed to assert its family matches; the coframe
-    itself only needs Q.
+    psi_1, psi_2 are the components of d(psi) in the alpha coframe.
     """
-    if profile is not None and profile.family != fam:
-        raise ValueError("profile family does not match fam")
     _, _, p1, p2 = _alpha_components(psi, fam)
     two = 2.0 * psi.psi.values
     g = psi.grid

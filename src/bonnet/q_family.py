@@ -114,20 +114,13 @@ class QFamily:
 class SingularityGuard:
     """Keeps evaluations away from the poles bounding a branch domain.
 
-    The default margin is 1e-3 of the domain length; half-lines use the
-    family's natural length instead, and infinite endpoints need no margin.
+    The margin is 1e-3 of the domain length; half-lines use the family's
+    natural length instead, and infinite endpoints need no margin.
     """
 
     family: QFamily
-    margin: float | None = None
-
-    def __post_init__(self):
-        if self.margin is not None and not (math.isfinite(self.margin) and self.margin > 0):
-            raise ValueError("margin must be positive and finite")
 
     def effective_margin(self) -> float:
-        if self.margin is not None:
-            return self.margin
         lo, hi = self.family.domain()
         length = hi - lo
         if not math.isfinite(length):
@@ -146,23 +139,24 @@ class SingularityGuard:
     def check(self, s) -> None:
         s = np.asarray(s, dtype=float)
         glo, ghi = self.interval()
-        if np.any(s < glo) or np.any(s > ghi):
-            bad = float(s.flat[int(np.argmax((s < glo) | (s > ghi)))])
+        outside = ~((s >= glo) & (s <= ghi))  # NaN is outside too
+        if np.any(outside):
+            bad = float(s.flat[int(np.argmax(outside))])
             raise DomainError(
                 f"s = {bad:g} outside guarded domain [{glo:g}, {ghi:g}] "
                 f"of {self.family.describe()}"
             )
 
 
-def _checked(fam: QFamily, s, guard: SingularityGuard | None):
+def _checked(fam: QFamily, s):
     s = np.asarray(s, dtype=float)
-    (guard or SingularityGuard(fam)).check(s)
+    SingularityGuard(fam).check(s)
     return s
 
 
-def eval_q(fam: QFamily, s, guard: SingularityGuard | None = None):
+def eval_q(fam: QFamily, s):
     """Q(s) on the guarded domain; always positive there."""
-    s = _checked(fam, s, guard)
+    s = _checked(fam, s)
     if fam.kind == "rational":
         return fam.sign / s
     if fam.kind == "trig":
@@ -170,9 +164,9 @@ def eval_q(fam: QFamily, s, guard: SingularityGuard | None = None):
     return fam.sign * fam.a / np.sinh(fam.a * s)
 
 
-def eval_q_derivatives(fam: QFamily, s, guard: SingularityGuard | None = None):
+def eval_q_derivatives(fam: QFamily, s):
     """(Q, Q', Q'') closed forms."""
-    s = _checked(fam, s, guard)
+    s = _checked(fam, s)
     sg, a = fam.sign, fam.a
     if fam.kind == "rational":
         return sg / s, -sg / s**2, 2.0 * sg / s**3
@@ -183,15 +177,15 @@ def eval_q_derivatives(fam: QFamily, s, guard: SingularityGuard | None = None):
     return sg * a / sh, -sg * a**2 * ch / sh**2, sg * a**3 * (1.0 + ch**2) / sh**3
 
 
-def eval_dlog_q(fam: QFamily, s, guard: SingularityGuard | None = None):
+def eval_dlog_q(fam: QFamily, s):
     """(log Q)' = Q'/Q."""
-    q, qp, _ = eval_q_derivatives(fam, s, guard)
+    q, qp, _ = eval_q_derivatives(fam, s)
     return qp / q
 
 
-def eval_c(fam: QFamily, s, guard: SingularityGuard | None = None):
+def eval_c(fam: QFamily, s):
     """C = (1/Q)': sign, sign*cos(as) or sign*cosh(as) by kind."""
-    s = _checked(fam, s, guard)
+    s = _checked(fam, s)
     if fam.kind == "rational":
         return np.full_like(s, float(fam.sign))
     if fam.kind == "trig":
@@ -199,9 +193,9 @@ def eval_c(fam: QFamily, s, guard: SingularityGuard | None = None):
     return fam.sign * np.cosh(fam.a * s)
 
 
-def eval_c_prime(fam: QFamily, s, guard: SingularityGuard | None = None):
+def eval_c_prime(fam: QFamily, s):
     """C' closed form (0, -sign*a*sin(as), or sign*a*sinh(as))."""
-    s = _checked(fam, s, guard)
+    s = _checked(fam, s)
     if fam.kind == "rational":
         return np.zeros_like(s)
     if fam.kind == "trig":
@@ -209,26 +203,26 @@ def eval_c_prime(fam: QFamily, s, guard: SingularityGuard | None = None):
     return fam.sign * fam.a * np.sinh(fam.a * s)
 
 
-def q_ode_residual(fam: QFamily, s, guard: SingularityGuard | None = None):
+def q_ode_residual(fam: QFamily, s):
     """Q''Q - (Q')^2 - Q^4, identically zero for every branch."""
-    q, qp, qpp = eval_q_derivatives(fam, s, guard)
+    q, qp, qpp = eval_q_derivatives(fam, s)
     return qpp * q - qp * qp - q**4
 
 
-def c_ode_residual(fam: QFamily, s, guard: SingularityGuard | None = None):
+def c_ode_residual(fam: QFamily, s):
     """C' - Q (C^2 - 1), identically zero for every branch."""
-    q = eval_q(fam, s, guard)
-    c = eval_c(fam, s, guard)
-    return eval_c_prime(fam, s, guard) - q * (c * c - 1.0)
+    q = eval_q(fam, s)
+    c = eval_c(fam, s)
+    return eval_c_prime(fam, s) - q * (c * c - 1.0)
 
 
-def guarded_samples(fam: QFamily, n: int = 200, guard: SingularityGuard | None = None):
+def guarded_samples(fam: QFamily, n: int = 200):
     """n uniform samples in the guarded domain.
 
     Half-line domains are sampled over five natural lengths from the
     finite endpoint, which covers the region where Q varies.
     """
-    glo, ghi = (guard or SingularityGuard(fam)).interval()
+    glo, ghi = SingularityGuard(fam).interval()
     if not math.isfinite(ghi - glo):
         span = 5.0 * fam.length
         if math.isfinite(glo):
@@ -238,9 +232,9 @@ def guarded_samples(fam: QFamily, n: int = 200, guard: SingularityGuard | None =
     return np.linspace(glo, ghi, n)
 
 
-def first_integral_kappa(fam: QFamily, n_samples: int = 200) -> float:
+def first_integral_kappa(fam: QFamily) -> float:
     """kappa, verified as (Q')^2 - Q^4 = kappa Q^2 on a guarded sweep."""
-    s = guarded_samples(fam, max(n_samples, 100))
+    s = guarded_samples(fam)
     q, qp, _ = eval_q_derivatives(fam, s)
     resid = qp * qp - q**4 - fam.kappa * q * q
     scale = float(np.max(q**4))

@@ -94,9 +94,7 @@ def _profile_field(grid: Grid, arr) -> ScalarField:
     return ScalarField(grid, np.broadcast_to(col, grid.shape).copy())
 
 
-def _check_alignment(profile: SurfaceProfile, psi: PsiField, grid: Grid) -> None:
-    if psi.psi.grid != grid:
-        raise ValueError("psi field and grid disagree")
+def _check_alignment(profile: SurfaceProfile, grid: Grid) -> None:
     s = grid.s_nodes()
     if profile.s.size != grid.ns:
         raise ValueError("profile sample count does not match grid.ns")
@@ -185,15 +183,14 @@ class CoframeSet:
     v: ScalarField
 
 
-def build_coframes(profile: SurfaceProfile, psi: PsiField, grid: Grid | None = None) -> CoframeSet:
+def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
     """Assemble every coframe from the profile scalars and the angle field.
 
     The twisted coframe is the conformal one rotated by psi, the theta
     and alpha coframes are its rescalings by (u, v) = A (cos, sin) psi.
     """
-    if grid is None:
-        grid = psi.psi.grid
-    _check_alignment(profile, psi, grid)
+    grid = psi.grid
+    _check_alignment(profile, grid)
     zero = np.zeros(grid.shape)
     e2d = np.broadcast_to(profile.e[:, None], grid.shape)
     a2d = np.broadcast_to(profile.A[:, None], grid.shape)
@@ -418,45 +415,26 @@ def _integrate_frame_forms(
 
 
 def integrate_frame(
-    profile: SurfaceProfile,
-    psi: PsiField,
-    grid: Grid | None = None,
-    seed: FrameSeed | None = None,
+    cf: CoframeSet, profile: SurfaceProfile, seed: FrameSeed = FrameSeed(),
     order: str = "t_first",
-    coframes: CoframeSet | None = None,
 ) -> FrameField:
     """Integrate the moving frame of the base surface over the grid."""
-    if grid is None:
-        grid = psi.psi.grid
-    cf = coframes if coframes is not None else build_coframes(profile, psi, grid)
-    seed = seed or FrameSeed()
     w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
-    return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, w13, w23, grid, seed, order)
+    return _integrate_frame_forms(
+        cf.omega1, cf.omega2, cf.omega12, w13, w23, cf.grid, seed, order
+    )
 
 
-def two_path_residual(
-    profile: SurfaceProfile,
-    psi: PsiField,
-    grid: Grid | None = None,
-    seed: FrameSeed | None = None,
-    frame: FrameField | None = None,
-    coframes: CoframeSet | None = None,
-) -> float:
+def two_path_residual(cf: CoframeSet, profile: SurfaceProfile, frame: FrameField) -> float:
     """Disagreement between the two integration path orders (flatness check).
 
-    `frame` is the t-first march from the same seed when the caller already
-    holds it; only the s-first march is then integrated here.
+    `frame` is the t-first march; the s-first march starts from its corner.
     """
-    if grid is None:
-        grid = psi.psi.grid
-    cf = coframes if coframes is not None else build_coframes(profile, psi, grid)
-    fa = frame if frame is not None else integrate_frame(
-        profile, psi, grid, seed, "t_first", coframes=cf
-    )
-    fb = integrate_frame(profile, psi, grid, seed, "s_first", coframes=cf)
+    seed = FrameSeed(frame.x[0, 0], *frame.frames[0, 0])
+    other = integrate_frame(cf, profile, seed, "s_first")
     return max(
-        float(np.max(np.abs(fa.x - fb.x))),
-        float(np.max(np.abs(fa.frames - fb.frames))),
+        float(np.max(np.abs(frame.x - other.x))),
+        float(np.max(np.abs(frame.frames - other.frames))),
     )
 
 
@@ -478,8 +456,8 @@ def fundamental_forms(profile: SurfaceProfile, psi: PsiField) -> FundamentalForm
     eliminate the conformal factor.  Disagreement means the profile is
     inconsistent, so it raises rather than returns.
     """
-    grid = psi.psi.grid
-    _check_alignment(profile, psi, grid)
+    grid = psi.grid
+    _check_alignment(profile, grid)
     two = 2.0 * psi.psi.values
     cos2, sin2 = np.cos(two), np.sin(two)
     e2d = profile.E[:, None]
@@ -638,13 +616,8 @@ def integrate_deformation(
 
 
 def build_deformed_surface(
-    profile: SurfaceProfile,
-    psi: PsiField,
-    dp: DeformationParam,
-    grid: Grid | None = None,
-    seed: FrameSeed | None = None,
-    coframes: CoframeSet | None = None,
-    order: str = "t_first",
+    cf: CoframeSet, profile: SurfaceProfile, dp: DeformationParam,
+    seed: FrameSeed = FrameSeed(), order: str = "t_first",
 ):
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
@@ -653,10 +626,7 @@ def build_deformed_surface(
     algebraically through d(tau) = (alpha2 - t alpha1) / (1 + t^2), so
     no FD derivative of tau enters the frame march.
     """
-    if grid is None:
-        grid = psi.psi.grid
-    cf = coframes if coframes is not None else build_coframes(profile, psi, grid)
-    seed = seed or FrameSeed()
+    grid = cf.grid
     t = dp.t_field.values
     den = np.sqrt(1.0 + t * t)
     st = 1.0 / den   # sin(tau), up to the mod-pi ambiguity past a pole
@@ -745,24 +715,17 @@ class WeingartenReport:
 
 
 def weingarten_residual(
-    profile: SurfaceProfile,
-    psi: PsiField,
-    grid: Grid | None = None,
-    frame: FrameField | None = None,
-    margin: int = 3,
+    profile: SurfaceProfile, frame: FrameField, margin: int = 3
 ) -> WeingartenReport:
     """Margin 3 (not the usual 2): K is built from FD forms whose error
     constant changes across the one-sided boundary stencils, and d(K)
     turns that h^2-sized jump into an O(h) band in the three columns
     nearest each edge.  Interior of that band the wedge is clean O(h^2).
     """
-    if grid is None:
-        grid = psi.psi.grid
-    if frame is None:
-        frame = integrate_frame(profile, psi, grid)
-    xs, xt = _grad(frame.grid, frame.x)
+    grid = frame.grid
+    xs, xt = _grad(grid, frame.x)
     L, M, N = _fd_second_form(frame, xs, xt)
-    gss, gst, gtt = _fd_first_form(frame.grid, xs, xt)
+    gss, gst, gtt = _fd_first_form(grid, xs, xt)
     det_g = gss.values * gtt.values - gst.values * gst.values
     k_fd = (L.values * N.values - M.values * M.values) / det_g
     h2d = ScalarField(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())

@@ -62,8 +62,8 @@ def demo_coframes(demo_profile, demo_psi):
 
 
 @pytest.fixture(scope="session")
-def demo_frame(demo_profile, demo_psi):
-    return integrate_frame(demo_profile, demo_psi)
+def demo_frame(demo_coframes, demo_profile):
+    return integrate_frame(demo_coframes, demo_profile)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +79,7 @@ def level_stack(demo_ics, demo_family, demo_branch, demo_grid):
         grid = demo_grid.refined(2 ** k)
         psi = psi_field_from_branch(demo_branch, grid)
         profile = integrate_h_on_grid(demo_ics, demo_family, grid, substeps=8)
-        cf = build_coframes(profile, psi, grid)
+        cf = build_coframes(profile, psi)
         levels.append((grid, psi, profile, cf))
     return levels
 

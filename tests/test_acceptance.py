@@ -285,7 +285,7 @@ def test_c06_structure_equation_suite(level_stack):
 @pytest.fixture(scope="module")
 def level_frames(level_stack):
     return [
-        se.integrate_frame(prof, psi, grid, coframes=cf)
+        se.integrate_frame(cf, prof)
         for grid, psi, prof, cf in level_stack
     ]
 
@@ -295,7 +295,7 @@ def test_c07_immersion_fidelity(level_stack, level_frames):
     hs, two_path, metric, second = [], [], [], []
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
         hs.append(grid.h_max)
-        two_path.append(se.two_path_residual(prof, psi, grid))
+        two_path.append(se.two_path_residual(cf, prof, frame))
         metric.append(se.metric_recovery_residual(frame, prof))
         second.append(se.second_form_vs_frame(se.fundamental_forms(prof, psi), frame))
     orders = [
@@ -318,7 +318,7 @@ def test_c08_isometric_deformation(level_stack):
     tol_ii = FD_FACTOR * grid.h_max**2 * scale_ii
 
     dp = se.integrate_deformation(cf, 1.0)
-    frame, _ = se.build_deformed_surface(prof, psi, dp, grid, coframes=cf)
+    frame, _ = se.build_deformed_surface(cf, prof, dp)
     rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), dp, frame)
     tol_metric = FD_FACTOR * grid.h_max**2 * rep["metric_scale"]
     tol_h = FD_FACTOR * grid.h_max**2 * rep["h_scale"]
@@ -329,7 +329,7 @@ def test_c08_isometric_deformation(level_stack):
     fields = {}
     for t0 in (0.5, 1.0, 2.0):
         dp = se.integrate_deformation(cf, t0)
-        _, forms = se.build_deformed_surface(prof, psi, dp, grid, coframes=cf)
+        _, forms = se.build_deformed_surface(cf, prof, dp)
         fields[t0] = forms.L.values
     gaps = [
         float(np.max(np.abs(fields[a] - fields[b])))
@@ -350,7 +350,7 @@ def test_c08_isometric_deformation(level_stack):
 def test_c09_weingarten_property(level_stack, level_frames):
     hs, wedge, k_var = [], [], 0.0
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
-        report = se.weingarten_residual(prof, psi, grid, frame=frame)
+        report = se.weingarten_residual(prof, frame)
         hs.append(grid.h_max)
         wedge.append(report.wedge_residual)
         k_var = max(k_var, report.k_t_variation)

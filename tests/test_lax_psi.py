@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bonnet.forms2d import Grid, observed_order
-from bonnet.q_family import QFamily
+from bonnet.q_family import QFamily, eval_q_derivatives, guarded_samples
 from bonnet.lax_psi import (
     PsiBranch,
     PsiField,
@@ -187,14 +187,13 @@ def test_harmonicity_converges(case):
     assert res[1] < res[0] / 3.0
 
 
-def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family, demo_profile):
+def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family):
     g = demo_psi.grid
     tol = 25.0 * g.h_max ** 2
     assert psi_constraint_residual(demo_psi, demo_family).max_abs_interior(2) < tol
     r1, r2 = c_relation_residuals(demo_psi, demo_family)
     assert r1.max_abs_interior(2) < tol and r2.max_abs_interior(2) < tol
     assert psi_second_order_residual(demo_psi, demo_family).max_abs_interior(2) < 4 * tol
-    assert psi_constraint_residual(demo_psi, demo_family, demo_profile).max_abs_interior(2) < tol
 
 
 def test_alpha_forms_shapes(demo_psi, demo_family):
@@ -209,7 +208,7 @@ def test_integrate_lax_matches_closed_form(demo_branch, demo_family):
     got = integrate_lax(demo_family, g, psi0, substeps=8)
     assert isinstance(got, PsiField)
     assert np.max(np.abs(got.psi.values - want.psi.values)) < 1e-10
-    assert branch_consistency_error(got, demo_branch) < 1e-10
+    assert branch_consistency_error(PsiField(got.psi, demo_branch)) < 1e-10
 
 
 def test_integrate_lax_path_order_agreement(demo_family):
@@ -224,6 +223,49 @@ def test_integrate_lax_path_order_agreement(demo_family):
 def test_branch_consistency_error_detects_mismatch(demo_branch):
     g = unit_grid(1.0, 2.0, 17)
     field = psi_field_from_branch(demo_branch, g)
-    assert branch_consistency_error(field, demo_branch) < 1e-14
+    assert branch_consistency_error(field) < 1e-14
     shifted = PsiBranch("rational_upper", demo_branch.family, sigma=0.25)
-    assert branch_consistency_error(field, shifted) > 1e-2
+    assert branch_consistency_error(PsiField(field.psi, shifted)) > 1e-2
+    with pytest.raises(ValueError, match="no branch"):
+        branch_consistency_error(PsiField(field.psi))
+
+
+# the s > 0 case of each kind and the case that serves its sign -1 family
+MIRROR_CASES = {"rational": ("rational_upper", "rational_lower"),
+                "trig": ("trig_appendix", "trig_appendix"),
+                "hyper": ("hyper_appendix", "hyper_appendix")}
+
+
+@pytest.mark.parametrize("a", (1.0, 3.7))
+@pytest.mark.parametrize("kind", ("rational", "trig", "hyper"))
+@given(shift=st.floats(0.05, 1.0), negative=st.booleans(),
+       t=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_sign_minus_one_mirrors_sign_plus_one(kind, a, shift, negative, t):
+    """Sign -1 Q and psi reproduce sign +1 under s -> -s.
+
+    Q and Q' are exact, Q'' within 4e-16 relative; psi_-(-s, t) equals
+    pi/2 - psi_+(s, t) mod pi within 2e-15, with psi_s equal and psi_t
+    negated exactly.
+    """
+    plus, minus = QFamily(kind, 1, a), QFamily(kind, -1, a)
+    shift = -shift if negative else shift
+    key = "sigma" if kind == "rational" else "eta"
+    case_plus, case_minus = MIRROR_CASES[kind]
+    b_plus = PsiBranch(case_plus, plus, **{key: shift})
+    b_minus = PsiBranch(case_minus, minus, **{key: shift})
+    s = guarded_samples(plus, 40)[:, None]
+    t = np.array(t)[None, :]
+
+    qp, dqp, ddqp = eval_q_derivatives(plus, s)
+    qm, dqm, ddqm = eval_q_derivatives(minus, -s)
+    assert np.array_equal(qm, qp)
+    assert np.array_equal(dqm, -dqp)
+    assert np.all(np.abs(ddqm - ddqp) <= 4e-16 * np.abs(ddqp))
+
+    delta = psi_closed_form(b_minus, -s, t) - (np.pi / 2 - psi_closed_form(b_plus, s, t))
+    assert np.max(np.abs(delta - np.pi * np.round(delta / np.pi))) <= 2e-15
+    ps_p, pt_p = psi_closed_form_derivatives(b_plus, s, t)
+    ps_m, pt_m = psi_closed_form_derivatives(b_minus, -s, t)
+    assert np.array_equal(ps_m, ps_p)
+    assert np.array_equal(pt_m, -pt_p)

@@ -399,7 +399,7 @@ def coframe_sets():
         grid = grid_for(fam, SHAPES[1])
         psi = integrate_lax(fam, grid, 0.3)
         ics = HInitialData(s0=grid.s_min, **ICS)
-        sets.append(build_coframes(integrate_h_on_grid(ics, fam, grid), psi, grid))
+        sets.append(build_coframes(integrate_h_on_grid(ics, fam, grid), psi))
     return sets
 
 
@@ -414,22 +414,22 @@ def test_tau_march_matches_reference(coframe_sets, demo_coframes, order):
 
 @pytest.fixture(scope="module")
 def frame_cases():
-    """(profile, psi, coframes) of two families, one of each sign, on both shapes."""
+    """(profile, coframes) of two families, one of each sign, on both shapes."""
     cases = []
     for fam in (QFamily("rational", 1, 1.0), QFamily("trig", -1, 1.0)):
         for shape in SHAPES:
             grid = grid_for(fam, shape)
             psi = integrate_lax(fam, grid, 0.3)
             profile = integrate_h_on_grid(HInitialData(s0=grid.s_min, **ICS), fam, grid)
-            cases.append((profile, psi, build_coframes(profile, psi, grid)))
+            cases.append((profile, build_coframes(profile, psi)))
     return cases
 
 
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_frame_march_matches_reference(frame_cases, order):
     seed = FrameSeed(x0=(0.5, -1.0, 2.0))
-    for profile, psi, cf in frame_cases:
-        got = integrate_frame(profile, psi, seed=seed, order=order, coframes=cf)
+    for profile, cf in frame_cases:
+        got = integrate_frame(cf, profile, seed=seed, order=order)
         want = ref_integrate_frame(
             *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, seed, order)
         assert np.array_equal(got.x, want[0])
@@ -439,9 +439,9 @@ def test_frame_march_matches_reference(frame_cases, order):
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_deformed_frame_matches_reference(frame_cases, order):
     seed = FrameSeed()
-    for profile, psi, cf in frame_cases:
+    for profile, cf in frame_cases:
         dp = integrate_deformation(cf, 1.0)
-        got, _ = build_deformed_surface(profile, psi, dp, coframes=cf, order=order)
+        got, _ = build_deformed_surface(cf, profile, dp, order=order)
         want = ref_integrate_frame(*ref_deformed_forms(cf, profile, dp), cf.grid, seed, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])

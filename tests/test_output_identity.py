@@ -15,7 +15,7 @@ from bonnet.cli import _forms_csv
 from bonnet.forms2d import ROWS_PER_WRITE, Grid, ScalarField, write_scalar_csv
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
-from bonnet.surface_embed import export_obj, fundamental_forms, integrate_frame
+from bonnet.surface_embed import build_coframes, export_obj, fundamental_forms, integrate_frame
 
 FAM = QFamily("rational", 1, 1.0)
 ICS = HInitialData(1.0, 0.0, 1.0, 0.0, 1.0)
@@ -135,7 +135,7 @@ def test_forms_csv_matches_reference(tmp_path, shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_obj_matches_reference(tmp_path, shape):
     _, psi, profile = surface(shape)
-    frame = integrate_frame(profile, psi)
+    frame = integrate_frame(build_coframes(profile, psi), profile)
     ns, nt = shape
     lines = assert_same_bytes(tmp_path, lambda p: export_obj(frame, p),
                               lambda p: ref_export_obj(frame, p), crlf=False)

@@ -155,13 +155,17 @@ def test_guard_margin_controls():
     lo, hi = SingularityGuard(fam).interval()
     assert lo == pytest.approx(1e-3 * math.pi)
     assert hi == pytest.approx(math.pi * (1 - 1e-3))
-    tight = SingularityGuard(fam, margin=0.5)
-    assert tight.interval() == (pytest.approx(0.5), pytest.approx(math.pi - 0.5))
-    eval_q(fam, 0.01, guard=SingularityGuard(fam, margin=1e-3))
-    with pytest.raises(ValueError):
-        SingularityGuard(fam, margin=-1.0)
-    with pytest.raises(ValueError):
-        SingularityGuard(fam, margin=5.0).interval()
+
+
+@pytest.mark.parametrize("fam", ALL_SIX, ids=lambda f: f"{f.kind}{f.sign:+d}")
+def test_guard_rejects_nan(fam):
+    inside = guarded_samples(fam, 3)[1]
+    with pytest.raises(DomainError, match="nan"):
+        SingularityGuard(fam).check(np.array([math.nan, inside]))
+    with pytest.raises(DomainError):
+        eval_q(fam, math.nan)
+    # finite samples still pass
+    SingularityGuard(fam).check(np.array([inside, inside]))
 
 
 def test_guarded_samples_stay_inside():

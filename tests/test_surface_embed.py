@@ -161,26 +161,39 @@ def test_frame_integration_stays_orthonormal(demo_frame, demo_grid):
     assert np.array_equal(demo_frame.frames[0, 0], np.eye(3))
 
 
-def test_two_path_agreement(demo_profile, demo_psi, demo_frame, demo_coframes):
-    res = two_path_residual(demo_profile, demo_psi)
+def _path_gap(cf, profile, seed):
+    """Max difference between the t-first and s-first marches from `seed`."""
+    fa = integrate_frame(cf, profile, seed, "t_first")
+    fb = integrate_frame(cf, profile, seed, "s_first")
+    return fa, max(float(np.max(np.abs(fa.x - fb.x))),
+                   float(np.max(np.abs(fa.frames - fb.frames))))
+
+
+def test_two_path_agreement(demo_profile, demo_frame, demo_coframes):
+    res = two_path_residual(demo_coframes, demo_profile, demo_frame)
     assert res < TOL
-    # handing over the t-first frame and coframes changes no bit of the result
-    assert two_path_residual(demo_profile, demo_psi, frame=demo_frame,
-                             coframes=demo_coframes) == res
+    # the s-first march starts from the frame's own corner, whatever the seed
+    assert _path_gap(demo_coframes, demo_profile, FrameSeed())[1] == res
+    c, s = math.cos(0.7), math.sin(0.7)
+    seed = FrameSeed(x0=(2.0, -1.0, 0.5), e1=(c, 0.0, s), e2=(0.0, 1.0, 0.0),
+                     e3=(-s, 0.0, c))
+    frame, gap = _path_gap(demo_coframes, demo_profile, seed)
+    assert two_path_residual(demo_coframes, demo_profile, frame) == gap
+    assert gap < TOL
 
 
-def test_seed_translation_is_exact(demo_profile, demo_psi, demo_frame):
-    shifted = integrate_frame(demo_profile, demo_psi,
+def test_seed_translation_is_exact(demo_coframes, demo_profile, demo_frame):
+    shifted = integrate_frame(demo_coframes, demo_profile,
                               seed=FrameSeed(x0=(2.0, -1.0, 0.5)))
     assert np.max(np.abs(shifted.x - demo_frame.x - np.array([2.0, -1.0, 0.5]))) < 1e-12
     assert np.array_equal(shifted.frames, demo_frame.frames)
 
 
-def test_seed_rotation_is_equivariant(demo_profile, demo_psi, demo_frame):
+def test_seed_rotation_is_equivariant(demo_coframes, demo_profile, demo_frame):
     phi = 0.5
     c, s = math.cos(phi), math.sin(phi)
     seed = FrameSeed(e1=(c, s, 0.0), e2=(-s, c, 0.0), e3=(0.0, 0.0, 1.0))
-    rotated = integrate_frame(demo_profile, demo_psi, seed=seed)
+    rotated = integrate_frame(demo_coframes, demo_profile, seed=seed)
     M = seed.frame_matrix()
     assert np.max(np.abs(rotated.x - demo_frame.x @ M)) < 1e-12
     assert np.max(np.abs(rotated.frames - demo_frame.frames @ M)) < 1e-12
@@ -220,8 +233,8 @@ def test_fd_forms_recover_analytic_ones(demo_frame, demo_profile, demo_forms):
     assert np.max(np.abs((L.values - demo_forms.L.values)[inner, inner])) < TOL
 
 
-def test_weingarten_functional_dependence(demo_profile, demo_psi, demo_frame):
-    rep = weingarten_residual(demo_profile, demo_psi, frame=demo_frame)
+def test_weingarten_functional_dependence(demo_profile, demo_frame):
+    rep = weingarten_residual(demo_profile, demo_frame)
     assert rep.wedge_residual < TOL
     assert rep.k_t_variation == 0.0
 
@@ -245,11 +258,9 @@ def test_deformation_parameter_field(demo_coframes):
         integrate_deformation(demo_coframes, t0=1.0, order="diagonal")
 
 
-def test_deformed_surface_is_isometric_but_distinct(demo_profile, demo_psi,
-                                                    demo_coframes, demo_forms):
+def test_deformed_surface_is_isometric_but_distinct(demo_profile, demo_coframes, demo_forms):
     dp = integrate_deformation(demo_coframes, t0=1.0)
-    frame, forms = build_deformed_surface(demo_profile, demo_psi, dp,
-                                          coframes=demo_coframes)
+    frame, forms = build_deformed_surface(demo_coframes, demo_profile, dp)
     assert frame.orthonormality_error() < 1e-12
     # rotating the coframe preserves the conformal factor exactly
     assert np.max(np.abs(forms.E.values - demo_forms.E.values)) < 1e-12
@@ -257,9 +268,9 @@ def test_deformed_surface_is_isometric_but_distinct(demo_profile, demo_psi,
     assert np.max(np.abs(forms.L.values - demo_forms.L.values)) > 0.5
 
 
-def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms, demo_psi):
+def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
     dp = integrate_deformation(demo_coframes, t0=1.0)
-    frame, _ = build_deformed_surface(demo_profile, demo_psi, dp, coframes=demo_coframes)
+    frame, _ = build_deformed_surface(demo_coframes, demo_profile, dp)
     rep = deformation_report(demo_profile, demo_forms, dp, frame)
     assert rep["pole_count"] == 0 and rep["sign_flips"] == 0
     assert rep["metric_deviation"] < TOL * rep["metric_scale"]
@@ -271,9 +282,9 @@ def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms, dem
 
 
 def test_fd_checks_differentiate_x_and_e3_once(demo_profile, demo_coframes, demo_forms,
-                                               demo_psi, demo_frame, monkeypatch):
+                                               demo_frame, monkeypatch):
     dp = integrate_deformation(demo_coframes, t0=1.0)
-    frame, _ = build_deformed_surface(demo_profile, demo_psi, dp, coframes=demo_coframes)
+    frame, _ = build_deformed_surface(demo_coframes, demo_profile, dp)
     gradient = np.gradient
     frame_derivatives = []
 
@@ -286,19 +297,18 @@ def test_fd_checks_differentiate_x_and_e3_once(demo_profile, demo_coframes, demo
     rep = deformation_report(demo_profile, demo_forms, dp, frame)
     assert sorted(frame_derivatives) == [0, 0, 1, 1]  # x_s, x_t, n_s, n_t
     frame_derivatives.clear()
-    weingarten_residual(demo_profile, demo_psi, frame=demo_frame)
+    weingarten_residual(demo_profile, demo_frame)
     assert sorted(frame_derivatives) == [0, 0, 1, 1]
     monkeypatch.undo()
     # sharing the derivatives changes no bit of the public route
     assert rep["metric_deviation"] == metric_recovery_residual(frame, demo_profile)
 
 
-def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_psi, demo_coframes):
+def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_coframes):
     forms_by_t0 = {}
     for t0 in (0.5, 2.0):
         dp = integrate_deformation(demo_coframes, t0=t0)
-        _, forms = build_deformed_surface(demo_profile, demo_psi, dp,
-                                          coframes=demo_coframes)
+        _, forms = build_deformed_surface(demo_coframes, demo_profile, dp)
         forms_by_t0[t0] = forms
     gap = np.max(np.abs(forms_by_t0[0.5].L.values - forms_by_t0[2.0].L.values))
     assert gap > 0.3
@@ -311,7 +321,7 @@ def test_export_obj_layout(tmp_path):
     psi = psi_field_from_branch(branch, grid)
     from bonnet.bonnet_solver import HInitialData
     profile = integrate_h_on_grid(HInitialData(1.0, 0.0, 1.0, 0.0, 1.0), fam, grid)
-    frame = integrate_frame(profile, psi)
+    frame = integrate_frame(build_coframes(profile, psi), profile)
     path = tmp_path / "surface.obj"
     export_obj(frame, path)
     lines = path.read_text().splitlines()
