@@ -40,7 +40,7 @@ from .forms2d import (
     observed_order,
     write_scalar_csv,
 )
-from .lax_psi import CASES, LaxBlowUpError, PsiBranch
+from .lax_psi import LaxBlowUpError, PsiBranch
 from .q_family import (
     KINDS,
     ConsistencyError,
@@ -94,116 +94,115 @@ def _count(value, name: str) -> int:
     return int(x)
 
 
+def _sign(value, name: str) -> int:
+    """A JSON number, so true and "1" are refused; QFamily checks it is 1 or -1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be 1 or -1, got {value!r}")
+    return _count(value, name)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # configuration
+
+# every key a config may hold, as (parser, default); a nested dict is a section of
+# the JSON object.  A default of ... marks a required key, and a default of None an
+# optional one that reads as absent when null.
+CONFIG = {
+    "family": {"kind": (_text, ...), "sign": (_sign, 1), "a": (_number, 1.0)},
+    "psi": {"case": (_text, None), "sigma": (_number, 0.0), "eta": (_number, 0.0),
+            "integrate": (_flag, False), "psi0": (_number, None), "substeps": (_count, 8)},
+    "h_initial": {k: (_number, ...) for k in ("s0", "H0", "H0p", "H0pp", "tau_c")},
+    "grid": {**{k: (_number, ...) for k in ("s_min", "s_max", "t_min", "t_max")},
+             "ns": (_count, ...), "nt": (_count, ...)},
+    "tolerances": {"algebraic": (_number, 1e-10), "fd_factor": (_number, 25.0)},
+    "profile_substeps": (_count, 8),
+    "t0": (_number, None),
+    "out_dir": (_text, "out"),
+    "refine_levels": (_count, 3),
+}
+
+
+def _walk(data, spec: dict, given: set, prefix: str = "") -> dict:
+    """`data` parsed against `spec` (CONFIG or a section of it), defaults filled in.
+
+    Unknown keys, missing required keys and bad values raise ConfigError.
+    The dotted path of every key that `data` sets goes into `given`.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {prefix[:-1] or 'root'} must be a JSON object")
+    for name in data:
+        if name not in spec:
+            import difflib  # only on this path: importing it adds to every run's setup
+            known = [*CONFIG, *(f"{s}.{k}" for s, v in CONFIG.items() if isinstance(v, dict)
+                                for k in v)]
+            near = difflib.get_close_matches(f"{prefix}{name}", known, n=1)
+            hint = f"; did you mean '{near[0]}'?" if near else ""
+            raise ConfigError(f"unknown config key '{prefix}{name}'{hint}")
+    out = {}
+    for name, entry in spec.items():
+        path = f"{prefix}{name}"
+        if isinstance(entry, dict):
+            out[name] = _walk(data.get(name, {}), entry, given, f"{path}.")
+        elif name in data and not (data[name] is None and entry[1] is None):
+            given.add(path)
+            out[name] = entry[0](data[name], path)
+        elif entry[1] is ...:
+            raise ConfigError(f"config is missing required key '{path}'")
+        else:
+            out[name] = entry[1]
+    return out
 
 
 class RunConfig:
     """Validated contents of one JSON config file."""
 
     def __init__(self, data: dict):
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        self.family = self._parse_family(data)
-        self.grid = self._parse_grid(data)
-        self.psi_branch, self.psi0, self.psi_substeps = self._parse_psi(data)
-        self.h_initial = self._parse_h(data)
-        self.profile_substeps = _count(data.get("profile_substeps", 8), "profile_substeps")
-        if self.profile_substeps < 1:
-            raise ConfigError("profile_substeps must be >= 1")
-        self.t0 = None if data.get("t0") is None else _number(data["t0"], "t0")
-        self.out_dir = str(data.get("out_dir", "out"))
-        self.refine_levels = _count(data.get("refine_levels", 3), "refine_levels")
-        tol = data.get("tolerances", {})
-        if not isinstance(tol, dict):
-            raise ConfigError("tolerances must be an object")
-        self.tol_algebraic = _number(tol.get("algebraic", 1e-10), "tolerances.algebraic")
-        self.fd_factor = _number(tol.get("fd_factor", 25.0), "tolerances.fd_factor")
+        cfg = _walk(data, CONFIG, given := set())
+        psi, tol = cfg["psi"], cfg["tolerances"]
+        integrate = psi["integrate"]
+        # psi is a closed-form branch or a march from a corner value, never both
+        mode, needed = ("with", "psi0") if integrate else ("without", "case")
+        other = ("case", "sigma", "eta") if integrate else ("psi0", "substeps")
+        if psi[needed] is None or any(f"psi.{k}" in given for k in other):
+            raise ConfigError(f"{mode} psi.integrate, psi needs {needed} and none of "
+                              f"{', '.join(other)}")
+        try:
+            self.family = QFamily(**cfg["family"])
+            self.grid = Grid(**cfg["grid"])
+            self.h_initial = HInitialData(**cfg["h_initial"])
+            self.psi_branch = None if integrate else PsiBranch(
+                psi["case"], self.family, psi["sigma"], psi["eta"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.psi0, self.psi_substeps = psi["psi0"], psi["substeps"]
+        self.profile_substeps, self.t0 = cfg["profile_substeps"], cfg["t0"]
+        self.out_dir, self.refine_levels = cfg["out_dir"], cfg["refine_levels"]
+        self.tol_algebraic, self.fd_factor = tol["algebraic"], tol["fd_factor"]
+        if min(self.profile_substeps, self.psi_substeps) < 1:
+            raise ConfigError("profile_substeps and psi.substeps must be >= 1")
         if self.tol_algebraic <= 0 or self.fd_factor <= 0:
             raise ConfigError("tolerances must be positive")
-        try:  # the fd tolerance scale of every report, as _judge computes it
-            fd_scale = self.fd_factor * self.grid.h_max**2
-        except OverflowError:
-            fd_scale = math.inf
-        if not math.isfinite(fd_scale):
+        # _judge's fd tolerance scale; h_max * h_max is inf where h_max**2 would overflow
+        if not math.isfinite(self.fd_factor * (self.grid.h_max * self.grid.h_max)):
             raise ConfigError("tolerances.fd_factor * grid.h_max**2 must be finite")
-        # the grid must sit inside the guarded family domain
-        try:
-            SingularityGuard(self.family).check(
-                np.array([self.grid.s_min, self.grid.s_max])
-            )
+        try:  # the grid must sit inside the guarded family domain
+            SingularityGuard(self.family).check(np.array([self.grid.s_min, self.grid.s_max]))
         except DomainError as exc:
             raise ConfigError(f"grid violates the family domain: {exc}") from exc
         if abs(self.h_initial.s0 - self.grid.s_min) > 1e-12 * max(1.0, abs(self.grid.s_min)):
             raise ConfigError("h_initial.s0 must equal grid.s_min")
-
-    @staticmethod
-    def _req(data: dict, key: str) -> dict:
-        if key not in data:
-            raise ConfigError(f"config is missing required key '{key}'")
-        if not isinstance(data[key], dict):
-            raise ConfigError(f"config key '{key}' must be an object")
-        return data[key]
-
-    def _parse_family(self, data) -> QFamily:
-        fam = self._req(data, "family")
-        kind = fam.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"family.kind must be one of {KINDS}")
-        sign = fam.get("sign", 1)
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise ConfigError("family.sign must be 1 or -1")
-        try:
-            return QFamily(kind, int(sign), _number(fam.get("a", 1.0), "family.a"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def _parse_grid(self, data) -> Grid:
-        g = self._req(data, "grid")
-        try:
-            return Grid(
-                *(_number(g[k], f"grid.{k}") for k in ("s_min", "s_max", "t_min", "t_max")),
-                _count(g["ns"], "grid.ns"), _count(g["nt"], "grid.nt"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"grid is missing {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad grid: {exc}") from exc
-
-    def _parse_psi(self, data):
-        p = self._req(data, "psi")
-        substeps = _count(p.get("substeps", 8), "psi.substeps")
-        if substeps < 1:
-            raise ConfigError("psi.substeps must be >= 1")
-        integrate = p.get("integrate", False)
-        if not isinstance(integrate, bool):
-            raise ConfigError(f"psi.integrate must be true or false, got {integrate!r}")
-        if integrate:
-            if "psi0" not in p:
-                raise ConfigError("psi.integrate requires psi.psi0")
-            return None, _number(p["psi0"], "psi.psi0"), substeps
-        case = p.get("case")
-        if case not in CASES:
-            raise ConfigError(f"psi.case must be one of {CASES} (or psi.integrate)")
-        try:
-            branch = PsiBranch(
-                case, self.family,
-                _number(p.get("sigma", 0.0), "psi.sigma"), _number(p.get("eta", 0.0), "psi.eta"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return branch, None, substeps
-
-    def _parse_h(self, data) -> HInitialData:
-        h = self._req(data, "h_initial")
-        try:
-            return HInitialData(*(
-                _number(h[k], f"h_initial.{k}") for k in ("s0", "H0", "H0p", "H0pp", "tau_c")
-            ))
-        except KeyError as exc:
-            raise ConfigError(f"h_initial is missing {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad h_initial: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

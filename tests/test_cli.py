@@ -22,6 +22,7 @@ from bonnet.cli import (
     RK4_RATIO_HIGH,
     RK4_RATIO_LOW,
     RK4_TOL,
+    CONFIG,
     ConfigError,
     RunConfig,
     _rk4_crosscheck,
@@ -107,6 +108,12 @@ def test_config_validation_errors(tmp_path):
     {"grid": {"t_max": 1e160}},                       # fd_factor * h_max**2 overflows
     {"grid": {"t_min": -1e308, "t_max": 1e308}},      # h_t is infinite
     {"grid": {"ns": 10**400}},                        # too large for a float
+    {"family": {"sign": "1"}},
+    {"out_dir": None},
+    {"out_dir": {"a": 1}},
+    {"psi": {"integrate": True, "psi0": 0.0}},        # with case and sigma
+    {"psi": {"psi0": 0.0}},                           # march key without integrate
+    {"psi": {"substeps": 8}},
 ], ids=lambda o: json.dumps(o)[:60])
 def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -117,13 +124,57 @@ def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
     assert not out.exists()  # rejected before any file is written
 
 
-DEMO_FILE = json.loads(
-    (pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo_rational.json").read_text()
-)
-# every key of the demo config, nested ones as (section, key), and the optional psi keys
-FUZZ_KEYS = [(k,) for k in DEMO_FILE] + [
-    (k, sub) for k, v in DEMO_FILE.items() if isinstance(v, dict) for sub in v
-] + [("psi", k) for k in ("integrate", "psi0", "substeps", "eta")]
+@pytest.mark.parametrize("psi", [
+    {"integrate": True, "psi0": 0.0, "case": "constant_zero"},
+    {"integrate": True, "psi0": 0.0, "sigma": 0.1},
+    {"integrate": True, "psi0": 0.0, "eta": 0.1},
+    {"integrate": True},
+    {"sigma": 0.1},
+], ids=lambda o: json.dumps(o))
+def test_psi_is_a_branch_or_a_march(psi):
+    # each stray branch key alone, and each mode without its required key; the
+    # march keys without integrate are cases of test_bad_config_values_exit_two
+    with pytest.raises(ConfigError, match="psi needs"):
+        RunConfig({**SMALL_CONFIG, "psi": psi})
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMO_FILE = json.loads((ROOT / "configs" / "demo_rational.json").read_text())
+
+
+@pytest.mark.parametrize("path, near, nested", [
+    ("refine_level", "refine_levels", True),
+    ("grid.n_s", "grid.ns", True),
+    ("psi.sigmaa", "psi.sigma", True),
+    ("tolerances.fdfactor", "tolerances.fd_factor", True),
+    ("grid.n_s", "grid.ns", False),  # the dotted name itself as a top-level key
+])
+def test_unknown_key_exits_two_and_names_the_nearest(tmp_path, capsys, path, near, nested):
+    data = json.loads(json.dumps(DEMO_FILE))
+    section, _, key = path.rpartition(".")
+    (data[section] if section and nested else data)[key if nested else path] = 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key '{path}'; did you mean '{near}'?" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.json"))
+                         + sorted(ROOT.glob("bench/configs/*.json")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_shipped_config_loads(path):
+    assert isinstance(load_config(path), RunConfig)
+
+
+SECTIONS = [name for name, spec in CONFIG.items() if isinstance(spec, dict)]
+# every CONFIG key, sections as (section,) and their keys as (section, key),
+# and an unknown key at the top level and in each section
+FUZZ_KEYS = [(name,) for name in CONFIG] + [
+    (section, key) for section in SECTIONS for key in CONFIG[section]
+] + [("extra",)] + [(section, "extra") for section in SECTIONS]
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(),
     st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308, 10**400]),
@@ -150,11 +201,15 @@ def test_config_loader_returns_or_raises_config_error(mutations):
     except ConfigError:
         return
     assert math.isfinite(cfg.fd_factor * cfg.grid.h_max**2)
+    assert set(data) <= set(CONFIG)
+    assert all(set(data[section]) <= set(CONFIG[section]) for section in SECTIONS)
 
 
 def test_integral_float_counts_are_accepted(tmp_path):
-    cfg = load_config(write_config(tmp_path, grid={"ns": 17.0}, refine_levels=2.0))
+    cfg = load_config(write_config(tmp_path, grid={"ns": 17.0}, refine_levels=2.0,
+                                   family={"sign": 1.0}))
     assert cfg.grid.ns == 17 and cfg.refine_levels == 2
+    assert type(cfg.family.sign) is int and cfg.family.sign == 1
 
 
 def test_too_coarse_frame_step_exits_two(tmp_path, capsys):
