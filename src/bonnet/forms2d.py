@@ -48,9 +48,10 @@ DET_RTOL = 1e-12
 # rounding level and carry no h-dependence).
 FLOOR_RTOL = 1e-13
 
-# rows per % format call and fh.write: enough to keep the per-row work in
-# C, few enough that no output file is held in memory whole
-ROWS_PER_WRITE = 4096
+# rows per block that _write_rows formats and writes at once: enough that
+# the per-block numpy calls cost little per value, few enough that a block
+# of 6 float columns peaks at about 1 MB, so no file is held whole
+ROWS_PER_WRITE = 1024
 
 
 class CoframeSingularError(ValueError):
@@ -388,14 +389,26 @@ def observed_order(hs, residuals, floor: float = 0.0):
 def _write_rows(fh, rows, sep: str = ",", prefix: str = "") -> None:
     """Write a 2-D array one row per line: prefix, then columns joined by sep.
 
-    Floats get 17 significant digits, so they read back exactly.  The
-    newline mode fh was opened with sets the line ending.
+    Integers are written with %d.  Floats get the bytes "%.17g" gives,
+    17 significant digits that read back exactly, from
+    bonnet.text17.format_rows: on 1e-6 < |x| < 1e17 an exact two-product
+    of x and a power of ten yields the 17-digit significand, rounded half
+    to even as dtoa rounds it, and its digits come from a table, a block
+    at a time; other values go through "%.17g" one at a time.  The newline
+    mode fh was opened with sets the line ending.
     """
-    field = "%d" if rows.dtype.kind in "iu" else "%.17g"
-    line = prefix + sep.join([field] * rows.shape[1]) + "\n"
+    if rows.dtype.kind in "iu":
+        line = prefix + sep.join(["%d"] * rows.shape[1]) + "\n"
+
+        def text(block):
+            return (line * block.shape[0]) % tuple(block.ravel().tolist())
+    else:
+        from .text17 import format_rows  # on first use: see its docstring
+
+        def text(block):
+            return format_rows(block, sep, prefix).decode("ascii")
     for k in range(0, rows.shape[0], ROWS_PER_WRITE):
-        block = rows[k:k + ROWS_PER_WRITE]
-        fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        fh.write(text(rows[k:k + ROWS_PER_WRITE]))
 
 
 def write_scalar_csv(f: ScalarField, path, value_name: str = "value") -> None:
