@@ -60,6 +60,9 @@ class RegimeError(RuntimeError):
             f"H' <= 0 reached; last s inside the regime: {self.last_valid_s:.12g}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.last_valid_s,)
+
 
 class BlowUpError(RuntimeError):
     """Profile state exceeded the blow-up guard."""
@@ -67,6 +70,9 @@ class BlowUpError(RuntimeError):
     def __init__(self, last_valid_s: float):
         self.last_valid_s = float(last_valid_s)
         super().__init__(f"profile blow-up after s = {self.last_valid_s:.12g}")
+
+    def __reduce__(self):
+        return type(self), (self.last_valid_s,)
 
 
 @dataclass(frozen=True)

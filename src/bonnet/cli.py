@@ -64,7 +64,8 @@ RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid: verify peaks at about 0.5 kB per node above its
-# baseline, so the cap keeps one run near 2 GB
+# baseline, so the cap keeps the process holding the finest level near 2 GB (and the
+# one holding the next level down near a quarter of that)
 MAX_LADDER_NODES = 2**22
 
 
@@ -527,8 +528,100 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     return entry
 
 
+def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
+    """([(value, scale, details) of each row], export(level)) on ladder level k.
+
+    The level is cfg.grid refined 2**k.  export runs first, and the level
+    is dropped on return, so only the rows' floats outlive it.
+    """
+    level = PipelineData(cfg, cfg.grid.refined(2**k))
+    exported = export(level) if export else None
+    return [level.evaluate(row) for row in rows], exported
+
+
+class _Forked:
+    """work() run in a forked child; result() reads back what it returned or raised.
+
+    The child pickles (True, result) or (False, exception) into a pipe and
+    leaves with os._exit, so it never returns into the caller, flushes no
+    buffer it inherited and runs no exit handler.  close() kills and reaps
+    a child that result() has not reaped.  The only other threads a run
+    has are OpenBLAS workers, which OpenBLAS stops before a fork.
+    """
+
+    def __init__(self, work):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            _child(work, write)
+        os.close(write)
+        self.read = read
+
+    def result(self):
+        import pickle
+        import signal
+
+        with open(self.read, "rb") as fh:  # the file owns the descriptor now
+            self.read = None
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        if os.WIFSIGNALED(status):
+            name = signal.Signals(os.WTERMSIG(status)).name
+            raise RuntimeError(f"the process evaluating the finest ladder level died from {name}")
+        if not data:
+            raise RuntimeError("the process evaluating the finest ladder level exited with "
+                               f"status {os.waitstatus_to_exitcode(status)} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        import signal
+
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self.read is not None:
+            os.close(self.read)
+            self.read = None
+
+
+def _child(work, write: int):
+    """The forked side of _Forked: send work()'s outcome down `write` and exit."""
+    import pickle
+
+    code = 1
+    try:
+        try:
+            data = pickle.dumps((True, work()))
+        except BaseException as exc:
+            import traceback
+
+            if hasattr(exc, "add_note"):  # Python 3.11+: keep the child's traceback
+                exc.add_note("raised in the forked child, at\n"
+                             + "".join(traceback.format_exception(exc)))
+            try:  # loads too: a class may pickle but not rebuild from its args
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _ladder(cfg: RunConfig, rows: list, levels: int, export):
-    """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k, one level at a time.
+    """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k.
 
     Each level is built, its rows are evaluated and only their floats are
     kept before it is dropped, so no grid-sized array outlives its level.
@@ -536,20 +629,40 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     is built when no ladder row is selected.  export(level) runs first, on
     the base level.  Returns the report entries in row order and what
     export returned.
+
+    With two or more levels, a forked child evaluates the finest level
+    while this process runs the others in order, so each process holds one
+    level at a time.  Both run _level, and the child sends back its floats,
+    so the report is the same as from one process.  An error reads as it
+    would in one process: the lowest failing level's error is raised, and
+    the child is killed and reaped on every way out.  Where no process can
+    be forked, the finest level runs here, last.
     """
-    values = {row.name: [] for row in rows}
-    scales, details, hs = {}, {}, []
     on_ladder = [row for row in rows if row.rule == "ladder"]
-    for k in range(levels if on_ladder else 1):
-        level = PipelineData(cfg, cfg.grid.refined(2**k))
-        if k == 0:
-            exported = export(level)
-        for row in rows if k == 0 else on_ladder:
-            value, scales[row.name], extra = level.evaluate(row)
+    n = levels if on_ladder else 1
+    finest = None
+    if n > 1 and hasattr(os, "fork"):
+        try:
+            finest = _Forked(lambda: _level(cfg, on_ladder, n - 1)[0])
+        except OSError:  # no process to spare
+            pass
+    try:
+        base, exported = _level(cfg, rows, 0, export)
+        found = [base] + [_level(cfg, on_ladder, k)[0]
+                          for k in range(1, n if finest is None else n - 1)]
+        if finest is not None:
+            found.append(finest.result())
+    finally:
+        if finest is not None:
+            finest.close()
+    values = {row.name: [] for row in rows}
+    scales, details = {}, {}
+    for k, results in enumerate(found):
+        for row, (value, scale, extra) in zip(rows if k == 0 else on_ladder, results):
             values[row.name].append(value)
-            details.setdefault(row.name, extra)
-        hs.append(level.grid.h_max)
-        del level
+            scales[row.name] = scale  # from the last level the row runs on
+            details.setdefault(row.name, extra)  # from the base level
+    hs = [cfg.grid.refined(2**k).h_max for k in range(n)]
     checks = [
         _judge(cfg, row, values[row.name], scales[row.name], details[row.name], hs)
         for row in rows

@@ -67,6 +67,9 @@ class CoframeSingularError(ValueError):
             f"{DET_RTOL * scale * scale:.3e}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.index, self.det, self.scale)
+
 
 @dataclass(frozen=True)
 class Grid:

@@ -71,6 +71,9 @@ class LaxBlowUpError(RuntimeError):
         self.node = tuple(int(k) for k in node)
         super().__init__(f"psi integration blew up at node {self.node}")
 
+    def __reduce__(self):
+        return type(self), (self.node,)
+
 
 @dataclass(frozen=True)
 class PsiBranch:

@@ -4,13 +4,16 @@ Exit code contract: 0 all checks pass, 1 a residual check failed,
 2 configuration or domain errors.  Reports must be byte-stable across
 reruns of the same config.
 """
-import collections
+import errno
 import json
 import math
 import os
 import pathlib
+import pickle
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -30,8 +33,11 @@ from bonnet.cli import (
     load_config,
     main,
 )
-from bonnet.forms2d import Grid
-from bonnet.q_family import KINDS, QFamily
+from bonnet.bonnet_solver import BlowUpError, RegimeError
+from bonnet.forms2d import CoframeSingularError, Grid
+from bonnet.lax_psi import LaxBlowUpError
+from bonnet.q_family import KINDS, ConsistencyError, DomainError, QFamily
+from bonnet.surface_embed import FrameStepError
 
 SMALL_CONFIG = {
     "family": {"kind": "rational", "sign": 1, "a": 1.0},
@@ -466,15 +472,34 @@ COUNTED = {
 }
 
 
+class SharedCounts:
+    """Call counts that a forked child adds to as well: each call appends its
+    name as one line to an O_APPEND file, and counts are read from the file."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def add(self, name):
+        os.write(self.fd, f"{name}\n".encode())
+
+    def __getitem__(self, name):
+        return self.path.read_text().split().count(name)
+
+    def clear(self):
+        os.ftruncate(self.fd, 0)
+
+
 @pytest.fixture()
-def work_counts(monkeypatch):
-    """Calls of the expensive pipeline functions; also fails a command that
-    builds a PipelineData while an earlier one is still alive."""
-    counts = collections.Counter()
+def work_counts(monkeypatch, tmp_path):
+    """Calls of the expensive pipeline functions, in this process and in the
+    ladder's forked child; also fails a command whose process builds a
+    PipelineData while an earlier one is still alive."""
+    counts = SharedCounts(tmp_path / "calls.txt")
     for module, names in COUNTED.items():
         for name in names:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                counts[_name] += 1
+                counts.add(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     alive = []
@@ -486,7 +511,8 @@ def work_counts(monkeypatch):
         build(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.PipelineData, "__init__", tracked)
-    return counts
+    yield counts
+    os.close(counts.fd)
 
 
 def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file, tmp_path,
@@ -512,6 +538,180 @@ def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, 
     assert main(["solve", "--config", str(demo_config_file), "--out", str(tmp_path / "s"),
                  "--refine", "3"]) == 0
     assert work_counts["ideal_residuals"] == 3
+
+
+# the ladder's fork: SMALL_CONFIG's verify runs the 17 x 17 base level in this
+# process and the 33 x 33 finest level in a forked child
+FINEST_NS = 33
+
+
+class Hung(Exception):
+    """main ran past its alarm."""
+
+
+def guarded_main(argv, seconds=60):
+    """main(argv), failed by SIGALRM rather than left hanging after `seconds`."""
+    def expire(signum, frame):
+        raise Hung(f"main({argv}) ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def verify_small(small_config, tmp_path, *extra):
+    return guarded_main(["verify", "--config", str(small_config),
+                         "--out", str(tmp_path / "o"), *extra])
+
+
+def fail_on_grid(monkeypatch, ns, exc):
+    """Make the frame march raise `exc` on the level whose grid has `ns` nodes along s."""
+    march = surface_embed.integrate_frame
+
+    def integrate_frame(cf, *args, **kwargs):
+        if cf.grid.ns == ns:
+            raise exc
+        return march(cf, *args, **kwargs)
+
+    monkeypatch.setattr(surface_embed, "integrate_frame", integrate_frame)
+
+
+MODULE_ERROR_CASES = (
+    DomainError("s left the domain"),
+    ConsistencyError("identity broken"),
+    RegimeError(1.25),
+    BlowUpError(2.5),
+    LaxBlowUpError((3, 4)),
+    CoframeSingularError((1, 2), -1e-20, 3.0),
+    FrameStepError("refine the grid"),
+)
+
+
+def test_every_module_error_has_a_pickling_case():
+    assert sorted(type(e).__name__ for e in MODULE_ERROR_CASES) == sorted(
+        cls.__name__ for cls in cli._MODULE_ERRORS)
+
+
+@pytest.mark.parametrize("exc", MODULE_ERROR_CASES, ids=lambda e: type(e).__name__)
+def test_module_errors_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)  # last_valid_s, node, or index, det and scale
+
+
+@pytest.mark.parametrize("exc", [FrameStepError("frame step too large; refine the grid"),
+                                 RegimeError(1.5)], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("ns", [17, FINEST_NS], ids=["base-level-here", "finest-level-forked"])
+def test_an_error_reads_the_same_from_either_process(small_config, tmp_path, capsys,
+                                                      monkeypatch, ns, exc):
+    fail_on_grid(monkeypatch, ns, exc)
+    assert verify_small(small_config, tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bonnet: {type(exc).__name__}: {exc}\n"
+    assert captured.out == ""
+    assert_no_children()
+
+
+def test_base_level_error_wins_and_the_child_is_killed(small_config, tmp_path, capsys,
+                                                       monkeypatch):
+    started = tmp_path / "child-started"
+    build = cli.PipelineData.__init__
+
+    def slow_child_failing_base(self, cfg, grid):
+        if grid.ns == FINEST_NS:  # the child: busy well past the parent's error
+            started.write_text("")
+            time.sleep(45)
+        else:  # the parent: fail the base level once the child is at work
+            deadline = time.monotonic() + 20
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert started.exists(), "the finest level never started"
+            raise DomainError("the base level left the domain")
+        build(self, cfg, grid)
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", slow_child_failing_base)
+    t0 = time.monotonic()
+    assert verify_small(small_config, tmp_path) == 2
+    assert time.monotonic() - t0 < 30  # the child was not waited for
+    assert capsys.readouterr().err == "bonnet: DomainError: the base level left the domain\n"
+    assert_no_children()
+
+
+def test_foreign_error_in_the_child_surfaces(small_config, tmp_path, monkeypatch):
+    fail_on_grid(monkeypatch, FINEST_NS, ZeroDivisionError("boom in the finest level"))
+    with pytest.raises(ZeroDivisionError, match="boom in the finest level") as info:
+        verify_small(small_config, tmp_path)
+    assert "integrate_frame" in "".join(getattr(info.value, "__notes__", ["integrate_frame"]))
+    assert_no_children()
+
+
+def test_unpicklable_error_in_the_child_surfaces_by_name(small_config, tmp_path, monkeypatch):
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    fail_on_grid(monkeypatch, FINEST_NS, LocalError("boom in the finest level"))
+    with pytest.raises(RuntimeError, match="LocalError: boom in the finest level"):
+        verify_small(small_config, tmp_path)
+    assert_no_children()
+
+
+def test_killed_child_is_named_by_its_signal(small_config, tmp_path, monkeypatch):
+    build = cli.PipelineData.__init__
+
+    def killed(self, cfg, grid):
+        if grid.ns == FINEST_NS:
+            os.kill(os.getpid(), signal.SIGKILL)
+        build(self, cfg, grid)
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", killed)
+    with pytest.raises(RuntimeError, match="SIGKILL"):
+        verify_small(small_config, tmp_path)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--refine", "2"], 0),   # the demo passes
+    (["verify", "--refine", "2"], 1),  # the demo at 64^2 and 127^2 fails two orders
+])
+def test_no_child_outlives_main(demo_config_file, tmp_path, argv, code):
+    command, *rest = argv
+    assert guarded_main([command, "--config", str(demo_config_file),
+                         "--out", str(tmp_path / "o"), *rest]) == code
+    assert_no_children()
+
+
+def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, capsys):
+    code = verify_small(small_config, tmp_path)
+    forked = (tmp_path / "o" / "verify_report.json").read_bytes()
+    calls = []
+
+    def no_fork():
+        calls.append(1)
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for argv in (["mesh"], ["deform", "--t0", "1"], ["solve"], ["solve", "--refine", "1"],
+                 ["verify", "--only", "q."]):
+        command, *rest = argv
+        out = tmp_path / command
+        assert guarded_main([command, "--config", str(small_config), "--out", str(out),
+                             *rest]) == 0, argv
+    assert calls == []
+    # where no process can be forked, the finest level runs here, last
+    assert verify_small(small_config, tmp_path) == code
+    assert calls == [1]
+    assert (tmp_path / "o" / "verify_report.json").read_bytes() == forked
+    assert_no_children()
 
 
 def test_json_flag_prints_report(small_config, tmp_path, capsys):
