@@ -34,6 +34,7 @@ from .forms2d import (
     FLOOR_RTOL,
     CoframeSingularError,
     Grid,
+    NonFiniteFieldError,
     ScalarField,
     _write_rows,
     mixed_partial_residual,
@@ -63,9 +64,10 @@ RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
-# nodes of the finest ladder grid: verify peaks at about 0.5 kB per node above its
-# baseline, so the cap keeps the process holding the finest level near 2 GB (and the
-# one holding the next level down near a quarter of that)
+# nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
+# marches the finest frame, peaks at about 0.55 kB per node, and the parent, which
+# holds the finest psi, H, coframes and grid checks, at about 0.36 kB: so the cap
+# keeps them near 2.3 GB and 1.5 GB
 MAX_LADDER_NODES = 2**22
 
 
@@ -295,6 +297,11 @@ class PipelineData:
         return surface_embed.integrate_frame(self.cf, self.profile)
 
     @cached_property
+    def alpha(self) -> tuple:
+        """lax_psi.alpha_components, which the psi.* coframe rows share."""
+        return lax_psi.alpha_components(self.psi, self.fam)
+
+    @cached_property
     def forms(self) -> surface_embed.FundamentalForms:
         return surface_embed.fundamental_forms(self.profile, self.psi)
 
@@ -344,8 +351,11 @@ class Check(NamedTuple):
     the level computing this row alone; key picks the value out of its
     result (None: the result is the value); details names result keys
     copied into the report.  scale is a number or the name of a
-    PipelineData scale.  rule sets the tolerance and the pass test, with
-    h the base grid's h_max and F the fd_factor:
+    PipelineData scale.  margin is the number of nodes the row's
+    residuals strip at each edge of the grid.  reads_frame marks the rows
+    that read the t-first frame march (PipelineData.frame).  rule sets
+    the tolerance and the pass test, with h the base grid's h_max and F
+    the fd_factor:
 
       algebraic    value <= tolerances.algebraic * scale
       bound        value <= scale
@@ -361,37 +371,41 @@ class Check(NamedTuple):
     key: object = None
     rule: str = "ladder"
     details: tuple = ()
+    margin: int = 2
+    reads_frame: bool = False
 
 
 # report order; verify runs every row, the other commands a prefix filter
 CHECKS = (
-    Check("q.exactness", "scale_q4", "q", "exactness", "algebraic"),
-    Check("q.first_integral", "scale_q4", "q", "first_integral", "algebraic", ("kappa",)),
-    Check("q.rk4_error", RK4_TOL, "rk4", 0, "bound"),
-    Check("q.rk4_halving", None, "rk4", 1, "ratio"),
+    Check("q.exactness", "scale_q4", "q", "exactness", "algebraic", margin=0),
+    Check("q.first_integral", "scale_q4", "q", "first_integral", "algebraic", ("kappa",),
+          margin=0),
+    Check("q.rk4_error", RK4_TOL, "rk4", 0, "bound", margin=0),
+    Check("q.rk4_halving", None, "rk4", 1, "ratio", margin=0),
     Check("lax.closed_form", "scale_q", lambda L: max(
         r.max_abs() for r in lax_psi.branch_lax_residuals(L.cfg.psi_branch, L.grid)
-    ), rule="algebraic"),
+    ), rule="algebraic", margin=0),
     Check("psi.branch_consistency", 1.0, lambda L: lax_psi.branch_consistency_error(L.psi),
-          rule="algebraic"),
+          rule="algebraic", margin=0),
     Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
-          rule="bound"),
+          rule="bound", margin=0, reads_frame=True),
     Check("frame.handedness", ORTHONORMALITY_TOL, lambda L: 1.0 - L.frame.min_handedness(),
-          rule="bound"),
-    Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound"),
+          rule="bound", margin=0, reads_frame=True),
+    Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound",
+          margin=3, reads_frame=True),
     Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
     Check("deform.h", "scale_h", "deformation", "h_deviation", "fd", ("t0",)),
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
     Check("lax.compat", "scale_q", lambda L: max(
-        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam))),
-    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi, 1)),
+        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1),
+    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi, 1), margin=1),
     Check("psi.constraint", "scale_q",
-          lambda L: lax_psi.psi_constraint_residual(L.psi, L.fam).max_abs_interior(2)),
+          lambda L: lax_psi.psi_constraint_residual(L.psi, L.alpha).max_abs_interior(2)),
     Check("psi.c_relation", "scale_q", lambda L: max(
-        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam))),
+        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, L.alpha))),
     Check("psi.second_order", "scale_q",
-          lambda L: lax_psi.psi_second_order_residual(L.psi, L.fam).max_abs_interior(2)),
+          lambda L: lax_psi.psi_second_order_residual(L.alpha).max_abs_interior(2)),
     Check("psi.mixed_partial", 1.0, lambda L: mixed_partial_residual(
         ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
         L.cf.alpha1, L.cf.alpha2,
@@ -424,13 +438,15 @@ CHECKS = (
         L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
     Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
         L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
+    # the ladder rows that read the frame march come last (see _ladder)
     Check("frame.two_path", 1.0,
-          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame)),
+          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame),
+          margin=0, reads_frame=True),
     Check("frame.metric_recovery", "scale_e",
-          lambda L: surface_embed.metric_recovery_residual(L.frame, L.profile)),
+          lambda L: surface_embed.metric_recovery_residual(L.frame, L.profile), reads_frame=True),
     Check("frame.second_form", "scale_ii",
-          lambda L: surface_embed.second_form_vs_frame(L.forms, L.frame)),
-    Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual"),
+          lambda L: surface_embed.second_form_vs_frame(L.forms, L.frame), reads_frame=True),
+    Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3, reads_frame=True),
 )
 
 
@@ -630,20 +646,27 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     the base level.  Returns the report entries in row order and what
     export returned.
 
-    With two or more levels, a forked child evaluates the finest level
-    while this process runs the others in order, so each process holds one
-    level at a time.  Both run _level, and the child sends back its floats,
-    so the report is the same as from one process.  An error reads as it
-    would in one process: the lowest failing level's error is raised, and
-    the child is killed and reaped on every way out.  Where no process can
-    be forked, the finest level runs here, last.
+    With two or more levels, the finest level is split at the first ladder
+    row that reads the frame march.  A forked child evaluates that row and
+    the ones after it (the whole level when no row reads the frame) while
+    this process runs the other levels in order and then the rows before
+    the cut on the finest level, so each process holds one level at a time.
+    All run _level, and the child sends back its floats, so the report is
+    the same as from one process.  An error reads as it would in one
+    process: the lowest failing level's error is raised, and on the finest
+    level a row before the cut wins, as its rows come first.  The child is
+    killed and reaped on every way out.  Where no process can be forked,
+    the finest level runs here, whole and last.
     """
     on_ladder = [row for row in rows if row.rule == "ladder"]
     n = levels if on_ladder else 1
+    # no row reading the frame puts the cut at 0: the child takes the whole level
+    cut = next((i for i, row in enumerate(on_ladder) if row.reads_frame), 0)
+    head, tail = on_ladder[:cut], on_ladder[cut:]
     finest = None
     if n > 1 and hasattr(os, "fork"):
         try:
-            finest = _Forked(lambda: _level(cfg, on_ladder, n - 1)[0])
+            finest = _Forked(lambda: _level(cfg, tail, n - 1)[0])
         except OSError:  # no process to spare
             pass
     try:
@@ -651,7 +674,7 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
         found = [base] + [_level(cfg, on_ladder, k)[0]
                           for k in range(1, n if finest is None else n - 1)]
         if finest is not None:
-            found.append(finest.result())
+            found.append((_level(cfg, head, n - 1)[0] if head else []) + finest.result())
     finally:
         if finest is not None:
             finest.close()
@@ -674,15 +697,28 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
 # commands
 
 
+def _check_margins(grid: Grid, rows: list) -> None:
+    """ConfigError unless `grid` keeps an interior inside the widest margin of
+    `rows`: a row that strips m nodes at each edge needs 2 m + 1 per axis."""
+    row = max(rows, key=lambda r: r.margin)
+    if min(grid.ns, grid.nt) <= 2 * row.margin:
+        raise ConfigError(
+            f"the {grid.ns} x {grid.nt} grid is too small for {row.name}, whose residual "
+            f"strips {row.margin} nodes at each edge: ns and nt must be at least "
+            f"{2 * row.margin + 1}")
+
+
 def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) -> int:
     """One command: `rows` over `levels` ladder levels, refused (ConfigError)
-    before any output exists if the finest level is over MAX_LADDER_NODES.
+    before any output exists if the finest level is over MAX_LADDER_NODES or
+    the base grid is too small for a row's margin.
 
     export(level, out) writes the command's files (CSV, OBJ) from the base
     level and returns the report's header fields.  Writes and prints
     <command>_report.json; returns the exit code.
     """
     _check_ladder(cfg.grid, levels)
+    _check_margins(cfg.grid, rows)
     out = args.out if args.out else cfg.out_dir
     os.makedirs(out, exist_ok=True)
     checks, fields = _ladder(cfg, rows, levels, lambda level: export(level, out))
@@ -867,6 +903,7 @@ _MODULE_ERRORS = (
     LaxBlowUpError,
     CoframeSingularError,
     FrameStepError,
+    NonFiniteFieldError,
 )
 
 

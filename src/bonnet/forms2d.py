@@ -25,6 +25,7 @@ __all__ = [
     "OneForm",
     "TwoForm",
     "CoframeSingularError",
+    "NonFiniteFieldError",
     "d_scalar",
     "d_oneform",
     "wedge",
@@ -69,6 +70,21 @@ class CoframeSingularError(ValueError):
 
     def __reduce__(self):
         return type(self), (self.index, self.det, self.scale)
+
+
+class NonFiniteFieldError(ValueError):
+    """A scalar field sample is nan or infinite, such as where the data overflow."""
+
+    def __init__(self, index, s, t, value):
+        self.index = tuple(int(k) for k in index)
+        self.s, self.t, self.value = float(s), float(t), float(value)
+        super().__init__(
+            f"scalar field is {self.value} at node {self.index} "
+            f"(s = {self.s:.17g}, t = {self.t:.17g}): the data do not stay finite on this grid"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.index, self.s, self.t, self.value)
 
 
 @dataclass(frozen=True)
@@ -138,9 +154,21 @@ class Grid:
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
+    """values as a read-only float array.  A C-ordered float array that owns
+    its data and is read-only already (see _adopt) is kept, not copied."""
+    if (values.dtype == float and values.base is None and values.flags.c_contiguous
+            and not values.flags.writeable):
+        return values
     out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _adopt(grid: Grid, values: np.ndarray) -> "ScalarField":
+    """ScalarField(grid, values) for a float array just computed that nothing
+    else holds: it is frozen in place rather than copied."""
+    values.setflags(write=False)
+    return ScalarField(grid, values)
 
 
 @dataclass(frozen=True)
@@ -157,7 +185,10 @@ class ScalarField:
                 f"field shape {vals.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("scalar field contains non-finite values")
+            index = tuple(np.argwhere(~np.isfinite(vals))[0])  # first in C order
+            g = self.grid
+            raise NonFiniteFieldError(index, g.s_nodes()[index[0]], g.t_nodes()[index[1]],
+                                      vals[index])
         object.__setattr__(self, "values", _freeze(vals))
 
     @classmethod
@@ -177,26 +208,26 @@ class ScalarField:
         return np.asarray(other, dtype=float)
 
     def __add__(self, other):
-        return ScalarField(self.grid, self.values + self._coerce(other))
+        return _adopt(self.grid, self.values + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return ScalarField(self.grid, self.values - self._coerce(other))
+        return _adopt(self.grid, self.values - self._coerce(other))
 
     def __rsub__(self, other):
-        return ScalarField(self.grid, self._coerce(other) - self.values)
+        return _adopt(self.grid, self._coerce(other) - self.values)
 
     def __mul__(self, other):
-        return ScalarField(self.grid, self.values * self._coerce(other))
+        return _adopt(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return ScalarField(self.grid, self.values / self._coerce(other))
+        return _adopt(self.grid, self.values / self._coerce(other))
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.values)
+        return _adopt(self.grid, -self.values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -288,7 +319,7 @@ def d_scalar(f: ScalarField) -> OneForm:
     g = f.grid
     p = np.gradient(f.values, g.h_s, axis=0, edge_order=2)
     q = np.gradient(f.values, g.h_t, axis=1, edge_order=2)
-    return OneForm(ScalarField(g, p), ScalarField(g, q))
+    return OneForm(_adopt(g, p), _adopt(g, q))
 
 
 def d_oneform(w: OneForm) -> TwoForm:
@@ -296,13 +327,13 @@ def d_oneform(w: OneForm) -> TwoForm:
     g = w.grid
     q_s = np.gradient(w.q.values, g.h_s, axis=0, edge_order=2)
     p_t = np.gradient(w.p.values, g.h_t, axis=1, edge_order=2)
-    return TwoForm(ScalarField(g, q_s - p_t))
+    return TwoForm(_adopt(g, q_s - p_t))
 
 
 def wedge(w1: OneForm, w2: OneForm) -> TwoForm:
     """w1 ^ w2 = (p1 q2 - q1 p2) ds^dt.  Antisymmetric, no derivatives."""
     r = w1.p.values * w2.q.values - w1.q.values * w2.p.values
-    return TwoForm(ScalarField(w1.grid, r))
+    return TwoForm(_adopt(w1.grid, r))
 
 
 def hodge(w: OneForm) -> OneForm:
@@ -323,16 +354,14 @@ def decompose_in_coframe(w: OneForm, c1: OneForm, c2: OneForm):
     p1, q1 = c1.p.values, c1.q.values
     p2, q2 = c2.p.values, c2.q.values
     det = p1 * q2 - q1 * p2
-    scale = np.max(
-        np.abs(np.stack([p1, q1, p2, q2])), axis=0
-    )
+    scale = np.maximum(np.maximum(np.abs(p1), np.abs(q1)), np.maximum(np.abs(p2), np.abs(q2)))
     bad = np.abs(det) < DET_RTOL * scale * scale
     if np.any(bad):
         idx = np.argwhere(bad)[0]
         raise CoframeSingularError(idx, det[tuple(idx)], scale[tuple(idx)])
     f1 = (w.p.values * q2 - w.q.values * p2) / det
     f2 = (p1 * w.q.values - q1 * w.p.values) / det
-    return ScalarField(g, f1), ScalarField(g, f2)
+    return _adopt(g, f1), _adopt(g, f2)
 
 
 def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -353,7 +382,7 @@ def laplacian(f: ScalarField) -> ScalarField:
     """Flat Laplacian f_ss + f_tt (5-point stencil in the interior)."""
     g = f.grid
     out = _second_derivative(f.values, g.h_s, 0) + _second_derivative(f.values, g.h_t, 1)
-    return ScalarField(g, out)
+    return _adopt(g, out)
 
 
 def mixed_partial_residual(f: ScalarField, c1: OneForm, c2: OneForm) -> ScalarField:

@@ -25,6 +25,7 @@ from .forms2d import (
     Grid,
     OneForm,
     ScalarField,
+    _adopt,
     d_scalar,
     decompose_in_coframe,
     laplacian,
@@ -45,6 +46,7 @@ __all__ = [
     "branch_lax_residuals",
     "harmonic_residual",
     "alpha_forms",
+    "alpha_components",
     "psi_constraint_residual",
     "c_relation_residuals",
     "psi_second_order_residual",
@@ -227,7 +229,7 @@ def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> PsiField:
     vals = np.array(vals)
     vals[0, :] = np.unwrap(vals[0, :], period=np.pi)
     vals = np.unwrap(vals, axis=0, period=np.pi)
-    return PsiField(ScalarField(grid, vals), branch)
+    return PsiField(_adopt(grid, vals), branch)
 
 
 def branch_consistency_error(field: PsiField) -> float:
@@ -300,7 +302,7 @@ def integrate_lax(
     vals = np.empty(grid.shape)
     vals[0, 0] = float(psi0)
     sweep(order, [vals], step)
-    return PsiField(ScalarField(grid, vals), None)
+    return PsiField(_adopt(grid, vals), None)
 
 
 def _guard_psi(value, node) -> None:
@@ -333,7 +335,7 @@ def lax_residuals(psi: PsiField, fam: QFamily):
     r1 = d.p.values + 0.5 * q * np.sin(two)
     r2 = d.q.values - 0.5 * dlq + 0.5 * q * np.cos(two)
     g = psi.grid
-    return ScalarField(g, r1), ScalarField(g, r2)
+    return _adopt(g, r1), _adopt(g, r2)
 
 
 def branch_lax_residuals(branch: PsiBranch, grid: Grid):
@@ -344,7 +346,7 @@ def branch_lax_residuals(branch: PsiBranch, grid: Grid):
     two = 2.0 * psi_closed_form(branch, S, T)
     r1 = ps + 0.5 * q * np.sin(two)
     r2 = pt - 0.5 * dlq + 0.5 * q * np.cos(two)
-    return ScalarField(grid, r1), ScalarField(grid, r2)
+    return _adopt(grid, r1), _adopt(grid, r2)
 
 
 def harmonic_residual(psi: PsiField, margin: int = 1) -> float:
@@ -363,43 +365,45 @@ def alpha_forms(fam: QFamily, psi: PsiField):
     g = psi.grid
     two = 2.0 * psi.psi.values
     c, s_ = np.cos(two), np.sin(two)
-    a1 = OneForm(ScalarField(g, q * c), ScalarField(g, -q * s_))
-    a2 = OneForm(ScalarField(g, q * s_), ScalarField(g, q * c))
+    a1 = OneForm(_adopt(g, q * c), _adopt(g, -q * s_))
+    a2 = OneForm(_adopt(g, q * s_), _adopt(g, q * c))
     return a1, a2
 
 
-def _alpha_components(psi: PsiField, fam: QFamily):
+def alpha_components(psi: PsiField, fam: QFamily) -> tuple:
+    """(alpha1, alpha2, psi_1, psi_2): the alpha coframe and the components
+    of d(psi) in it, the `alpha` that the three residuals below share."""
     a1, a2 = alpha_forms(fam, psi)
     p1, p2 = decompose_in_coframe(d_scalar(psi.psi), a1, a2)
     return a1, a2, p1, p2
 
 
-def psi_constraint_residual(psi: PsiField, fam: QFamily) -> ScalarField:
+def psi_constraint_residual(psi: PsiField, alpha: tuple) -> ScalarField:
     """Tangency constraint 2 psi_1 cos(2 psi) + (2 psi_2 + 1) sin(2 psi).
 
     psi_1, psi_2 are the components of d(psi) in the alpha coframe.
     """
-    _, _, p1, p2 = _alpha_components(psi, fam)
+    _, _, p1, p2 = alpha
     two = 2.0 * psi.psi.values
     g = psi.grid
     vals = 2.0 * p1.values * np.cos(two) + (2.0 * p2.values + 1.0) * np.sin(two)
-    return ScalarField(g, vals)
+    return _adopt(g, vals)
 
 
-def c_relation_residuals(psi: PsiField, fam: QFamily):
+def c_relation_residuals(psi: PsiField, fam: QFamily, alpha: tuple):
     """Residuals of 2 psi_1 = C sin(2 psi), 2 psi_2 + 1 = -C cos(2 psi)."""
-    _, _, p1, p2 = _alpha_components(psi, fam)
+    _, _, p1, p2 = alpha
     g = psi.grid
     c2d = np.broadcast_to(eval_c(fam, g.s_nodes())[:, None], g.shape)
     two = 2.0 * psi.psi.values
     r1 = 2.0 * p1.values - c2d * np.sin(two)
     r2 = 2.0 * p2.values + 1.0 + c2d * np.cos(two)
-    return ScalarField(g, r1), ScalarField(g, r2)
+    return _adopt(g, r1), _adopt(g, r2)
 
 
-def psi_second_order_residual(psi: PsiField, fam: QFamily) -> ScalarField:
+def psi_second_order_residual(alpha: tuple) -> ScalarField:
     """Second-order coframe identity psi_11 + psi_22 + psi_1 -> 0."""
-    a1, a2, p1, p2 = _alpha_components(psi, fam)
+    a1, a2, p1, p2 = alpha
     p11 = decompose_in_coframe(d_scalar(p1), a1, a2)[0]
     p22 = decompose_in_coframe(d_scalar(p2), a1, a2)[1]
     return p11 + p22 + p1

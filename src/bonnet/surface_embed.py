@@ -34,6 +34,7 @@ from .forms2d import (
     Grid,
     OneForm,
     ScalarField,
+    _adopt,
     _write_rows,
     d_oneform,
     d_scalar,
@@ -85,13 +86,13 @@ class FrameStepError(ValueError):
 
 
 def _field(grid: Grid, values) -> ScalarField:
-    return ScalarField(grid, np.array(values, dtype=float))
+    return _adopt(grid, np.array(values, dtype=float))
 
 
 def _profile_field(grid: Grid, arr) -> ScalarField:
     """Broadcast an s-only profile array across the t-direction."""
     col = np.asarray(arr, dtype=float)[:, None]
-    return ScalarField(grid, np.broadcast_to(col, grid.shape).copy())
+    return _adopt(grid, np.broadcast_to(col, grid.shape).copy())
 
 
 def _check_alignment(profile: SurfaceProfile, grid: Grid) -> None:
@@ -345,7 +346,7 @@ def scaling_transform_residual(cf: CoframeSet, scale: ScalarField, margin: int =
     sc1 = cf.omega1 * lam
     sc2 = cf.omega2 * lam
     gamma = connection_from_coframe(sc1, sc2)
-    predicted = cf.omega12 + hodge(d_scalar(ScalarField(cf.grid, np.log(lam))))
+    predicted = cf.omega12 + hodge(d_scalar(_adopt(cf.grid, np.log(lam))))
     return (gamma - predicted).max_abs_interior(margin)
 
 
@@ -493,10 +494,10 @@ def fundamental_forms(profile: SurfaceProfile, psi: PsiField) -> FundamentalForm
     E2d = np.broadcast_to(e2d, grid.shape).copy()
     return FundamentalForms(
         grid,
-        ScalarField(grid, E2d),
-        ScalarField(grid, np.broadcast_to(L_a, grid.shape).copy()),
-        ScalarField(grid, np.broadcast_to(M_a, grid.shape).copy()),
-        ScalarField(grid, np.broadcast_to(N_a, grid.shape).copy()),
+        _adopt(grid, E2d),
+        _adopt(grid, np.broadcast_to(L_a, grid.shape).copy()),
+        _adopt(grid, np.broadcast_to(M_a, grid.shape).copy()),
+        _adopt(grid, np.broadcast_to(N_a, grid.shape).copy()),
     )
 
 
@@ -508,15 +509,15 @@ def _grad(grid: Grid, values):
 
 def _fd_first_form(grid: Grid, xs, xt):
     pairs = ((xs, xs), (xs, xt), (xt, xt))
-    return tuple(ScalarField(grid, np.sum(a * b, axis=-1)) for a, b in pairs)
+    return tuple(_adopt(grid, np.sum(a * b, axis=-1)) for a, b in pairs)
 
 
 def _fd_second_form(frame: FrameField, xs, xt):
     g = frame.grid
     ns_, nt_ = _grad(g, frame.e3)
-    L = ScalarField(g, -np.sum(xs * ns_, axis=-1))
-    M = ScalarField(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
-    N = ScalarField(g, -np.sum(xt * nt_, axis=-1))
+    L = _adopt(g, -np.sum(xs * ns_, axis=-1))
+    M = _adopt(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
+    N = _adopt(g, -np.sum(xt * nt_, axis=-1))
     return L, M, N
 
 
@@ -625,7 +626,7 @@ def integrate_deformation(
         np.sum(np.diff(np.sign(st[0, :])) != 0)
     )
     return DeformationParam(
-        ScalarField(g, t_vals), ScalarField(g, tau), float(t0), poles, flips
+        _adopt(g, t_vals), _adopt(g, tau), float(t0), poles, flips
     )
 
 
@@ -660,10 +661,10 @@ def build_deformed_surface(
     p23, q23 = w23s.p.values, w23s.q.values
     forms = FundamentalForms(
         grid,
-        ScalarField(grid, 0.5 * (p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2)),
-        ScalarField(grid, p13 * p1 + p23 * p2),
-        ScalarField(grid, p13 * q1 + p23 * q2),
-        ScalarField(grid, q13 * q1 + q23 * q2),
+        _adopt(grid, 0.5 * (p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2)),
+        _adopt(grid, p13 * p1 + p23 * p2),
+        _adopt(grid, p13 * q1 + p23 * q2),
+        _adopt(grid, q13 * q1 + q23 * q2),
     )
     frame = _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, grid, seed, order)
     return frame, forms
@@ -742,8 +743,8 @@ def weingarten_residual(
     gss, gst, gtt = _fd_first_form(grid, xs, xt)
     det_g = gss.values * gtt.values - gst.values * gst.values
     k_fd = (L.values * N.values - M.values * M.values) / det_g
-    h2d = ScalarField(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())
-    k_field = ScalarField(grid, k_fd)
+    h2d = _adopt(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())
+    k_field = _adopt(grid, k_fd)
     wed = wedge(d_scalar(h2d), d_scalar(k_field)).max_abs_interior(margin)
 
     k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)

@@ -22,6 +22,7 @@ from bonnet.q_family import (
 from bonnet.lax_psi import (
     PsiBranch,
     branch_lax_residuals,
+    alpha_components,
     c_relation_residuals,
     harmonic_residual,
     integrate_lax,
@@ -261,10 +262,11 @@ def test_c06_structure_equation_suite(level_stack):
         add("connection.rotation", se.rotation_transform_residual(cf, _rotation_field(grid)), scale_q)
         add("connection.scaling", se.scaling_transform_residual(cf, _scaling_field(grid)), scale_q)
         fam = prof.family
-        add("psi.constraint", psi_constraint_residual(psi, fam).max_abs_interior(2), scale_q)
-        r1, r2 = c_relation_residuals(psi, fam)
+        alpha = alpha_components(psi, fam)
+        add("psi.constraint", psi_constraint_residual(psi, alpha).max_abs_interior(2), scale_q)
+        r1, r2 = c_relation_residuals(psi, fam, alpha)
         add("psi.c_relation", max(r1.max_abs_interior(2), r2.max_abs_interior(2)), scale_q)
-        add("psi.second_order", psi_second_order_residual(psi, fam).max_abs_interior(2), scale_q)
+        add("psi.second_order", psi_second_order_residual(alpha).max_abs_interior(2), scale_q)
         add("profile.geodesic", geodesic_curvature_residual(prof), scale_q2)
 
     hs = [grid.h_max for grid, *_ in level_stack]

@@ -17,6 +17,7 @@ import time
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,8 @@ from bonnet.cli import (
     main,
 )
 from bonnet.bonnet_solver import BlowUpError, RegimeError
-from bonnet.forms2d import CoframeSingularError, Grid
+from bonnet import forms2d
+from bonnet.forms2d import CoframeSingularError, Grid, NonFiniteFieldError
 from bonnet.lax_psi import LaxBlowUpError
 from bonnet.q_family import KINDS, ConsistencyError, DomainError, QFamily
 from bonnet.surface_embed import FrameStepError
@@ -225,6 +227,80 @@ def test_too_coarse_frame_step_exits_two(tmp_path, capsys):
     assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "FrameStepError" in err and "refine the grid" in err
+
+
+def test_each_rows_margin_is_the_one_its_residuals_strip(small_config, monkeypatch):
+    strip = forms2d.interior
+    margins = []
+
+    def interior(values, margin=1):
+        margins.append(margin)
+        return strip(values, margin)
+
+    monkeypatch.setattr(forms2d, "interior", interior)
+    cfg = load_config(small_config)
+    for row in cli.CHECKS:
+        margins.clear()
+        cli.PipelineData(cfg, cfg.grid).evaluate(row)  # a fresh level: no cached battery
+        assert max(margins, default=0) == row.margin, row.name
+
+
+@pytest.mark.parametrize("grid, argv", [
+    ({"ns": 6, "nt": 20}, ["verify", "--refine", "2"]),
+    ({"ns": 5, "nt": 5}, ["verify", "--refine", "2"]),
+    ({"ns": 20, "nt": 6}, ["verify", "--only", "weingarten"]),
+], ids=lambda v: json.dumps(v))
+def test_grid_too_small_for_a_rows_margin_exits_two_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, grid, argv):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a pipeline was built")
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", no_pipeline)
+    cfg = write_config(tmp_path, grid=grid)
+    out = tmp_path / "o"
+    command, *rest = argv
+    assert main([command, "--config", str(cfg), "--out", str(out), *rest]) == 2
+    err = capsys.readouterr().err
+    assert "too small for weingarten.k_t_variation" in err and "at least 7" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, argv, code", [
+    # no selected row strips more than 2 nodes, so 5 per axis are enough
+    ({"ns": 5, "nt": 5}, ["mesh"], 0),
+    ({"ns": 5, "nt": 5}, ["deform"], 1),
+    ({"ns": 5, "nt": 5}, ["solve", "--refine", "2"], 1),
+    ({"ns": 5, "nt": 20}, ["verify", "--only", "psi."], 1),
+    ({"ns": 7, "nt": 7}, ["verify", "--refine", "2"], 1),
+], ids=lambda v: json.dumps(v))
+def test_grids_as_small_as_the_rows_margins_allow_run(tmp_path, capsys, grid, argv, code):
+    cfg = write_config(tmp_path, grid=grid)
+    command, *rest = argv
+    assert guarded_main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         *rest]) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({"family": {"kind": "hyper", "a": 1e6}, "psi": {"case": "hyper_appendix", "eta": 0.0}},
+     ["mesh"]),
+    ({"family": {"kind": "trig"}, "psi": {"case": "trig_appendix", "eta": 0.3},
+      "grid": {"t_max": 1e8}}, ["verify", "--refine", "2"]),
+], ids=["hyper-a-1e6-mesh", "trig-t_max-1e8-verify"])
+def test_data_that_overflow_the_grid_exit_two(tmp_path, capsys, overrides, argv):
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    for key, value in overrides.items():
+        data[key] = {**data[key], **value} if key != "psi" else value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    command, *rest = argv
+    with np.errstate(all="ignore"):
+        assert guarded_main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                             *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bonnet: NonFiniteFieldError: scalar field is nan at node (")
+    assert "Traceback" not in err
+    assert_no_children()
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -468,7 +544,7 @@ COUNTED = {
         "theta12_report", "weingarten_residual",
     ),
     bonnet_solver: ("ideal_residuals",),
-    lax_psi: ("lax_residuals", "c_relation_residuals"),
+    lax_psi: ("lax_residuals", "c_relation_residuals", "alpha_components"),
 }
 
 
@@ -521,9 +597,11 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
                  "--refine", "3"]) == 0
     # t-first and s-first frame on each of 3 levels, one deformed frame
     assert work_counts["integrate_frame"] + work_counts["build_deformed_surface"] == 7
-    for name in ("build_coframes", "structure_residuals", "codazzi_summary_residuals",
+    # the finest level's psi, H and coframes are built in both processes
+    assert work_counts["build_coframes"] == 4
+    for name in ("structure_residuals", "codazzi_summary_residuals",
                  "theta12_report", "ideal_residuals", "lax_residuals",
-                 "c_relation_residuals", "weingarten_residual"):
+                 "c_relation_residuals", "alpha_components", "weingarten_residual"):
         assert work_counts[name] == 3, name
     assert work_counts["integrate_deformation"] == 1
 
@@ -540,8 +618,9 @@ def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, 
     assert work_counts["ideal_residuals"] == 3
 
 
-# the ladder's fork: SMALL_CONFIG's verify runs the 17 x 17 base level in this
-# process and the 33 x 33 finest level in a forked child
+# the ladder's fork: SMALL_CONFIG's verify runs the 17 x 17 base level and the
+# finest (33 x 33) level's rows before the frame march in this process, and the
+# finest level's frame rows in a forked child
 FINEST_NS = 33
 
 
@@ -593,6 +672,7 @@ MODULE_ERROR_CASES = (
     LaxBlowUpError((3, 4)),
     CoframeSingularError((1, 2), -1e-20, 3.0),
     FrameStepError("refine the grid"),
+    NonFiniteFieldError((5, 6), 1.5, 0.25, -math.inf),
 )
 
 
@@ -666,14 +746,15 @@ def test_unpicklable_error_in_the_child_surfaces_by_name(small_config, tmp_path,
 
 
 def test_killed_child_is_named_by_its_signal(small_config, tmp_path, monkeypatch):
-    build = cli.PipelineData.__init__
+    # the frame march on the finest grid runs in the child alone
+    march = surface_embed.integrate_frame
 
-    def killed(self, cfg, grid):
-        if grid.ns == FINEST_NS:
+    def killed(cf, *args, **kwargs):
+        if cf.grid.ns == FINEST_NS:
             os.kill(os.getpid(), signal.SIGKILL)
-        build(self, cfg, grid)
+        return march(cf, *args, **kwargs)
 
-    monkeypatch.setattr(cli.PipelineData, "__init__", killed)
+    monkeypatch.setattr(surface_embed, "integrate_frame", killed)
     with pytest.raises(RuntimeError, match="SIGKILL"):
         verify_small(small_config, tmp_path)
     assert_no_children()
@@ -711,6 +792,133 @@ def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, ca
     assert verify_small(small_config, tmp_path) == code
     assert calls == [1]
     assert (tmp_path / "o" / "verify_report.json").read_bytes() == forked
+    assert_no_children()
+
+
+SMALL_BRANCHES = {
+    "rational_minus": ({"kind": "rational", "sign": -1, "a": 1.0},
+                       {"case": "rational_lower", "sigma": 0.0}, (-2.0, -1.0)),
+    "trig_plus": ({"kind": "trig", "sign": 1, "a": 1.0},
+                  {"case": "trig_appendix", "eta": 0.3}, (1.0, 2.0)),
+    "hyper_minus": ({"kind": "hyper", "sign": -1, "a": 1.0},
+                    {"case": "hyper_appendix", "eta": 0.0}, (-2.0, -1.0)),
+    "rational_marched": ({"kind": "rational", "sign": 1, "a": 1.0},
+                         {"integrate": True, "psi0": 0.0, "substeps": 8}, (1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("branch", SMALL_BRANCHES)
+def test_forked_and_one_process_runs_match(tmp_path, monkeypatch, capsys, branch):
+    family, psi, (s_min, s_max) = SMALL_BRANCHES[branch]
+    data = {**SMALL_CONFIG, "family": family, "psi": psi,
+            "grid": {**SMALL_CONFIG["grid"], "s_min": s_min, "s_max": s_max},
+            "h_initial": {**SMALL_CONFIG["h_initial"], "s0": s_min}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+
+    def run(name):
+        out = tmp_path / name
+        code = guarded_main(["verify", "--config", str(cfg), "--out", str(out)])
+        printed = capsys.readouterr()
+        return (code, printed.out.replace(str(out), "OUT"), printed.err,
+                (out / "verify_report.json").read_bytes())
+
+    forked = run("forked")
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run("here") == forked
+    assert_no_children()
+
+
+class FrameRead(Exception):
+    """Raised in place of the frame march."""
+
+
+def frameless_level(small_config, monkeypatch):
+    """The 17 x 17 level of SMALL_CONFIG, whose PipelineData.frame raises FrameRead."""
+    def frame(self):
+        raise FrameRead
+
+    monkeypatch.setattr(cli.PipelineData, "frame", property(frame))
+    cfg = load_config(small_config)
+    return cli.PipelineData(cfg, cfg.grid)
+
+
+def test_only_rows_marked_as_reading_the_frame_read_it(small_config, monkeypatch):
+    level = frameless_level(small_config, monkeypatch)
+    for row in cli.CHECKS:
+        if row.reads_frame:
+            with pytest.raises(FrameRead):
+                level.evaluate(row)
+        else:  # every other row, the parent's finest-level share among them
+            level.evaluate(row)
+
+
+def test_frame_rows_are_the_tail_of_the_ladder_rows():
+    flags = [row.reads_frame for row in cli.CHECKS if row.rule == "ladder"]
+    cut = flags.index(True)
+    assert cut > 0 and not any(flags[:cut]) and all(flags[cut:])
+    assert [row.name for row in cli.CHECKS if row.rule == "ladder"][cut:] == [
+        "frame.two_path", "frame.metric_recovery", "frame.second_form", "weingarten.wedge"]
+
+
+def test_parent_error_on_the_finest_level_wins_over_the_childs(small_config, tmp_path,
+                                                                capsys, monkeypatch):
+    # structure.* come before the cut, so the parent evaluates them on the finest
+    # level, while the child's frame march fails there too
+    battery = surface_embed.structure_residuals
+
+    def structure_residuals(cf, *args, **kwargs):
+        if cf.grid.ns == FINEST_NS:
+            raise DomainError("the finest structure battery left the domain")
+        return battery(cf, *args, **kwargs)
+
+    monkeypatch.setattr(surface_embed, "structure_residuals", structure_residuals)
+    fail_on_grid(monkeypatch, FINEST_NS, FrameStepError("frame step too large; refine the grid"))
+    forked = verify_small(small_config, tmp_path), capsys.readouterr()
+    assert forked[1].err == "bonnet: DomainError: the finest structure battery left the domain\n"
+    assert_no_children()
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert (verify_small(small_config, tmp_path), capsys.readouterr()) == forked
+    assert forked[0] == 2
+
+
+@pytest.fixture()
+def level_builds(monkeypatch, tmp_path):
+    """Each PipelineData built, as "parent:<ns>" or "child:<ns>" by the process."""
+    builds = SharedCounts(tmp_path / "builds.txt")
+    parent = os.getpid()
+    build = cli.PipelineData.__init__
+
+    def recorded(self, cfg, grid):
+        builds.add(f"{'parent' if os.getpid() == parent else 'child'}:{grid.ns}")
+        build(self, cfg, grid)
+
+    monkeypatch.setattr(cli.PipelineData, "__init__", recorded)
+    yield builds
+    os.close(builds.fd)
+
+
+@pytest.mark.parametrize("argv, parent_builds_finest", [
+    (["verify"], True),                         # split at frame.two_path
+    (["verify", "--only", "frame."], False),    # every ladder row reads the frame
+    (["verify", "--only", "psi."], False),      # none does: the child takes the level
+    (["solve", "--refine", "2"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_who_builds_the_finest_level(small_config, tmp_path, level_builds, argv,
+                                     parent_builds_finest):
+    command, *rest = argv
+    guarded_main([command, "--config", str(small_config), "--out", str(tmp_path / "o"), *rest])
+    assert level_builds["parent:17"] == 1 and level_builds["child:17"] == 0
+    assert level_builds["child:33"] == 1
+    assert level_builds["parent:33"] == int(parent_builds_finest)
     assert_no_children()
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bonnet.forms2d import (
     CoframeSingularError,
     Grid,
+    NonFiniteFieldError,
     OneForm,
     ScalarField,
     d_oneform,
@@ -106,10 +107,30 @@ def test_scalar_field_validation():
         ScalarField.constant(GRID, 1.0) + other
 
 
+def test_non_finite_field_names_its_first_node():
+    values = np.zeros(GRID.shape)
+    values[3, 6] = np.inf
+    values[2, 7] = np.nan  # the first in row-major order
+    with pytest.raises(NonFiniteFieldError, match=r"nan at node \(2, 7\) \(s = 0.125, t = 0.4375\)"):
+        ScalarField(GRID, values)
+
+
 def test_scalar_field_values_are_frozen():
     f = ScalarField.constant(GRID, 1.0)
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+
+
+def test_scalar_field_copies_what_its_caller_can_still_write():
+    given = np.zeros(GRID.shape)
+    f = ScalarField(GRID, given)
+    given[0, 0] = 5.0  # the caller's array stays writable and the field does not see it
+    assert f.values[0, 0] == 0.0 and f.values is not given
+    # a result of field arithmetic is frozen in place, and a field over another
+    # field's values shares them
+    g = f + 1.0
+    assert not g.values.flags.writeable and g.values.base is None
+    assert ScalarField(GRID, g.values).values is g.values
 
 
 @given(st.tuples(coeff, coeff, coeff, coeff, coeff, coeff))

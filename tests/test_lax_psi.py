@@ -16,6 +16,7 @@ from bonnet.q_family import QFamily, eval_q_derivatives, guarded_samples
 from bonnet.lax_psi import (
     PsiBranch,
     PsiField,
+    alpha_components,
     alpha_forms,
     branch_consistency_error,
     branch_lax_residuals,
@@ -190,10 +191,11 @@ def test_harmonicity_converges(case):
 def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family):
     g = demo_psi.grid
     tol = 25.0 * g.h_max ** 2
-    assert psi_constraint_residual(demo_psi, demo_family).max_abs_interior(2) < tol
-    r1, r2 = c_relation_residuals(demo_psi, demo_family)
+    alpha = alpha_components(demo_psi, demo_family)
+    assert psi_constraint_residual(demo_psi, alpha).max_abs_interior(2) < tol
+    r1, r2 = c_relation_residuals(demo_psi, demo_family, alpha)
     assert r1.max_abs_interior(2) < tol and r2.max_abs_interior(2) < tol
-    assert psi_second_order_residual(demo_psi, demo_family).max_abs_interior(2) < 4 * tol
+    assert psi_second_order_residual(alpha).max_abs_interior(2) < 4 * tol
 
 
 def test_alpha_forms_shapes(demo_psi, demo_family):
