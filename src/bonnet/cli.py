@@ -9,7 +9,10 @@ Commands
 
 solve, mesh, deform and verify share one table of checks (CHECKS) and one
 refinement ladder (_ladder): they differ only in the rows they select and
-the number of levels they run.  Configs are single JSON files (see
+the number of levels they run.  mesh and deform write their CSV and OBJ
+files from forked children (_Writers) while they go on with the checks;
+verify and solve --refine 2 or more evaluate the finest ladder level
+partly in a forked child (_ladder).  Configs are single JSON files (see
 configs/demo_rational.json).  All outputs are deterministic: fixed check
 order, sorted JSON keys, 17 significant digits, no timestamps.  Exit
 codes: 0 success, 1 residual failure, 2 config or domain error.
@@ -307,11 +310,11 @@ class PipelineData:
 
     @cached_property
     def deformed(self) -> tuple:
-        """(frame, deformation_report) of the companion at the config's t0 (default 1)."""
+        """(tau march, frame) of the companion at the config's t0 (default 1)."""
         t0 = 1.0 if self.cfg.t0 is None else self.cfg.t0
         dp = surface_embed.integrate_deformation(self.cf, t0)
         frame, _ = surface_embed.build_deformed_surface(self.cf, self.profile, dp)
-        return frame, surface_embed.deformation_report(self.profile, self.forms, dp, frame)
+        return dp, frame
 
 
 def _q_identities(L: PipelineData) -> dict:
@@ -336,7 +339,7 @@ BATTERIES = {
     "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
     "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
     "weingarten": lambda L: asdict(surface_embed.weingarten_residual(L.profile, L.frame)),
-    "deformation": lambda L: L.deformed[1],
+    "deformation": lambda L: surface_embed.deformation_report(L.profile, L.forms, *L.deformed),
 }
 
 
@@ -558,6 +561,7 @@ def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
 class _Forked:
     """work() run in a forked child; result() reads back what it returned or raised.
 
+    `doing` says what the child does, for the error raised if it dies.
     The child pickles (True, result) or (False, exception) into a pipe and
     leaves with os._exit, so it never returns into the caller, flushes no
     buffer it inherited and runs no exit handler.  close() kills and reaps
@@ -565,7 +569,8 @@ class _Forked:
     has are OpenBLAS workers, which OpenBLAS stops before a fork.
     """
 
-    def __init__(self, work):
+    def __init__(self, work, doing: str):
+        self.doing = doing
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -589,10 +594,10 @@ class _Forked:
         self.pid = 0
         if os.WIFSIGNALED(status):
             name = signal.Signals(os.WTERMSIG(status)).name
-            raise RuntimeError(f"the process evaluating the finest ladder level died from {name}")
+            raise RuntimeError(f"the process {self.doing} died from {name}")
         if not data:
-            raise RuntimeError("the process evaluating the finest ladder level exited with "
-                               f"status {os.waitstatus_to_exitcode(status)} and no result")
+            raise RuntimeError(f"the process {self.doing} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} and no result")
         ok, value = pickle.loads(data)
         if not ok:
             raise value
@@ -636,6 +641,45 @@ def _child(work, write: int):
         os._exit(code)
 
 
+class _Writers:
+    """Output files written by forked children while the command goes on.
+
+    write(path, work) starts a child in which work() writes the file at
+    `path`; where no process can be forked, work() runs here and now.
+    Leaving the `with` block joins every writer: the first one started
+    that failed raises its error, over any error the block raised after
+    it, as in one process, where the writer would have run first.  The
+    writers started after a failed one are killed, and every writer is
+    reaped on every way out.
+    """
+
+    def __init__(self):
+        self.started = []
+
+    def write(self, path: str, work) -> None:
+        from . import text17  # noqa: F401  once, here, so the writers share its tables
+
+        if hasattr(os, "fork"):
+            try:
+                self.started.append(_Forked(work, f"writing {path}"))
+                return
+            except OSError:  # no process to spare
+                pass
+        work()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None or issubclass(kind, Exception):
+                for writer in self.started:
+                    writer.result()
+        finally:
+            for writer in self.started:
+                writer.close()
+
+
 def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k.
 
@@ -666,7 +710,8 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     finest = None
     if n > 1 and hasattr(os, "fork"):
         try:
-            finest = _Forked(lambda: _level(cfg, tail, n - 1)[0])
+            finest = _Forked(lambda: _level(cfg, tail, n - 1)[0],
+                             "evaluating the finest ladder level")
         except OSError:  # no process to spare
             pass
     try:
@@ -713,15 +758,18 @@ def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) ->
     before any output exists if the finest level is over MAX_LADDER_NODES or
     the base grid is too small for a row's margin.
 
-    export(level, out) writes the command's files (CSV, OBJ) from the base
-    level and returns the report's header fields.  Writes and prints
-    <command>_report.json; returns the exit code.
+    export(level, out, write) writes the command's files (CSV, OBJ) from
+    the base level, in place or through write (_Writers.write), and
+    returns the report's header fields.  Every writer is joined before
+    <command>_report.json is written and printed; returns the exit code.
     """
     _check_ladder(cfg.grid, levels)
     _check_margins(cfg.grid, rows)
     out = args.out if args.out else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    checks, fields = _ladder(cfg, rows, levels, lambda level: export(level, out))
+    with _Writers() as writers:
+        checks, fields = _ladder(cfg, rows, levels,
+                                 lambda level: export(level, out, writers.write))
     report = {"command": command, **fields, "checks": checks,
               "pass": all(c["passed"] for c in checks)}
     path = os.path.join(out, f"{command}_report.json")
@@ -780,7 +828,7 @@ def cmd_solve(args) -> int:
     if levels < 1:
         raise ConfigError("--refine must be >= 1")
 
-    def export(level, out):
+    def export(level, out, write):  # two short writes: a writer would cost more than it saves
         bonnet_solver.write_profile_csv(level.profile, os.path.join(out, "profile.csv"))
         write_scalar_csv(level.psi.psi, os.path.join(out, "psi.csv"), "psi")
         return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
@@ -801,9 +849,14 @@ def cmd_mesh(args) -> int:
     cfg = load_config(args.config)
     g = cfg.grid
 
-    def export(level, out):
-        surface_embed.export_obj(level.frame, os.path.join(out, "surface.obj"))
-        _forms_csv(os.path.join(out, "forms.csv"), level.forms)
+    def export(level, out, write):
+        # forms.csv is written while the frame is marched, surface.obj while
+        # the rows are evaluated
+        forms_path, obj_path = os.path.join(out, "forms.csv"), os.path.join(out, "surface.obj")
+        forms = level.forms
+        write(forms_path, lambda: _forms_csv(forms_path, forms))
+        frame = level.frame
+        write(obj_path, lambda: surface_embed.export_obj(frame, obj_path))
         return {
             "grid": _grid_info(g),
             "vertices": g.ns * g.nt,
@@ -823,9 +876,11 @@ def cmd_deform(args) -> int:
     if cfg.t0 is None:
         raise ConfigError("deform needs --t0 (or t0 in the config)")
 
-    def export(level, out):
-        frame, rep = level.deformed
-        surface_embed.export_obj(frame, os.path.join(out, "deformed.obj"))
+    def export(level, out, write):
+        path = os.path.join(out, "deformed.obj")
+        _, frame = level.deformed
+        write(path, lambda: surface_embed.export_obj(frame, path))
+        rep = level.battery("deformation")
         return {
             "t0": rep["t0"],
             "metric_deviation": rep["metric_deviation"],
@@ -844,7 +899,7 @@ def cmd_verify(args) -> int:
     if levels < 2:
         raise ConfigError("verify needs at least 2 refinement levels")
 
-    def export(level, out):
+    def export(level, out, write):
         grids = [cfg.grid.refined(2**k) for k in range(levels)]
         return {"family": cfg.family.describe(), "levels": [_grid_info(g) for g in grids]}
 

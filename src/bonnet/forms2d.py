@@ -421,26 +421,20 @@ def observed_order(hs, residuals, floor: float = 0.0):
 def _write_rows(fh, rows, sep: str = ",", prefix: str = "") -> None:
     """Write a 2-D array one row per line: prefix, then columns joined by sep.
 
-    Integers are written with %d.  Floats get the bytes "%.17g" gives,
-    17 significant digits that read back exactly, from
-    bonnet.text17.format_rows: on 1e-6 < |x| < 1e17 an exact two-product
-    of x and a power of ten yields the 17-digit significand, rounded half
-    to even as dtoa rounds it, and its digits come from a table, a block
-    at a time; other values go through "%.17g" one at a time.  The newline
-    mode fh was opened with sets the line ending.
+    Integers get the bytes "%d" gives, floats those "%.17g" gives: 17
+    significant digits that read back exactly.  Both come from
+    bonnet.text17 a block at a time.  A float on 1e-6 < |x| < 1e17 is an
+    exact two-product of x and a power of ten, whose 17-digit significand
+    is rounded half to even as dtoa rounds it; an integer on
+    0 <= x < 1e8 is two four-digit chunks.  Their digits come from
+    tables, and other values go through "%.17g" or "%d" one at a time.
+    The newline mode fh was opened with sets the line ending.
     """
-    if rows.dtype.kind in "iu":
-        line = prefix + sep.join(["%d"] * rows.shape[1]) + "\n"
+    from .text17 import format_int_rows, format_rows  # on first use: see its docstring
 
-        def text(block):
-            return (line * block.shape[0]) % tuple(block.ravel().tolist())
-    else:
-        from .text17 import format_rows  # on first use: see its docstring
-
-        def text(block):
-            return format_rows(block, sep, prefix).decode("ascii")
+    encode = format_int_rows if rows.dtype.kind in "iu" else format_rows
     for k in range(0, rows.shape[0], ROWS_PER_WRITE):
-        fh.write(text(rows[k:k + ROWS_PER_WRITE]))
+        fh.write(encode(rows[k:k + ROWS_PER_WRITE], sep, prefix).decode("ascii"))
 
 
 def write_scalar_csv(f: ScalarField, path, value_name: str = "value") -> None:

@@ -136,6 +136,9 @@ def _principal(angle):
     return np.pi / 2 - np.mod(np.pi / 2 - np.asarray(angle, dtype=float), np.pi)
 
 
+# data that overflow give inf or nan here without a warning: the fields built
+# from them raise NonFiniteFieldError, which names the node
+@np.errstate(over="ignore", invalid="ignore")
 def _tan_parts_upper(branch: PsiBranch, s, t):
     """(N, D, psi_s, psi_t) for the s > 0 closed forms, tan(psi) = N/D."""
     a, sg, eta = branch.family.a, branch.sigma, branch.eta

@@ -1,5 +1,5 @@
-"""Byte-exact "%.17g" text for blocks of float64 rows, without a Python
-call per value.
+"""Byte-exact "%.17g" and "%d" text for blocks of float64 and integer
+rows, without a Python call per value.
 
 format_rows(block, sep, prefix) returns, for each row of a 2-D float
 block, prefix + sep.join("%.17g" % x for x in row) + "\\n", byte for
@@ -12,15 +12,19 @@ table of four-digit chunks, a block at a time.  Zero, |x| <= 1e-6,
 |x| >= 1e17 and non-finite values go through "%.17g" itself, one value
 at a time.
 
-forms2d._write_rows imports this module on its first float block, so a
-process that writes no floats neither compiles it nor builds its table.
+format_int_rows(block, sep, prefix) does the same for "%d" and integer
+rows: 0 <= x < 1e8 is spelled from a table of four-digit chunks with
+their leading zeros as NUL, any other value by "%d" itself.
+
+forms2d._write_rows imports this module on its first block, so a process
+that writes no CSV or OBJ file neither compiles it nor builds its tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["format_rows", "format_int_rows"]
 
 
 def _digit_table() -> np.ndarray:
@@ -42,6 +46,23 @@ def _digit_table() -> np.ndarray:
 
 
 _DIGITS4 = _digit_table()
+
+
+def _int_table() -> np.ndarray:
+    """Four ASCII digits per uint32: entry i spells f"{i:04d}" with its
+    leading zeros as NUL bytes, so entry 0 is all NUL."""
+    spelled = _DIGITS4[40000:].view(np.uint8).reshape(10000, 4).copy()
+    i = np.arange(10000)
+    for c, unit in enumerate((1000, 100, 10, 1)):
+        spelled[i < unit, c] = 0
+    return spelled.view(np.uint32).ravel()
+
+
+_INT4 = _int_table()
+# the low chunk of an integer below 1e8: entry i spells i alone, 0 as "0",
+# and entry 10000 + i spells it in full, after a nonzero high chunk
+_INT_LOW = np.concatenate([_INT4, _DIGITS4[40000:]])
+_INT_LOW[0] = np.frombuffer(b"\0\0\0" b"0", np.uint32)[0]
 
 # decimal exponents k of the fast range 1e-6 < |x| < 1e17: the scale
 # 10**(16 - k) that brings x to 17 integer digits is an exact double
@@ -169,7 +190,7 @@ def format_rows(block, sep: str, prefix: str) -> bytes:
     non-finite values take "%.17g" % x itself.  Deleting the NULs leaves
     the text.
     """
-    nrows, ncols = block.shape
+    ncols = block.shape[1]
     x = block.ravel()
     a = np.abs(x)
     fast = (a > 1e-6) & (a < 1e17)
@@ -190,12 +211,48 @@ def format_rows(block, sep: str, prefix: str) -> bytes:
     where[order] = np.arange(x.size)
     cells = np.take(sorted_cells.view(f"V{cell}").ravel(), where).view(np.uint8)
     cells = cells.reshape(x.size, cell)
+    _fall_back(cells[:, lead:lead + _FIELD], x, fast, b"%.17g")
+    return _join(cells, ncols, sep, prefix)
+
+
+def format_int_rows(block, sep: str, prefix: str) -> bytes:
+    """Bytes of prefix + sep.join("%d" % x for x in row) + newline, per row.
+
+    Byte for byte what "%d" gives, with no Python call per value on
+    0 <= x < 1e8: its high and low four-digit chunks are two table words
+    in a NUL-padded cell (see format_rows).  Any other value takes
+    "%d" % x itself, in a cell as wide as the longest int64.
+    """
+    ncols = block.shape[1]
+    x = block.ravel()
+    fast = (x >= 0) & (x < 10 ** 8)
+    width = 8 if fast.all() else 20
+    lead = len(prefix)
+    cells = np.zeros((x.size, lead + width + max(len(sep), 1)), np.uint8)
+    v = np.where(fast, x, 0).astype(np.uint32)
+    high = v // 10000
+    words = np.empty((x.size, 2), np.uint32)
+    np.take(_INT4, high, out=words[:, 0])
+    np.take(_INT_LOW, v - high * 10000 + (high > 0) * np.uint32(10000), out=words[:, 1])
+    _copy(cells[:, lead:lead + 8], words.view(np.uint8))
+    _fall_back(cells[:, lead:lead + width], x, fast, b"%d")
+    return _join(cells, ncols, sep, prefix)
+
+
+def _fall_back(fields, x, fast, spec: bytes) -> None:
+    """Each field where not fast holds spec % x, NUL-padded: one call per value."""
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = b"".join([(b"%.17g" % v).ljust(_FIELD, b"\0") for v in x[slow].tolist()])
-        cells[slow, lead:lead + _FIELD] = np.frombuffer(text, np.uint8).reshape(-1, _FIELD)
-    grid = cells.reshape(nrows, ncols, cell)
-    grid[:, 0, :lead] = np.frombuffer(prefix.encode(), np.uint8)
-    grid[:, :-1, cell - len(sep):] = np.frombuffer(sep.encode(), np.uint8)
+        width = fields.shape[1]
+        text = b"".join([(spec % v).ljust(width, b"\0") for v in x[slow].tolist()])
+        fields[slow] = np.frombuffer(text, np.uint8).reshape(-1, width)
+
+
+def _join(cells, ncols: int, sep: str, prefix: str) -> bytes:
+    """The text of the cells, ncols to a row: the prefix in the first cell's
+    leading slot, sep or the newline in each cell's trailing one, NULs deleted."""
+    grid = cells.reshape(-1, ncols, cells.shape[1])
+    grid[:, 0, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
+    grid[:, :-1, grid.shape[2] - len(sep):] = np.frombuffer(sep.encode(), np.uint8)
     grid[:, -1, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0")

@@ -303,6 +303,30 @@ def test_data_that_overflow_the_grid_exit_two(tmp_path, capsys, overrides, argv)
     assert_no_children()
 
 
+@pytest.mark.parametrize("overrides, argv, code", [
+    ({"family": {"kind": "hyper", "a": 1e6}, "psi": {"case": "hyper_appendix", "eta": 0.0}},
+     ["mesh"], 2),
+    ({"family": {"kind": "trig"}, "psi": {"case": "trig_appendix", "eta": 0.3},
+      "grid": {"t_max": 1e8}}, ["verify", "--refine", "2"], 2),
+    ({"psi": {"case": "rational_upper", "sigma": 1e300}}, ["mesh"], 0),
+], ids=["hyper-a-1e6-mesh", "trig-t_max-1e8-verify", "sigma-1e300-mesh"])
+def test_data_that_overflow_print_no_warning(tmp_path, overrides, argv, code):
+    # a fresh interpreter, so stderr is what a user sees, warnings included
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    for key, value in overrides.items():
+        data[key] = {**data[key], **value} if key != "psi" else value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    command, *rest = argv
+    proc = subprocess.run([sys.executable, "-m", "bonnet", command, "--config", str(cfg),
+                           "--out", str(tmp_path / "o"), *rest],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("bonnet: NonFiniteFieldError") if code else proc.stderr == ""
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("kind", KINDS)
 def test_rk4_crosscheck_is_fourth_order_for_both_signs(kind, sign):
@@ -541,7 +565,7 @@ COUNTED = {
     surface_embed: (
         "integrate_frame", "build_deformed_surface", "build_coframes",
         "integrate_deformation", "structure_residuals", "codazzi_summary_residuals",
-        "theta12_report", "weingarten_residual",
+        "theta12_report", "weingarten_residual", "fundamental_forms", "deformation_report",
     ),
     bonnet_solver: ("ideal_residuals",),
     lax_psi: ("lax_residuals", "c_relation_residuals", "alpha_components"),
@@ -607,11 +631,22 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
 
 
 def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, work_counts):
+    # the OBJ writer only writes: the tau march, the deformed frame and the
+    # report each run once, in the command's process
     assert main(["deform", "--config", str(demo_config_file), "--out", str(tmp_path / "d"),
                  "--t0", "1.0"]) == 0
-    for name in ("integrate_deformation", "build_deformed_surface", "build_coframes"):
+    for name in ("integrate_deformation", "build_deformed_surface", "build_coframes",
+                 "fundamental_forms", "deformation_report"):
         assert work_counts[name] == 1, name
     assert work_counts["integrate_frame"] == 0
+    assert_no_children()
+    work_counts.clear()
+    assert main(["mesh", "--config", str(demo_config_file), "--out", str(tmp_path / "m")]) == 0
+    for name in ("integrate_frame", "build_coframes", "fundamental_forms",
+                 "structure_residuals"):
+        assert work_counts[name] == 1, name
+    assert work_counts["integrate_deformation"] == work_counts["build_deformed_surface"] == 0
+    assert_no_children()
     work_counts.clear()
     assert main(["solve", "--config", str(demo_config_file), "--out", str(tmp_path / "s"),
                  "--refine", "3"]) == 0
@@ -771,27 +806,113 @@ def test_no_child_outlives_main(demo_config_file, tmp_path, argv, code):
     assert_no_children()
 
 
+def no_fork():
+    raise OSError(errno.EAGAIN, "no process to spare")
+
+
+def run_small(small_config, out, capsys, argv):
+    """(exit code, stdout, stderr, {name: bytes} of every file in out) of one
+    command, with out spelled OUT in what it prints."""
+    command, *rest = argv
+    code = guarded_main([command, "--config", str(small_config), "--out", str(out), *rest])
+    printed = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.is_file()}
+    return code, printed.out.replace(str(out), "OUT"), printed.err.replace(str(out), "OUT"), files
+
+
 def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, capsys):
+    # the ladder forks only on two or more levels; mesh and deform fork their
+    # writers, and where no process can be forked they write the same bytes
     code = verify_small(small_config, tmp_path)
     forked = (tmp_path / "o" / "verify_report.json").read_bytes()
+    capsys.readouterr()
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    written = {argv: run_small(small_config, tmp_path / argv[0], capsys, argv)
+               for argv in (("mesh",), ("deform", "--t0", "1"))}
+    assert len(forks) == 3  # forms.csv, surface.obj, deformed.obj
+    assert [w[0] for w in written.values()] == [0, 0]
+    assert sorted(written[("mesh",)][3]) == ["forms.csv", "mesh_report.json", "surface.obj"]
     calls = []
 
-    def no_fork():
+    def counted_no_fork():
         calls.append(1)
-        raise OSError(errno.EAGAIN, "no process to spare")
+        no_fork()
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    for argv in (["mesh"], ["deform", "--t0", "1"], ["solve"], ["solve", "--refine", "1"],
-                 ["verify", "--only", "q."]):
+    monkeypatch.setattr(os, "fork", counted_no_fork)
+    for argv in (["solve"], ["solve", "--refine", "1"], ["verify", "--only", "q."]):
         command, *rest = argv
         out = tmp_path / command
         assert guarded_main([command, "--config", str(small_config), "--out", str(out),
                              *rest]) == 0, argv
     assert calls == []
+    capsys.readouterr()
+    for argv, files in written.items():
+        assert run_small(small_config, tmp_path / argv[0], capsys, argv) == files
+    assert calls == [1, 1, 1]
     # where no process can be forked, the finest level runs here, last
     assert verify_small(small_config, tmp_path) == code
-    assert calls == [1]
+    assert calls == [1, 1, 1, 1]
     assert (tmp_path / "o" / "verify_report.json").read_bytes() == forked
+    assert_no_children()
+
+
+def fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, argv):
+    """run_small of argv with a fork, then with os.fork raising, each in a fresh out."""
+    forked = run_small(small_config, tmp_path / "forked", capsys, argv)
+    assert_no_children()
+    monkeypatch.setattr(os, "fork", no_fork)
+    here = run_small(small_config, tmp_path / "here", capsys, argv)
+    return forked, here
+
+
+@pytest.mark.parametrize("argv", [("mesh",), ("deform", "--t0", "1")], ids=" ".join)
+def test_an_io_error_in_a_writer_reads_as_in_one_process(small_config, tmp_path, capsys,
+                                                         monkeypatch, argv):
+    def export_obj(frame, path):
+        raise OSError(errno.ENOSPC, "No space left on device", os.path.basename(path))
+
+    monkeypatch.setattr(surface_embed, "export_obj", export_obj)
+    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, argv)
+    name = "surface.obj" if argv[0] == "mesh" else "deformed.obj"
+    assert forked[:3] == here[:3] == (
+        2, "", f"bonnet: i/o error: [Errno 28] No space left on device: '{name}'\n")
+    assert f"{argv[0]}_report.json" not in forked[3]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("march_fails", [True, False], ids=["march-fails", "obj-writer-starts"])
+def test_a_writers_error_wins_over_a_later_one(small_config, tmp_path, capsys, monkeypatch,
+                                               march_fails):
+    # forms.csv is written before the frame march, which fails too or goes on
+    # to start the surface.obj writer, which is then killed and reaped
+    for out in ("forked", "here"):
+        (tmp_path / out / "forms.csv").mkdir(parents=True)
+    if march_fails:
+        fail_on_grid(monkeypatch, 17, FrameStepError("frame step too large; refine the grid"))
+    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, ("mesh",))
+    assert forked[:3] == here[:3]
+    assert forked[0] == 2
+    assert forked[2] == "bonnet: i/o error: [Errno 21] Is a directory: 'OUT/forms.csv'\n"
+    assert_no_children()
+
+
+def test_a_writer_killed_by_a_signal_is_named(small_config, tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def export_obj(frame, path):
+        assert os.getpid() != parent, "the writer ran in the command's process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(surface_embed, "export_obj", export_obj)
+    with pytest.raises(RuntimeError, match=r"writing .*surface\.obj died from SIGKILL"):
+        guarded_main(["mesh", "--config", str(small_config), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o" / "mesh_report.json").exists()
     assert_no_children()
 
 
@@ -824,10 +945,6 @@ def test_forked_and_one_process_runs_match(tmp_path, monkeypatch, capsys, branch
                 (out / "verify_report.json").read_bytes())
 
     forked = run("forked")
-
-    def no_fork():
-        raise OSError(errno.EAGAIN, "no process to spare")
-
     monkeypatch.setattr(os, "fork", no_fork)
     assert run("here") == forked
     assert_no_children()
@@ -881,10 +998,6 @@ def test_parent_error_on_the_finest_level_wins_over_the_childs(small_config, tmp
     forked = verify_small(small_config, tmp_path), capsys.readouterr()
     assert forked[1].err == "bonnet: DomainError: the finest structure battery left the domain\n"
     assert_no_children()
-
-    def no_fork():
-        raise OSError(errno.EAGAIN, "no process to spare")
-
     monkeypatch.setattr(os, "fork", no_fork)
     assert (verify_small(small_config, tmp_path), capsys.readouterr()) == forked
     assert forked[0] == 2

@@ -8,7 +8,8 @@ CRLF, as the csv module writes them; forms.csv and the OBJ meshes in LF.
 
 The float encoder behind every writer is checked against "%.17g" itself:
 on drawn values, on a table of the values whose text is easiest to get
-wrong, and for its memory per block.
+wrong, and for its memory per block.  The integer encoder behind the OBJ
+faces is checked against "%d" the same way.
 """
 import csv
 import dataclasses
@@ -26,7 +27,7 @@ from bonnet.forms2d import ROWS_PER_WRITE, Grid, ScalarField, _write_rows, write
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
 from bonnet.surface_embed import build_coframes, export_obj, fundamental_forms, integrate_frame
-from bonnet.text17 import _DIGITS4, format_rows
+from bonnet.text17 import _DIGITS4, _INT4, format_int_rows, format_rows
 
 FAM = QFamily("rational", 1, 1.0)
 ICS = HInitialData(1.0, 0.0, 1.0, 0.0, 1.0)
@@ -223,6 +224,50 @@ def test_digit_table_spells_every_four_digit_chunk():
         for keep in range(5):
             expected = (text[:keep] + text[keep:].rstrip("0")).ljust(4, "\0")
             assert spelled[keep, i].tobytes() == expected.encode()
+
+
+def percent_d_rows(rows, sep, prefix):
+    return "".join(prefix + sep.join("%d" % v for v in row) + "\n" for row in rows)
+
+
+# both edges of each four-digit chunk and of the table's range 0 <= x < 1e8,
+# the largest OBJ index the size cap allows, and the ends of int64
+INT_EDGES = (0, 1, 9, 10, 999, 1000, 9999, 10000, 10001, 99999, 100000, 1000000, 9999999,
+             10000000, 12340567, 99999999, 10 ** 8, 10 ** 8 + 1, 2 ** 22, 2 ** 22 + 1, 2 ** 32,
+             2 ** 63 - 1, -1, -9999, -10000, -10 ** 8, -2 ** 63)
+
+
+@pytest.mark.parametrize("sep, prefix", [(",", ""), (" ", "f ")])
+@pytest.mark.parametrize("ncols", range(1, 7))
+def test_int_encoder_matches_percent_on_the_edges(ncols, sep, prefix):
+    values = np.array(INT_EDGES, dtype=np.int64)
+    for rows in (np.resize(values, (-(-values.size // ncols), ncols)),
+                 np.resize(values[1:15], (ncols, ncols))):  # every value on the table
+        assert format_int_rows(rows, sep, prefix).decode() == percent_d_rows(
+            rows.tolist(), sep, prefix)
+
+
+INT_ROWS = st.integers(1, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1) | st.integers(0, 10 ** 8 + 1)
+             | st.sampled_from(INT_EDGES), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_ROWS, st.sampled_from([(",", ""), (" ", "f ")]))
+def test_int_encoder_matches_percent_on_any_int64(rows, style):
+    sep, prefix = style
+    fh = io.StringIO()
+    _write_rows(fh, np.array(rows, dtype=np.int64), sep, prefix)
+    assert fh.getvalue() == percent_d_rows(rows, sep, prefix)
+
+
+def test_int_table_spells_every_four_digit_chunk():
+    spelled = _INT4.view(np.uint8).reshape(10000, 4)
+    for i in range(10000):
+        text = f"{i:04d}"
+        lead = len(text) - len(text.lstrip("0"))  # all four of 0000
+        assert spelled[i].tobytes() == ("\0" * lead + text[lead:]).encode()
 
 
 def test_block_writer_memory_does_not_grow_with_the_file(tmp_path):
