@@ -247,8 +247,8 @@ class PipelineData:
     """Everything the checks need on one grid.
 
     psi, the profile and the coframes are built on construction; the frame,
-    the fundamental forms, the deformed surface and every battery are built
-    on first use, at most once.
+    its FD forms, the fundamental forms, the deformed surface and every
+    battery are built on first use, at most once.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
@@ -300,6 +300,11 @@ class PipelineData:
         return surface_embed.integrate_frame(self.cf, self.profile)
 
     @cached_property
+    def fd_forms(self) -> surface_embed.FDForms:
+        """The frame march's FD fundamental forms, which the frame rows share."""
+        return surface_embed.fd_forms(self.frame)
+
+    @cached_property
     def alpha(self) -> tuple:
         """lax_psi.alpha_components, which the psi.* coframe rows share."""
         return lax_psi.alpha_components(self.psi, self.fam)
@@ -338,8 +343,9 @@ BATTERIES = {
     "codazzi": lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile),
     "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
     "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
-    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(L.profile, L.frame)),
-    "deformation": lambda L: surface_embed.deformation_report(L.profile, L.forms, *L.deformed),
+    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(L.profile, L.fd_forms)),
+    "deformation": lambda L: surface_embed.deformation_report(
+        L.profile, L.forms, L.deformed[0], surface_embed.fd_forms(L.deformed[1])),
 }
 
 
@@ -446,9 +452,10 @@ CHECKS = (
           lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame),
           margin=0, reads_frame=True),
     Check("frame.metric_recovery", "scale_e",
-          lambda L: surface_embed.metric_recovery_residual(L.frame, L.profile), reads_frame=True),
+          lambda L: surface_embed.metric_recovery_residual(L.fd_forms, L.profile),
+          reads_frame=True),
     Check("frame.second_form", "scale_ii",
-          lambda L: surface_embed.second_form_vs_frame(L.forms, L.frame), reads_frame=True),
+          lambda L: surface_embed.second_form_vs_frame(L.forms, L.fd_forms), reads_frame=True),
     Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3, reads_frame=True),
 )
 

@@ -52,6 +52,7 @@ __all__ = [
     "FrameStepError",
     "CoframeSet",
     "FundamentalForms",
+    "FDForms",
     "DeformationParam",
     "WeingartenReport",
     "build_coframes",
@@ -65,8 +66,7 @@ __all__ = [
     "integrate_frame",
     "two_path_residual",
     "fundamental_forms",
-    "first_form_fd",
-    "second_form_fd",
+    "fd_forms",
     "metric_recovery_residual",
     "second_form_vs_frame",
     "integrate_deformation",
@@ -293,13 +293,14 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
     half_sin = _field(g, 0.5 * np.sin(two))
     half_rest = _field(g, 0.5 * (profile.C[:, None] + np.cos(two)))
     cba = _profile_field(g, (profile.C + profile.B) * profile.A)
+    dpsi = d_scalar(psi.psi)
     res = {
         "theta12_via_psi": (
-            th12 - d_scalar(psi.psi) - cf.omega12 - hodge(d_scalar(loga))
+            th12 - dpsi - cf.omega12 - hodge(d_scalar(loga))
         ).max_abs_interior(margin),
         "theta12_hodge": (hodge(th12) - cf.theta1 * c2d).max_abs_interior(margin),
         "dpsi_theta": (
-            d_scalar(psi.psi) + cf.theta1 * half_sin + cf.theta2 * half_rest
+            dpsi + cf.theta1 * half_sin + cf.theta2 * half_rest
         ).max_abs_interior(margin),
         "d_star_omega12": d_oneform(hodge(cf.omega12)).max_abs_interior(margin),
         "d_star_theta12": d_oneform(hodge(th12)).max_abs_interior(margin),
@@ -507,57 +508,58 @@ def _grad(grid: Grid, values):
             np.gradient(values, grid.h_t, axis=1, edge_order=2))
 
 
-def _fd_first_form(grid: Grid, xs, xt):
-    pairs = ((xs, xs), (xs, xt), (xt, xt))
-    return tuple(_adopt(grid, np.sum(a * b, axis=-1)) for a, b in pairs)
+@dataclass(frozen=True)
+class FDForms:
+    """FD first form gss ds^2 + 2 gst ds dt + gtt dt^2 and second form L, M, N."""
+
+    grid: Grid
+    gss: ScalarField
+    gst: ScalarField
+    gtt: ScalarField
+    L: ScalarField
+    M: ScalarField
+    N: ScalarField
 
 
-def _fd_second_form(frame: FrameField, xs, xt):
-    g = frame.grid
-    ns_, nt_ = _grad(g, frame.e3)
-    L = _adopt(g, -np.sum(xs * ns_, axis=-1))
-    M = _adopt(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
-    N = _adopt(g, -np.sum(xt * nt_, axis=-1))
-    return L, M, N
+def fd_forms(frame: FrameField) -> FDForms:
+    """The FD fundamental forms of (x, e3), from x_s, x_t, n_s and n_t taken once.
 
-
-def _metric_deviation(first, profile: SurfaceProfile, margin: int) -> float:
-    gss, gst, gtt = first
-    e2d = np.broadcast_to(profile.E[:, None], gss.grid.shape)
-    return max(
-        max_interior(gss.values - e2d, margin),
-        max_interior(gst.values, margin),
-        max_interior(gtt.values - e2d, margin),
-    )
-
-
-def first_form_fd(frame: FrameField):
-    """Metric coefficients of the integrated immersion by finite differences."""
-    return _fd_first_form(frame.grid, *_grad(frame.grid, frame.x))
-
-
-def second_form_fd(frame: FrameField):
-    """Second-form coefficients from x and the integrated normal e3.
-
-    Uses L = -<x_s, n_s> and friends, which needs only first
-    derivatives and is second-order accurate up to the boundary.
+    The second form uses L = -<x_s, n_s> and friends, which needs only
+    first derivatives and is second-order accurate up to the boundary.
     """
-    return _fd_second_form(frame, *_grad(frame.grid, frame.x))
-
-
-def metric_recovery_residual(frame: FrameField, profile: SurfaceProfile, margin: int = 2) -> float:
-    """Max deviation of the FD metric of x from E (ds^2 + dt^2)."""
-    return _metric_deviation(first_form_fd(frame), profile, margin)
-
-
-def second_form_vs_frame(ff: FundamentalForms, frame: FrameField, margin: int = 2) -> float:
-    """Max deviation of the FD second form of (x, e3) from the algebraic one."""
-    L, M, N = second_form_fd(frame)
-    return max(
-        (L - ff.L).max_abs_interior(margin),
-        (M - ff.M).max_abs_interior(margin),
-        (N - ff.N).max_abs_interior(margin),
+    g = frame.grid
+    xs, xt = _grad(g, frame.x)
+    ns_, nt_ = _grad(g, frame.e3)
+    return FDForms(
+        g,
+        _adopt(g, np.sum(xs * xs, axis=-1)),
+        _adopt(g, np.sum(xs * xt, axis=-1)),
+        _adopt(g, np.sum(xt * xt, axis=-1)),
+        _adopt(g, -np.sum(xs * ns_, axis=-1)),
+        _adopt(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1))),
+        _adopt(g, -np.sum(xt * nt_, axis=-1)),
     )
+
+
+def metric_recovery_residual(fd: FDForms, profile: SurfaceProfile, margin: int = 2) -> float:
+    """Max deviation of the FD metric from E (ds^2 + dt^2)."""
+    e2d = np.broadcast_to(profile.E[:, None], fd.grid.shape)
+    return max(
+        max_interior(fd.gss.values - e2d, margin),
+        max_interior(fd.gst.values, margin),
+        max_interior(fd.gtt.values - e2d, margin),
+    )
+
+
+def _second_form_deviations(ff: FundamentalForms, fd: FDForms, margin: int) -> tuple:
+    """Max deviations of the FD L, M and N from the algebraic ones."""
+    pairs = ((fd.L, ff.L), (fd.M, ff.M), (fd.N, ff.N))
+    return tuple((a - b).max_abs_interior(margin) for a, b in pairs)
+
+
+def second_form_vs_frame(ff: FundamentalForms, fd: FDForms, margin: int = 2) -> float:
+    """Max deviation of the FD second form of (x, e3) from the algebraic one."""
+    return max(_second_form_deviations(ff, fd, margin))
 
 
 @dataclass(frozen=True)
@@ -674,37 +676,30 @@ def deformation_report(
     profile: SurfaceProfile,
     forms: FundamentalForms,
     dp: DeformationParam,
-    frame: FrameField,
+    fd: FDForms,
     margin: int = 2,
 ) -> dict:
     """Numbers the deformation family is judged by at one t0.
 
-    `forms` are the base surface's fundamental forms, `dp` and `frame` the
-    tau march and the deformed frame of the companion at dp.t0
-    (integrate_deformation, build_deformed_surface).  metric_deviation and
-    h_deviation compare the FD metric and FD mean curvature of the deformed
-    immersion against the base profile (both should vanish with h^2); the
-    second-form deviations, and their max ii_deviation, should not.
+    `forms` are the base surface's fundamental forms, `dp` the tau march
+    and `fd` the FD forms of the companion's frame at dp.t0.
+    metric_deviation and h_deviation compare the FD metric and FD mean
+    curvature of the deformed immersion against the base profile (both
+    should vanish with h^2); the second-form deviations, and their max
+    ii_deviation, should not.
     """
-    grid = frame.grid
+    grid = fd.grid
     e2d = np.broadcast_to(profile.E[:, None], grid.shape)
     h2d = np.broadcast_to(profile.H[:, None], grid.shape)
-    xs, xt = _grad(grid, frame.x)
-    L, M, N = _fd_second_form(frame, xs, xt)
-    first = _fd_first_form(grid, xs, xt)
-    gss, _, gtt = first
-    e_fd = 0.5 * (gss.values + gtt.values)
-    h_fd = 0.5 * (L.values + N.values) / e_fd
-    l_dev, m_dev, n_dev = (
-        max_interior(fd.values - alg.values, margin)
-        for fd, alg in ((L, forms.L), (M, forms.M), (N, forms.N))
-    )
+    e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
+    h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
+    l_dev, m_dev, n_dev = _second_form_deviations(forms, fd, margin)
     return {
         "t0": dp.t0,
         "h_max": grid.h_max,
         "metric_scale": max(1.0, float(np.max(np.abs(e2d)))),
         "h_scale": max(1.0, float(np.max(np.abs(h2d)))),
-        "metric_deviation": _metric_deviation(first, profile, margin),
+        "metric_deviation": metric_recovery_residual(fd, profile, margin),
         "h_deviation": max_interior(h_fd - h2d, margin),
         "l_deviation": l_dev,
         "m_deviation": m_dev,
@@ -730,22 +725,17 @@ class WeingartenReport:
 
 
 def weingarten_residual(
-    profile: SurfaceProfile, frame: FrameField, margin: int = 3
+    profile: SurfaceProfile, fd: FDForms, margin: int = 3
 ) -> WeingartenReport:
     """Margin 3 (not the usual 2): K is built from FD forms whose error
     constant changes across the one-sided boundary stencils, and d(K)
     turns that h^2-sized jump into an O(h) band in the three columns
     nearest each edge.  Interior of that band the wedge is clean O(h^2).
     """
-    grid = frame.grid
-    xs, xt = _grad(grid, frame.x)
-    L, M, N = _fd_second_form(frame, xs, xt)
-    gss, gst, gtt = _fd_first_form(grid, xs, xt)
-    det_g = gss.values * gtt.values - gst.values * gst.values
-    k_fd = (L.values * N.values - M.values * M.values) / det_g
-    h2d = _adopt(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())
-    k_field = _adopt(grid, k_fd)
-    wed = wedge(d_scalar(h2d), d_scalar(k_field)).max_abs_interior(margin)
+    grid = fd.grid
+    det_g = fd.gss.values * fd.gtt.values - fd.gst.values * fd.gst.values
+    k_fd = _adopt(grid, (fd.L.values * fd.N.values - fd.M.values * fd.M.values) / det_g)
+    wed = wedge(d_scalar(_profile_field(grid, profile.H)), d_scalar(k_fd)).max_abs_interior(margin)
 
     k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)
     t_var = float(np.max(k_alg.max(axis=1) - k_alg.min(axis=1)))

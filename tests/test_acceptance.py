@@ -298,8 +298,9 @@ def test_c07_immersion_fidelity(level_stack, level_frames):
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
         hs.append(grid.h_max)
         two_path.append(se.two_path_residual(cf, prof, frame))
-        metric.append(se.metric_recovery_residual(frame, prof))
-        second.append(se.second_form_vs_frame(se.fundamental_forms(prof, psi), frame))
+        fd = se.fd_forms(frame)
+        metric.append(se.metric_recovery_residual(fd, prof))
+        second.append(se.second_form_vs_frame(se.fundamental_forms(prof, psi), fd))
     orders = [
         observed_order(hs, two_path),
         observed_order(hs, metric),
@@ -321,7 +322,7 @@ def test_c08_isometric_deformation(level_stack):
 
     dp = se.integrate_deformation(cf, 1.0)
     frame, _ = se.build_deformed_surface(cf, prof, dp)
-    rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), dp, frame)
+    rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), dp, se.fd_forms(frame))
     tol_metric = FD_FACTOR * grid.h_max**2 * rep["metric_scale"]
     tol_h = FD_FACTOR * grid.h_max**2 * rep["h_scale"]
     ii_dev = max(rep["l_deviation"], rep["m_deviation"], rep["n_deviation"])
@@ -352,7 +353,7 @@ def test_c08_isometric_deformation(level_stack):
 def test_c09_weingarten_property(level_stack, level_frames):
     hs, wedge, k_var = [], [], 0.0
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
-        report = se.weingarten_residual(prof, frame)
+        report = se.weingarten_residual(prof, se.fd_forms(frame))
         hs.append(grid.h_max)
         wedge.append(report.wedge_residual)
         k_var = max(k_var, report.k_t_variation)

@@ -566,6 +566,7 @@ COUNTED = {
         "integrate_frame", "build_deformed_surface", "build_coframes",
         "integrate_deformation", "structure_residuals", "codazzi_summary_residuals",
         "theta12_report", "weingarten_residual", "fundamental_forms", "deformation_report",
+        "fd_forms",
     ),
     bonnet_solver: ("ideal_residuals",),
     lax_psi: ("lax_residuals", "c_relation_residuals", "alpha_components"),
@@ -651,6 +652,39 @@ def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, 
     assert main(["solve", "--config", str(demo_config_file), "--out", str(tmp_path / "s"),
                  "--refine", "3"]) == 0
     assert work_counts["ideal_residuals"] == 3
+
+
+def test_each_integrated_surface_is_read_by_finite_differences_once(
+        demo_config_file, tmp_path, work_counts):
+    # the base frame on each of 3 levels, and the deformed frame on the base level
+    assert main(["verify", "--config", str(demo_config_file), "--out", str(tmp_path / "v"),
+                 "--refine", "3"]) == 0
+    assert work_counts["fd_forms"] == 4
+    for argv in (["mesh"], ["deform", "--t0", "1.0"]):
+        work_counts.clear()
+        assert main([argv[0], "--config", str(demo_config_file),
+                     "--out", str(tmp_path / argv[0]), *argv[1:]]) == 0
+        assert work_counts["fd_forms"] == 1, argv[0]
+
+
+def test_check_rows_differentiate_no_surface_twice(demo_config_file, monkeypatch):
+    """Every row of the check table on one level takes x_s, x_t, n_s and n_t
+    of the base and of the deformed surface once each."""
+    cfg = load_config(demo_config_file)
+    level = cli.PipelineData(cfg, cfg.grid)
+    gradient = np.gradient
+    derivatives = []
+
+    def counted(values, *args, **kwargs):
+        if np.ndim(values) == 3:  # x or e3 of a surface, not a scalar field
+            derivatives.append((values.tobytes(), kwargs["axis"]))
+        return gradient(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", counted)
+    for row in cli.CHECKS:
+        level.evaluate(row)
+    assert len(derivatives) == 8
+    assert len(set(derivatives)) == len(derivatives)
 
 
 # the ladder's fork: SMALL_CONFIG's verify runs the 17 x 17 base level and the

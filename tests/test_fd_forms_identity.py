@@ -1,0 +1,169 @@
+"""The shared FD fundamental forms reproduce the per-check route bit for bit.
+
+`surface_embed.fd_forms` takes x_s, x_t, n_s and n_t of an integrated
+surface once, and the metric, second-form, Weingarten and deformation
+checks all read its six coefficients.  The reference functions below are
+the route those checks took when each one differentiated the frame
+itself: `_grad`, `_fd_first_form`, `_fd_second_form` and
+`_metric_deviation` are that code word for word, and each `ref_*` is the
+body of one check on it.  Every coefficient and every residual must be
+exactly equal, on the base surface and on its companion at t0 = 1, for a
+rational and a trig branch on two grids.
+"""
+import numpy as np
+import pytest
+
+from bonnet import surface_embed as se
+from bonnet.bonnet_solver import HInitialData, SurfaceProfile, integrate_h_on_grid
+from bonnet.forms2d import Grid, _adopt, d_scalar, max_interior, wedge
+from bonnet.lax_psi import PsiBranch, psi_field_from_branch
+from bonnet.q_family import QFamily
+from bonnet.surface_embed import FrameField
+
+# (family, psi branch, s-window)
+CASES = {
+    "rational_plus": (QFamily("rational", 1, 1.0), dict(case="rational_upper"), (1.0, 2.0)),
+    "trig_minus": (QFamily("trig", -1, 1.0), dict(case="trig_appendix", eta=0.3), (-2.0, -1.0)),
+}
+SHAPES = ((17, 9), (33, 65))
+COEFFICIENTS = ("gss", "gst", "gtt", "L", "M", "N")
+
+
+# ---------------------------------------------------------------------------
+# the per-check route
+
+
+def _grad(grid: Grid, values):
+    """(d/ds, d/dt) of node values by finite differences, e.g. (x_s, x_t)."""
+    return (np.gradient(values, grid.h_s, axis=0, edge_order=2),
+            np.gradient(values, grid.h_t, axis=1, edge_order=2))
+
+
+def _fd_first_form(grid: Grid, xs, xt):
+    pairs = ((xs, xs), (xs, xt), (xt, xt))
+    return tuple(_adopt(grid, np.sum(a * b, axis=-1)) for a, b in pairs)
+
+
+def _fd_second_form(frame: FrameField, xs, xt):
+    g = frame.grid
+    ns_, nt_ = _grad(g, frame.e3)
+    L = _adopt(g, -np.sum(xs * ns_, axis=-1))
+    M = _adopt(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)))
+    N = _adopt(g, -np.sum(xt * nt_, axis=-1))
+    return L, M, N
+
+
+def _metric_deviation(first, profile: SurfaceProfile, margin: int) -> float:
+    gss, gst, gtt = first
+    e2d = np.broadcast_to(profile.E[:, None], gss.grid.shape)
+    return max(
+        max_interior(gss.values - e2d, margin),
+        max_interior(gst.values, margin),
+        max_interior(gtt.values - e2d, margin),
+    )
+
+
+def ref_coefficients(frame) -> tuple:
+    xs, xt = _grad(frame.grid, frame.x)
+    return _fd_first_form(frame.grid, xs, xt) + _fd_second_form(frame, xs, xt)
+
+
+def ref_metric_recovery(frame, profile, margin=2):
+    return _metric_deviation(
+        _fd_first_form(frame.grid, *_grad(frame.grid, frame.x)), profile, margin)
+
+
+def ref_second_form_vs_frame(ff, frame, margin=2):
+    L, M, N = _fd_second_form(frame, *_grad(frame.grid, frame.x))
+    return max(
+        (L - ff.L).max_abs_interior(margin),
+        (M - ff.M).max_abs_interior(margin),
+        (N - ff.N).max_abs_interior(margin),
+    )
+
+
+def ref_deformation_report(profile, forms, dp, frame, margin=2):
+    grid = frame.grid
+    e2d = np.broadcast_to(profile.E[:, None], grid.shape)
+    h2d = np.broadcast_to(profile.H[:, None], grid.shape)
+    xs, xt = _grad(grid, frame.x)
+    L, M, N = _fd_second_form(frame, xs, xt)
+    first = _fd_first_form(grid, xs, xt)
+    gss, _, gtt = first
+    e_fd = 0.5 * (gss.values + gtt.values)
+    h_fd = 0.5 * (L.values + N.values) / e_fd
+    l_dev, m_dev, n_dev = (
+        max_interior(fd.values - alg.values, margin)
+        for fd, alg in ((L, forms.L), (M, forms.M), (N, forms.N))
+    )
+    return {
+        "t0": dp.t0,
+        "h_max": grid.h_max,
+        "metric_scale": max(1.0, float(np.max(np.abs(e2d)))),
+        "h_scale": max(1.0, float(np.max(np.abs(h2d)))),
+        "metric_deviation": _metric_deviation(first, profile, margin),
+        "h_deviation": max_interior(h_fd - h2d, margin),
+        "l_deviation": l_dev,
+        "m_deviation": m_dev,
+        "n_deviation": n_dev,
+        "ii_deviation": max(l_dev, m_dev, n_dev),
+        "pole_count": len(dp.pole_nodes),
+        "sign_flips": dp.sign_flips,
+    }
+
+
+def ref_weingarten(profile, frame, margin=3):
+    grid = frame.grid
+    xs, xt = _grad(grid, frame.x)
+    L, M, N = _fd_second_form(frame, xs, xt)
+    gss, gst, gtt = _fd_first_form(grid, xs, xt)
+    det_g = gss.values * gtt.values - gst.values * gst.values
+    k_fd = (L.values * N.values - M.values * M.values) / det_g
+    h2d = _adopt(grid, np.broadcast_to(profile.H[:, None], grid.shape).copy())
+    k_field = _adopt(grid, k_fd)
+    wed = wedge(d_scalar(h2d), d_scalar(k_field)).max_abs_interior(margin)
+    k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)
+    t_var = float(np.max(k_alg.max(axis=1) - k_alg.min(axis=1)))
+    return se.WeingartenReport(wed, t_var)
+
+
+# ---------------------------------------------------------------------------
+# the surfaces
+
+
+@pytest.fixture(scope="module", params=[(c, s) for c in CASES for s in SHAPES],
+                ids=lambda p: f"{p[0]}-{p[1][0]}x{p[1][1]}")
+def surface(request):
+    """(profile, forms, dp, base frame, deformed frame) of one case on one grid."""
+    name, shape = request.param
+    fam, branch, (s_min, s_max) = CASES[name]
+    grid = Grid(s_min, s_max, 0.0, 1.0, *shape)
+    psi = psi_field_from_branch(PsiBranch(family=fam, **branch), grid)
+    ics = HInitialData(s0=s_min, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
+    profile = integrate_h_on_grid(ics, fam, grid, substeps=8)
+    cf = se.build_coframes(profile, psi)
+    dp = se.integrate_deformation(cf, 1.0)
+    deformed, _ = se.build_deformed_surface(cf, profile, dp)
+    frame = se.integrate_frame(cf, profile)
+    return profile, se.fundamental_forms(profile, psi), dp, frame, deformed
+
+
+def test_fd_forms_equal_the_per_check_coefficients(surface):
+    _, _, _, frame, deformed = surface
+    for surf in (frame, deformed):
+        fd = se.fd_forms(surf)
+        assert fd.grid is surf.grid
+        for name, ref in zip(COEFFICIENTS, ref_coefficients(surf)):
+            assert np.array_equal(getattr(fd, name).values, ref.values), name
+
+
+def test_checks_on_fd_forms_equal_the_per_check_route(surface):
+    profile, forms, dp, frame, deformed = surface
+    fd, fd2 = se.fd_forms(frame), se.fd_forms(deformed)
+    assert se.metric_recovery_residual(fd, profile) == ref_metric_recovery(frame, profile)
+    assert se.metric_recovery_residual(fd2, profile) == ref_metric_recovery(deformed, profile)
+    assert se.second_form_vs_frame(forms, fd) == ref_second_form_vs_frame(forms, frame)
+    assert se.weingarten_residual(profile, fd) == ref_weingarten(profile, frame)
+    rep = se.deformation_report(profile, forms, dp, fd2)
+    assert rep == ref_deformation_report(profile, forms, dp, deformed)
+    assert rep["ii_deviation"] > 0.0

@@ -22,14 +22,13 @@ from bonnet.surface_embed import (
     connection_from_coframe,
     deformation_report,
     export_obj,
-    first_form_fd,
+    fd_forms,
     fundamental_forms,
     integrate_deformation,
     integrate_frame,
     metric_recovery_residual,
     rotation_transform_residual,
     scaling_transform_residual,
-    second_form_fd,
     second_form_vs_frame,
     structure_residuals,
     theta12_form,
@@ -221,20 +220,19 @@ def test_fundamental_forms_rejects_inconsistent_profile(demo_profile, demo_psi):
 
 
 def test_fd_forms_recover_analytic_ones(demo_frame, demo_profile, demo_forms):
-    assert metric_recovery_residual(demo_frame, demo_profile) < TOL
-    assert second_form_vs_frame(demo_forms, demo_frame) < TOL
-    gss, gst, gtt = first_form_fd(demo_frame)
+    fd = fd_forms(demo_frame)
+    assert metric_recovery_residual(fd, demo_profile) < TOL
+    assert second_form_vs_frame(demo_forms, fd) < TOL
     e2d = demo_profile.E[:, None]
     inner = slice(2, -2)
-    assert np.max(np.abs(gst.values[inner, inner])) < TOL
-    assert np.max(np.abs((gss.values - gtt.values)[inner, inner])) < 2 * TOL
-    assert np.max(np.abs((gss.values - e2d)[inner, inner])) < TOL
-    L, M, N = second_form_fd(demo_frame)
-    assert np.max(np.abs((L.values - demo_forms.L.values)[inner, inner])) < TOL
+    assert np.max(np.abs(fd.gst.values[inner, inner])) < TOL
+    assert np.max(np.abs((fd.gss.values - fd.gtt.values)[inner, inner])) < 2 * TOL
+    assert np.max(np.abs((fd.gss.values - e2d)[inner, inner])) < TOL
+    assert np.max(np.abs((fd.L.values - demo_forms.L.values)[inner, inner])) < TOL
 
 
 def test_weingarten_functional_dependence(demo_profile, demo_frame):
-    rep = weingarten_residual(demo_profile, demo_frame)
+    rep = weingarten_residual(demo_profile, fd_forms(demo_frame))
     assert rep.wedge_residual < TOL
     assert rep.k_t_variation == 0.0
 
@@ -271,7 +269,8 @@ def test_deformed_surface_is_isometric_but_distinct(demo_profile, demo_coframes,
 def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
     dp = integrate_deformation(demo_coframes, t0=1.0)
     frame, _ = build_deformed_surface(demo_coframes, demo_profile, dp)
-    rep = deformation_report(demo_profile, demo_forms, dp, frame)
+    fd = fd_forms(frame)
+    rep = deformation_report(demo_profile, demo_forms, dp, fd)
     assert rep["pole_count"] == 0 and rep["sign_flips"] == 0
     assert rep["metric_deviation"] < TOL * rep["metric_scale"]
     assert rep["h_deviation"] < TOL * rep["h_scale"]
@@ -279,29 +278,7 @@ def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
     assert rep["ii_deviation"] == max(rep["l_deviation"], rep["m_deviation"],
                                       rep["n_deviation"])
     assert rep["t0"] == 1.0
-
-
-def test_fd_checks_differentiate_x_and_e3_once(demo_profile, demo_coframes, demo_forms,
-                                               demo_frame, monkeypatch):
-    dp = integrate_deformation(demo_coframes, t0=1.0)
-    frame, _ = build_deformed_surface(demo_coframes, demo_profile, dp)
-    gradient = np.gradient
-    frame_derivatives = []
-
-    def counted(values, *args, **kwargs):
-        if np.ndim(values) == 3:  # x or e3, not a scalar field
-            frame_derivatives.append(kwargs["axis"])
-        return gradient(values, *args, **kwargs)
-
-    monkeypatch.setattr(np, "gradient", counted)
-    rep = deformation_report(demo_profile, demo_forms, dp, frame)
-    assert sorted(frame_derivatives) == [0, 0, 1, 1]  # x_s, x_t, n_s, n_t
-    frame_derivatives.clear()
-    weingarten_residual(demo_profile, demo_frame)
-    assert sorted(frame_derivatives) == [0, 0, 1, 1]
-    monkeypatch.undo()
-    # sharing the derivatives changes no bit of the public route
-    assert rep["metric_deviation"] == metric_recovery_residual(frame, demo_profile)
+    assert rep["metric_deviation"] == metric_recovery_residual(fd, demo_profile)
 
 
 def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_coframes):
