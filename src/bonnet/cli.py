@@ -68,9 +68,9 @@ RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
-# marches the finest frame, peaks at about 0.55 kB per node, and the parent, which
+# marches the finest frame, peaks at about 0.43 kB per node, and the parent, which
 # holds the finest psi, H, coframes and grid checks, at about 0.36 kB: so the cap
-# keeps them near 2.3 GB and 1.5 GB
+# keeps them near 1.8 GB and 1.5 GB
 MAX_LADDER_NODES = 2**22
 
 

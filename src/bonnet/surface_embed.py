@@ -79,6 +79,9 @@ __all__ = [
 MAX_STEP_ANGLE = 0.5
 T_CLAMP = 1e12
 POLE_EPS = 1e-12
+# grid rows per block of the frame reductions: they hold a few block-sized
+# temporaries at a time where whole-grid expressions would hold grid-sized ones
+_BLOCK_ROWS = 32
 
 
 class FrameStepError(ValueError):
@@ -93,6 +96,28 @@ def _profile_field(grid: Grid, arr) -> ScalarField:
     """Broadcast an s-only profile array across the t-direction."""
     col = np.asarray(arr, dtype=float)[:, None]
     return _adopt(grid, np.broadcast_to(col, grid.shape).copy())
+
+
+def _reduce_rows(reduce, term, *arrays) -> float:
+    """reduce (np.max or np.min) of term(*blocks) over blocks of _BLOCK_ROWS rows.
+
+    The blocks' results are combined by `reduce` too, which keeps a NaN where
+    the builtin max would drop it.  Each element of term's result depends on
+    its own node only, so the value is that of reduce(term(*arrays)).
+    """
+    return float(reduce([
+        reduce(term(*(a[i:i + _BLOCK_ROWS] for a in arrays)))
+        for i in range(0, arrays[0].shape[0], _BLOCK_ROWS)
+    ]))
+
+
+def _abs_diff(a, b):
+    return np.abs(a - b)
+
+
+def _gram_deviation(frames):
+    # a contiguous transpose takes numpy's fast stacked-matmul loop: about 2x at 505^2
+    return np.abs(frames @ np.ascontiguousarray(np.swapaxes(frames, -1, -2)) - np.eye(3))
 
 
 def _check_alignment(profile: SurfaceProfile, grid: Grid) -> None:
@@ -158,12 +183,10 @@ class FrameField:
         return self.frames[..., 2, :]
 
     def orthonormality_error(self) -> float:
-        # a contiguous transpose takes numpy's fast stacked-matmul loop: about 2x at 505^2
-        gram = self.frames @ np.ascontiguousarray(np.swapaxes(self.frames, -1, -2))
-        return float(np.max(np.abs(gram - np.eye(3))))
+        return _reduce_rows(np.max, _gram_deviation, self.frames)
 
     def min_handedness(self) -> float:
-        return float(np.min(np.linalg.det(self.frames)))
+        return _reduce_rows(np.min, np.linalg.det, self.frames)
 
 
 @dataclass(frozen=True)
@@ -448,10 +471,10 @@ def two_path_residual(cf: CoframeSet, profile: SurfaceProfile, frame: FrameField
     """
     seed = FrameSeed(frame.x[0, 0], *frame.frames[0, 0])
     other = integrate_frame(cf, profile, seed, "s_first")
-    return max(
-        float(np.max(np.abs(frame.x - other.x))),
-        float(np.max(np.abs(frame.frames - other.frames))),
-    )
+    return float(np.max([
+        _reduce_rows(np.max, _abs_diff, frame.x, other.x),
+        _reduce_rows(np.max, _abs_diff, frame.frames, other.frames),
+    ]))
 
 
 @dataclass(frozen=True)
