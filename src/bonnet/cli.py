@@ -34,7 +34,6 @@ import numpy as np
 from . import bonnet_solver, lax_psi, surface_embed
 from .bonnet_solver import BlowUpError, HInitialData, RegimeError
 from .forms2d import (
-    FLOOR_RTOL,
     CoframeSingularError,
     Grid,
     NonFiniteFieldError,
@@ -63,6 +62,8 @@ from .surface_embed import FrameStepError
 __all__ = ["main", "RunConfig", "ConfigError", "cmd_verify"]
 
 ORDER_TARGET = 1.9
+# the rules of the rows that run on every ladder level
+LADDER_RULES = ("ladder", "identity")
 RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
@@ -372,6 +373,8 @@ class Check(NamedTuple):
       fd           value <= F h^2 scale, on the base level only
       lower_bound  value > 10 F h^2 scale, on the base level only
       ladder       fd on every level, and the observed order >= ORDER_TARGET
+      identity     algebraic on every level, with no order: the residual is
+                   zero in exact arithmetic, by how its fields are built
     """
 
     name: str
@@ -420,10 +423,10 @@ CHECKS = (
         L.cf.alpha1, L.cf.alpha2,
     ).max_abs_interior(2)),
     Check("profile.gauss", "scale_q2", lambda L: bonnet_solver.gauss_s_residual(L.profile)),
-    Check("profile.ideal_dlog_a", "scale_q2", "ideal", "dlog_a"),
+    Check("profile.ideal_dlog_a", "scale_q2", "ideal", "dlog_a", "identity"),
     Check("profile.ideal_db", "scale_q2", "ideal", "db"),
-    Check("profile.ideal_dc", "scale_q2", "ideal", "dc"),
-    Check("profile.ideal_dh", "scale_q2", "ideal", "dh"),
+    Check("profile.ideal_dc", "scale_q2", "ideal", "dc", "identity"),
+    Check("profile.ideal_dh", "scale_q2", "ideal", "dh", "identity"),
     Check("profile.ideal_dlog_j", "scale_q2", "ideal", "dlog_j"),
     Check("profile.geodesic", "scale_q2",
           lambda L: bonnet_solver.geodesic_curvature_residual(L.profile)),
@@ -434,14 +437,14 @@ CHECKS = (
     Check("structure.d_omega12", "scale_structure", "structure", "d_omega12"),
     Check("codazzi.dh", "scale_q", "codazzi", "codazzi_dh"),
     Check("codazzi.dlog_j", "scale_q", "codazzi", "codazzi_dlog_j"),
-    Check("codazzi.d_theta1", "scale_q", "codazzi", "d_theta1"),
+    Check("codazzi.d_theta1", "scale_q", "codazzi", "d_theta1", "identity"),
     Check("codazzi.d_alpha1", "scale_q", "codazzi", "d_alpha1"),
     Check("codazzi.d_alpha2", "scale_q", "codazzi", "d_alpha2"),
     Check("theta12.via_psi", "scale_q", "theta12", "theta12_via_psi"),
-    Check("theta12.hodge", "scale_q", "theta12", "theta12_hodge"),
+    Check("theta12.hodge", "scale_q", "theta12", "theta12_hodge", "identity"),
     Check("theta12.dpsi", "scale_q", "theta12", "dpsi_theta"),
     Check("theta12.d_star_omega12", "scale_q", "theta12", "d_star_omega12"),
-    Check("theta12.d_star_theta12", "scale_q", "theta12", "d_star_theta12"),
+    Check("theta12.d_star_theta12", "scale_q", "theta12", "d_star_theta12", "identity"),
     Check("theta12.xi12", "scale_q", "theta12", "xi12_relation"),
     Check("transform.rotation", "scale_q", lambda L: surface_embed.rotation_transform_residual(
         L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
@@ -504,11 +507,7 @@ def _rk4_crosscheck(fam: QFamily):
 
 
 def _fmt_order(order) -> str:
-    if order is None:
-        return ""
-    if order == "converged":
-        return " order=converged"
-    return f" order={order:.2f}"
+    return "" if order is None else f" order={order:.2f}"
 
 
 def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: list) -> dict:
@@ -516,9 +515,9 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     value = values[0]
     h2 = cfg.fd_factor * cfg.grid.h_max**2
     order = None
-    if row.rule == "algebraic":
+    if row.rule in ("algebraic", "identity"):  # one value, or one per level
         tol = cfg.tol_algebraic * scale
-        passed = value <= tol
+        passed = all(v <= tol for v in values)  # a NaN on any level fails
     elif row.rule == "bound":
         tol = scale
         passed = value <= tol
@@ -532,14 +531,12 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     else:  # fd, ladder
         tol = h2 * scale
         passed = value <= tol
-        if row.rule == "ladder":
-            details = {"residuals": values}
         if len(values) >= 2:  # only ladder rows run on more than one level
-            order = observed_order(hs, values, floor=FLOOR_RTOL * scale)
-            if order == math.inf:
-                order = "converged"
-            elif order is None or order < ORDER_TARGET:
+            order = observed_order(hs, values)
+            if order is None or order < ORDER_TARGET:
                 passed = False
+    if row.rule in LADDER_RULES:
+        details = {"residuals": values}
     entry = {
         "name": row.name,
         "kind": "fd" if row.rule == "ladder" else row.rule,
@@ -692,10 +689,10 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
 
     Each level is built, its rows are evaluated and only their floats are
     kept before it is dropped, so no grid-sized array outlives its level.
-    Rows other than "ladder" ones run on the base level only, and one level
-    is built when no ladder row is selected.  export(level) runs first, on
-    the base level.  Returns the report entries in row order and what
-    export returned.
+    Ladder rows (rule in LADDER_RULES) run on every level, the others on
+    the base level only, and one level is built when no ladder row is
+    selected.  export(level) runs first, on the base level.  Returns the
+    report entries in row order and what export returned.
 
     With two or more levels, the finest level is split at the first ladder
     row that reads the frame march.  A forked child evaluates that row and
@@ -709,7 +706,7 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     killed and reaped on every way out.  Where no process can be forked,
     the finest level runs here, whole and last.
     """
-    on_ladder = [row for row in rows if row.rule == "ladder"]
+    on_ladder = [row for row in rows if row.rule in LADDER_RULES]
     n = levels if on_ladder else 1
     # no row reading the frame puts the cut at 0: the child takes the whole level
     cut = next((i for i, row in enumerate(on_ladder) if row.reads_frame), 0)

@@ -44,11 +44,6 @@ __all__ = [
 # invert reliably at that node; callers must refuse, not regularize.
 DET_RTOL = 1e-12
 
-# residuals at or below FLOOR_RTOL * scale at the finest levels are treated as
-# converged when estimating observed orders (definitional identities sit at
-# rounding level and carry no h-dependence).
-FLOOR_RTOL = 1e-13
-
 # rows per block that _write_rows formats and writes at once: enough that
 # the per-block numpy calls cost little per value, few enough that a block
 # of 6 float columns peaks at about 1 MB, so no file is held whole
@@ -398,20 +393,15 @@ def mixed_partial_residual(f: ScalarField, c1: OneForm, c2: OneForm) -> ScalarFi
     return f21 - f12 + f2
 
 
-def observed_order(hs, residuals, floor: float = 0.0):
-    """Least-squares slope of log(residual) vs log(h).
-
-    Returns math.inf when the finest residuals sit at or below `floor`
-    (nothing left to converge), and None when fewer than two levels rise
-    above the floor (no measurable rate).
+def observed_order(hs, residuals):
+    """Least-squares slope of log(residual) vs log(h) over the positive
+    residuals, or None when fewer than two are positive (no measurable rate).
     """
     hs = np.asarray(hs, dtype=float)
     rs = np.asarray(residuals, dtype=float)
     if hs.shape != rs.shape or hs.size < 2:
         raise ValueError("need matching h and residual sequences, length >= 2")
-    if np.all(rs[-2:] <= floor):
-        return math.inf
-    keep = rs > max(floor, 0.0)
+    keep = rs > 0.0
     if np.count_nonzero(keep) < 2:
         return None
     slope = np.polyfit(np.log(hs[keep]), np.log(rs[keep]), 1)[0]

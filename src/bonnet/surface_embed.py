@@ -120,6 +120,13 @@ def _gram_deviation(frames):
     return np.abs(frames @ np.ascontiguousarray(np.swapaxes(frames, -1, -2)) - np.eye(3))
 
 
+def _det(frames):
+    # a +inf det would hide from the min: read it as NaN, which the min keeps
+    d = np.linalg.det(frames)
+    d[np.isinf(d)] = np.nan
+    return d
+
+
 def _check_alignment(profile: SurfaceProfile, grid: Grid) -> None:
     s = grid.s_nodes()
     if profile.s.size != grid.ns:
@@ -186,7 +193,8 @@ class FrameField:
         return _reduce_rows(np.max, _gram_deviation, self.frames)
 
     def min_handedness(self) -> float:
-        return _reduce_rows(np.min, np.linalg.det, self.frames)
+        """Smallest det of the frames, or NaN if a det is not finite."""
+        return _reduce_rows(np.min, _det, self.frames)
 
 
 @dataclass(frozen=True)

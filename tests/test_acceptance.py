@@ -4,9 +4,10 @@ One test per shipped guarantee, each printing a single PASS/FAIL line
 (visible under pytest -s; under plain pytest the test name itself is the
 line).  Tolerances sit next to the asserts they guard.  Convergence
 orders come from the shared least-squares fit over three grid or step
-refinements; residuals parked at the rounding floor count as converged.
+refinements.  The residuals that the check table (cli.CHECKS) judges as
+identities, zero in exact arithmetic by how their fields are built, are
+bounded by the algebraic tolerance on every refinement instead.
 """
-import math
 import os
 
 import numpy as np
@@ -40,12 +41,16 @@ from bonnet.bonnet_solver import (
     perturbed_profile,
 )
 from bonnet import surface_embed as se
-from bonnet.cli import main
+from bonnet.cli import CHECKS, main
 
 import pytest
 
 ORDER_TARGET = 1.9
 FD_FACTOR = 25.0
+ALGEBRAIC_TOL = 1e-10
+
+# (battery, key) of every check row judged as an identity
+IDENTITIES = {(row.battery, row.key) for row in CHECKS if row.rule == "identity"}
 
 DEMO_FAM = QFamily("rational", 1, 1.0)
 DEMO_ICS = HInitialData(s0=1.0, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -71,22 +76,29 @@ def _report(tag: str, ok: bool, detail: str) -> None:
 
 
 def _order_ok(order) -> bool:
-    if order == math.inf:  # at the rounding floor on the finest levels
-        return True
     return order is not None and order >= ORDER_TARGET
 
 
 def _fmt_order(order) -> str:
-    if order == math.inf:
-        return "converged"
     return "none" if order is None else f"{order:.2f}"
 
 
 def _min_order(orders) -> str:
-    numeric = [o for o in orders if o not in (None, math.inf)]
-    if not numeric:
-        return "all converged"
-    return f"min order {min(numeric):.2f}"
+    numeric = [o for o in orders if o is not None]
+    return f"min order {min(numeric):.2f}" if numeric else "no order"
+
+
+def _judged(hs, series: dict) -> tuple:
+    """({name: order} of the convergence residuals, {name: max(values) / scale}
+    of the identities) from {(battery, key): (values, scale)} over steps hs."""
+    orders, identities = {}, {}
+    for (battery, key), (vals, scale) in series.items():
+        name = f"{battery}.{key}"
+        if (battery, key) in IDENTITIES:
+            identities[name] = max(vals) / scale
+        else:
+            orders[name] = observed_order(hs, vals)
+    return orders, identities
 
 
 def _unit_window(fam: QFamily):
@@ -199,22 +211,20 @@ def test_c05_h_equation_and_gauss_consistency():
     point_ok = gauss < 1e-6 and all(v < 1e-5 for v in ideal.values())
 
     # Orders from a coarser step triplet: second s-differences divide
-    # marching noise by step^2, so below ~1e-3 the residuals sit on the
-    # rounding floor and a fit there would measure noise.
+    # marching noise by step^2, so below ~1e-3 the residuals sit at
+    # rounding level and a fit there would measure noise.
     steps = [4e-3, 2e-3, 1e-3]
-    series: dict[str, list] = {"gauss": []}
+    series: dict[tuple, list] = {("profile", "gauss"): []}
     scale = 1.0
     for step in steps:
         p = integrate_h(DEMO_ICS, DEMO_FAM, 2.0, step)
         scale = max(scale, float(np.max(2.0 * p.Q**2)))
-        series["gauss"].append(gauss_s_residual(p))
+        series["profile", "gauss"].append(gauss_s_residual(p))
         for key, value in ideal_residuals(p).items():
-            series.setdefault(key, []).append(value)
-    orders = {
-        name: observed_order(steps, vals, floor=1e-13 * scale)
-        for name, vals in series.items()
-    }
+            series.setdefault(("ideal", key), []).append(value)
+    orders, identities = _judged(steps, {name: (vals, scale) for name, vals in series.items()})
     orders_ok = all(_order_ok(o) for o in orders.values())
+    identities_ok = all(r <= ALGEBRAIC_TOL for r in identities.values())
 
     warped = perturbed_profile(prof, E=prof.E * (1.0 + 0.01 * prof.s**2))
     shifted = perturbed_profile(prof, B=prof.B + 0.01)
@@ -222,11 +232,13 @@ def test_c05_h_equation_and_gauss_consistency():
     neg_db = ideal_residuals(shifted)["db"]
     controls_ok = neg_gauss > 1e-3 and neg_db > 1e-3
 
-    ok = point_ok and orders_ok and controls_ok
+    ok = point_ok and orders_ok and identities_ok and controls_ok
     _report(
         "C5", ok,
         f"gauss {gauss:.2e} (tol 1e-6), ideal max "
         f"{max(ideal.values()):.2e} (tol 1e-5), {_min_order(orders.values())}, "
+        f"{len(identities)} identities max {max(identities.values()):.1e} "
+        f"(tol {ALGEBRAIC_TOL:g}, scaled), "
         f"controls {neg_gauss:.1e}/{neg_db:.1e} (want > 1e-3)",
     )
     assert ok
@@ -247,41 +259,44 @@ def test_c06_structure_equation_suite(level_stack):
     scale_e = max(1.0, float(np.max(prof0.E)))
     scale_ii = max(1.0, float(np.max(prof0.E * (np.abs(prof0.H) + prof0.J))))
 
-    battery: dict[str, tuple] = {}
+    battery: dict[tuple, tuple] = {}
 
-    def add(name, value, scale):
-        battery.setdefault(name, ([], scale))[0].append(float(value))
+    def add(name, key, value, scale):
+        battery.setdefault((name, key), ([], scale))[0].append(float(value))
 
     for grid, psi, prof, cf in level_stack:
         for key, value in se.structure_residuals(cf, prof).items():
-            add(f"structure.{key}", value, max(scale_e, scale_ii))
+            add("structure", key, value, max(scale_e, scale_ii))
         for key, value in se.codazzi_summary_residuals(cf, prof).items():
-            add(f"codazzi.{key}", value, scale_q)
+            add("codazzi", key, value, scale_q)
         for key, value in se.theta12_report(cf, psi, prof).items():
-            add(f"theta12.{key}", value, scale_q)
-        add("connection.rotation", se.rotation_transform_residual(cf, _rotation_field(grid)), scale_q)
-        add("connection.scaling", se.scaling_transform_residual(cf, _scaling_field(grid)), scale_q)
+            add("theta12", key, value, scale_q)
+        add("connection", "rotation", se.rotation_transform_residual(cf, _rotation_field(grid)),
+            scale_q)
+        add("connection", "scaling", se.scaling_transform_residual(cf, _scaling_field(grid)),
+            scale_q)
         fam = prof.family
         alpha = alpha_components(psi, fam)
-        add("psi.constraint", psi_constraint_residual(psi, alpha).max_abs_interior(2), scale_q)
+        add("psi", "constraint", psi_constraint_residual(psi, alpha).max_abs_interior(2), scale_q)
         r1, r2 = c_relation_residuals(psi, fam, alpha)
-        add("psi.c_relation", max(r1.max_abs_interior(2), r2.max_abs_interior(2)), scale_q)
-        add("psi.second_order", psi_second_order_residual(alpha).max_abs_interior(2), scale_q)
-        add("profile.geodesic", geodesic_curvature_residual(prof), scale_q2)
+        add("psi", "c_relation", max(r1.max_abs_interior(2), r2.max_abs_interior(2)), scale_q)
+        add("psi", "second_order", psi_second_order_residual(alpha).max_abs_interior(2), scale_q)
+        add("profile", "geodesic", geodesic_curvature_residual(prof), scale_q2)
 
     hs = [grid.h_max for grid, *_ in level_stack]
-    orders = {}
-    for name, (vals, scale) in battery.items():
-        orders[name] = observed_order(hs, vals, floor=1e-13 * scale)
+    orders, identities = _judged(hs, battery)
     bad = sorted(name for name, o in orders.items() if not _order_ok(o))
+    bad += sorted(name for name, r in identities.items() if r > ALGEBRAIC_TOL)
     ok = not bad
     _report(
         "C6", ok,
-        f"{len(orders)} identity residuals on 64^2..253^2, "
-        f"{_min_order(orders.values())} (want >= {ORDER_TARGET})"
+        f"{len(orders)} convergence residuals on 64^2..253^2, "
+        f"{_min_order(orders.values())} (want >= {ORDER_TARGET}); "
+        f"{len(identities)} identities max {max(identities.values()):.1e} "
+        f"(tol {ALGEBRAIC_TOL:g}, scaled)"
         + (f"; failing: {bad}" if bad else ""),
     )
-    assert ok, {name: _fmt_order(orders[name]) for name in bad}
+    assert ok, {name: orders.get(name, identities.get(name)) for name in bad}
 
 
 @pytest.fixture(scope="module")

@@ -401,7 +401,15 @@ def test_solve_with_refinement_reports_orders(demo_config_file, tmp_path):
     report = json.loads((out / "solve_report.json").read_text())
     fd = [c for c in report["checks"] if c["kind"] == "fd"]
     assert fd and all("order" in c for c in fd)
-    assert all(c["order"] == "converged" or c["order"] >= 1.9 for c in fd)
+    assert all(c["order"] >= 1.9 for c in fd)
+    # the identities run on every level too, and are bounded, not fitted
+    identities = [c for c in report["checks"] if c["kind"] == "identity"]
+    assert [c["name"] for c in identities] == [
+        "profile.ideal_dlog_a", "profile.ideal_dc", "profile.ideal_dh"]
+    for c in identities:
+        assert "order" not in c and len(c["details"]["residuals"]) == 3
+        assert c["value"] == c["details"]["residuals"][0]
+        assert max(c["details"]["residuals"]) <= c["tolerance"]
 
 
 def test_mesh_outputs(small_config, tmp_path):
@@ -1009,10 +1017,11 @@ def test_only_rows_marked_as_reading_the_frame_read_it(small_config, monkeypatch
 
 
 def test_frame_rows_are_the_tail_of_the_ladder_rows():
-    flags = [row.reads_frame for row in cli.CHECKS if row.rule == "ladder"]
+    on_ladder = [row for row in cli.CHECKS if row.rule in cli.LADDER_RULES]
+    flags = [row.reads_frame for row in on_ladder]
     cut = flags.index(True)
     assert cut > 0 and not any(flags[:cut]) and all(flags[cut:])
-    assert [row.name for row in cli.CHECKS if row.rule == "ladder"][cut:] == [
+    assert [row.name for row in on_ladder][cut:] == [
         "frame.two_path", "frame.metric_recovery", "frame.second_form", "weingarten.wedge"]
 
 

@@ -1,0 +1,110 @@
+"""Each check row judged as an identity fails under a defect it is there to see.
+
+A row of cli.CHECKS with rule "identity" is zero in exact arithmetic by how
+its fields are built, so it is bounded by tolerances.algebraic on every
+level instead of fitted to an order.  That bound must not make the row
+vacuous.  Each entry of DEFECTS names one defect: a profile perturbed with
+bonnet_solver.perturbed_profile, or a mutation of one pipeline function,
+which the monkeypatch fixture reverts.  The row runs alone through the
+ladder over two levels of the demo config, 17^2 and 33^2; the clean run
+passes and the run under the defect fails.
+"""
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from bonnet import bonnet_solver, cli, surface_embed
+from bonnet.bonnet_solver import perturbed_profile
+from bonnet.forms2d import ScalarField
+
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo_rational.json"
+IDENTITIES = [row for row in cli.CHECKS if row.rule == "identity"]
+
+
+def demo_config(ns: int = 17) -> cli.RunConfig:
+    data = json.loads(DEMO.read_text())
+    data["grid"].update(ns=ns, nt=ns)
+    return cli.RunConfig(data)
+
+
+def warped(field):
+    """field * (1 + 1e-3 (s - s0)^2): a defect that vanishes at the profile's start."""
+    return lambda p: getattr(p, field) * (1.0 + 1e-3 * (p.s - p.s[0]) ** 2)
+
+
+def t_factor(grid):
+    """1 + 0.1 t: a factor that no field built from s-only data carries."""
+    return ScalarField.from_function(grid, lambda s, t: 1.0 + 0.1 * t)
+
+
+def profile_with(**fields):
+    """The pipeline's profile with fields[name](profile) in place of each field."""
+    def mutate(integrate):
+        def perturbed(*args, **kwargs):
+            p = integrate(*args, **kwargs)
+            return perturbed_profile(p, **{k: f(p) for k, f in fields.items()})
+        return perturbed
+    return bonnet_solver, "integrate_h_on_grid", mutate
+
+
+def coframes_with(theta1):
+    """The pipeline's coframes with theta1(coframes) in place of theta1."""
+    def mutate(build):
+        def rebuilt(profile, psi):
+            cf = build(profile, psi)
+            return replace(cf, theta1=theta1(cf))
+        return rebuilt
+    return surface_embed, "build_coframes", mutate
+
+
+# row name -> (module, function, mutation: the original function -> its replacement)
+DEFECTS = {
+    # B is no longer the FD of log A / Q
+    "profile.ideal_dlog_a": profile_with(B=lambda p: p.B + 1e-3),
+    # C no longer matches the analytic C' it is checked against
+    "profile.ideal_dc": profile_with(C=warped("C")),
+    # J is no longer H' / Q
+    "profile.ideal_dh": profile_with(J=warped("J")),
+    # theta1 = e A ds times a function of t is not closed
+    "codazzi.d_theta1": coframes_with(lambda cf: cf.theta1 * t_factor(cf.grid)),
+    # theta1 built as alpha1, a sign flip in build_coframes
+    "theta12.hodge": coframes_with(lambda cf: cf.alpha1),
+    # *theta12 = C A e ds times a function of t is not closed
+    "theta12.d_star_theta12": (surface_embed, "theta12_form",
+                               lambda form: lambda cf, p: form(cf, p) * t_factor(cf.grid)),
+}
+
+
+def judged(cfg, row) -> dict:
+    """The report entry of `row` alone over two ladder levels."""
+    (entry,), _ = cli._ladder(cfg, [row], 2, None)
+    return entry
+
+
+def test_every_identity_row_has_a_defect():
+    assert sorted(DEFECTS) == sorted(row.name for row in IDENTITIES)
+
+
+@pytest.mark.parametrize("row", IDENTITIES, ids=lambda row: row.name)
+def test_an_identity_row_fails_under_its_defect(row, monkeypatch):
+    cfg = demo_config()
+    clean = judged(cfg, row)
+    assert clean["kind"] == "identity" and clean["passed"], clean
+    assert len(clean["details"]["residuals"]) == 2
+    module, name, mutate = DEFECTS[row.name]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    broken = judged(cfg, row)
+    assert not broken["passed"], broken
+    assert broken["value"] > 1e3 * broken["tolerance"]
+
+
+@pytest.mark.parametrize("finest, passed", [(1e-12, True), (1e-9, False), (float("nan"), False)])
+def test_the_identity_bound_holds_on_every_level(finest, passed):
+    cfg, row = demo_config(), IDENTITIES[0]
+    hs = [cfg.grid.h_max, cfg.grid.h_max / 2]
+    entry = cli._judge(cfg, row, [1e-15, finest], 1.0, {}, hs)
+    assert entry["tolerance"] == cfg.tol_algebraic and entry["value"] == 1e-15
+    assert entry["passed"] is passed and "order" not in entry
+    assert entry["details"]["residuals"][0] == 1e-15 and len(entry["details"]["residuals"]) == 2

@@ -235,14 +235,8 @@ def test_observed_order_recovers_exponent(p, logc):
     hs = np.array([1 / 32, 1 / 64, 1 / 128])
     res = math.exp(logc) * hs ** p
     assert observed_order(hs, res) == pytest.approx(p, abs=1e-8)
-
-
-def test_observed_order_floor_rule():
-    hs = [1 / 32, 1 / 64, 1 / 128]
-    # the two finest residuals sit on the floor: nothing left to converge
-    assert math.isinf(observed_order(hs, [1e-15, 8e-16, 9e-16], floor=1e-13))
-    # fewer than two levels above the floor: no measurable rate
-    assert observed_order(hs, [1e-16, 1e-3, 1e-16], floor=1e-13) is None
+    # fewer than two positive residuals: no measurable rate
+    assert observed_order(hs, [0.0, res[1], 0.0]) is None
     with pytest.raises(ValueError):
         observed_order([1e-2], [1e-4])
 

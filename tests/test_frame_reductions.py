@@ -7,8 +7,8 @@ below are the whole-array expressions they replace, word for word; the
 block results must equal them exactly, on the base frame and on the
 companion at t0 = 1, on grids whose row count is below, at, one past and
 not a multiple of the block size.  A NaN or inf planted in the last block
-must reach the result and fail the check rows, and no reduction may hold
-a grid-sized temporary.
+must reach the result and fail the check rows (an inf frame entry makes
+the handedness NaN), and no reduction may hold a grid-sized temporary.
 """
 import json
 import tracemalloc
@@ -53,7 +53,8 @@ def ref_orthonormality_error(frame):
 
 
 def ref_min_handedness(frame):
-    return float(np.min(np.linalg.det(frame.frames)))
+    det = np.linalg.det(frame.frames)
+    return float(np.min(np.where(np.isinf(det), np.nan, det)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +154,12 @@ def test_a_non_finite_node_in_the_last_block_fails_the_frame_rows(level, where, 
             assert np.isnan(two_path) if np.isnan(bad) else two_path == np.inf
             assert not passes(cfg, pipeline, "frame.two_path")
             if where != "x":
-                assert not np.isfinite(ortho)
+                assert not np.isfinite(ortho) and np.isnan(hand)
                 assert not passes(cfg, pipeline, "frame.orthonormality")
+                # an inf entry gives a +inf det, which the min would pass over
+                assert not passes(cfg, pipeline, "frame.handedness")
                 if np.isnan(bad):
-                    assert np.isnan(ortho) and np.isnan(hand)
-                    assert not passes(cfg, pipeline, "frame.handedness")
+                    assert np.isnan(ortho)
             else:
                 assert ortho == clean.orthonormality_error()
                 assert hand == clean.min_handedness()
