@@ -69,9 +69,9 @@ RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
-# marches the finest frame, peaks at about 0.43 kB per node, and the parent, which
-# holds the finest psi, H, coframes and grid checks, at about 0.36 kB: so the cap
-# keeps them near 1.8 GB and 1.5 GB
+# marches the finest frame, peaks at about 0.40 kB per node, and the parent, which
+# holds the finest psi, H, coframes and grid checks, at about 0.28 kB: so the cap
+# keeps them near 1.7 GB and 1.2 GB
 MAX_LADDER_NODES = 2**22
 
 
@@ -307,8 +307,8 @@ class PipelineData:
 
     @cached_property
     def alpha(self) -> tuple:
-        """lax_psi.alpha_components, which the psi.* coframe rows share."""
-        return lax_psi.alpha_components(self.psi, self.fam)
+        """lax_psi.alpha_components in the coframes' alpha, which the psi.* rows share."""
+        return lax_psi.alpha_components(self.psi, self.cf.alpha1, self.cf.alpha2)
 
     @cached_property
     def forms(self) -> surface_embed.FundamentalForms:
@@ -528,9 +528,9 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     elif row.rule == "lower_bound":
         tol = 10.0 * (h2 * scale)
         passed = value > tol
-    else:  # fd, ladder
+    else:  # fd on the base level, ladder on every level
         tol = h2 * scale
-        passed = value <= tol
+        passed = all(v <= tol for v in values)  # a NaN on any level fails
         if len(values) >= 2:  # only ladder rows run on more than one level
             order = observed_order(hs, values)
             if order is None or order < ORDER_TARGET:

@@ -359,6 +359,9 @@ def decompose_in_coframe(w: OneForm, c1: OneForm, c2: OneForm):
     return _adopt(g, f1), _adopt(g, f2)
 
 
+# a spacing whose square underflows gives inf or nan quietly; laplacian's field then
+# raises NonFiniteFieldError, which names the node
+@np.errstate(divide="ignore", invalid="ignore")
 def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second derivative along an axis; central interior, one-sided edges.
 

@@ -45,7 +45,6 @@ __all__ = [
     "lax_residuals",
     "branch_lax_residuals",
     "harmonic_residual",
-    "alpha_forms",
     "alpha_components",
     "psi_constraint_residual",
     "c_relation_residuals",
@@ -357,28 +356,12 @@ def harmonic_residual(psi: PsiField, margin: int = 1) -> float:
     return laplacian(psi.psi).max_abs_interior(margin)
 
 
-def alpha_forms(fam: QFamily, psi: PsiField):
-    """The flat coframe (alpha1, alpha2) = Q R(2 psi) (ds, dt).
-
-    alpha1 = Q (cos(2 psi) ds - sin(2 psi) dt)
-    alpha2 = Q (sin(2 psi) ds + cos(2 psi) dt)
-    It is closed/Chern-exact: d(alpha1) = 0, d(alpha2) = alpha1 ^ alpha2.
-    """
-    q, _ = _q_on_grid(fam, psi.grid)
-    g = psi.grid
-    two = 2.0 * psi.psi.values
-    c, s_ = np.cos(two), np.sin(two)
-    a1 = OneForm(_adopt(g, q * c), _adopt(g, -q * s_))
-    a2 = OneForm(_adopt(g, q * s_), _adopt(g, q * c))
-    return a1, a2
-
-
-def alpha_components(psi: PsiField, fam: QFamily) -> tuple:
-    """(alpha1, alpha2, psi_1, psi_2): the alpha coframe and the components
-    of d(psi) in it, the `alpha` that the three residuals below share."""
-    a1, a2 = alpha_forms(fam, psi)
-    p1, p2 = decompose_in_coframe(d_scalar(psi.psi), a1, a2)
-    return a1, a2, p1, p2
+def alpha_components(psi: PsiField, alpha1: OneForm, alpha2: OneForm) -> tuple:
+    """(alpha1, alpha2, psi_1, psi_2): the flat coframe alpha = Q R(2 psi) (ds, dt)
+    that surface_embed.build_coframes builds, and the components of d(psi)
+    in it, the `alpha` that the three residuals below share."""
+    p1, p2 = decompose_in_coframe(d_scalar(psi.psi), alpha1, alpha2)
+    return alpha1, alpha2, p1, p2
 
 
 def psi_constraint_residual(psi: PsiField, alpha: tuple) -> ScalarField:

@@ -7,8 +7,8 @@ build the orthonormal coframe
     omega1 = e (cos(psi) ds - sin(psi) dt)
     omega2 = e (sin(psi) ds + cos(psi) dt)
 
-with connection form omega12 = xi12 - d(psi), where xi1 = e ds,
-xi2 = e dt is the untwisted conformal coframe and xi12 = *d(log e).
+with connection form omega12 = xi12 - d(psi), where xi12 = *d(log e)
+is the connection of the untwisted conformal coframe e (ds, dt).
 Every structure identity of the construction is exposed as a grid
 residual, the frame (x, e1, e2, e3) is integrated with exact rotation
 steps, and the one-parameter family of isometric, mean-curvature
@@ -199,21 +199,19 @@ class FrameField:
 
 @dataclass(frozen=True)
 class CoframeSet:
-    """All coframes of the construction over one grid."""
+    """All coframes of the construction over one grid: omega with its connection
+    omega12, xi12 = *d(log e), theta, and the flat coframe alpha = Q R(2 psi) (ds, dt)
+    of the closed ideal, in which the psi rows decompose d(psi)."""
 
     grid: Grid
     omega1: OneForm
     omega2: OneForm
     omega12: OneForm
-    xi1: OneForm
-    xi2: OneForm
     xi12: OneForm
     theta1: OneForm
     theta2: OneForm
     alpha1: OneForm
     alpha2: OneForm
-    u: ScalarField
-    v: ScalarField
 
 
 def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
@@ -221,10 +219,10 @@ def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
 
     The twisted coframe is the conformal one rotated by psi, the theta
     and alpha coframes are its rescalings by (u, v) = A (cos, sin) psi.
+    This is the one place the alpha coframe is built.
     """
     grid = psi.grid
     _check_alignment(profile, grid)
-    zero = np.zeros(grid.shape)
     e2d = np.broadcast_to(profile.e[:, None], grid.shape)
     a2d = np.broadcast_to(profile.A[:, None], grid.shape)
     ang = psi.psi.values
@@ -232,8 +230,6 @@ def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
 
     omega1 = OneForm(_field(grid, e2d * cosp), _field(grid, -e2d * sinp))
     omega2 = OneForm(_field(grid, e2d * sinp), _field(grid, e2d * cosp))
-    xi1 = OneForm(_field(grid, e2d), _field(grid, zero))
-    xi2 = OneForm(_field(grid, zero), _field(grid, e2d))
     xi12 = hodge(d_scalar(_field(grid, np.log(e2d))))
     omega12 = xi12 - d_scalar(psi.psi)
 
@@ -243,16 +239,17 @@ def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
     theta2 = omega2 * u - omega1 * v
     alpha1 = omega1 * u - omega2 * v
     alpha2 = omega1 * v + omega2 * u
-    return CoframeSet(
-        grid, omega1, omega2, omega12, xi1, xi2, xi12,
-        theta1, theta2, alpha1, alpha2, u, v,
-    )
+    return CoframeSet(grid, omega1, omega2, omega12, xi12, theta1, theta2, alpha1, alpha2)
+
+
+def _e_dt(grid: Grid, profile: SurfaceProfile, coef) -> OneForm:
+    """coef e dt for an s-only coef; each node's q is the product e * coef."""
+    return OneForm(_field(grid, np.zeros(grid.shape)), _profile_field(grid, profile.e * coef))
 
 
 def theta12_form(cf: CoframeSet, profile: SurfaceProfile) -> OneForm:
-    """Connection form of the theta coframe: theta12 = -C A xi2."""
-    ca = _profile_field(cf.grid, -profile.C * profile.A)
-    return cf.xi2 * ca
+    """Connection form of the theta coframe: theta12 = -C A e dt."""
+    return _e_dt(cf.grid, profile, -profile.C * profile.A)
 
 
 def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
@@ -314,7 +311,7 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
     *theta12 = C theta1
     d(psi) = -1/2 sin(2 psi) theta1 - 1/2 (C + cos(2 psi)) theta2
     d(*omega12) = 0,  d(*theta12) = 0
-    xi12 = -(C + B) A xi2
+    xi12 = -(C + B) A e dt
     """
     g = cf.grid
     th12 = theta12_form(cf, profile)
@@ -323,7 +320,6 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
     two = 2.0 * psi.psi.values
     half_sin = _field(g, 0.5 * np.sin(two))
     half_rest = _field(g, 0.5 * (profile.C[:, None] + np.cos(two)))
-    cba = _profile_field(g, (profile.C + profile.B) * profile.A)
     dpsi = d_scalar(psi.psi)
     res = {
         "theta12_via_psi": (
@@ -335,7 +331,9 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
         ).max_abs_interior(margin),
         "d_star_omega12": d_oneform(hodge(cf.omega12)).max_abs_interior(margin),
         "d_star_theta12": d_oneform(hodge(th12)).max_abs_interior(margin),
-        "xi12_relation": (cf.xi12 + cf.xi2 * cba).max_abs_interior(margin),
+        "xi12_relation": (
+            cf.xi12 + _e_dt(g, profile, (profile.C + profile.B) * profile.A)
+        ).max_abs_interior(margin),
     }
     return res
 
@@ -393,7 +391,8 @@ def _rot_exp(m12, m13, m23) -> np.ndarray:
         np.asarray(m13, dtype=float),
         np.asarray(m23, dtype=float),
     )
-    th2 = m12 * m12 + m13 * m13 + m23 * m23
+    with np.errstate(over="ignore"):  # an overflowing step is an inf angle, refused below
+        th2 = m12 * m12 + m13 * m13 + m23 * m23
     th = np.sqrt(th2)
     if np.max(th) > MAX_STEP_ANGLE:
         raise FrameStepError(
@@ -764,8 +763,10 @@ def weingarten_residual(
     nearest each edge.  Interior of that band the wedge is clean O(h^2).
     """
     grid = fd.grid
-    det_g = fd.gss.values * fd.gtt.values - fd.gst.values * fd.gst.values
-    k_fd = _adopt(grid, (fd.L.values * fd.N.values - fd.M.values * fd.M.values) / det_g)
+    # forms that overflow give inf or nan quietly; k_fd's NonFiniteFieldError names the node
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_g = fd.gss.values * fd.gtt.values - fd.gst.values * fd.gst.values
+        k_fd = _adopt(grid, (fd.L.values * fd.N.values - fd.M.values * fd.M.values) / det_g)
     wed = wedge(d_scalar(_profile_field(grid, profile.H)), d_scalar(k_fd)).max_abs_interior(margin)
 
     k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)

@@ -276,7 +276,7 @@ def test_c06_structure_equation_suite(level_stack):
         add("connection", "scaling", se.scaling_transform_residual(cf, _scaling_field(grid)),
             scale_q)
         fam = prof.family
-        alpha = alpha_components(psi, fam)
+        alpha = alpha_components(psi, cf.alpha1, cf.alpha2)
         add("psi", "constraint", psi_constraint_residual(psi, alpha).max_abs_interior(2), scale_q)
         r1, r2 = c_relation_residuals(psi, fam, alpha)
         add("psi", "c_relation", max(r1.max_abs_interior(2), r2.max_abs_interior(2)), scale_q)

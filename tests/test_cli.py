@@ -639,6 +639,25 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
     assert work_counts["integrate_deformation"] == 1
 
 
+def test_psi_rows_decompose_in_the_levels_own_alpha_coframe(small_config, monkeypatch):
+    coframes = []
+    decompose = lax_psi.decompose_in_coframe
+
+    def spy(w, c1, c2):
+        coframes.append((c1, c2))
+        return decompose(w, c1, c2)
+
+    monkeypatch.setattr(lax_psi, "decompose_in_coframe", spy)
+    cfg = load_config(small_config)
+    level = cli.PipelineData(cfg, cfg.grid)
+    for row in cli.CHECKS:
+        if row.name in ("psi.constraint", "psi.c_relation", "psi.second_order"):
+            level.evaluate(row)
+    # d(psi) once for the three rows, then d(psi_1) and d(psi_2) for psi.second_order
+    assert len(coframes) == 3
+    assert all(c1 is level.cf.alpha1 and c2 is level.cf.alpha2 for c1, c2 in coframes)
+
+
 def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, work_counts):
     # the OBJ writer only writes: the tau march, the deformed frame and the
     # report each run once, in the command's process

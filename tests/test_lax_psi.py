@@ -17,7 +17,6 @@ from bonnet.lax_psi import (
     PsiBranch,
     PsiField,
     alpha_components,
-    alpha_forms,
     branch_consistency_error,
     branch_lax_residuals,
     c_relation_residuals,
@@ -188,19 +187,14 @@ def test_harmonicity_converges(case):
     assert res[1] < res[0] / 3.0
 
 
-def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family):
+def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family, demo_coframes):
     g = demo_psi.grid
     tol = 25.0 * g.h_max ** 2
-    alpha = alpha_components(demo_psi, demo_family)
+    alpha = alpha_components(demo_psi, demo_coframes.alpha1, demo_coframes.alpha2)
     assert psi_constraint_residual(demo_psi, alpha).max_abs_interior(2) < tol
     r1, r2 = c_relation_residuals(demo_psi, demo_family, alpha)
     assert r1.max_abs_interior(2) < tol and r2.max_abs_interior(2) < tol
     assert psi_second_order_residual(alpha).max_abs_interior(2) < 4 * tol
-
-
-def test_alpha_forms_shapes(demo_psi, demo_family):
-    a1, a2 = alpha_forms(demo_family, demo_psi)
-    assert a1.grid == demo_psi.grid and a2.grid == demo_psi.grid
 
 
 def test_integrate_lax_matches_closed_form(demo_branch, demo_family):

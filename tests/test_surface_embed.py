@@ -14,6 +14,7 @@ from bonnet.q_family import ConsistencyError, QFamily, eval_dlog_q
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.bonnet_solver import integrate_h_on_grid, perturbed_profile
 from bonnet.surface_embed import (
+    CoframeSet,
     DeformationParam,
     FrameSeed,
     build_coframes,
@@ -53,23 +54,29 @@ def test_frame_seed_validation():
     assert np.array_equal(m, np.eye(3))
 
 
-def test_coframe_algebra(demo_coframes, demo_profile):
+def test_coframe_algebra(demo_coframes, demo_profile, demo_psi):
     cf = demo_coframes
     q2d = demo_profile.Q[:, None]
     e2d = demo_profile.e[:, None]
-    a2d = demo_profile.A[:, None]
     # theta1 = Q ds and theta2 = Q dt up to rounding
     assert np.max(np.abs(cf.theta1.p.values - q2d)) < 1e-13
     assert np.max(np.abs(cf.theta1.q.values)) < 1e-13
     assert np.max(np.abs(cf.theta2.q.values - q2d)) < 1e-13
     assert np.max(np.abs(cf.theta2.p.values)) < 1e-13
-    # u^2 + v^2 = A^2, and omega1 ^ omega2 is the area form e^2 ds^dt
-    assert np.max(np.abs(cf.u.values ** 2 + cf.v.values ** 2 - a2d ** 2)) < 1e-12
+    # omega1 ^ omega2 is the area form e^2 ds^dt
     area = wedge(cf.omega1, cf.omega2)
     assert np.max(np.abs(area.r.values - e2d ** 2)) < 1e-13
-    # xi coframe is the conformal factor times coordinates
-    assert np.max(np.abs(cf.xi1.p.values - e2d)) < 1e-13
-    assert np.all(cf.xi1.q.values == 0.0)
+    # alpha1 = Q (cos 2psi, -sin 2psi) and alpha2 = Q (sin 2psi, cos 2psi) up to rounding
+    two = 2.0 * demo_psi.psi.values
+    for form, (p, q) in ((cf.alpha1, (np.cos(two), -np.sin(two))),
+                         (cf.alpha2, (np.sin(two), np.cos(two)))):
+        assert np.max(np.abs(form.p.values - q2d * p)) < 1e-13
+        assert np.max(np.abs(form.q.values - q2d * q)) < 1e-13
+
+
+def test_coframe_set_holds_no_unread_fields():
+    assert list(CoframeSet.__dataclass_fields__) == [
+        "grid", "omega1", "omega2", "omega12", "xi12", "theta1", "theta2", "alpha1", "alpha2"]
 
 
 def test_structure_residuals_small(demo_coframes, demo_profile):
