@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import cached_property
 from typing import NamedTuple
 
@@ -319,8 +318,7 @@ class PipelineData:
         """(tau march, frame) of the companion at the config's t0 (default 1)."""
         t0 = 1.0 if self.cfg.t0 is None else self.cfg.t0
         dp = surface_embed.integrate_deformation(self.cf, t0)
-        frame, _ = surface_embed.build_deformed_surface(self.cf, self.profile, dp)
-        return dp, frame
+        return dp, surface_embed.build_deformed_surface(self.cf, self.profile, dp)
 
 
 def _q_identities(L: PipelineData) -> dict:
@@ -332,7 +330,7 @@ def _q_identities(L: PipelineData) -> dict:
         "q4": float(np.max(eval_q(fam, s) ** 4)),
         "exactness": float(np.max(np.abs(q_ode_residual(fam, s)))),
         "first_integral": float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q))),
-        "kappa": first_integral_kappa(fam),
+        "kappa": fam.kappa,
     }
 
 
@@ -344,7 +342,7 @@ BATTERIES = {
     "codazzi": lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile),
     "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
     "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
-    "weingarten": lambda L: asdict(surface_embed.weingarten_residual(L.profile, L.fd_forms)),
+    "weingarten": lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms),
     "deformation": lambda L: surface_embed.deformation_report(
         L.profile, L.forms, L.deformed[0], surface_embed.fd_forms(L.deformed[1])),
 }

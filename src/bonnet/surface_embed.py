@@ -54,7 +54,6 @@ __all__ = [
     "FundamentalForms",
     "FDForms",
     "DeformationParam",
-    "WeingartenReport",
     "build_coframes",
     "theta12_form",
     "structure_residuals",
@@ -176,14 +175,6 @@ class FrameField:
             raise ValueError("frame arrays do not match the grid shape")
         self.x.setflags(write=False)
         self.frames.setflags(write=False)
-
-    @property
-    def e1(self) -> np.ndarray:
-        return self.frames[..., 0, :]
-
-    @property
-    def e2(self) -> np.ndarray:
-        return self.frames[..., 1, :]
 
     @property
     def e3(self) -> np.ndarray:
@@ -581,15 +572,10 @@ def metric_recovery_residual(fd: FDForms, profile: SurfaceProfile, margin: int =
     )
 
 
-def _second_form_deviations(ff: FundamentalForms, fd: FDForms, margin: int) -> tuple:
-    """Max deviations of the FD L, M and N from the algebraic ones."""
-    pairs = ((fd.L, ff.L), (fd.M, ff.M), (fd.N, ff.N))
-    return tuple((a - b).max_abs_interior(margin) for a, b in pairs)
-
-
 def second_form_vs_frame(ff: FundamentalForms, fd: FDForms, margin: int = 2) -> float:
-    """Max deviation of the FD second form of (x, e3) from the algebraic one."""
-    return max(_second_form_deviations(ff, fd, margin))
+    """Max deviation of the FD L, M and N of (x, e3) from the algebraic ones."""
+    pairs = ((fd.L, ff.L), (fd.M, ff.M), (fd.N, ff.N))
+    return max((a - b).max_abs_interior(margin) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -665,15 +651,15 @@ def integrate_deformation(
 def build_deformed_surface(
     cf: CoframeSet, profile: SurfaceProfile, dp: DeformationParam,
     seed: FrameSeed = FrameSeed(), order: str = "t_first",
-):
+) -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
-    Returns (FrameField, FundamentalForms) of the deformed immersion.
-    The deformed connection is omega12 - d(tau) with d(tau) eliminated
-    algebraically through d(tau) = (alpha2 - t alpha1) / (1 + t^2), so
-    no FD derivative of tau enters the frame march.
+    Returns the FrameField of the deformed immersion; its fundamental
+    forms are read off the march by fd_forms.  The deformed connection is
+    omega12 - d(tau) with d(tau) eliminated algebraically through
+    d(tau) = (alpha2 - t alpha1) / (1 + t^2), so no FD derivative of tau
+    enters the frame march.
     """
-    grid = cf.grid
     t = dp.t_field.values
     den = np.sqrt(1.0 + t * t)
     st = 1.0 / den   # sin(tau), up to the mod-pi ambiguity past a pole
@@ -685,21 +671,7 @@ def build_deformed_surface(
     dtau = (cf.alpha2 - cf.alpha1 * t) * inv
     w12s = cf.omega12 - dtau
     w13s, w23s = _second_forms(w1s, w2s, profile)
-
-    p1, q1 = w1s.p.values, w1s.q.values
-    p2, q2 = w2s.p.values, w2s.q.values
-    # L = (H + J) p1^2 + (H - J) p2^2 etc., as w13 = (H + J) w1 and w23 = (H - J) w2
-    p13, q13 = w13s.p.values, w13s.q.values
-    p23, q23 = w23s.p.values, w23s.q.values
-    forms = FundamentalForms(
-        grid,
-        _adopt(grid, 0.5 * (p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2)),
-        _adopt(grid, p13 * p1 + p23 * p2),
-        _adopt(grid, p13 * q1 + p23 * q2),
-        _adopt(grid, q13 * q1 + q23 * q2),
-    )
-    frame = _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, grid, seed, order)
-    return frame, forms
+    return _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, cf.grid, seed, order)
 
 
 def deformation_report(
@@ -709,55 +681,38 @@ def deformation_report(
     fd: FDForms,
     margin: int = 2,
 ) -> dict:
-    """Numbers the deformation family is judged by at one t0.
+    """The numbers the deformation family is judged by at one t0.
 
     `forms` are the base surface's fundamental forms, `dp` the tau march
     and `fd` the FD forms of the companion's frame at dp.t0.
     metric_deviation and h_deviation compare the FD metric and FD mean
-    curvature of the deformed immersion against the base profile (both
-    should vanish with h^2); the second-form deviations, and their max
-    ii_deviation, should not.
+    curvature of the companion against the base profile (both vanish
+    with h^2); ii_deviation, the max deviation of its FD second form from
+    the base surface's, does not, as the companion is a different surface.
+    pole_count and sign_flips are the tau march's pole bookkeeping.
     """
-    grid = fd.grid
-    e2d = np.broadcast_to(profile.E[:, None], grid.shape)
-    h2d = np.broadcast_to(profile.H[:, None], grid.shape)
+    h2d = np.broadcast_to(profile.H[:, None], fd.grid.shape)
     e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
     h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
-    l_dev, m_dev, n_dev = _second_form_deviations(forms, fd, margin)
     return {
         "t0": dp.t0,
-        "h_max": grid.h_max,
-        "metric_scale": max(1.0, float(np.max(np.abs(e2d)))),
-        "h_scale": max(1.0, float(np.max(np.abs(h2d)))),
         "metric_deviation": metric_recovery_residual(fd, profile, margin),
         "h_deviation": max_interior(h_fd - h2d, margin),
-        "l_deviation": l_dev,
-        "m_deviation": m_dev,
-        "n_deviation": n_dev,
-        "ii_deviation": max(l_dev, m_dev, n_dev),
+        "ii_deviation": second_form_vs_frame(forms, fd, margin),
         "pole_count": len(dp.pole_nodes),
         "sign_flips": dp.sign_flips,
     }
 
 
-@dataclass(frozen=True)
-class WeingartenReport:
+def weingarten_residual(profile: SurfaceProfile, fd: FDForms, margin: int = 3) -> dict:
     """Functional dependence of K on H along the family.
 
     wedge_residual: max |dH ^ dK| with K from the FD shape operator of
     the integrated surface (vanishes with h^2 when K is a function of H
     alone).  k_t_variation: spread of the algebraic K along each t-line
     (zero because K = H^2 - J^2 depends on s only).
-    """
 
-    wedge_residual: float
-    k_t_variation: float
-
-
-def weingarten_residual(
-    profile: SurfaceProfile, fd: FDForms, margin: int = 3
-) -> WeingartenReport:
-    """Margin 3 (not the usual 2): K is built from FD forms whose error
+    Margin 3 (not the usual 2): K is built from FD forms whose error
     constant changes across the one-sided boundary stencils, and d(K)
     turns that h^2-sized jump into an O(h) band in the three columns
     nearest each edge.  Interior of that band the wedge is clean O(h^2).
@@ -771,7 +726,7 @@ def weingarten_residual(
 
     k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)
     t_var = float(np.max(k_alg.max(axis=1) - k_alg.min(axis=1)))
-    return WeingartenReport(wed, t_var)
+    return {"wedge_residual": wed, "k_t_variation": t_var}
 
 
 def export_obj(frame: FrameField, path) -> None:

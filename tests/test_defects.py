@@ -11,7 +11,10 @@ ladder over two levels of the demo config, 17^2 and 33^2; the clean run
 passes and the run under the defect fails.
 
 LADDER_DEFECTS does the same for the ladder rows that read the alpha
-coframe, on a window of their own (psi_window_config).
+coframe, on a window of their own (psi_window_config), and BASE_DEFECTS
+for rows judged on the base level alone: the companion surface's rows and
+q.first_integral.  A defect in a function is seen by every module that
+imported it by name, as a defect in its source would be.
 """
 import json
 from dataclasses import replace
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bonnet import bonnet_solver, cli, lax_psi, surface_embed
+from bonnet import bonnet_solver, cli, lax_psi, q_family, surface_embed
 from bonnet.bonnet_solver import perturbed_profile
 from bonnet.forms2d import ScalarField
 
@@ -112,6 +115,43 @@ LADDER_DEFECTS = {
 }
 
 
+def scaled_qp(eval_q_derivatives):
+    """Q' scaled by 1 + 1e-6: Q no longer meets its first integral."""
+    def scaled(fam, s):
+        q, qp, qpp = eval_q_derivatives(fam, s)
+        return q, qp * (1.0 + 1e-6), qpp
+    return scaled
+
+
+# base-level row name -> (module, function, mutation), as in DEFECTS
+BASE_DEFECTS = {
+    "q.first_integral": (q_family, "eval_q_derivatives", scaled_qp),
+    # the companion's coframe (omega1, omega2) scaled by 1.5: its metric is 2.25 E
+    "deform.metric": (surface_embed, "build_deformed_surface",
+                      lambda build: lambda cf, *args, **kwargs: build(
+                          replace(cf, omega1=cf.omega1 * 1.5, omega2=cf.omega2 * 1.5),
+                          *args, **kwargs)),
+    # the companion marched with H + 0.5 in its second forms
+    "deform.h": (surface_embed, "build_deformed_surface",
+                 lambda build: lambda cf, profile, *args, **kwargs: build(
+                     cf, perturbed_profile(profile, H=profile.H + 0.5), *args, **kwargs)),
+    # tau = 0: the coframe is not rotated, so the companion is the base surface
+    "deform.ii_distinct": (surface_embed, "build_deformed_surface",
+                           lambda build: lambda cf, profile, dp, *args, **kwargs:
+                           surface_embed.integrate_frame(cf, profile, *args, **kwargs)),
+}
+
+
+def patch_everywhere(monkeypatch, module, name, mutate):
+    """mutate(module.name) in place of module.name and of each bonnet module's
+    binding of it."""
+    original = getattr(module, name)
+    defective = mutate(original)
+    for where in (bonnet_solver, cli, lax_psi, q_family, surface_embed):
+        if getattr(where, name, None) is original:
+            monkeypatch.setattr(where, name, defective)
+
+
 def judged(cfg, row) -> dict:
     """The report entry of `row` alone over two ladder levels."""
     (entry,), _ = cli._ladder(cfg, [row], 2, None)
@@ -167,3 +207,15 @@ def test_the_ladder_bound_holds_on_every_level(finest, passed):
     assert entry["value"] == 4e-4 and entry["value"] <= entry["tolerance"]
     assert entry["passed"] is passed
     assert entry["details"]["residuals"][2] is finest
+
+
+@pytest.mark.parametrize("name", sorted(BASE_DEFECTS))
+def test_a_base_level_row_fails_under_its_defect(name, monkeypatch):
+    row = next(row for row in cli.CHECKS if row.name == name)
+    assert row.rule not in cli.LADDER_RULES
+    cfg = demo_config()
+    clean = judged(cfg, row)
+    assert clean["passed"] and "order" not in clean, clean
+    patch_everywhere(monkeypatch, *BASE_DEFECTS[name])
+    broken = judged(cfg, row)
+    assert not broken["passed"], broken

@@ -69,7 +69,7 @@ def build(name, shape):
     ics = HInitialData(s0=s_min, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
     profile = integrate_h_on_grid(ics, fam, grid, substeps=8)
     cf = se.build_coframes(profile, psi)
-    deformed, _ = se.build_deformed_surface(cf, profile, se.integrate_deformation(cf, 1.0))
+    deformed = se.build_deformed_surface(cf, profile, se.integrate_deformation(cf, 1.0))
     return profile, cf, integrate_frame(cf, profile), deformed
 
 

@@ -1,0 +1,56 @@
+"""Every file the four commands write keeps its bytes.
+
+solve --refine 2, mesh, deform --t0 1 and verify --refine 2 run in-process
+on the 17 x 17 config of test_cli, and the sha256 of each file they write
+is compared with tests/data/report_sha256.json.  The digests hold under the
+numpy version recorded beside them; under another numpy the last bit of a
+residual may move, so the test skips.  To record them again:
+
+    PYTHONPATH=src python tests/test_report_bytes.py
+"""
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bonnet.cli import main
+from test_cli import SMALL_CONFIG
+
+RECORD = Path(__file__).resolve().parent / "data" / "report_sha256.json"
+RUNS = {
+    "solve": ["solve", "--refine", "2"],
+    "mesh": ["mesh"],
+    "deform": ["deform", "--t0", "1"],
+    "verify": ["verify", "--refine", "2"],
+}
+
+
+def digests(root: Path) -> dict:
+    """sha256 of every file of every run in RUNS, keyed "<command>/<file>"."""
+    config = root / "small.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    out = {}
+    for command, argv in RUNS.items():
+        folder = root / command
+        main([*argv, "--config", str(config), "--out", str(folder)])
+        for path in sorted(folder.iterdir()):
+            out[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_every_output_file_keeps_its_bytes(tmp_path, capsys):
+    record = json.loads(RECORD.read_text())
+    if record["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded under numpy {record['numpy']}, "
+                    f"this is numpy {np.__version__}")
+    assert digests(tmp_path) == record["sha256"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__, "sha256": digests(Path(tmp))}
+    RECORD.parent.mkdir(exist_ok=True)
+    RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
