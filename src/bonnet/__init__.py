@@ -10,8 +10,8 @@ the grid calculus that turns each identity into a measurable residual.
 """
 
 from .bonnet_solver import HInitialData, SurfaceProfile, integrate_h, integrate_h_on_grid
-from .forms2d import Grid, OneForm, ScalarField, TwoForm, observed_order
-from .lax_psi import PsiBranch, PsiField, integrate_lax, psi_field_from_branch
+from .forms2d import Grid, OneForm, ScalarField, observed_order
+from .lax_psi import PsiBranch, integrate_lax, psi_field_from_branch
 from .q_family import QFamily, SingularityGuard
 from .surface_embed import (
     FrameField,
@@ -30,12 +30,10 @@ __all__ = [
     "Grid",
     "ScalarField",
     "OneForm",
-    "TwoForm",
     "observed_order",
     "QFamily",
     "SingularityGuard",
     "PsiBranch",
-    "PsiField",
     "psi_field_from_branch",
     "integrate_lax",
     "HInitialData",

@@ -151,10 +151,6 @@ class SurfaceProfile:
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
 
-    @property
-    def step(self) -> float:
-        return float(self.s[1] - self.s[0])
-
     @classmethod
     def from_h_samples(cls, s, H, Hp, Hpp, fam: QFamily, tau_c: float) -> "SurfaceProfile":
         s = np.asarray(s, dtype=float)

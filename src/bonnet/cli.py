@@ -291,6 +291,12 @@ class PipelineData:
         return value, scale, {key: result[key] for key in row.details}
 
     @property
+    def scale_inv_q2(self) -> float:
+        """max 1/Q^2: psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice."""
+        q = self.profile.Q
+        return max(1.0, float(np.max(1.0 / (q * q))))
+
+    @property
     def scale_q4(self) -> float:
         return self.battery("q")["q4"]
 
@@ -395,7 +401,8 @@ CHECKS = (
     Check("lax.closed_form", "scale_q", lambda L: max(
         r.max_abs() for r in lax_psi.branch_lax_residuals(L.cfg.psi_branch, L.grid)
     ), rule="algebraic", margin=0),
-    Check("psi.branch_consistency", 1.0, lambda L: lax_psi.branch_consistency_error(L.psi),
+    Check("psi.branch_consistency", 1.0,
+          lambda L: lax_psi.branch_consistency_error(L.cfg.psi_branch, L.psi),
           rule="algebraic", margin=0),
     Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
           rule="bound", margin=0, reads_frame=True),
@@ -416,7 +423,7 @@ CHECKS = (
         r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, L.alpha))),
     Check("psi.second_order", "scale_q",
           lambda L: lax_psi.psi_second_order_residual(L.alpha).max_abs_interior(2)),
-    Check("psi.mixed_partial", 1.0, lambda L: mixed_partial_residual(
+    Check("psi.mixed_partial", "scale_inv_q2", lambda L: mixed_partial_residual(
         ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
         L.cf.alpha1, L.cf.alpha2,
     ).max_abs_interior(2)),
@@ -832,7 +839,7 @@ def cmd_solve(args) -> int:
 
     def export(level, out, write):  # two short writes: a writer would cost more than it saves
         bonnet_solver.write_profile_csv(level.profile, os.path.join(out, "profile.csv"))
-        write_scalar_csv(level.psi.psi, os.path.join(out, "psi.csv"), "psi")
+        write_scalar_csv(level.psi, os.path.join(out, "psi.csv"), "psi")
         return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
 
     rows = _select(cfg, ("q.", "lax.", "psi.", "profile."))

@@ -1,10 +1,11 @@
 """Discrete exterior calculus on a rectangular (s, t) grid.
 
-Scalar fields, 1-forms and 2-forms sampled at the nodes of a uniform
-grid, plus the operations needed to turn differential-geometric
-identities into grid residuals: exterior derivative, wedge product,
-Hodge star of 1-forms (*ds = dt, *dt = -ds), pointwise decomposition in
-a moving coframe, and the flat Laplacian.
+Scalar fields and 1-forms sampled at the nodes of a uniform grid, plus
+the operations needed to turn differential-geometric identities into
+grid residuals: exterior derivative, wedge product, Hodge star of
+1-forms (*ds = dt, *dt = -ds), pointwise decomposition in a moving
+coframe, and the flat Laplacian.  A 2-form r ds^dt is held as its
+coefficient r, a ScalarField, so d_oneform and wedge return one.
 
 All derivative stencils are second order: central differences in the
 interior, one-sided second-order formulas at the boundary rows.
@@ -23,7 +24,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "OneForm",
-    "TwoForm",
     "CoframeSingularError",
     "NonFiniteFieldError",
     "d_scalar",
@@ -265,31 +265,6 @@ class OneForm:
         return max(self.p.max_abs_interior(margin), self.q.max_abs_interior(margin))
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    """2-form r ds^dt."""
-
-    r: ScalarField
-
-    @property
-    def grid(self) -> Grid:
-        return self.r.grid
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.r + other.r)
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.r - other.r)
-
-    def __mul__(self, other) -> "TwoForm":
-        return TwoForm(self.r * other)
-
-    __rmul__ = __mul__
-
-    def max_abs_interior(self, margin: int = 1) -> float:
-        return self.r.max_abs_interior(margin)
-
-
 def interior(values: np.ndarray, margin: int = 1) -> np.ndarray:
     """View of the array with `margin` rows/columns stripped on every side.
 
@@ -317,18 +292,19 @@ def d_scalar(f: ScalarField) -> OneForm:
     return OneForm(_adopt(g, p), _adopt(g, q))
 
 
-def d_oneform(w: OneForm) -> TwoForm:
-    """d(p ds + q dt) = (q_s - p_t) ds^dt."""
+def d_oneform(w: OneForm) -> ScalarField:
+    """d(p ds + q dt) = (q_s - p_t) ds^dt, as its coefficient q_s - p_t."""
     g = w.grid
     q_s = np.gradient(w.q.values, g.h_s, axis=0, edge_order=2)
     p_t = np.gradient(w.p.values, g.h_t, axis=1, edge_order=2)
-    return TwoForm(_adopt(g, q_s - p_t))
+    return _adopt(g, q_s - p_t)
 
 
-def wedge(w1: OneForm, w2: OneForm) -> TwoForm:
-    """w1 ^ w2 = (p1 q2 - q1 p2) ds^dt.  Antisymmetric, no derivatives."""
+def wedge(w1: OneForm, w2: OneForm) -> ScalarField:
+    """w1 ^ w2 = (p1 q2 - q1 p2) ds^dt, as its coefficient.  Antisymmetric,
+    no derivatives."""
     r = w1.p.values * w2.q.values - w1.q.values * w2.p.values
-    return TwoForm(_adopt(w1.grid, r))
+    return _adopt(w1.grid, r)
 
 
 def hodge(w: OneForm) -> OneForm:

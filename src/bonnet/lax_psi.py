@@ -11,7 +11,9 @@ integrable from any corner value.  Closed-form branches exist for every
 Q family; they are stored as two-argument arctangent data so poles of
 tan(psi) are harmless.  psi is defined modulo pi and all downstream
 formulas use 2*psi, so fields are kept continuous (unwrapped along the
-integration path) rather than clamped to a principal value.
+integration path) rather than clamped to a principal value.  A psi field
+is a plain ScalarField, whether sampled from a branch or marched; the
+branch it came from stays with the caller.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .rk4 import rk4_step, sweep
 
 __all__ = [
     "PsiBranch",
-    "PsiField",
     "LaxBlowUpError",
     "CASES",
     "psi_closed_form",
@@ -84,7 +85,7 @@ class PsiBranch:
     trig/hyper branches.  Branches named after the s > 0 half-line also
     accept the sign -1 family: the s < 0 solution is generated from the
     sign symmetry psi(s, t) = pi/2 - psi_+(-s, t) and is flagged
-    derived_mirror in metadata.
+    derived_mirror.
     """
 
     case: str
@@ -119,15 +120,6 @@ class PsiBranch:
     def derived_mirror(self) -> bool:
         """True when this is the s < 0 solution built by sign symmetry."""
         return self.case in ("trig_appendix", "hyper_appendix") and self.family.sign == -1
-
-    def metadata(self) -> dict:
-        return {
-            "case": self.case,
-            "family": {"kind": self.family.kind, "sign": self.family.sign, "a": self.family.a},
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "derived_mirror": self.derived_mirror,
-        }
 
 
 def _principal(angle):
@@ -210,19 +202,7 @@ def psi_closed_form_derivatives(branch: PsiBranch, s, t):
     return ps, -pt if mirrored else pt
 
 
-@dataclass(frozen=True)
-class PsiField:
-    """psi samples on a grid, with the generating branch when known."""
-
-    psi: ScalarField
-    branch: PsiBranch | None = None
-
-    @property
-    def grid(self) -> Grid:
-        return self.psi.grid
-
-
-def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> PsiField:
+def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> ScalarField:
     """Sample a closed form on the grid, unwrapped along the t-edge then
     every s-line so arctan pole crossings do not leave pi-jumps."""
     _check_grid_domain(branch.family, grid)
@@ -231,15 +211,13 @@ def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> PsiField:
     vals = np.array(vals)
     vals[0, :] = np.unwrap(vals[0, :], period=np.pi)
     vals = np.unwrap(vals, axis=0, period=np.pi)
-    return PsiField(_adopt(grid, vals), branch)
+    return _adopt(grid, vals)
 
 
-def branch_consistency_error(field: PsiField) -> float:
-    """Max distance (mod pi) between stored values and the field's closed form."""
-    if field.branch is None:
-        raise ValueError("no branch attached to this field")
-    S, T = field.grid.mesh()
-    delta = field.psi.values - psi_closed_form(field.branch, S, T)
+def branch_consistency_error(branch: PsiBranch, psi: ScalarField) -> float:
+    """Max distance (mod pi) between the samples of psi and the branch's closed form."""
+    S, T = psi.grid.mesh()
+    delta = psi.values - psi_closed_form(branch, S, T)
     # distance to the nearest multiple of pi
     wrapped = np.abs(delta - np.pi * np.round(delta / np.pi))
     return float(np.max(wrapped))
@@ -270,7 +248,7 @@ def integrate_lax(
     psi0: float,
     substeps: int = 8,
     order: str = "t_first",
-) -> PsiField:
+) -> ScalarField:
     """March the pair from the corner value psi(s_min, t_min) = psi0.
 
     order "t_first" integrates psi_t along the t-edge, then psi_s along
@@ -304,7 +282,7 @@ def integrate_lax(
     vals = np.empty(grid.shape)
     vals[0, 0] = float(psi0)
     sweep(order, [vals], step)
-    return PsiField(_adopt(grid, vals), None)
+    return _adopt(grid, vals)
 
 
 def _guard_psi(value, node) -> None:
@@ -324,7 +302,7 @@ def _q_on_grid(fam: QFamily, grid: Grid):
     return q, dlq
 
 
-def lax_residuals(psi: PsiField, fam: QFamily):
+def lax_residuals(psi: ScalarField, fam: QFamily):
     """FD residuals of the pair as two scalar fields.
 
     First:  psi_s + (1/2) Q sin(2 psi)
@@ -332,8 +310,8 @@ def lax_residuals(psi: PsiField, fam: QFamily):
     psi derivatives by second-order finite differences, Q analytic.
     """
     q, dlq = _q_on_grid(fam, psi.grid)
-    d = d_scalar(psi.psi)
-    two = 2.0 * psi.psi.values
+    d = d_scalar(psi)
+    two = 2.0 * psi.values
     r1 = d.p.values + 0.5 * q * np.sin(two)
     r2 = d.q.values - 0.5 * dlq + 0.5 * q * np.cos(two)
     g = psi.grid
@@ -351,37 +329,37 @@ def branch_lax_residuals(branch: PsiBranch, grid: Grid):
     return _adopt(grid, r1), _adopt(grid, r2)
 
 
-def harmonic_residual(psi: PsiField, margin: int = 1) -> float:
+def harmonic_residual(psi: ScalarField, margin: int = 1) -> float:
     """Max interior |laplacian(psi)|; valid fields are harmonic."""
-    return laplacian(psi.psi).max_abs_interior(margin)
+    return laplacian(psi).max_abs_interior(margin)
 
 
-def alpha_components(psi: PsiField, alpha1: OneForm, alpha2: OneForm) -> tuple:
+def alpha_components(psi: ScalarField, alpha1: OneForm, alpha2: OneForm) -> tuple:
     """(alpha1, alpha2, psi_1, psi_2): the flat coframe alpha = Q R(2 psi) (ds, dt)
     that surface_embed.build_coframes builds, and the components of d(psi)
     in it, the `alpha` that the three residuals below share."""
-    p1, p2 = decompose_in_coframe(d_scalar(psi.psi), alpha1, alpha2)
+    p1, p2 = decompose_in_coframe(d_scalar(psi), alpha1, alpha2)
     return alpha1, alpha2, p1, p2
 
 
-def psi_constraint_residual(psi: PsiField, alpha: tuple) -> ScalarField:
+def psi_constraint_residual(psi: ScalarField, alpha: tuple) -> ScalarField:
     """Tangency constraint 2 psi_1 cos(2 psi) + (2 psi_2 + 1) sin(2 psi).
 
     psi_1, psi_2 are the components of d(psi) in the alpha coframe.
     """
     _, _, p1, p2 = alpha
-    two = 2.0 * psi.psi.values
+    two = 2.0 * psi.values
     g = psi.grid
     vals = 2.0 * p1.values * np.cos(two) + (2.0 * p2.values + 1.0) * np.sin(two)
     return _adopt(g, vals)
 
 
-def c_relation_residuals(psi: PsiField, fam: QFamily, alpha: tuple):
+def c_relation_residuals(psi: ScalarField, fam: QFamily, alpha: tuple):
     """Residuals of 2 psi_1 = C sin(2 psi), 2 psi_2 + 1 = -C cos(2 psi)."""
     _, _, p1, p2 = alpha
     g = psi.grid
     c2d = np.broadcast_to(eval_c(fam, g.s_nodes())[:, None], g.shape)
-    two = 2.0 * psi.psi.values
+    two = 2.0 * psi.values
     r1 = 2.0 * p1.values - c2d * np.sin(two)
     r2 = 2.0 * p2.values + 1.0 + c2d * np.cos(two)
     return _adopt(g, r1), _adopt(g, r2)

@@ -42,7 +42,6 @@ from .forms2d import (
     max_interior,
     wedge,
 )
-from .lax_psi import PsiField
 from .q_family import ConsistencyError
 from .rk4 import rk4_step, sweep, sweep_edge
 
@@ -205,7 +204,7 @@ class CoframeSet:
     alpha2: OneForm
 
 
-def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
+def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
     """Assemble every coframe from the profile scalars and the angle field.
 
     The twisted coframe is the conformal one rotated by psi, the theta
@@ -216,13 +215,13 @@ def build_coframes(profile: SurfaceProfile, psi: PsiField) -> CoframeSet:
     _check_alignment(profile, grid)
     e2d = np.broadcast_to(profile.e[:, None], grid.shape)
     a2d = np.broadcast_to(profile.A[:, None], grid.shape)
-    ang = psi.psi.values
+    ang = psi.values
     cosp, sinp = np.cos(ang), np.sin(ang)
 
     omega1 = OneForm(_field(grid, e2d * cosp), _field(grid, -e2d * sinp))
     omega2 = OneForm(_field(grid, e2d * sinp), _field(grid, e2d * cosp))
     xi12 = hodge(d_scalar(_field(grid, np.log(e2d))))
-    omega12 = xi12 - d_scalar(psi.psi)
+    omega12 = xi12 - d_scalar(psi)
 
     u = _field(grid, a2d * cosp)
     v = _field(grid, a2d * sinp)
@@ -295,7 +294,7 @@ def codazzi_summary_residuals(
     return res
 
 
-def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margin: int = 2) -> dict:
+def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile, margin: int = 2) -> dict:
     """Residuals tying the theta-coframe connection to psi and the profile.
 
     theta12 = d(psi) + omega12 + *d(log A)     (rotation + scaling law)
@@ -308,10 +307,10 @@ def theta12_report(cf: CoframeSet, psi: PsiField, profile: SurfaceProfile, margi
     th12 = theta12_form(cf, profile)
     loga = _profile_field(g, np.log(profile.A))
     c2d = _profile_field(g, profile.C)
-    two = 2.0 * psi.psi.values
+    two = 2.0 * psi.values
     half_sin = _field(g, 0.5 * np.sin(two))
     half_rest = _field(g, 0.5 * (profile.C[:, None] + np.cos(two)))
-    dpsi = d_scalar(psi.psi)
+    dpsi = d_scalar(psi)
     res = {
         "theta12_via_psi": (
             th12 - dpsi - cf.omega12 - hodge(d_scalar(loga))
@@ -335,7 +334,7 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     Writing gamma = x c1 + y c2 the two equations decouple through the
     area form w = c1 ^ c2:  x = d(c1)/w, y = d(c2)/w.
     """
-    w = wedge(c1, c2).r.values
+    w = wedge(c1, c2).values
     scale = float(np.max(np.abs(w)))
     if scale == 0.0:
         raise CoframeSingularError((0, 0), 0.0, 0.0)
@@ -343,8 +342,8 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     if np.any(bad):
         idx = tuple(int(k) for k in np.argwhere(bad)[0])
         raise CoframeSingularError(idx, float(w[idx]), scale)
-    x = d_oneform(c1).r.values / w
-    y = d_oneform(c2).r.values / w
+    x = d_oneform(c1).values / w
+    y = d_oneform(c2).values / w
     return c1 * x + c2 * y
 
 
@@ -486,7 +485,7 @@ class FundamentalForms:
     N: ScalarField
 
 
-def fundamental_forms(profile: SurfaceProfile, psi: PsiField) -> FundamentalForms:
+def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> FundamentalForms:
     """Second-form coefficients, cross-checked through two algebraic routes.
 
     Route one works through E, H, J; route two uses E J = tau_c Q to
@@ -495,7 +494,7 @@ def fundamental_forms(profile: SurfaceProfile, psi: PsiField) -> FundamentalForm
     """
     grid = psi.grid
     _check_alignment(profile, grid)
-    two = 2.0 * psi.psi.values
+    two = 2.0 * psi.values
     cos2, sin2 = np.cos(two), np.sin(two)
     e2d = profile.E[:, None]
     h2d = profile.H[:, None]

@@ -95,7 +95,7 @@ def test_profile_fields_and_identities():
     assert np.max(np.abs(prof.A * prof.e - q)) < 1e-13
     assert np.max(np.abs(q * prof.J - prof.Hp)) < 1e-13
     assert np.all(prof.E > 0) and np.all(prof.J > 0)
-    assert prof.step == pytest.approx(1e-3, rel=1e-9)
+    assert prof.s[1] - prof.s[0] == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_validate_profile_catches_broken_identity():

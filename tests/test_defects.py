@@ -10,11 +10,13 @@ which the monkeypatch fixture reverts.  The row runs alone through the
 ladder over two levels of the demo config, 17^2 and 33^2; the clean run
 passes and the run under the defect fails.
 
-LADDER_DEFECTS does the same for the ladder rows that read the alpha
-coframe, on a window of their own (psi_window_config), and BASE_DEFECTS
-for rows judged on the base level alone: the companion surface's rows and
-q.first_integral.  A defect in a function is seen by every module that
-imported it by name, as a defect in its source would be.
+LADDER_DEFECTS does the same for ladder rows on a window of the demo
+config (window_config): the rows that read the alpha coframe,
+profile.gauss and the structure rows of omega1 and omega2.  BASE_DEFECTS
+does it for rows judged on the base level alone: the closed-form psi
+rows, the companion surface's rows and q.first_integral.  A defect in a
+function is seen by every module that imported it by name, as a defect
+in its source would be.
 """
 import json
 from dataclasses import replace
@@ -57,12 +59,12 @@ def profile_with(**fields):
     return bonnet_solver, "integrate_h_on_grid", mutate
 
 
-def coframes_with(theta1):
-    """The pipeline's coframes with theta1(coframes) in place of theta1."""
+def coframes_with(**fields):
+    """The pipeline's coframes with fields[name](coframes) in place of each field."""
     def mutate(build):
         def rebuilt(profile, psi):
             cf = build(profile, psi)
-            return replace(cf, theta1=theta1(cf))
+            return replace(cf, **{k: f(cf) for k, f in fields.items()})
         return rebuilt
     return surface_embed, "build_coframes", mutate
 
@@ -76,24 +78,27 @@ DEFECTS = {
     # J is no longer H' / Q
     "profile.ideal_dh": profile_with(J=warped("J")),
     # theta1 = e A ds times a function of t is not closed
-    "codazzi.d_theta1": coframes_with(lambda cf: cf.theta1 * t_factor(cf.grid)),
+    "codazzi.d_theta1": coframes_with(theta1=lambda cf: cf.theta1 * t_factor(cf.grid)),
     # theta1 built as alpha1, a sign flip in build_coframes
-    "theta12.hodge": coframes_with(lambda cf: cf.alpha1),
+    "theta12.hodge": coframes_with(theta1=lambda cf: cf.alpha1),
     # *theta12 = C A e ds times a function of t is not closed
     "theta12.d_star_theta12": (surface_embed, "theta12_form",
                                lambda form: lambda cf, p: form(cf, p) * t_factor(cf.grid)),
 }
 
 
-def psi_window_config() -> cli.RunConfig:
-    """The demo config on s in [3, 3.5], t in [1, 1.5] at 17^2.
+def window_config(width: float = 0.5) -> cli.RunConfig:
+    """The demo config on s in [3, 3 + width], t in [1, 1 + width] at 17^2.
 
     On the demo window the psi rows are not yet in their asymptotic range
-    at 17^2..33^2 (orders 1.71-1.83 between the two levels); here psi
-    varies slowly enough that the clean orders are 1.96-1.98.
+    at 17^2..33^2 (orders 1.71-1.83 between the two levels); on the window
+    of width 0.5 psi varies slowly enough that the clean orders are
+    1.96-1.98.  structure.d_omega1 and d_omega2 read 1.86 and 1.78 there,
+    and 1.96 and 1.95 at width 0.125.
     """
     data = json.loads(DEMO.read_text())
-    data["grid"].update(s_min=3.0, s_max=3.5, t_min=1.0, t_max=1.5, ns=17, nt=17)
+    data["grid"].update(s_min=3.0, s_max=3.0 + width, t_min=1.0, t_max=1.0 + width,
+                        ns=17, nt=17)
     data["h_initial"]["s0"] = 3.0
     return cli.RunConfig(data)
 
@@ -104,14 +109,23 @@ def bumped(psi_field):
     def psi_field_from_branch(branch, grid):
         field = psi_field(branch, grid)
         bump = ScalarField.from_function(grid, lambda s, t: 1e-3 * np.sin(3 * s) * np.sin(2 * t))
-        return replace(field, psi=field.psi + bump)
+        return field + bump
     return psi_field_from_branch
 
 
-# ladder row name -> (module, function, mutation), as in DEFECTS
+# ladder row name -> (module, function, mutation, window width), as in DEFECTS
 LADDER_DEFECTS = {
-    name: (lax_psi, "psi_field_from_branch", bumped)
-    for name in ("psi.constraint", "psi.c_relation", "psi.second_order", "psi.mixed_partial")
+    **{name: (lax_psi, "psi_field_from_branch", bumped, 0.5)
+       for name in ("psi.constraint", "psi.c_relation", "psi.second_order",
+                    "psi.mixed_partial")},
+    # E no longer meets the Gauss equation that H and Q fix
+    "profile.gauss": (*profile_with(E=warped("E")), 0.5),
+    # omega12 + 1e-3 omega1 adds 1e-3 omega1 ^ omega2 to d(omega1) = omega12 ^ omega2
+    # only, since omega1 ^ omega1 = 0
+    "structure.d_omega1": (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega1 * 1e-3),
+                           0.125),
+    "structure.d_omega2": (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega2 * 1e-3),
+                           0.125),
 }
 
 
@@ -123,8 +137,20 @@ def scaled_qp(eval_q_derivatives):
     return scaled
 
 
+def scaled_psi_t(psi_closed_form_derivatives):
+    """psi_t scaled by 1 + 1e-6: the closed form no longer meets the pair."""
+    def scaled(branch, s, t):
+        ps, pt = psi_closed_form_derivatives(branch, s, t)
+        return ps, pt * (1.0 + 1e-6)
+    return scaled
+
+
 # base-level row name -> (module, function, mutation), as in DEFECTS
 BASE_DEFECTS = {
+    "lax.closed_form": (lax_psi, "psi_closed_form_derivatives", scaled_psi_t),
+    # psi sampled 1e-6 off the branch it is checked against
+    "psi.branch_consistency": (lax_psi, "psi_field_from_branch",
+                               lambda field: lambda branch, grid: field(branch, grid) + 1e-6),
     "q.first_integral": (q_family, "eval_q_derivatives", scaled_qp),
     # the companion's coframe (omega1, omega2) scaled by 1.5: its metric is 2.25 E
     "deform.metric": (surface_embed, "build_deformed_surface",
@@ -178,10 +204,10 @@ def test_an_identity_row_fails_under_its_defect(row, monkeypatch):
 @pytest.mark.parametrize("name", sorted(LADDER_DEFECTS))
 def test_a_ladder_row_fails_under_its_defect(name, monkeypatch):
     row = next(row for row in cli.CHECKS if row.name == name)
-    cfg = psi_window_config()
+    module, fn, mutate, width = LADDER_DEFECTS[name]
+    cfg = window_config(width)
     clean = judged(cfg, row)
     assert clean["kind"] == "fd" and clean["passed"], clean
-    module, fn, mutate = LADDER_DEFECTS[name]
     monkeypatch.setattr(module, fn, mutate(getattr(module, fn)))
     broken = judged(cfg, row)
     assert not broken["passed"] and broken["order"] < 1.0, broken

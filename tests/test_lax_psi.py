@@ -15,7 +15,6 @@ from bonnet.forms2d import Grid, observed_order
 from bonnet.q_family import QFamily, eval_q_derivatives, guarded_samples
 from bonnet.lax_psi import (
     PsiBranch,
-    PsiField,
     alpha_components,
     branch_consistency_error,
     branch_lax_residuals,
@@ -77,10 +76,7 @@ def test_branch_validation():
 
 def test_branch_metadata():
     b = PsiBranch("trig_appendix", QFamily("trig", -1, 2.0), eta=0.1)
-    meta = b.metadata()
-    assert meta["case"] == "trig_appendix"
-    assert meta["family"] == {"kind": "trig", "sign": -1, "a": 2.0}
-    assert meta["derived_mirror"] is True
+    assert b.derived_mirror is True
     assert PsiBranch("trig_appendix", QFamily("trig", 1, 2.0)).derived_mirror is False
     assert PsiBranch("rational_upper", QFamily("rational", 1)).derived_mirror is False
 
@@ -103,7 +99,7 @@ def test_analytic_lax_residuals_vanish(case):
 @pytest.mark.parametrize("case", CLOSED_CASES)
 def test_principal_value_range(case):
     branch, (lo, hi) = branch_setup(case)
-    vals = psi_field_from_branch(branch, unit_grid(lo, hi)).psi.values
+    vals = psi_field_from_branch(branch, unit_grid(lo, hi)).values
     assert np.all(vals > -math.pi / 2) and np.all(vals <= math.pi / 2)
 
 
@@ -200,18 +196,17 @@ def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family, demo_coframes)
 def test_integrate_lax_matches_closed_form(demo_branch, demo_family):
     g = unit_grid(1.0, 2.0, 33)
     want = psi_field_from_branch(demo_branch, g)
-    psi0 = float(want.psi.values[0, 0])
+    psi0 = float(want.values[0, 0])
     got = integrate_lax(demo_family, g, psi0, substeps=8)
-    assert isinstance(got, PsiField)
-    assert np.max(np.abs(got.psi.values - want.psi.values)) < 1e-10
-    assert branch_consistency_error(PsiField(got.psi, demo_branch)) < 1e-10
+    assert np.max(np.abs(got.values - want.values)) < 1e-10
+    assert branch_consistency_error(demo_branch, got) < 1e-10
 
 
 def test_integrate_lax_path_order_agreement(demo_family):
     g = unit_grid(1.0, 2.0, 33)
     t_first = integrate_lax(demo_family, g, 0.0, substeps=8, order="t_first")
     s_first = integrate_lax(demo_family, g, 0.0, substeps=8, order="s_first")
-    assert np.max(np.abs(t_first.psi.values - s_first.psi.values)) < 1e-10
+    assert np.max(np.abs(t_first.values - s_first.values)) < 1e-10
     with pytest.raises(ValueError):
         integrate_lax(demo_family, g, 0.0, order="diagonal")
 
@@ -219,11 +214,9 @@ def test_integrate_lax_path_order_agreement(demo_family):
 def test_branch_consistency_error_detects_mismatch(demo_branch):
     g = unit_grid(1.0, 2.0, 17)
     field = psi_field_from_branch(demo_branch, g)
-    assert branch_consistency_error(field) < 1e-14
+    assert branch_consistency_error(demo_branch, field) < 1e-14
     shifted = PsiBranch("rational_upper", demo_branch.family, sigma=0.25)
-    assert branch_consistency_error(PsiField(field.psi, shifted)) > 1e-2
-    with pytest.raises(ValueError, match="no branch"):
-        branch_consistency_error(PsiField(field.psi))
+    assert branch_consistency_error(shifted, field) > 1e-2
 
 
 # the s > 0 case of each kind and the case that serves its sign -1 family

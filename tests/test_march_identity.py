@@ -427,7 +427,7 @@ def test_q_march_truncates_where_the_reference_does(args):
 @pytest.mark.parametrize("fam", FAMILIES, ids=str)
 def test_psi_march_matches_reference(fam, shape, order):
     grid = grid_for(fam, shape)
-    got = integrate_lax(fam, grid, 0.3, substeps=8, order=order).psi.values
+    got = integrate_lax(fam, grid, 0.3, substeps=8, order=order).values
     assert np.array_equal(got, ref_integrate_lax(fam, grid, 0.3, 8, order))
 
 

@@ -148,7 +148,7 @@ def test_blocks_cover_a_partial_block():
 @pytest.mark.parametrize("shape", SHAPES)
 def test_scalar_csv_matches_reference(tmp_path, shape):
     grid, psi, _ = surface(shape)
-    f = ScalarField(grid, spiked(psi.psi.values))
+    f = ScalarField(grid, spiked(psi.values))
     lines = assert_same_bytes(tmp_path, lambda p: write_scalar_csv(f, p, "psi"),
                               lambda p: ref_write_scalar_csv(f, p, "psi"), crlf=True)
     assert lines == 1 + grid.ns * grid.nt

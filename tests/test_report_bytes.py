@@ -1,8 +1,10 @@
 """Every file the four commands write keeps its bytes.
 
 solve --refine 2, mesh, deform --t0 1 and verify --refine 2 run in-process
-on the 17 x 17 config of test_cli, and the sha256 of each file they write
-is compared with tests/data/report_sha256.json.  The digests hold under the
+on the 17 x 17 config of test_cli, and solve and verify --refine 2 again
+with psi marched from its corner value instead of read from its closed
+form; the sha256 of each file they write is compared with
+tests/data/report_sha256.json.  The digests hold under the
 numpy version recorded beside them; under another numpy the last bit of a
 residual may move, so the test skips.  To record them again:
 
@@ -20,24 +22,28 @@ from bonnet.cli import main
 from test_cli import SMALL_CONFIG
 
 RECORD = Path(__file__).resolve().parent / "data" / "report_sha256.json"
+MARCHED_CONFIG = {**SMALL_CONFIG, "psi": {"integrate": True, "psi0": 0.0}}
+# run name -> (config, command line)
 RUNS = {
-    "solve": ["solve", "--refine", "2"],
-    "mesh": ["mesh"],
-    "deform": ["deform", "--t0", "1"],
-    "verify": ["verify", "--refine", "2"],
+    "solve": (SMALL_CONFIG, ["solve", "--refine", "2"]),
+    "mesh": (SMALL_CONFIG, ["mesh"]),
+    "deform": (SMALL_CONFIG, ["deform", "--t0", "1"]),
+    "verify": (SMALL_CONFIG, ["verify", "--refine", "2"]),
+    "solve_marched": (MARCHED_CONFIG, ["solve", "--refine", "2"]),
+    "verify_marched": (MARCHED_CONFIG, ["verify", "--refine", "2"]),
 }
 
 
 def digests(root: Path) -> dict:
-    """sha256 of every file of every run in RUNS, keyed "<command>/<file>"."""
-    config = root / "small.json"
-    config.write_text(json.dumps(SMALL_CONFIG))
+    """sha256 of every file of every run in RUNS, keyed "<run>/<file>"."""
     out = {}
-    for command, argv in RUNS.items():
-        folder = root / command
+    for run, (data, argv) in RUNS.items():
+        config = root / f"{run}.json"
+        config.write_text(json.dumps(data))
+        folder = root / run
         main([*argv, "--config", str(config), "--out", str(folder)])
         for path in sorted(folder.iterdir()):
-            out[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            out[f"{run}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 

@@ -66,9 +66,9 @@ def test_coframe_algebra(demo_coframes, demo_profile, demo_psi):
     assert np.max(np.abs(cf.theta2.p.values)) < 1e-13
     # omega1 ^ omega2 is the area form e^2 ds^dt
     area = wedge(cf.omega1, cf.omega2)
-    assert np.max(np.abs(area.r.values - e2d ** 2)) < 1e-13
+    assert np.max(np.abs(area.values - e2d ** 2)) < 1e-13
     # alpha1 = Q (cos 2psi, -sin 2psi) and alpha2 = Q (sin 2psi, cos 2psi) up to rounding
-    two = 2.0 * demo_psi.psi.values
+    two = 2.0 * demo_psi.values
     for form, (p, q) in ((cf.alpha1, (np.cos(two), -np.sin(two))),
                          (cf.alpha2, (np.sin(two), np.cos(two)))):
         assert np.max(np.abs(form.p.values - q2d * p)) < 1e-13

@@ -15,11 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {
     "demo": ROOT / "configs" / "demo_rational.json",
     **{name: ROOT / "bench" / "configs" / f"{name}.json"
-       for name in ("rational_plus", "rational_minus", "rational_marched", "trig_minus")},
+       for name in ("rational_plus", "rational_minus", "rational_marched", "trig_minus",
+                    "hyper_plus", "hyper_minus")},
 }
 GREEN = [
     ("demo", 3), ("rational_plus", 3), ("rational_minus", 3), ("rational_marched", 3),
-    ("demo", 4), ("trig_minus", 4),
+    ("demo", 4), ("trig_minus", 4), ("hyper_plus", 4), ("hyper_minus", 4),
 ]
 
 
