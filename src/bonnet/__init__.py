@@ -15,8 +15,7 @@ from .lax_psi import PsiBranch, integrate_lax, psi_field_from_branch
 from .q_family import QFamily, SingularityGuard
 from .surface_embed import (
     FrameField,
-    FrameSeed,
-    FundamentalForms,
+    Forms,
     build_coframes,
     build_deformed_surface,
     fundamental_forms,
@@ -40,9 +39,8 @@ __all__ = [
     "SurfaceProfile",
     "integrate_h",
     "integrate_h_on_grid",
-    "FrameSeed",
     "FrameField",
-    "FundamentalForms",
+    "Forms",
     "build_coframes",
     "integrate_frame",
     "fundamental_forms",

@@ -11,9 +11,13 @@ with connection form omega12 = xi12 - d(psi), where xi12 = *d(log e)
 is the connection of the untwisted conformal coframe e (ds, dt).
 Every structure identity of the construction is exposed as a grid
 residual, the frame (x, e1, e2, e3) is integrated with exact rotation
-steps, and the one-parameter family of isometric, mean-curvature
-preserving companions is produced by rotating the coframe with the
-angle tau(s, t) that solves  d(cot tau) = cot(tau) alpha1 - alpha2.
+steps from the identity frame at the origin, and the one-parameter
+family of isometric, mean-curvature preserving companions is produced
+by rotating the coframe with the angle tau(s, t) that solves
+d(cot tau) = cot(tau) alpha1 - alpha2.  The fundamental forms of every
+surface, algebraic (fundamental_forms) or read off a frame march by
+finite differences (fd_forms), are one Forms type, and forms_deviation
+compares two of them.
 
 Frames are stored as rows of a 3x3 matrix per node, so the structure
 system reads dE = Omega E with Omega skew; each step multiplies by the
@@ -46,12 +50,10 @@ from .q_family import ConsistencyError
 from .rk4 import rk4_step, sweep, sweep_edge
 
 __all__ = [
-    "FrameSeed",
     "FrameField",
     "FrameStepError",
     "CoframeSet",
-    "FundamentalForms",
-    "FDForms",
+    "Forms",
     "DeformationParam",
     "build_coframes",
     "theta12_form",
@@ -65,8 +67,7 @@ __all__ = [
     "two_path_residual",
     "fundamental_forms",
     "fd_forms",
-    "metric_recovery_residual",
-    "second_form_vs_frame",
+    "forms_deviation",
     "integrate_deformation",
     "build_deformed_surface",
     "deformation_report",
@@ -132,32 +133,6 @@ def _check_alignment(profile: SurfaceProfile, grid: Grid) -> None:
     scale = max(1.0, float(np.max(np.abs(s))))
     if float(np.max(np.abs(profile.s - s))) > 1e-10 * scale:
         raise ValueError("profile s-samples do not coincide with grid s-nodes")
-
-
-@dataclass(frozen=True)
-class FrameSeed:
-    """Initial position and orthonormal right-handed frame at the grid corner."""
-
-    x0: tuple = (0.0, 0.0, 0.0)
-    e1: tuple = (1.0, 0.0, 0.0)
-    e2: tuple = (0.0, 1.0, 0.0)
-    e3: tuple = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        for name in ("x0", "e1", "e2", "e3"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, tuple(vec))
-        mat = self.frame_matrix()
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(3))) > 1e-6:
-            raise ValueError("seed frame is not orthonormal")
-        if np.linalg.det(mat) < 0:
-            raise ValueError("seed frame is not right-handed")
-
-    def frame_matrix(self) -> np.ndarray:
-        return np.array([self.e1, self.e2, self.e3], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -418,15 +393,17 @@ _FULL_HALF = np.array([[1.0], [0.5]])
 
 
 def _integrate_frame_forms(
-    w1: OneForm, w2: OneForm, w12: OneForm, w13: OneForm, w23: OneForm,
-    grid: Grid, seed: FrameSeed, order: str,
+    w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str
 ) -> FrameField:
-    """Sweep the frame from the seed, each step the exp of the trapezoid
-    integrals of (w12, w13, w23) with the position advanced by (w1, w2).
+    """Sweep the frame from the identity at the origin, each step the exp of
+    the trapezoid integrals of (w12, w13, w23) with the position advanced by
+    (w1, w2), where (w13, w23) are the second forms of (w1, w2).
 
     The full and half rotations of every single-node edge step come from
     one _rot_exp call per march; each line step makes one.
     """
+    grid = w1.grid
+    w13, w23 = _second_forms(w1, w2, profile)
     # components along s, then along t: (w12, w13, w23) then (w1, w2)
     comps = tuple([getattr(w, c).values for w in (w12, w13, w23, w1, w2)] for c in "pq")
     h = (grid.h_s, grid.h_t)
@@ -444,30 +421,23 @@ def _integrate_frame_forms(
 
     x = np.empty(grid.shape + (3,))
     E = np.empty(grid.shape + (3, 3))
-    x[0, 0] = seed.x0
-    E[0, 0] = seed.frame_matrix()
+    x[0, 0] = 0.0
+    E[0, 0] = np.eye(3)
     sweep(order, [x, E], step)
     return FrameField(grid, x, E)
 
 
-def integrate_frame(
-    cf: CoframeSet, profile: SurfaceProfile, seed: FrameSeed = FrameSeed(),
-    order: str = "t_first",
-) -> FrameField:
+def integrate_frame(cf: CoframeSet, profile: SurfaceProfile, order: str = "t_first") -> FrameField:
     """Integrate the moving frame of the base surface over the grid."""
-    w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
-    return _integrate_frame_forms(
-        cf.omega1, cf.omega2, cf.omega12, w13, w23, cf.grid, seed, order
-    )
+    return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, profile, order)
 
 
 def two_path_residual(cf: CoframeSet, profile: SurfaceProfile, frame: FrameField) -> float:
     """Disagreement between the two integration path orders (flatness check).
 
-    `frame` is the t-first march; the s-first march starts from its corner.
+    `frame` is the t-first march; the s-first march starts from the same corner.
     """
-    seed = FrameSeed(frame.x[0, 0], *frame.frames[0, 0])
-    other = integrate_frame(cf, profile, seed, "s_first")
+    other = integrate_frame(cf, profile, "s_first")
     return float(np.max([
         _reduce_rows(np.max, _abs_diff, frame.x, other.x),
         _reduce_rows(np.max, _abs_diff, frame.frames, other.frames),
@@ -475,18 +445,22 @@ def two_path_residual(cf: CoframeSet, profile: SurfaceProfile, frame: FrameField
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    """First form E (ds^2 + dt^2) and second form L ds^2 + 2 M ds dt + N dt^2."""
+class Forms:
+    """First form gss ds^2 + 2 gst ds dt + gtt dt^2 and second form
+    L ds^2 + 2 M ds dt + N dt^2 of a surface, algebraic or read off a frame."""
 
     grid: Grid
-    E: ScalarField
+    gss: ScalarField
+    gst: ScalarField
+    gtt: ScalarField
     L: ScalarField
     M: ScalarField
     N: ScalarField
 
 
-def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> FundamentalForms:
-    """Second-form coefficients, cross-checked through two algebraic routes.
+def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> Forms:
+    """The algebraic forms: first form E (ds^2 + dt^2), so gss and gtt are one
+    E field and gst is zero, and the second form cross-checked through two routes.
 
     Route one works through E, H, J; route two uses E J = tau_c Q to
     eliminate the conformal factor.  Disagreement means the profile is
@@ -512,10 +486,9 @@ def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> FundamentalF
             f"second-form routes disagree by {worst:.3e}; profile is inconsistent"
         )
     N_a = e2d * (h2d - j2d * cos2)
-    E2d = np.broadcast_to(e2d, grid.shape).copy()
-    return FundamentalForms(
-        grid,
-        _adopt(grid, E2d),
+    E = _adopt(grid, np.broadcast_to(e2d, grid.shape).copy())
+    return Forms(
+        grid, E, _adopt(grid, np.zeros(grid.shape)), E,
         _adopt(grid, np.broadcast_to(L_a, grid.shape).copy()),
         _adopt(grid, np.broadcast_to(M_a, grid.shape).copy()),
         _adopt(grid, np.broadcast_to(N_a, grid.shape).copy()),
@@ -528,20 +501,7 @@ def _grad(grid: Grid, values):
             np.gradient(values, grid.h_t, axis=1, edge_order=2))
 
 
-@dataclass(frozen=True)
-class FDForms:
-    """FD first form gss ds^2 + 2 gst ds dt + gtt dt^2 and second form L, M, N."""
-
-    grid: Grid
-    gss: ScalarField
-    gst: ScalarField
-    gtt: ScalarField
-    L: ScalarField
-    M: ScalarField
-    N: ScalarField
-
-
-def fd_forms(frame: FrameField) -> FDForms:
+def fd_forms(frame: FrameField) -> Forms:
     """The FD fundamental forms of (x, e3), from x_s, x_t, n_s and n_t taken once.
 
     The second form uses L = -<x_s, n_s> and friends, which needs only
@@ -550,7 +510,7 @@ def fd_forms(frame: FrameField) -> FDForms:
     g = frame.grid
     xs, xt = _grad(g, frame.x)
     ns_, nt_ = _grad(g, frame.e3)
-    return FDForms(
+    return Forms(
         g,
         _adopt(g, np.sum(xs * xs, axis=-1)),
         _adopt(g, np.sum(xs * xt, axis=-1)),
@@ -561,20 +521,13 @@ def fd_forms(frame: FrameField) -> FDForms:
     )
 
 
-def metric_recovery_residual(fd: FDForms, profile: SurfaceProfile, margin: int = 2) -> float:
-    """Max deviation of the FD metric from E (ds^2 + dt^2)."""
-    e2d = np.broadcast_to(profile.E[:, None], fd.grid.shape)
-    return max(
-        max_interior(fd.gss.values - e2d, margin),
-        max_interior(fd.gst.values, margin),
-        max_interior(fd.gtt.values - e2d, margin),
-    )
-
-
-def second_form_vs_frame(ff: FundamentalForms, fd: FDForms, margin: int = 2) -> float:
-    """Max deviation of the FD L, M and N of (x, e3) from the algebraic ones."""
-    pairs = ((fd.L, ff.L), (fd.M, ff.M), (fd.N, ff.N))
-    return max((a - b).max_abs_interior(margin) for a, b in pairs)
+def forms_deviation(a: Forms, b: Forms, margin: int = 2) -> tuple:
+    """(first, second): the max interior deviation of a's first form from b's
+    and of a's second form from b's, each the max over its three coefficients."""
+    def dev(names):
+        return max(max_interior(getattr(a, n).values - getattr(b, n).values, margin)
+                   for n in names)
+    return dev(("gss", "gst", "gtt")), dev(("L", "M", "N"))
 
 
 @dataclass(frozen=True)
@@ -648,8 +601,7 @@ def integrate_deformation(
 
 
 def build_deformed_surface(
-    cf: CoframeSet, profile: SurfaceProfile, dp: DeformationParam,
-    seed: FrameSeed = FrameSeed(), order: str = "t_first",
+    cf: CoframeSet, profile: SurfaceProfile, dp: DeformationParam, order: str = "t_first"
 ) -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
@@ -668,24 +620,18 @@ def build_deformed_surface(
     w2s = cf.omega1 * st + cf.omega2 * ct
     inv = 1.0 / (1.0 + t * t)
     dtau = (cf.alpha2 - cf.alpha1 * t) * inv
-    w12s = cf.omega12 - dtau
-    w13s, w23s = _second_forms(w1s, w2s, profile)
-    return _integrate_frame_forms(w1s, w2s, w12s, w13s, w23s, cf.grid, seed, order)
+    return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, profile, order)
 
 
 def deformation_report(
-    profile: SurfaceProfile,
-    forms: FundamentalForms,
-    dp: DeformationParam,
-    fd: FDForms,
-    margin: int = 2,
+    profile: SurfaceProfile, forms: Forms, dp: DeformationParam, fd: Forms, margin: int = 2
 ) -> dict:
     """The numbers the deformation family is judged by at one t0.
 
     `forms` are the base surface's fundamental forms, `dp` the tau march
     and `fd` the FD forms of the companion's frame at dp.t0.
     metric_deviation and h_deviation compare the FD metric and FD mean
-    curvature of the companion against the base profile (both vanish
+    curvature of the companion against the base surface's (both vanish
     with h^2); ii_deviation, the max deviation of its FD second form from
     the base surface's, does not, as the companion is a different surface.
     pole_count and sign_flips are the tau march's pole bookkeeping.
@@ -693,17 +639,18 @@ def deformation_report(
     h2d = np.broadcast_to(profile.H[:, None], fd.grid.shape)
     e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
     h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
+    first, second = forms_deviation(fd, forms, margin)
     return {
         "t0": dp.t0,
-        "metric_deviation": metric_recovery_residual(fd, profile, margin),
+        "metric_deviation": first,
         "h_deviation": max_interior(h_fd - h2d, margin),
-        "ii_deviation": second_form_vs_frame(forms, fd, margin),
+        "ii_deviation": second,
         "pole_count": len(dp.pole_nodes),
         "sign_flips": dp.sign_flips,
     }
 
 
-def weingarten_residual(profile: SurfaceProfile, fd: FDForms, margin: int = 3) -> dict:
+def weingarten_residual(profile: SurfaceProfile, fd: Forms, margin: int = 3) -> dict:
     """Functional dependence of K on H along the family.
 
     wedge_residual: max |dH ^ dK| with K from the FD shape operator of

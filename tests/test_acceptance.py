@@ -313,9 +313,9 @@ def test_c07_immersion_fidelity(level_stack, level_frames):
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
         hs.append(grid.h_max)
         two_path.append(se.two_path_residual(cf, prof, frame))
-        fd = se.fd_forms(frame)
-        metric.append(se.metric_recovery_residual(fd, prof))
-        second.append(se.second_form_vs_frame(se.fundamental_forms(prof, psi), fd))
+        first, ii = se.forms_deviation(se.fd_forms(frame), se.fundamental_forms(prof, psi))
+        metric.append(first)
+        second.append(ii)
     orders = [
         observed_order(hs, two_path),
         observed_order(hs, metric),

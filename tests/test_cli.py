@@ -348,6 +348,18 @@ def test_rk4_crosscheck_is_measured_in_units_of_one_over_a(kind, sign):
         assert _rk4_crosscheck(QFamily(kind, sign, 3.7))[0] <= RK4_TOL
 
 
+@pytest.mark.parametrize("a", (0.5, 1.0, 3.7))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_rk4_crosscheck_passes_above_rounding(kind, sign, a):
+    # the coarse error stays well above eps, so the halving ratio measures the
+    # fourth order and not rounding (at steps 1e-3 L, 5e-4 L hyper at a = 3.7
+    # read a ratio of 22.6 on an error of 3e-13), and well below RK4_TOL
+    err, ratio = _rk4_crosscheck(QFamily(kind, sign, a))
+    assert 1e-12 < err <= RK4_TOL / 10
+    assert RK4_RATIO_LOW <= ratio <= RK4_RATIO_HIGH
+
+
 def test_rational_solve_does_not_depend_on_a(tmp_path):
     # Q = sign/s has no frequency, so neither its guard nor its RK4
     # cross-check may scale with 1/a: every a gives the a = 1 files
@@ -1033,6 +1045,12 @@ def test_only_rows_marked_as_reading_the_frame_read_it(small_config, monkeypatch
                 level.evaluate(row)
         else:  # every other row, the parent's finest-level share among them
             level.evaluate(row)
+
+
+def test_every_battery_is_read_and_every_battery_name_resolves():
+    # a battery no row reads would be dead work on every level it is built on
+    named = {row.battery for row in cli.CHECKS if isinstance(row.battery, str)}
+    assert named == set(cli.BATTERIES)
 
 
 def test_frame_rows_are_the_tail_of_the_ladder_rows():

@@ -12,9 +12,11 @@ passes and the run under the defect fails.
 
 LADDER_DEFECTS does the same for ladder rows on a window of the demo
 config (window_config): the rows that read the alpha coframe,
-profile.gauss and the structure rows of omega1 and omega2.  BASE_DEFECTS
-does it for rows judged on the base level alone: the closed-form psi
-rows, the companion surface's rows and q.first_integral.  A defect in a
+profile.gauss, the structure rows of omega1 and omega2, and the frame
+march's two_path, metric_recovery and second_form.  BASE_DEFECTS does it
+for rows judged on the base level alone: the closed-form psi rows, the
+companion surface's rows, q.first_integral and the frame's
+orthonormality and handedness.  A defect in a
 function is seen by every module that imported it by name, as a defect
 in its source would be.
 """
@@ -94,7 +96,8 @@ def window_config(width: float = 0.5) -> cli.RunConfig:
     at 17^2..33^2 (orders 1.71-1.83 between the two levels); on the window
     of width 0.5 psi varies slowly enough that the clean orders are
     1.96-1.98.  structure.d_omega1 and d_omega2 read 1.86 and 1.78 there,
-    and 1.96 and 1.95 at width 0.125.
+    and 1.96 and 1.95 at width 0.125; frame.metric_recovery reads 1.91
+    there and 1.97 at width 0.125.
     """
     data = json.loads(DEMO.read_text())
     data["grid"].update(s_min=3.0, s_max=3.0 + width, t_min=1.0, t_max=1.0 + width,
@@ -126,7 +129,24 @@ LADDER_DEFECTS = {
                            0.125),
     "structure.d_omega2": (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega2 * 1e-3),
                            0.125),
+    # omega12 + 1e-3 t ds is not flat: d(1e-3 t ds) = -1e-3 ds ^ dt, so the two
+    # path orders part by O(1e-3), not O(h^2)
+    "frame.two_path": (*coframes_with(omega12=lambda cf: replace(
+        cf.omega12, p=cf.omega12.p + ScalarField.from_function(cf.grid, lambda s, t: 1e-3 * t))),
+        0.125),
+    # every position increment 1e-3 too long: the marched metric is (1 + 1e-3)^2 E
+    "frame.metric_recovery": (surface_embed, "_step", lambda step:
+                              lambda xc, Ec, rot, half, a1, a2: step(
+                                  xc, Ec, rot, half, a1 * (1.0 + 1e-3), a2 * (1.0 + 1e-3)),
+                              0.125),
+    # the algebraic L the frame's second form is compared with, 1e-3 off
+    "frame.second_form": (surface_embed, "fundamental_forms", lambda forms:
+                          lambda profile, psi: scaled_l(forms(profile, psi)), 0.125),
 }
+
+
+def scaled_l(forms):
+    return replace(forms, L=forms.L * (1.0 + 1e-3))
 
 
 def scaled_qp(eval_q_derivatives):
@@ -165,6 +185,13 @@ BASE_DEFECTS = {
     "deform.ii_distinct": (surface_embed, "build_deformed_surface",
                            lambda build: lambda cf, profile, dp, *args, **kwargs:
                            surface_embed.integrate_frame(cf, profile, *args, **kwargs)),
+    # every step's rotation 1e-9 too long: the frames drift off orthonormal
+    "frame.orthonormality": (surface_embed, "_rot_exp",
+                             lambda rot: lambda *m: rot(*m) * (1.0 + 1e-9)),
+    # every step's rotation composed with a reflection: each frame is still
+    # orthonormal, but every other one is left-handed
+    "frame.handedness": (surface_embed, "_rot_exp",
+                         lambda rot: lambda *m: rot(*m) @ np.diag([1.0, 1.0, -1.0])),
 }
 
 

@@ -160,9 +160,9 @@ def test_fd_forms_equal_the_per_check_coefficients(surface):
 def test_checks_on_fd_forms_equal_the_per_check_route(surface):
     profile, forms, dp, frame, deformed = surface
     fd, fd2 = se.fd_forms(frame), se.fd_forms(deformed)
-    assert se.metric_recovery_residual(fd, profile) == ref_metric_recovery(frame, profile)
-    assert se.metric_recovery_residual(fd2, profile) == ref_metric_recovery(deformed, profile)
-    assert se.second_form_vs_frame(forms, fd) == ref_second_form_vs_frame(forms, frame)
+    assert se.forms_deviation(fd, forms) == (
+        ref_metric_recovery(frame, profile), ref_second_form_vs_frame(forms, frame))
+    assert se.forms_deviation(fd2, forms)[0] == ref_metric_recovery(deformed, profile)
     assert se.weingarten_residual(profile, fd) == ref_weingarten(profile, frame)
     rep = se.deformation_report(profile, forms, dp, fd2)
     ref = ref_deformation_report(profile, forms, dp, deformed)

@@ -22,7 +22,7 @@ from bonnet.bonnet_solver import HInitialData, integrate_h_on_grid
 from bonnet.forms2d import Grid
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
-from bonnet.surface_embed import FrameField, FrameSeed, integrate_frame
+from bonnet.surface_embed import FrameField, integrate_frame
 
 B = se._BLOCK_ROWS
 # (family, psi branch, s-window)
@@ -39,8 +39,7 @@ SHAPES = ((B // 2 + 1, 9), (B, 24), (B + 1, 40), (2 * B + 11, 13))
 
 
 def ref_two_path_residual(cf, profile, frame):
-    seed = FrameSeed(frame.x[0, 0], *frame.frames[0, 0])
-    other = integrate_frame(cf, profile, seed, "s_first")
+    other = integrate_frame(cf, profile, "s_first")
     return max(
         float(np.max(np.abs(frame.x - other.x))),
         float(np.max(np.abs(frame.frames - other.frames))),
@@ -198,8 +197,7 @@ def test_frame_reductions_hold_no_grid_sized_temporary(fine):
     assert grid_frames >= 4 * block
 
     # two_path: one s-first march, plus a block or two of differences
-    seed = FrameSeed(frame.x[0, 0], *frame.frames[0, 0])
-    other, march = traced_peak(lambda: integrate_frame(cf, profile, seed, "s_first"))
+    other, march = traced_peak(lambda: integrate_frame(cf, profile, "s_first"))
     assert march >= other.x.nbytes + other.frames.nbytes
     del other
     _, peak = traced_peak(lambda: se.two_path_residual(cf, profile, frame))

@@ -14,6 +14,7 @@ which the package batches over the edge and over each line's full and
 half steps, so a change to the step's arithmetic shows here too.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from bonnet.q_family import (
 from bonnet.rk4 import sweep
 from bonnet.surface_embed import (
     MAX_STEP_ANGLE,
-    FrameSeed,
     FrameStepError,
     _integrate_frame_forms,
     build_coframes,
@@ -284,13 +284,14 @@ def ref_step(xc, Ec, m12, m13, m23, a1, a2):
     return xn, rot @ Ec
 
 
-def ref_integrate_frame(w1, w2, w12, w13, w23, grid, seed, order):
+def ref_integrate_frame(w1, w2, w12, w13, w23, grid, order):
+    """The frame march from the identity frame at the origin, node by node."""
     ns, nt = grid.shape
     hs, ht = grid.h_s, grid.h_t
     x = np.empty((ns, nt, 3))
     E = np.empty((ns, nt, 3, 3))
-    x[0, 0] = seed.x0
-    E[0, 0] = seed.frame_matrix()
+    x[0, 0] = 0.0
+    E[0, 0] = np.eye(3)
 
     def trap_p(w, i):
         return 0.5 * (w.p.values[i, :] + w.p.values[i + 1, :]) * hs
@@ -479,22 +480,20 @@ def frame_cases():
 
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_frame_march_matches_reference(frame_cases, order):
-    seed = FrameSeed(x0=(0.5, -1.0, 2.0))
     for profile, cf in frame_cases:
-        got = integrate_frame(cf, profile, seed=seed, order=order)
+        got = integrate_frame(cf, profile, order=order)
         want = ref_integrate_frame(
-            *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, seed, order)
+            *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])
 
 
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_deformed_frame_matches_reference(frame_cases, order):
-    seed = FrameSeed()
     for profile, cf in frame_cases:
         dp = integrate_deformation(cf, 1.0)
         got = build_deformed_surface(cf, profile, dp, order=order)
-        want = ref_integrate_frame(*ref_deformed_forms(cf, profile, dp), cf.grid, seed, order)
+        want = ref_integrate_frame(*ref_deformed_forms(cf, profile, dp), cf.grid, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])
 
@@ -521,14 +520,19 @@ def test_frame_march_makes_one_rotation_call_per_line_step(frame_cases, monkeypa
 
 
 def spiked_forms(grid, spikes):
-    """(w1, w2, w12, w13, w23), all zero but w12 = value at each node of `spikes`,
+    """(w1, w2, w12), all zero but w12 = value at each node of `spikes`,
     in both its ds and dt components."""
     w12 = np.zeros(grid.shape)
     for node, value in spikes.items():
         w12[node] = value
     zero = ScalarField(grid, np.zeros(grid.shape))
     zero = OneForm(zero, zero)
-    return zero, zero, OneForm(ScalarField(grid, w12), ScalarField(grid, w12)), zero, zero
+    return zero, zero, OneForm(ScalarField(grid, w12), ScalarField(grid, w12))
+
+
+def flat_profile(grid):
+    """Zero H and J, the only profile arrays the frame march's second forms read."""
+    return SimpleNamespace(H=np.zeros(grid.ns), J=np.zeros(grid.ns))
 
 
 # on a 9 x 9 unit grid (h = 1/8) a spike of v at one node makes the two steps
@@ -544,13 +548,14 @@ def test_oversize_frame_step_raises_before_the_march_goes_on(order, spikes, angl
     assert MAX_STEP_ANGLE == 0.5
     grid = Grid(0.0, 1.0, 0.0, 1.0, 9, 9)
     forms = spiked_forms(grid, spikes)
+    profile = flat_profile(grid)
     with pytest.raises(FrameStepError, match="refine the grid") as got:
-        _integrate_frame_forms(*forms, grid, FrameSeed(), order)
+        _integrate_frame_forms(*forms, profile, order)
     # the edge is checked whole before it is marched, so its largest step is
     # named; the node-by-node reference names the first, 0.625 rad
     assert f"rotation step of {angle} rad" in str(got.value)
     with pytest.raises(FrameStepError, match="rotation step of 0.625 rad"):
-        ref_integrate_frame(*forms, grid, FrameSeed(), order)
+        ref_integrate_frame(*ref_forms(*forms, profile), grid, order)
 
 
 ALL = slice(None)

@@ -17,7 +17,6 @@ from bonnet.surface_embed import (
     CoframeSet,
     DeformationParam,
     FrameField,
-    FrameSeed,
     build_coframes,
     build_deformed_surface,
     codazzi_summary_residuals,
@@ -25,13 +24,12 @@ from bonnet.surface_embed import (
     deformation_report,
     export_obj,
     fd_forms,
+    forms_deviation,
     fundamental_forms,
     integrate_deformation,
     integrate_frame,
-    metric_recovery_residual,
     rotation_transform_residual,
     scaling_transform_residual,
-    second_form_vs_frame,
     structure_residuals,
     theta12_form,
     theta12_report,
@@ -41,18 +39,6 @@ from bonnet.surface_embed import (
 )
 
 TOL = 25.0 / 63.0 ** 2  # working FD tolerance on the demo grid
-
-
-def test_frame_seed_validation():
-    FrameSeed()  # identity default is fine
-    with pytest.raises(ValueError):
-        FrameSeed(e1=(2.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        FrameSeed(e3=(0.0, 0.0, -1.0))  # left-handed
-    with pytest.raises(ValueError):
-        FrameSeed(x0=(0.0, math.nan, 0.0))
-    m = FrameSeed().frame_matrix()
-    assert np.array_equal(m, np.eye(3))
 
 
 def test_coframe_algebra(demo_coframes, demo_profile, demo_psi):
@@ -163,47 +149,21 @@ def test_frame_integration_stays_orthonormal(demo_frame, demo_grid):
     assert demo_frame.orthonormality_error() < 1e-12
     assert demo_frame.min_handedness() == pytest.approx(1.0, abs=1e-12)
     assert demo_frame.x.shape == (demo_grid.ns, demo_grid.nt, 3)
-    # seed sits at the grid corner
+    # the march starts from the identity frame at the origin, the grid corner
     assert np.array_equal(demo_frame.x[0, 0], np.zeros(3))
     assert np.array_equal(demo_frame.frames[0, 0], np.eye(3))
-
-
-def _path_gap(cf, profile, seed):
-    """Max difference between the t-first and s-first marches from `seed`."""
-    fa = integrate_frame(cf, profile, seed, "t_first")
-    fb = integrate_frame(cf, profile, seed, "s_first")
-    return fa, max(float(np.max(np.abs(fa.x - fb.x))),
-                   float(np.max(np.abs(fa.frames - fb.frames))))
 
 
 def test_two_path_agreement(demo_profile, demo_frame, demo_coframes):
     res = two_path_residual(demo_coframes, demo_profile, demo_frame)
     assert res < TOL
-    # the s-first march starts from the frame's own corner, whatever the seed
-    assert _path_gap(demo_coframes, demo_profile, FrameSeed())[1] == res
-    c, s = math.cos(0.7), math.sin(0.7)
-    seed = FrameSeed(x0=(2.0, -1.0, 0.5), e1=(c, 0.0, s), e2=(0.0, 1.0, 0.0),
-                     e3=(-s, 0.0, c))
-    frame, gap = _path_gap(demo_coframes, demo_profile, seed)
-    assert two_path_residual(demo_coframes, demo_profile, frame) == gap
-    assert gap < TOL
-
-
-def test_seed_translation_is_exact(demo_coframes, demo_profile, demo_frame):
-    shifted = integrate_frame(demo_coframes, demo_profile,
-                              seed=FrameSeed(x0=(2.0, -1.0, 0.5)))
-    assert np.max(np.abs(shifted.x - demo_frame.x - np.array([2.0, -1.0, 0.5]))) < 1e-12
-    assert np.array_equal(shifted.frames, demo_frame.frames)
-
-
-def test_seed_rotation_is_equivariant(demo_coframes, demo_profile, demo_frame):
-    phi = 0.5
-    c, s = math.cos(phi), math.sin(phi)
-    seed = FrameSeed(e1=(c, s, 0.0), e2=(-s, c, 0.0), e3=(0.0, 0.0, 1.0))
-    rotated = integrate_frame(demo_coframes, demo_profile, seed=seed)
-    M = seed.frame_matrix()
-    assert np.max(np.abs(rotated.x - demo_frame.x @ M)) < 1e-12
-    assert np.max(np.abs(rotated.frames - demo_frame.frames @ M)) < 1e-12
+    # both marches start from the identity frame at the origin
+    other = integrate_frame(demo_coframes, demo_profile, "s_first")
+    gap = max(float(np.max(np.abs(demo_frame.x - other.x))),
+              float(np.max(np.abs(demo_frame.frames - other.frames))))
+    assert gap == res
+    assert np.array_equal(other.x[0, 0], np.zeros(3))
+    assert np.array_equal(other.frames[0, 0], np.eye(3))
 
 
 def test_fundamental_forms_algebra(demo_forms, demo_profile):
@@ -211,7 +171,9 @@ def test_fundamental_forms_algebra(demo_forms, demo_profile):
     e2d = np.broadcast_to(demo_profile.E[:, None], f.grid.shape)
     h2d = demo_profile.H[:, None]
     j2d = demo_profile.J[:, None]
-    assert np.array_equal(f.E.values, e2d)
+    assert np.array_equal(f.gss.values, e2d)
+    assert f.gtt is f.gss
+    assert np.array_equal(f.gst.values, np.zeros(f.grid.shape))
     # trace and determinant identities of the shape operator
     assert np.max(np.abs(f.L.values + f.N.values - 2.0 * e2d * h2d)) < 1e-12
     k = h2d ** 2 - j2d ** 2
@@ -229,8 +191,9 @@ def test_fundamental_forms_rejects_inconsistent_profile(demo_profile, demo_psi):
 
 def test_fd_forms_recover_analytic_ones(demo_frame, demo_profile, demo_forms):
     fd = fd_forms(demo_frame)
-    assert metric_recovery_residual(fd, demo_profile) < TOL
-    assert second_form_vs_frame(demo_forms, fd) < TOL
+    first, second = forms_deviation(fd, demo_forms)
+    assert first < TOL
+    assert second < TOL
     e2d = demo_profile.E[:, None]
     inner = slice(2, -2)
     assert np.max(np.abs(fd.gst.values[inner, inner])) < TOL
@@ -283,9 +246,8 @@ def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
     assert rep["metric_deviation"] < TOL * max(1.0, float(np.max(demo_profile.E)))
     assert rep["h_deviation"] < TOL * max(1.0, float(np.max(np.abs(demo_profile.H))))
     assert rep["ii_deviation"] > 0.5
-    assert rep["ii_deviation"] == second_form_vs_frame(demo_forms, fd)
+    assert (rep["metric_deviation"], rep["ii_deviation"]) == forms_deviation(fd, demo_forms)
     assert rep["t0"] == 1.0
-    assert rep["metric_deviation"] == metric_recovery_residual(fd, demo_profile)
 
 
 def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_coframes):

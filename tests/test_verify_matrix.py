@@ -20,7 +20,8 @@ CONFIGS = {
 }
 GREEN = [
     ("demo", 3), ("rational_plus", 3), ("rational_minus", 3), ("rational_marched", 3),
-    ("demo", 4), ("trig_minus", 4), ("hyper_plus", 4), ("hyper_minus", 4),
+    ("demo", 4), ("rational_plus", 4), ("rational_minus", 4), ("rational_marched", 4),
+    ("trig_minus", 4), ("hyper_plus", 4), ("hyper_minus", 4),
 ]
 
 
