@@ -319,12 +319,16 @@ class PipelineData:
     def forms(self) -> surface_embed.Forms:
         return surface_embed.fundamental_forms(self.profile, self.psi)
 
+    @property
+    def t0(self) -> float:
+        """The companion's t0: the config's, else 1, which verify uses."""
+        return 1.0 if self.cfg.t0 is None else self.cfg.t0
+
     @cached_property
     def deformed(self) -> tuple:
-        """(tau march, frame) of the companion at the config's t0 (default 1)."""
-        t0 = 1.0 if self.cfg.t0 is None else self.cfg.t0
-        dp = surface_embed.integrate_deformation(self.cf, t0)
-        return dp, surface_embed.build_deformed_surface(self.cf, self.profile, dp)
+        """(tau march, frame) of the companion at t0."""
+        tau = surface_embed.integrate_deformation(self.cf, self.t0)
+        return tau, surface_embed.build_deformed_surface(self.cf, self.profile, tau)
 
 
 def _q_identities(L: PipelineData) -> dict:
@@ -341,11 +345,12 @@ def _q_identities(L: PipelineData) -> dict:
 
 
 def _deformation(L: PipelineData) -> dict:
-    """deformation_report of the companion.  Its FD forms are taken before the
-    base forms are built: their temporaries are the peak of `deform`, and the
-    base forms would be held through them."""
+    """deformation_report of the companion, with its t0.  Its FD forms are taken
+    before the base forms are built: their temporaries are the peak of `deform`,
+    and the base forms would be held through them."""
     fd = surface_embed.fd_forms(L.deformed[1])
-    return surface_embed.deformation_report(L.profile, L.forms, L.deformed[0], fd)
+    return {"t0": L.t0,
+            **surface_embed.deformation_report(L.profile, L.forms, L.deformed[0], fd)}
 
 
 # the batteries that several check rows read, by name
@@ -864,11 +869,12 @@ def cmd_mesh(args) -> int:
     g = cfg.grid
 
     def export(level, out, write):
-        # forms.csv is written while the frame is marched, surface.obj while
-        # the rows are evaluated
+        # forms.csv is written while the frame is marched, surface.obj while the
+        # rows are evaluated.  The writer builds the forms it writes, so this
+        # process holds none through the frame march and its FD forms, mesh's peak
         forms_path, obj_path = os.path.join(out, "forms.csv"), os.path.join(out, "surface.obj")
-        forms = level.forms
-        write(forms_path, lambda: _forms_csv(forms_path, forms))
+        write(forms_path, lambda: _forms_csv(
+            forms_path, surface_embed.fundamental_forms(level.profile, level.psi)))
         frame = level.frame
         write(obj_path, lambda: surface_embed.export_obj(frame, obj_path))
         return {

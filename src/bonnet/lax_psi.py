@@ -32,7 +32,7 @@ from .forms2d import (
     decompose_in_coframe,
     laplacian,
 )
-from .q_family import DomainError, QFamily, SingularityGuard, eval_dlog_q, eval_q, eval_c
+from .q_family import QFamily, SingularityGuard, eval_dlog_q, eval_q, eval_c
 from .rk4 import rk4_step, sweep
 
 __all__ = [
@@ -205,7 +205,7 @@ def psi_closed_form_derivatives(branch: PsiBranch, s, t):
 def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> ScalarField:
     """Sample a closed form on the grid, unwrapped along the t-edge then
     every s-line so arctan pole crossings do not leave pi-jumps."""
-    _check_grid_domain(branch.family, grid)
+    SingularityGuard(branch.family).check((grid.s_min, grid.s_max))
     S, T = grid.mesh()
     vals = psi_closed_form(branch, S, T)
     vals = np.array(vals)
@@ -221,16 +221,6 @@ def branch_consistency_error(branch: PsiBranch, psi: ScalarField) -> float:
     # distance to the nearest multiple of pi
     wrapped = np.abs(delta - np.pi * np.round(delta / np.pi))
     return float(np.max(wrapped))
-
-
-def _check_grid_domain(fam: QFamily, grid: Grid) -> None:
-    guard = SingularityGuard(fam)
-    glo, ghi = guard.interval()
-    if grid.s_min < glo or grid.s_max > ghi:
-        raise DomainError(
-            f"grid s-range [{grid.s_min:g}, {grid.s_max:g}] outside guarded "
-            f"domain [{glo:g}, {ghi:g}] of {fam.describe()}"
-        )
 
 
 def _rhs_s(q, y):
@@ -257,7 +247,7 @@ def integrate_lax(
     full RK4 steps.  Q and (log Q)' are evaluated once, at every stage
     abscissa of the march.
     """
-    _check_grid_domain(fam, grid)
+    SingularityGuard(fam).check((grid.s_min, grid.s_max))
     s = grid.s_nodes()
     hs, ht = grid.h_s / substeps, grid.h_t / substeps
     # Q at the (start, mid, end) abscissae of every substep of every
@@ -295,7 +285,6 @@ def _guard_psi(value, node) -> None:
 
 
 def _q_on_grid(fam: QFamily, grid: Grid):
-    _check_grid_domain(fam, grid)
     s = grid.s_nodes()
     q = np.broadcast_to(eval_q(fam, s)[:, None], grid.shape)
     dlq = np.broadcast_to(eval_dlog_q(fam, s)[:, None], grid.shape)

@@ -14,10 +14,12 @@ residual, the frame (x, e1, e2, e3) is integrated with exact rotation
 steps from the identity frame at the origin, and the one-parameter
 family of isometric, mean-curvature preserving companions is produced
 by rotating the coframe with the angle tau(s, t) that solves
-d(cot tau) = cot(tau) alpha1 - alpha2.  The fundamental forms of every
-surface, algebraic (fundamental_forms) or read off a frame march by
-finite differences (fd_forms), are one Forms type, and forms_deviation
-compares two of them.
+d(cot tau) = cot(tau) alpha1 - alpha2.  tau, not its cotangent, is what
+the march returns: it stays bounded where cot(tau) has a pole, and the
+companion's builder and report read cot(tau) and the poles off it.  The
+fundamental forms of every surface, algebraic (fundamental_forms) or read
+off a frame march by finite differences (fd_forms), are one Forms type,
+and forms_deviation compares two of them.
 
 Frames are stored as rows of a 3x3 matrix per node, so the structure
 system reads dE = Omega E with Omega skew; each step multiplies by the
@@ -28,7 +30,7 @@ orthonormal to rounding no matter how long the march is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +56,6 @@ __all__ = [
     "FrameStepError",
     "CoframeSet",
     "Forms",
-    "DeformationParam",
     "build_coframes",
     "theta12_form",
     "structure_residuals",
@@ -530,22 +531,6 @@ def forms_deviation(a: Forms, b: Forms, margin: int = 2) -> tuple:
     return dev(("gss", "gst", "gtt")), dev(("L", "M", "N"))
 
 
-@dataclass(frozen=True)
-class DeformationParam:
-    """Deformation parameter field t(s, t-coord) and its pole bookkeeping.
-
-    tau with cot(tau) = t is what actually gets integrated; it stays
-    bounded through the poles of t, which are recorded rather than
-    tripped over.  t is clamped to +-1e12 at pole nodes.
-    """
-
-    t_field: ScalarField
-    tau_field: ScalarField
-    t0: float
-    pole_nodes: tuple = field(default=())
-    sign_flips: int = 0
-
-
 def _rhs_tau(alpha, y):
     ca, cb = alpha
     st = np.sin(y[0])
@@ -554,12 +539,14 @@ def _rhs_tau(alpha, y):
 
 def integrate_deformation(
     cf: CoframeSet, t0: float, order: str = "t_first", substeps: int = 4
-) -> DeformationParam:
-    """March d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau) alpha1 over the grid.
+) -> ScalarField:
+    """March d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau) alpha1 over the grid
+    from tau = atan2(1, t0) at the origin, and return tau.
 
     Equivalent to d(t) = t alpha1 - alpha2 for t = cot(tau), but free of
-    poles.  Coefficients are interpolated linearly inside each cell and
-    each cell is crossed with `substeps` RK4 stages.
+    poles: tau stays bounded where t passes through infinity.  Coefficients
+    are interpolated linearly inside each cell and each cell is crossed
+    with `substeps` RK4 stages.
     """
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
@@ -586,35 +573,28 @@ def integrate_deformation(
     tau = np.empty(g.shape)
     tau[0, 0] = math.atan2(1.0, t0)
     sweep(order, [tau], step)
-
-    st = np.sin(tau)
-    ct = np.cos(tau)
-    poles = tuple(tuple(int(k) for k in idx) for idx in np.argwhere(np.abs(st) < POLE_EPS))
-    with np.errstate(divide="ignore"):
-        t_vals = np.clip(ct / np.where(st == 0.0, np.finfo(float).tiny, st), -T_CLAMP, T_CLAMP)
-    flips = int(np.sum(np.diff(np.sign(st), axis=0) != 0)) + int(
-        np.sum(np.diff(np.sign(st[0, :])) != 0)
-    )
-    return DeformationParam(
-        _adopt(g, t_vals), _adopt(g, tau), float(t0), poles, flips
-    )
+    return _adopt(g, tau)
 
 
 def build_deformed_surface(
-    cf: CoframeSet, profile: SurfaceProfile, dp: DeformationParam, order: str = "t_first"
+    cf: CoframeSet, profile: SurfaceProfile, tau: ScalarField, order: str = "t_first"
 ) -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
     Returns the FrameField of the deformed immersion; its fundamental
     forms are read off the march by fd_forms.  The deformed connection is
     omega12 - d(tau) with d(tau) eliminated algebraically through
-    d(tau) = (alpha2 - t alpha1) / (1 + t^2), so no FD derivative of tau
-    enters the frame march.
+    d(tau) = (alpha2 - t alpha1) / (1 + t^2), t = cot(tau), so no FD
+    derivative of tau enters the frame march.  t is clamped to +-T_CLAMP
+    (1e12) at the poles, where sin(tau) vanishes.
     """
-    t = dp.t_field.values
+    st, ct = np.sin(tau.values), np.cos(tau.values)
+    with np.errstate(divide="ignore"):
+        t = np.clip(ct / np.where(st == 0.0, np.finfo(float).tiny, st), -T_CLAMP, T_CLAMP)
+    # sin(tau) and cos(tau) again from the clamped t, up to the mod-pi ambiguity past a pole
     den = np.sqrt(1.0 + t * t)
-    st = 1.0 / den   # sin(tau), up to the mod-pi ambiguity past a pole
-    ct = t / den     # cos(tau)
+    st = 1.0 / den
+    ct = t / den
 
     w1s = cf.omega1 * ct - cf.omega2 * st
     w2s = cf.omega1 * st + cf.omega2 * ct
@@ -624,29 +604,32 @@ def build_deformed_surface(
 
 
 def deformation_report(
-    profile: SurfaceProfile, forms: Forms, dp: DeformationParam, fd: Forms, margin: int = 2
+    profile: SurfaceProfile, forms: Forms, tau: ScalarField, fd: Forms, margin: int = 2
 ) -> dict:
     """The numbers the deformation family is judged by at one t0.
 
-    `forms` are the base surface's fundamental forms, `dp` the tau march
-    and `fd` the FD forms of the companion's frame at dp.t0.
+    `forms` are the base surface's fundamental forms, `tau` the tau march
+    and `fd` the FD forms of the companion's frame built from it.
     metric_deviation and h_deviation compare the FD metric and FD mean
     curvature of the companion against the base surface's (both vanish
     with h^2); ii_deviation, the max deviation of its FD second form from
     the base surface's, does not, as the companion is a different surface.
-    pole_count and sign_flips are the tau march's pole bookkeeping.
+    pole_count is the number of nodes where |sin(tau)| < POLE_EPS, the poles
+    of t = cot(tau), and sign_flips the number of sign changes of sin(tau)
+    along every s-line and along the t-edge.
     """
     h2d = np.broadcast_to(profile.H[:, None], fd.grid.shape)
     e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
     h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
     first, second = forms_deviation(fd, forms, margin)
+    st = np.sin(tau.values)
     return {
-        "t0": dp.t0,
         "metric_deviation": first,
         "h_deviation": max_interior(h_fd - h2d, margin),
         "ii_deviation": second,
-        "pole_count": len(dp.pole_nodes),
-        "sign_flips": dp.sign_flips,
+        "pole_count": int(np.count_nonzero(np.abs(st) < POLE_EPS)),
+        "sign_flips": int(np.sum(np.diff(np.sign(st), axis=0) != 0)) + int(
+            np.sum(np.diff(np.sign(st[0, :])) != 0)),
     }
 
 

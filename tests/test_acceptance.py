@@ -335,9 +335,9 @@ def test_c08_isometric_deformation(level_stack):
     scale_ii = max(1.0, float(np.max(prof.E * (np.abs(prof.H) + prof.J))))
     tol_ii = FD_FACTOR * grid.h_max**2 * scale_ii
 
-    dp = se.integrate_deformation(cf, 1.0)
-    frame = se.build_deformed_surface(cf, prof, dp)
-    rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), dp, se.fd_forms(frame))
+    tau = se.integrate_deformation(cf, 1.0)
+    frame = se.build_deformed_surface(cf, prof, tau)
+    rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), tau, se.fd_forms(frame))
     tol_metric = FD_FACTOR * grid.h_max**2 * max(1.0, float(np.max(prof.E)))
     tol_h = FD_FACTOR * grid.h_max**2 * max(1.0, float(np.max(np.abs(prof.H))))
     ii_dev = rep["ii_deviation"]
@@ -346,8 +346,8 @@ def test_c08_isometric_deformation(level_stack):
 
     fields = {}
     for t0 in (0.5, 1.0, 2.0):
-        dp = se.integrate_deformation(cf, t0)
-        fields[t0] = se.fd_forms(se.build_deformed_surface(cf, prof, dp)).L.values
+        tau = se.integrate_deformation(cf, t0)
+        fields[t0] = se.fd_forms(se.build_deformed_surface(cf, prof, tau)).L.values
     gaps = [
         float(np.max(np.abs(fields[a] - fields[b])))
         for a, b in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0))

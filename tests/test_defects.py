@@ -11,9 +11,11 @@ ladder over two levels of the demo config, 17^2 and 33^2; the clean run
 passes and the run under the defect fails.
 
 LADDER_DEFECTS does the same for ladder rows on a window of the demo
-config (window_config): the rows that read the alpha coframe,
-profile.gauss, the structure rows of omega1 and omega2, and the frame
-march's two_path, metric_recovery and second_form.  BASE_DEFECTS does it
+config (window_config): the psi rows and lax.compat under a psi that is
+not harmonic, the codazzi and theta12 rows under a defect in the coframe
+each reads (theta1, alpha1, xi12 or omega12), profile.gauss, the
+structure rows of omega1 and omega2, and the frame march's two_path,
+metric_recovery and second_form.  BASE_DEFECTS does it
 for rows judged on the base level alone: the closed-form psi rows, the
 companion surface's rows, q.first_integral and the frame's
 orthonormality and handedness.  A defect in a
@@ -120,7 +122,18 @@ def bumped(psi_field):
 LADDER_DEFECTS = {
     **{name: (lax_psi, "psi_field_from_branch", bumped, 0.5)
        for name in ("psi.constraint", "psi.c_relation", "psi.second_order",
-                    "psi.mixed_partial")},
+                    "psi.mixed_partial", "psi.harmonic", "lax.compat")},
+    # theta1 built as alpha1, a sign flip in build_coframes: dH = J theta1 and
+    # the decomposition of d(psi) in the theta coframe no longer hold
+    **{name: (*coframes_with(theta1=lambda cf: cf.alpha1), 0.5)
+       for name in ("codazzi.dh", "theta12.dpsi")},
+    # alpha1, xi12 or omega12 times a function of t: the identity each one
+    # enters no longer holds
+    **{name: (*coframes_with(alpha1=lambda cf: cf.alpha1 * t_factor(cf.grid)), 0.5)
+       for name in ("codazzi.dlog_j", "codazzi.d_alpha1")},
+    "theta12.xi12": (*coframes_with(xi12=lambda cf: cf.xi12 * t_factor(cf.grid)), 0.5),
+    "theta12.d_star_omega12": (
+        *coframes_with(omega12=lambda cf: cf.omega12 * t_factor(cf.grid)), 0.5),
     # E no longer meets the Gauss equation that H and Q fix
     "profile.gauss": (*profile_with(E=warped("E")), 0.5),
     # omega12 + 1e-3 omega1 adds 1e-3 omega1 ^ omega2 to d(omega1) = omega12 ^ omega2
@@ -183,7 +196,7 @@ BASE_DEFECTS = {
                      cf, perturbed_profile(profile, H=profile.H + 0.5), *args, **kwargs)),
     # tau = 0: the coframe is not rotated, so the companion is the base surface
     "deform.ii_distinct": (surface_embed, "build_deformed_surface",
-                           lambda build: lambda cf, profile, dp, *args, **kwargs:
+                           lambda build: lambda cf, profile, tau, *args, **kwargs:
                            surface_embed.integrate_frame(cf, profile, *args, **kwargs)),
     # every step's rotation 1e-9 too long: the frames drift off orthonormal
     "frame.orthonormality": (surface_embed, "_rot_exp",

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bonnet.forms2d import Grid, observed_order
-from bonnet.q_family import QFamily, eval_q_derivatives, guarded_samples
+from bonnet.forms2d import Grid, ScalarField, observed_order
+from bonnet.q_family import DomainError, QFamily, eval_q_derivatives, guarded_samples
 from bonnet.lax_psi import (
     PsiBranch,
     alpha_components,
@@ -209,6 +209,18 @@ def test_integrate_lax_path_order_agreement(demo_family):
     assert np.max(np.abs(t_first.values - s_first.values)) < 1e-10
     with pytest.raises(ValueError):
         integrate_lax(demo_family, g, 0.0, order="diagonal")
+
+
+@pytest.mark.parametrize("s_min", (5e-4, -0.5))
+def test_grid_past_the_guard_raises_domain_error(demo_branch, demo_family, s_min):
+    # the rational +1 domain is s > 0; the guard keeps 1e-3 of its natural length off the pole
+    g = Grid(s_min, 1.0, 0.0, 1.0, 9, 9)
+    psi = ScalarField.from_function(g, lambda s, t: 0.0 * s)
+    for build in (lambda: psi_field_from_branch(demo_branch, g),
+                  lambda: integrate_lax(demo_family, g, 0.0),
+                  lambda: lax_residuals(psi, demo_family)):
+        with pytest.raises(DomainError, match=f"s = {s_min:g} outside guarded domain"):
+            build()
 
 
 def test_branch_consistency_error_detects_mismatch(demo_branch):

@@ -1,6 +1,7 @@
 """Every file the four commands write keeps its bytes.
 
-solve --refine 2, mesh, deform --t0 1 and verify --refine 2 run in-process
+solve --refine 2, mesh, deform --t0 1, deform --t0 -0.7 (the branch where
+cot(tau) starts negative) and verify --refine 2 run in-process
 on the 17 x 17 config of test_cli, and solve and verify --refine 2 again
 with psi marched from its corner value instead of read from its closed
 form; the sha256 of each file they write is compared with
@@ -28,6 +29,7 @@ RUNS = {
     "solve": (SMALL_CONFIG, ["solve", "--refine", "2"]),
     "mesh": (SMALL_CONFIG, ["mesh"]),
     "deform": (SMALL_CONFIG, ["deform", "--t0", "1"]),
+    "deform_negative": (SMALL_CONFIG, ["deform", "--t0", "-0.7"]),
     "verify": (SMALL_CONFIG, ["verify", "--refine", "2"]),
     "solve_marched": (MARCHED_CONFIG, ["solve", "--refine", "2"]),
     "verify_marched": (MARCHED_CONFIG, ["verify", "--refine", "2"]),

@@ -15,7 +15,6 @@ from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.bonnet_solver import integrate_h_on_grid, perturbed_profile
 from bonnet.surface_embed import (
     CoframeSet,
-    DeformationParam,
     FrameField,
     build_coframes,
     build_deformed_surface,
@@ -209,16 +208,15 @@ def test_weingarten_functional_dependence(demo_profile, demo_frame):
 
 
 def test_deformation_parameter_field(demo_coframes):
-    dp = integrate_deformation(demo_coframes, t0=1.0)
-    assert isinstance(dp, DeformationParam)
-    assert dp.t0 == 1.0
-    assert dp.t_field.values[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert dp.pole_nodes == ()
-    assert dp.sign_flips == 0
-    assert np.all(np.abs(dp.tau_field.values) <= math.pi)
+    tau = integrate_deformation(demo_coframes, t0=1.0)
+    assert isinstance(tau, ScalarField) and tau.grid is demo_coframes.grid
+    assert 1.0 / math.tan(tau.values[0, 0]) == pytest.approx(1.0, rel=1e-12)
+    # no pole of t = cot(tau) on the demo surface: sin(tau) keeps its sign
+    assert np.all(np.sin(tau.values) > 1e-12)
+    assert np.all(np.abs(tau.values) <= math.pi)
     # path orders agree to FD accuracy (closure of d tau is h^2-exact)
     other = integrate_deformation(demo_coframes, t0=1.0, order="s_first")
-    assert np.max(np.abs(other.t_field.values - dp.t_field.values)) < TOL
+    assert np.max(np.abs(1.0 / np.tan(other.values) - 1.0 / np.tan(tau.values))) < TOL
     with pytest.raises(ValueError):
         integrate_deformation(demo_coframes, t0=math.inf)
     with pytest.raises(ValueError):
@@ -228,8 +226,8 @@ def test_deformation_parameter_field(demo_coframes):
 
 
 def test_deformed_surface_is_distinct(demo_profile, demo_coframes, demo_forms):
-    dp = integrate_deformation(demo_coframes, t0=1.0)
-    frame = build_deformed_surface(demo_coframes, demo_profile, dp)
+    tau = integrate_deformation(demo_coframes, t0=1.0)
+    frame = build_deformed_surface(demo_coframes, demo_profile, tau)
     assert isinstance(frame, FrameField)
     assert frame.orthonormality_error() < 1e-12
     # the second form must genuinely change; the isometry is judged in the report
@@ -237,24 +235,41 @@ def test_deformed_surface_is_distinct(demo_profile, demo_coframes, demo_forms):
 
 
 def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
-    dp = integrate_deformation(demo_coframes, t0=1.0)
-    fd = fd_forms(build_deformed_surface(demo_coframes, demo_profile, dp))
-    rep = deformation_report(demo_profile, demo_forms, dp, fd)
-    assert set(rep) == {"t0", "metric_deviation", "h_deviation", "ii_deviation",
+    tau = integrate_deformation(demo_coframes, t0=1.0)
+    fd = fd_forms(build_deformed_surface(demo_coframes, demo_profile, tau))
+    rep = deformation_report(demo_profile, demo_forms, tau, fd)
+    assert set(rep) == {"metric_deviation", "h_deviation", "ii_deviation",
                         "pole_count", "sign_flips"}
     assert rep["pole_count"] == 0 and rep["sign_flips"] == 0
     assert rep["metric_deviation"] < TOL * max(1.0, float(np.max(demo_profile.E)))
     assert rep["h_deviation"] < TOL * max(1.0, float(np.max(np.abs(demo_profile.H))))
     assert rep["ii_deviation"] > 0.5
     assert (rep["metric_deviation"], rep["ii_deviation"]) == forms_deviation(fd, demo_forms)
-    assert rep["t0"] == 1.0
+
+
+def test_deformation_report_counts_poles_and_sign_flips(demo_profile, demo_frame, demo_forms):
+    # a hand-built tau on the 64 x 64 demo grid: 0.5 (sin > 0) but where set below
+    grid = demo_frame.grid
+    vals = np.full(grid.shape, 0.5)
+    vals[0, 10:20] = -0.5    # t-edge: 2 flips; s-lines 10..19: 1 flip each between rows 0, 1
+    vals[40:, 30] = -0.5     # s-line 30: 1 flip
+    vals[5, 5] = math.pi     # pole, sin = +1.2e-16: no flip
+    vals[7, 50] = 0.0        # pole, sin = 0: s-line 50 flips into and out of it, 2 flips
+    vals[20, 60] = -math.pi  # pole, sin = -1.2e-16: s-line 60, 2 flips
+    vals[63, 0] = 2 * math.pi  # pole, sin = -2.4e-16 on the last row: s-line 0, 1 flip
+    vals[30, 40] = 1e-13     # pole, sin = 1e-13 > 0: no flip
+    vals[31, 41] = 1e-11     # not a pole (POLE_EPS is 1e-12), sin > 0: no flip
+    tau = ScalarField(grid, vals)
+    rep = deformation_report(demo_profile, demo_forms, tau, fd_forms(demo_frame))
+    assert rep["pole_count"] == 5
+    assert rep["sign_flips"] == 2 + 10 + 1 + 2 + 2 + 1
 
 
 def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_coframes):
     forms_by_t0 = {}
     for t0 in (0.5, 2.0):
-        dp = integrate_deformation(demo_coframes, t0=t0)
-        forms_by_t0[t0] = fd_forms(build_deformed_surface(demo_coframes, demo_profile, dp))
+        tau = integrate_deformation(demo_coframes, t0=t0)
+        forms_by_t0[t0] = fd_forms(build_deformed_surface(demo_coframes, demo_profile, tau))
     gap = np.max(np.abs(forms_by_t0[0.5].L.values - forms_by_t0[2.0].L.values))
     assert gap > 0.3
 
