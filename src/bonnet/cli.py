@@ -247,8 +247,8 @@ class PipelineData:
     """Everything the checks need on one grid.
 
     psi, the profile and the coframes are built on construction; the frame,
-    its FD forms, the fundamental forms, the deformed surface and every
-    battery are built on first use, at most once.
+    its FD forms, the fundamental forms, the companion, every battery and
+    every scale are built on first use, at most once.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
@@ -265,40 +265,26 @@ class PipelineData:
             cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
         )
         self.cf = surface_embed.build_coframes(self.profile, self.psi)
-        q = self.profile.Q
-        self.scale_q = max(1.0, float(np.max(np.abs(q))))
-        self.scale_q2 = max(1.0, float(np.max(2.0 * q * q)))
-        self.scale_e = max(1.0, float(np.max(self.profile.E)))
-        self.scale_h = max(1.0, float(np.max(np.abs(self.profile.H))))
-        self.scale_ii = max(
-            1.0,
-            float(np.max(self.profile.E * (np.abs(self.profile.H) + self.profile.J))),
-        )
-        self.scale_structure = max(self.scale_e, self.scale_ii)
-        self._batteries = {}
-
-    def battery(self, name: str):
-        """BATTERIES[name] on this level, computed at most once."""
-        if name not in self._batteries:
-            self._batteries[name] = BATTERIES[name](self)
-        return self._batteries[name]
 
     def evaluate(self, row: Check):
         """(value, scale, details) of one check row on this level."""
-        result = self.battery(row.battery) if isinstance(row.battery, str) else row.battery(self)
+        result = getattr(self, row.battery) if isinstance(row.battery, str) else row.battery(self)
         value = result if row.key is None else result[row.key]
         scale = getattr(self, row.scale) if isinstance(row.scale, str) else row.scale
         return value, scale, {key: result[key] for key in row.details}
 
-    @property
-    def scale_inv_q2(self) -> float:
-        """max 1/Q^2: psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice."""
-        q = self.profile.Q
-        return max(1.0, float(np.max(1.0 / (q * q))))
-
-    @property
-    def scale_q4(self) -> float:
-        return self.battery("q")["q4"]
+    # the tolerance scales that rows name
+    scale_q = cached_property(lambda L: max(1.0, float(np.max(np.abs(L.profile.Q)))))
+    scale_q2 = cached_property(lambda L: max(1.0, float(np.max(2.0 * L.profile.Q * L.profile.Q))))
+    # psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice
+    scale_inv_q2 = cached_property(
+        lambda L: max(1.0, float(np.max(1.0 / (L.profile.Q * L.profile.Q)))))
+    scale_q4 = cached_property(lambda L: L.q["q4"])
+    scale_e = cached_property(lambda L: max(1.0, float(np.max(L.profile.E))))
+    scale_h = cached_property(lambda L: max(1.0, float(np.max(np.abs(L.profile.H)))))
+    scale_ii = cached_property(
+        lambda L: max(1.0, float(np.max(L.profile.E * (np.abs(L.profile.H) + L.profile.J)))))
+    scale_structure = cached_property(lambda L: max(L.scale_e, L.scale_ii))
 
     @cached_property
     def frame(self) -> surface_embed.FrameField:
@@ -325,46 +311,44 @@ class PipelineData:
         return 1.0 if self.cfg.t0 is None else self.cfg.t0
 
     @cached_property
-    def deformed(self) -> tuple:
-        """(tau march, frame) of the companion at t0."""
-        tau = surface_embed.integrate_deformation(self.cf, self.t0)
-        return tau, surface_embed.build_deformed_surface(self.cf, self.profile, tau)
+    def tau(self) -> ScalarField:
+        return surface_embed.integrate_deformation(self.cf, self.t0)
 
+    @cached_property
+    def deformed_frame(self) -> surface_embed.FrameField:
+        """The companion's frame march at t0."""
+        return surface_embed.build_deformed_surface(self.cf, self.profile, self.tau)
 
-def _q_identities(L: PipelineData) -> dict:
-    """Q ODE and first-integral residuals over 200 guarded samples, and max Q^4."""
-    fam = L.fam
-    s = guarded_samples(fam, 200)
-    q, qp, _ = eval_q_derivatives(fam, s)
-    return {
-        "q4": float(np.max(eval_q(fam, s) ** 4)),
-        "exactness": float(np.max(np.abs(q_ode_residual(fam, s)))),
-        "first_integral": float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q))),
-        "kappa": fam.kappa,
-    }
+    @cached_property
+    def q(self) -> dict:
+        """Q ODE and first-integral residuals over 200 guarded samples, and max Q^4."""
+        fam = self.fam
+        s = guarded_samples(fam, 200)
+        q, qp, _ = eval_q_derivatives(fam, s)
+        return {
+            "q4": float(np.max(eval_q(fam, s) ** 4)),
+            "exactness": float(np.max(np.abs(q_ode_residual(fam, s)))),
+            "first_integral": float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q))),
+            "kappa": fam.kappa,
+        }
 
+    # the batteries that several rows read, besides q and deformation
+    rk4 = cached_property(lambda L: _rk4_crosscheck(L.fam))  # (error, halving ratio)
+    structure = cached_property(lambda L: surface_embed.structure_residuals(L.cf, L.profile))
+    codazzi = cached_property(lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile))
+    theta12 = cached_property(lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile))
+    ideal = cached_property(lambda L: bonnet_solver.ideal_residuals(L.profile))
+    weingarten = cached_property(lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms))
+    frame_forms = cached_property(lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms))
 
-def _deformation(L: PipelineData) -> dict:
-    """deformation_report of the companion, with its t0.  Its FD forms are taken
-    before the base forms are built: their temporaries are the peak of `deform`,
-    and the base forms would be held through them."""
-    fd = surface_embed.fd_forms(L.deformed[1])
-    return {"t0": L.t0,
-            **surface_embed.deformation_report(L.profile, L.forms, L.deformed[0], fd)}
-
-
-# the batteries that several check rows read, by name
-BATTERIES = {
-    "q": _q_identities,
-    "rk4": lambda L: _rk4_crosscheck(L.fam),  # (error, halving ratio)
-    "structure": lambda L: surface_embed.structure_residuals(L.cf, L.profile),
-    "codazzi": lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile),
-    "theta12": lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile),
-    "ideal": lambda L: bonnet_solver.ideal_residuals(L.profile),
-    "weingarten": lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms),
-    "frame_forms": lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms),
-    "deformation": _deformation,
-}
+    @cached_property
+    def deformation(self) -> dict:
+        """deformation_report of the companion, with its t0.  Its FD forms are taken
+        before the base forms are built: their temporaries are the peak of `deform`,
+        and the base forms would be held through them."""
+        fd = surface_embed.fd_forms(self.deformed_frame)
+        return {"t0": self.t0,
+                **surface_embed.deformation_report(self.profile, self.forms, self.tau, fd)}
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +358,16 @@ BATTERIES = {
 class Check(NamedTuple):
     """One row of the check table.
 
-    battery is the name of a shared battery (BATTERIES) or a function of
-    the level computing this row alone; key picks the value out of its
-    result (None: the result is the value); details names result keys
-    copied into the report.  scale is a number or the name of a
-    PipelineData scale.  margin is the number of nodes the row's
-    residuals strip at each edge of the grid.  reads_frame marks the rows
-    that read the t-first frame march (PipelineData.frame).  rule sets
-    the tolerance and the pass test, with h the base grid's h_max and F
-    the fd_factor:
+    A string battery or scale names an attribute of the level
+    (PipelineData), built at most once: a battery that several rows read,
+    or a tolerance scale.  Any other battery is a function of the level
+    computing this row alone, and any other scale is a number.  key picks
+    the value out of the battery's result (None: the result is the value);
+    details names result keys copied into the report.  margin is the
+    number of nodes the row's residuals strip at each edge of the grid.
+    reads_frame marks the rows that read the t-first frame march
+    (PipelineData.frame).  rule sets the tolerance and the pass test, with
+    h the base grid's h_max and F the fd_factor:
 
       algebraic    value <= tolerances.algebraic * scale
       bound        value <= scale
@@ -881,7 +866,7 @@ def cmd_mesh(args) -> int:
             "grid": _grid_info(g),
             "vertices": g.ns * g.nt,
             "triangles": 2 * (g.ns - 1) * (g.nt - 1),
-            "structure_residuals": level.battery("structure"),
+            "structure_residuals": level.structure,
         }
 
     rows = _select(cfg, ("structure.", "frame.orthonormality", "frame.metric_recovery",
@@ -898,9 +883,9 @@ def cmd_deform(args) -> int:
 
     def export(level, out, write):
         path = os.path.join(out, "deformed.obj")
-        _, frame = level.deformed
+        frame = level.deformed_frame
         write(path, lambda: surface_embed.export_obj(frame, path))
-        rep = level.battery("deformation")
+        rep = level.deformation
         return {
             "t0": rep["t0"],
             "metric_deviation": rep["metric_deviation"],

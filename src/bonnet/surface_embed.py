@@ -15,11 +15,11 @@ steps from the identity frame at the origin, and the one-parameter
 family of isometric, mean-curvature preserving companions is produced
 by rotating the coframe with the angle tau(s, t) that solves
 d(cot tau) = cot(tau) alpha1 - alpha2.  tau, not its cotangent, is what
-the march returns: it stays bounded where cot(tau) has a pole, and the
-companion's builder and report read cot(tau) and the poles off it.  The
-fundamental forms of every surface, algebraic (fundamental_forms) or read
-off a frame march by finite differences (fd_forms), are one Forms type,
-and forms_deviation compares two of them.
+the march returns: it stays inside (0, pi) where cot(tau) has a pole, the
+companion's builder reads sin(tau) and cos(tau) off it, and the report
+the poles of cot(tau).  The fundamental forms of every surface, algebraic
+(fundamental_forms) or read off a frame march by finite differences
+(fd_forms), are one Forms type, and forms_deviation compares two of them.
 
 Frames are stored as rows of a 3x3 matrix per node, so the structure
 system reads dE = Omega E with Omega skew; each step multiplies by the
@@ -77,7 +77,6 @@ __all__ = [
 ]
 
 MAX_STEP_ANGLE = 0.5
-T_CLAMP = 1e12
 POLE_EPS = 1e-12
 # grid rows per block of the frame reductions: they hold a few block-sized
 # temporaries at a time where whole-grid expressions would hold grid-sized ones
@@ -86,10 +85,6 @@ _BLOCK_ROWS = 32
 
 class FrameStepError(ValueError):
     """A frame step would rotate by more than MAX_STEP_ANGLE; the grid is too coarse."""
-
-
-def _field(grid: Grid, values) -> ScalarField:
-    return _adopt(grid, np.array(values, dtype=float))
 
 
 def _profile_field(grid: Grid, arr) -> ScalarField:
@@ -194,13 +189,13 @@ def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
     ang = psi.values
     cosp, sinp = np.cos(ang), np.sin(ang)
 
-    omega1 = OneForm(_field(grid, e2d * cosp), _field(grid, -e2d * sinp))
-    omega2 = OneForm(_field(grid, e2d * sinp), _field(grid, e2d * cosp))
-    xi12 = hodge(d_scalar(_field(grid, np.log(e2d))))
+    omega1 = OneForm(_adopt(grid, e2d * cosp), _adopt(grid, -e2d * sinp))
+    omega2 = OneForm(_adopt(grid, e2d * sinp), _adopt(grid, e2d * cosp))
+    xi12 = hodge(d_scalar(_adopt(grid, np.log(e2d))))
     omega12 = xi12 - d_scalar(psi)
 
-    u = _field(grid, a2d * cosp)
-    v = _field(grid, a2d * sinp)
+    u = _adopt(grid, a2d * cosp)
+    v = _adopt(grid, a2d * sinp)
     theta1 = omega1 * u + omega2 * v
     theta2 = omega2 * u - omega1 * v
     alpha1 = omega1 * u - omega2 * v
@@ -210,7 +205,7 @@ def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
 
 def _e_dt(grid: Grid, profile: SurfaceProfile, coef) -> OneForm:
     """coef e dt for an s-only coef; each node's q is the product e * coef."""
-    return OneForm(_field(grid, np.zeros(grid.shape)), _profile_field(grid, profile.e * coef))
+    return OneForm(_adopt(grid, np.zeros(grid.shape)), _profile_field(grid, profile.e * coef))
 
 
 def theta12_form(cf: CoframeSet, profile: SurfaceProfile) -> OneForm:
@@ -284,8 +279,8 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile, ma
     loga = _profile_field(g, np.log(profile.A))
     c2d = _profile_field(g, profile.C)
     two = 2.0 * psi.values
-    half_sin = _field(g, 0.5 * np.sin(two))
-    half_rest = _field(g, 0.5 * (profile.C[:, None] + np.cos(two)))
+    half_sin = _adopt(g, 0.5 * np.sin(two))
+    half_rest = _adopt(g, 0.5 * (profile.C[:, None] + np.cos(two)))
     dpsi = d_scalar(psi)
     res = {
         "theta12_via_psi": (
@@ -490,9 +485,7 @@ def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> Forms:
     E = _adopt(grid, np.broadcast_to(e2d, grid.shape).copy())
     return Forms(
         grid, E, _adopt(grid, np.zeros(grid.shape)), E,
-        _adopt(grid, np.broadcast_to(L_a, grid.shape).copy()),
-        _adopt(grid, np.broadcast_to(M_a, grid.shape).copy()),
-        _adopt(grid, np.broadcast_to(N_a, grid.shape).copy()),
+        _adopt(grid, L_a), _adopt(grid, M_a), _adopt(grid, N_a),
     )
 
 
@@ -583,23 +576,16 @@ def build_deformed_surface(
 
     Returns the FrameField of the deformed immersion; its fundamental
     forms are read off the march by fd_forms.  The deformed connection is
-    omega12 - d(tau) with d(tau) eliminated algebraically through
-    d(tau) = (alpha2 - t alpha1) / (1 + t^2), t = cot(tau), so no FD
-    derivative of tau enters the frame march.  t is clamped to +-T_CLAMP
-    (1e12) at the poles, where sin(tau) vanishes.
+    omega12 - d(tau) with d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau)
+    alpha1, the tau march's own right-hand side, so no FD derivative of
+    tau enters the frame march.  Every term is bounded, poles of
+    t = cot(tau) included, and tau stays inside (0, pi) because sin(tau) = 0
+    is invariant under its march.
     """
     st, ct = np.sin(tau.values), np.cos(tau.values)
-    with np.errstate(divide="ignore"):
-        t = np.clip(ct / np.where(st == 0.0, np.finfo(float).tiny, st), -T_CLAMP, T_CLAMP)
-    # sin(tau) and cos(tau) again from the clamped t, up to the mod-pi ambiguity past a pole
-    den = np.sqrt(1.0 + t * t)
-    st = 1.0 / den
-    ct = t / den
-
     w1s = cf.omega1 * ct - cf.omega2 * st
     w2s = cf.omega1 * st + cf.omega2 * ct
-    inv = 1.0 / (1.0 + t * t)
-    dtau = (cf.alpha2 - cf.alpha1 * t) * inv
+    dtau = cf.alpha2 * (st * st) - cf.alpha1 * (st * ct)
     return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, profile, order)
 
 

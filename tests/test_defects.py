@@ -1,5 +1,5 @@
-"""Each check row judged as an identity, and each ladder row that reads the
-alpha coframe, fails under a defect it is there to see.
+"""Every check row of cli.CHECKS but the two in EXEMPT fails under a defect it
+is there to see.
 
 A row of cli.CHECKS with rule "identity" is zero in exact arithmetic by how
 its fields are built, so it is bounded by tolerances.algebraic on every
@@ -13,14 +13,15 @@ passes and the run under the defect fails.
 LADDER_DEFECTS does the same for ladder rows on a window of the demo
 config (window_config): the psi rows and lax.compat under a psi that is
 not harmonic, the codazzi and theta12 rows under a defect in the coframe
-each reads (theta1, alpha1, xi12 or omega12), profile.gauss, the
-structure rows of omega1 and omega2, and the frame march's two_path,
-metric_recovery and second_form.  BASE_DEFECTS does it
-for rows judged on the base level alone: the closed-form psi rows, the
-companion surface's rows, q.first_integral and the frame's
-orthonormality and handedness.  A defect in a
-function is seen by every module that imported it by name, as a defect
-in its source would be.
+each reads (theta1, alpha1, xi12 or omega12), the profile rows under a
+warped B, J, e or E, the five structure rows under an omega12 off by a
+multiple of omega1 or omega2 or by a factor in t, the transform rows
+under a connection solved 1e-3 too long, and the frame march's two_path,
+metric_recovery and second_form and weingarten.wedge.  BASE_DEFECTS does
+it for rows judged on the base level alone: the closed-form psi rows, the
+companion surface's rows, the four q rows and the frame's orthonormality
+and handedness.  A defect in a function is seen by every module that
+imported it by name, as a defect in its source would be.
 """
 import json
 from dataclasses import replace
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bonnet import bonnet_solver, cli, lax_psi, q_family, surface_embed
+from bonnet import bonnet_solver, cli, lax_psi, q_family, rk4, surface_embed
 from bonnet.bonnet_solver import perturbed_profile
 from bonnet.forms2d import ScalarField
 
@@ -132,16 +133,31 @@ LADDER_DEFECTS = {
     **{name: (*coframes_with(alpha1=lambda cf: cf.alpha1 * t_factor(cf.grid)), 0.5)
        for name in ("codazzi.dlog_j", "codazzi.d_alpha1")},
     "theta12.xi12": (*coframes_with(xi12=lambda cf: cf.xi12 * t_factor(cf.grid)), 0.5),
-    "theta12.d_star_omega12": (
-        *coframes_with(omega12=lambda cf: cf.omega12 * t_factor(cf.grid)), 0.5),
+    **{name: (*coframes_with(omega12=lambda cf: cf.omega12 * t_factor(cf.grid)), 0.5)
+       for name in ("theta12.d_star_omega12", "theta12.via_psi")},
     # E no longer meets the Gauss equation that H and Q fix
     "profile.gauss": (*profile_with(E=warped("E")), 0.5),
-    # omega12 + 1e-3 omega1 adds 1e-3 omega1 ^ omega2 to d(omega1) = omega12 ^ omega2
-    # only, since omega1 ^ omega1 = 0
-    "structure.d_omega1": (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega1 * 1e-3),
-                           0.125),
-    "structure.d_omega2": (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega2 * 1e-3),
-                           0.125),
+    # B, J or e no longer meets the ideal's equation or the geodesic curvature
+    # that A, H and Q fix
+    "profile.ideal_db": (*profile_with(B=warped("B")), 0.5),
+    "profile.ideal_dlog_j": (*profile_with(J=warped("J")), 0.5),
+    "profile.geodesic": (*profile_with(e=warped("e")), 0.125),
+    # omega12 + 1e-3 omega1 adds 1e-3 omega1 ^ omega2 to d(omega1) = omega12 ^ omega2,
+    # since omega1 ^ omega1 = 0, and 1e-3 omega1 ^ omega23 to d(omega13); omega2 likewise
+    **{name: (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega1 * 1e-3), 0.125)
+       for name in ("structure.d_omega1", "structure.d_omega13")},
+    **{name: (*coframes_with(omega12=lambda cf: cf.omega12 + cf.omega2 * 1e-3), 0.125)
+       for name in ("structure.d_omega2", "structure.d_omega23")},
+    # omega12 times a function of t no longer has the curvature K = H^2 - J^2
+    "structure.d_omega12": (
+        *coframes_with(omega12=lambda cf: cf.omega12 * t_factor(cf.grid)), 0.125),
+    # the connection solved from a rotated or scaled coframe, 1e-3 too long
+    **{name: (surface_embed, "connection_from_coframe",
+              lambda solve: lambda c1, c2: solve(c1, c2) * (1.0 + 1e-3), 0.125)
+       for name in ("transform.rotation", "transform.scaling")},
+    # the frame's FD N times a function of t: K is no longer a function of H alone
+    "weingarten.wedge": (surface_embed, "fd_forms", lambda forms:
+                         lambda frame: scaled_n(forms(frame)), 0.125),
     # omega12 + 1e-3 t ds is not flat: d(1e-3 t ds) = -1e-3 ds ^ dt, so the two
     # path orders part by O(1e-3), not O(h^2)
     "frame.two_path": (*coframes_with(omega12=lambda cf: replace(
@@ -162,12 +178,33 @@ def scaled_l(forms):
     return replace(forms, L=forms.L * (1.0 + 1e-3))
 
 
+def scaled_n(forms):
+    return replace(forms, N=forms.N * t_factor(forms.grid))
+
+
 def scaled_qp(eval_q_derivatives):
     """Q' scaled by 1 + 1e-6: Q no longer meets its first integral."""
     def scaled(fam, s):
         q, qp, qpp = eval_q_derivatives(fam, s)
         return q, qp * (1.0 + 1e-6), qpp
     return scaled
+
+
+def scaled_qpp(eval_q_derivatives):
+    """Q'' scaled by 1 + 1e-6: Q no longer meets its ODE."""
+    def scaled(fam, s):
+        q, qp, qpp = eval_q_derivatives(fam, s)
+        return q, qp, qpp * (1.0 + 1e-6)
+    return scaled
+
+
+def midpoint(rk4_step):
+    """The midpoint RK2 step in place of RK4's: second order, not fourth."""
+    def step(rhs, y, h, c_start, c_mid, c_end):
+        k1 = rhs(c_start, y)
+        k2 = rhs(c_mid, [a + 0.5 * h * b for a, b in zip(y, k1)])
+        return [a + h * b for a, b in zip(y, k2)]
+    return step
 
 
 def scaled_psi_t(psi_closed_form_derivatives):
@@ -185,6 +222,9 @@ BASE_DEFECTS = {
     "psi.branch_consistency": (lax_psi, "psi_field_from_branch",
                                lambda field: lambda branch, grid: field(branch, grid) + 1e-6),
     "q.first_integral": (q_family, "eval_q_derivatives", scaled_qp),
+    "q.exactness": (q_family, "eval_q_derivatives", scaled_qpp),
+    # the Q march of the cross-check: its error is O(h^2) and halves by 4, not 16
+    **{name: (rk4, "rk4_step", midpoint) for name in ("q.rk4_error", "q.rk4_halving")},
     # the companion's coframe (omega1, omega2) scaled by 1.5: its metric is 2.25 E
     "deform.metric": (surface_embed, "build_deformed_surface",
                       lambda build: lambda cf, *args, **kwargs: build(
@@ -222,6 +262,24 @@ def judged(cfg, row) -> dict:
     """The report entry of `row` alone over two ladder levels."""
     (entry,), _ = cli._ladder(cfg, [row], 2, None)
     return entry
+
+
+# rows no defect entry can fail, with the reason in each comment
+EXEMPT = {
+    # its clean orders on the window are pre-asymptotic, 1.83-1.87 at widths 0.5 to
+    # 0.125, so the clean run fails ORDER_TARGET on two levels
+    "codazzi.d_alpha2",
+    # the spread along t of K = H^2 - J^2 broadcast from s-only arrays: zero by
+    # construction, whatever the pipeline's inputs
+    "weingarten.k_t_variation",
+}
+
+
+def test_every_row_but_the_exempt_has_a_defect():
+    named = [*DEFECTS, *LADDER_DEFECTS, *BASE_DEFECTS]
+    assert len(named) == len(set(named))
+    assert set(named) == {row.name for row in cli.CHECKS} - EXEMPT
+    assert EXEMPT <= {row.name for row in cli.CHECKS}
 
 
 def test_every_identity_row_has_a_defect():

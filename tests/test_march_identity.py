@@ -343,18 +343,12 @@ def ref_forms(w1, w2, w12, profile):
 
 
 def ref_deformed_forms(cf, profile, tau):
-    """(w1, w2, w12, w13, w23) of the companion rotated by tau, through
-    t = cot(tau) clamped to +-1e12."""
+    """(w1, w2, w12, w13, w23) of the companion rotated by tau, with
+    d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau) alpha1."""
     st, ct = np.sin(tau.values), np.cos(tau.values)
-    with np.errstate(divide="ignore"):
-        t = np.clip(ct / np.where(st == 0.0, np.finfo(float).tiny, st), -1e12, 1e12)
-    den = np.sqrt(1.0 + t * t)
-    st = 1.0 / den
-    ct = t / den
     w1s = cf.omega1 * ct - cf.omega2 * st
     w2s = cf.omega1 * st + cf.omega2 * ct
-    inv = 1.0 / (1.0 + t * t)
-    w12s = cf.omega12 - (cf.alpha2 - cf.alpha1 * t) * inv
+    w12s = cf.omega12 - (cf.alpha2 * (st * st) - cf.alpha1 * (st * ct))
     return ref_forms(w1s, w2s, w12s, profile)
 
 

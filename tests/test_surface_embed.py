@@ -225,6 +225,16 @@ def test_deformation_parameter_field(demo_coframes):
         integrate_deformation(demo_coframes, t0=1.0, order="diagonal")
 
 
+@pytest.mark.parametrize("t0", [-1e6, -100.0, -0.7, 1e-6, 1.0, 100.0, 1e6])
+def test_tau_stays_strictly_inside_zero_to_pi(demo_coframes, t0):
+    # tau starts at atan2(1, t0) in (0, pi), and sin(tau) = 0 is invariant under
+    # the march, so it reaches neither end: sin(tau) > 0 at every node, and
+    # build_deformed_surface's rotation by sin(tau) and cos(tau) is the one by
+    # t = cot(tau) with sin(tau) = 1 / sqrt(1 + t^2)
+    tau = integrate_deformation(demo_coframes, t0=t0).values
+    assert np.all(tau > 0.0) and np.all(tau < math.pi)
+
+
 def test_deformed_surface_is_distinct(demo_profile, demo_coframes, demo_forms):
     tau = integrate_deformation(demo_coframes, t0=1.0)
     frame = build_deformed_surface(demo_coframes, demo_profile, tau)
