@@ -23,7 +23,7 @@ independent residual check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "SurfaceProfile",
     "RegimeError",
     "BlowUpError",
+    "ProfileRangeError",
     "h_ode_residual",
     "h_third_derivative",
     "integrate_h",
@@ -45,10 +46,12 @@ __all__ = [
     "ideal_residuals",
     "geodesic_curvature_residual",
     "write_profile_csv",
-    "perturbed_profile",
 ]
 
 H_BLOWUP = 1e9
+# nodes the grid residuals here and in surface_embed strip at each edge,
+# where their one-sided FD stencils leave the largest h^2 error
+MARGIN = 2
 
 
 class RegimeError(RuntimeError):
@@ -75,6 +78,11 @@ class BlowUpError(RuntimeError):
         return type(self), (self.last_valid_s,)
 
 
+class ProfileRangeError(ValueError):
+    """A profile field that must be positive is not: its data overflow or
+    underflow on the grid."""
+
+
 @dataclass(frozen=True)
 class HInitialData:
     """Initial values (H, H', H'') at s0 and the coupling constant tau_c."""
@@ -95,15 +103,11 @@ class HInitialData:
             raise ValueError("tau_c must be positive")
 
 
-def _h3(q, H, Hp, Hpp, tau_c: float):
+def h_third_derivative(q, H, Hp, Hpp, tau_c: float):
+    """H''' isolated from the profile equation, where Q = q."""
     return Hpp * Hpp / Hp + Hp * (
         2.0 * q * q * (1.0 + tau_c * H * H / Hp) - 2.0 * tau_c * Hp
     )
-
-
-def h_third_derivative(s, H, Hp, Hpp, fam: QFamily, tau_c: float):
-    """H''' isolated from the profile equation."""
-    return _h3(eval_q(fam, s), H, Hp, Hpp, tau_c)
 
 
 def h_ode_residual(s, H, Hp, Hpp, Hppp, fam: QFamily, tau_c: float):
@@ -122,7 +126,7 @@ class SurfaceProfile:
 
     Arrays share one s-sampling.  Construction only checks shapes;
     validate_profile enforces the defining identities (used by the
-    integrators, skipped by perturbed_profile so negative controls can
+    integrators; dataclasses.replace skips it, so negative controls can
     exist).
     """
 
@@ -151,7 +155,10 @@ class SurfaceProfile:
         if n < 5:
             raise ValueError("profile needs at least 5 samples")
 
+    # samples that overflow or underflow give inf, nan or 0 here without a warning:
+    # validate_profile then raises ProfileRangeError, which names the field and s
     @classmethod
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def from_h_samples(cls, s, H, Hp, Hpp, fam: QFamily, tau_c: float) -> "SurfaceProfile":
         s = np.asarray(s, dtype=float)
         q = eval_q(fam, s)
@@ -165,19 +172,23 @@ class SurfaceProfile:
         return cls(s, H, Hp, Hpp, J, E, e, A, B, C, q, fam, tau_c)
 
 
-def validate_profile(profile: SurfaceProfile, rtol: float = 1e-10) -> None:
+def validate_profile(profile: SurfaceProfile) -> None:
     """Enforce positivity and the exact algebraic couplings."""
     p = profile
     for name in ("Hp", "J", "E", "e", "A", "Q"):
-        if not np.all(getattr(p, name) > 0):
-            raise ValueError(f"profile field {name} must be positive everywhere")
+        field = getattr(p, name)
+        bad = ~(field > 0)  # NaN is not positive either
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ProfileRangeError(f"profile field {name} must be positive everywhere, "
+                                    f"but is {field[k]:g} at s = {p.s[k]:.12g}")
     if np.any(np.diff(p.s) <= 0):
         raise ValueError("profile s-samples must be strictly increasing")
 
     def close(x, y, what):
         scale = max(1.0, float(np.max(np.abs(y))))
         worst = float(np.max(np.abs(x - y)))
-        if worst > rtol * scale:
+        if worst > 1e-10 * scale:
             raise ConsistencyError(f"profile identity {what} violated: {worst:.3e}")
 
     close(p.E * p.J, p.tau_c * p.Q, "E*J = tau_c*Q")
@@ -203,14 +214,17 @@ def integrate_h(ics: HInitialData, fam: QFamily, s1: float, step: float) -> Surf
     h = (s1 - ics.s0) / n
     s_out = ics.s0 + h * np.arange(n + 1)
     s_k = s_out[:-1]
-    q_start, q_mid, q_end = eval_q(fam, np.stack([s_k, s_k + 0.5 * h, s_k + h]))
+    # a hyperbolic Q whose sinh overflows is 0 here, without a warning: validate_profile
+    # then raises ProfileRangeError, which names the first such s
+    with np.errstate(over="ignore"):
+        q_start, q_mid, q_end = eval_q(fam, np.stack([s_k, s_k + 0.5 * h, s_k + h]))
     tau_c = ics.tau_c
 
     def rhs(q, y):
         H, Hp, Hpp = y
         if not Hp > 0:
             raise RegimeError(s_k[k])  # k: the step being taken
-        return Hp, Hpp, _h3(q, H, Hp, Hpp, tau_c)
+        return Hp, Hpp, h_third_derivative(q, H, Hp, Hpp, tau_c)
 
     out = np.empty((n + 1, 3))
     out[0] = y = [float(ics.H0), float(ics.H0p), float(ics.H0pp)]
@@ -252,17 +266,17 @@ def _d1(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.gradient(vals, s, edge_order=2)
 
 
-def gauss_s_residual(profile: SurfaceProfile, margin: int = 2) -> float:
+def gauss_s_residual(profile: SurfaceProfile) -> float:
     """Gauss equation reduced to s: (log E)'' - 2 Q^2 + (H''/H')' -> 0."""
     p = profile
     resid = (
         _second_derivative(np.log(p.E), p.s[1] - p.s[0], 0)
         - 2.0 * p.Q * p.Q + _d1(p.Hpp / p.Hp, p.s)
     )
-    return max_interior(resid, margin)
+    return max_interior(resid, MARGIN)
 
 
-def ideal_residuals(profile: SurfaceProfile, margin: int = 2) -> dict:
+def ideal_residuals(profile: SurfaceProfile) -> dict:
     """Max residuals of the five closed-ideal relations, |X' - Q * RHS|.
 
     dlog_a is definitionally zero (B is the FD of log A); dh is zero to
@@ -278,23 +292,14 @@ def ideal_residuals(profile: SurfaceProfile, margin: int = 2) -> dict:
         "dh": p.Hp - p.Q * p.J,
         "dlog_j": _d1(np.log(p.J), p.s) - p.Q * (2.0 * p.B + p.C),
     }
-    return {k: max_interior(v, margin) for k, v in res.items()}
+    return {k: max_interior(v, MARGIN) for k, v in res.items()}
 
 
-def geodesic_curvature_residual(profile: SurfaceProfile, margin: int = 2) -> float:
+def geodesic_curvature_residual(profile: SurfaceProfile) -> float:
     """Geodesic curvature of the t-lines: e'/e^2 + A (B + C) -> 0."""
     p = profile
     resid = _d1(p.e, p.s) / (p.e * p.e) + p.A * (p.B + p.C)
-    return max_interior(resid, margin)
-
-
-def perturbed_profile(profile: SurfaceProfile, **overrides) -> SurfaceProfile:
-    """Copy with fields replaced and *no* identity validation.
-
-    Negative controls need profiles that deliberately violate the
-    algebraic couplings; never feed these to the frame integrator.
-    """
-    return replace(profile, **overrides)
+    return max_interior(resid, MARGIN)
 
 
 def write_profile_csv(profile: SurfaceProfile, path) -> None:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bonnet_solver, lax_psi, surface_embed
-from .bonnet_solver import BlowUpError, HInitialData, RegimeError
+from .bonnet_solver import BlowUpError, HInitialData, ProfileRangeError, RegimeError
 from .forms2d import (
     CoframeSingularError,
     Grid,
@@ -51,7 +51,6 @@ from .q_family import (
     SingularityGuard,
     eval_q,
     eval_q_derivatives,
-    first_integral_kappa,
     guarded_samples,
     integrate_q_ode,
     q_ode_residual,
@@ -63,6 +62,8 @@ __all__ = ["main", "RunConfig", "ConfigError", "cmd_verify"]
 ORDER_TARGET = 1.9
 # the rules of the rows that run on every ladder level
 LADDER_RULES = ("ladder", "identity")
+# the prefixes of the rows that read the t-first frame march (PipelineData.frame)
+FRAME_ROWS = ("frame.", "weingarten.")
 RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
@@ -72,6 +73,11 @@ K_T_VARIATION_TOL = 1e-10
 # holds the finest psi, H, coframes and grid checks, at about 0.28 kB: so the cap
 # keeps them near 1.7 GB and 1.2 GB
 MAX_LADDER_NODES = 2**22
+# RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
+# its psi march, (ns - 1) * psi.substeps.  The H march holds about 160 bytes a step and
+# the psi march about 52, so the cap keeps them near 1.3 GB and 0.4 GB.  The thinnest
+# grid under MAX_LADDER_NODES, 838860 x 5, takes 6.7M steps at 8 substeps
+MAX_MARCH_STEPS = 2**23
 
 
 class ConfigError(ValueError):
@@ -157,6 +163,19 @@ def _check_ladder(grid: Grid, levels: int) -> None:
             f"than {MAX_LADDER_NODES} (2**22) nodes on the finest level")
 
 
+def _check_marches(cfg: RunConfig, levels: int) -> None:
+    """ConfigError unless the H and psi marches of the finest of `levels` ladder
+    levels take at most MAX_MARCH_STEPS RK4 steps each; after _check_ladder,
+    which bounds `levels`."""
+    cells = (cfg.grid.ns - 1) * 2 ** (levels - 1)
+    for key, substeps in (("profile_substeps", cfg.profile_substeps),
+                          ("psi.substeps", cfg.psi_substeps)):
+        if cells * substeps > MAX_MARCH_STEPS:
+            raise ConfigError(
+                f"{key} = {substeps} over the {cells} s-cells of the finest level takes "
+                f"more than {MAX_MARCH_STEPS} (2**23) RK4 steps")
+
+
 def _walk(data, spec: dict, given: set, prefix: str = "") -> dict:
     """`data` parsed against `spec` (CONFIG or a section of it), defaults filled in.
 
@@ -234,7 +253,8 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # RecursionError: JSON nested past the interpreter's recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig(data)
 
@@ -365,9 +385,8 @@ class Check(NamedTuple):
     the value out of the battery's result (None: the result is the value);
     details names result keys copied into the report.  margin is the
     number of nodes the row's residuals strip at each edge of the grid.
-    reads_frame marks the rows that read the t-first frame march
-    (PipelineData.frame).  rule sets the tolerance and the pass test, with
-    h the base grid's h_max and F the fd_factor:
+    rule sets the tolerance and the pass test, with h the base grid's
+    h_max and F the fd_factor:
 
       algebraic    value <= tolerances.algebraic * scale
       bound        value <= scale
@@ -386,7 +405,6 @@ class Check(NamedTuple):
     rule: str = "ladder"
     details: tuple = ()
     margin: int = 2
-    reads_frame: bool = False
 
 
 # report order; verify runs every row, the other commands a prefix filter
@@ -403,18 +421,18 @@ CHECKS = (
           lambda L: lax_psi.branch_consistency_error(L.cfg.psi_branch, L.psi),
           rule="algebraic", margin=0),
     Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
-          rule="bound", margin=0, reads_frame=True),
+          rule="bound", margin=0),
     Check("frame.handedness", ORTHONORMALITY_TOL, lambda L: 1.0 - L.frame.min_handedness(),
-          rule="bound", margin=0, reads_frame=True),
+          rule="bound", margin=0),
     Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound",
-          margin=3, reads_frame=True),
+          margin=3),
     Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
     Check("deform.h", "scale_h", "deformation", "h_deviation", "fd", ("t0",)),
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
     Check("lax.compat", "scale_q", lambda L: max(
         r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1),
-    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi, 1), margin=1),
+    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi), margin=1),
     Check("psi.constraint", "scale_q",
           lambda L: lax_psi.psi_constraint_residual(L.psi, L.alpha).max_abs_interior(2)),
     Check("psi.c_relation", "scale_q", lambda L: max(
@@ -455,11 +473,10 @@ CHECKS = (
         L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
     # the ladder rows that read the frame march come last (see _ladder)
     Check("frame.two_path", 1.0,
-          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame),
-          margin=0, reads_frame=True),
-    Check("frame.metric_recovery", "scale_e", "frame_forms", 0, reads_frame=True),
-    Check("frame.second_form", "scale_ii", "frame_forms", 1, reads_frame=True),
-    Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3, reads_frame=True),
+          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame), margin=0),
+    Check("frame.metric_recovery", "scale_e", "frame_forms", 0),
+    Check("frame.second_form", "scale_ii", "frame_forms", 1),
+    Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3),
 )
 
 
@@ -709,7 +726,7 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     on_ladder = [row for row in rows if row.rule in LADDER_RULES]
     n = levels if on_ladder else 1
     # no row reading the frame puts the cut at 0: the child takes the whole level
-    cut = next((i for i, row in enumerate(on_ladder) if row.reads_frame), 0)
+    cut = next((i for i, row in enumerate(on_ladder) if row.name.startswith(FRAME_ROWS)), 0)
     head, tail = on_ladder[:cut], on_ladder[cut:]
     finest = None
     if n > 1 and hasattr(os, "fork"):
@@ -760,7 +777,7 @@ def _check_margins(grid: Grid, rows: list) -> None:
 def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) -> int:
     """One command: `rows` over `levels` ladder levels, refused (ConfigError)
     before any output exists if the finest level is over MAX_LADDER_NODES or
-    the base grid is too small for a row's margin.
+    MAX_MARCH_STEPS or the base grid is too small for a row's margin.
 
     export(level, out, write) writes the command's files (CSV, OBJ) from
     the base level, in place or through write (_Writers.write), and
@@ -768,6 +785,7 @@ def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) ->
     <command>_report.json is written and printed; returns the exit code.
     """
     _check_ladder(cfg.grid, levels)
+    _check_marches(cfg, levels)
     _check_margins(cfg.grid, rows)
     out = args.out if args.out else cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -812,7 +830,7 @@ def cmd_families(args) -> int:
                 "q": fam.describe().split(" on ")[0],
                 "domain": f"({lo + 0.0:g}, {hi + 0.0:g})",
                 "kappa": {"rational": "0", "trig": "-a^2", "hyper": "+a^2"}[kind],
-                "kappa_at_a1": first_integral_kappa(fam),
+                "kappa_at_a1": fam.kappa,
             })
     if args.json:
         print(json.dumps({"families": rows}, indent=2, sort_keys=True))
@@ -960,6 +978,7 @@ _MODULE_ERRORS = (
     ConsistencyError,
     RegimeError,
     BlowUpError,
+    ProfileRangeError,
     LaxBlowUpError,
     CoframeSingularError,
     FrameStepError,

@@ -318,9 +318,9 @@ def branch_lax_residuals(branch: PsiBranch, grid: Grid):
     return _adopt(grid, r1), _adopt(grid, r2)
 
 
-def harmonic_residual(psi: ScalarField, margin: int = 1) -> float:
-    """Max interior |laplacian(psi)|; valid fields are harmonic."""
-    return laplacian(psi).max_abs_interior(margin)
+def harmonic_residual(psi: ScalarField) -> float:
+    """Max |laplacian(psi)| one node in from the edges; valid fields are harmonic."""
+    return laplacian(psi).max_abs_interior(1)
 
 
 def alpha_components(psi: ScalarField, alpha1: OneForm, alpha2: OneForm) -> tuple:

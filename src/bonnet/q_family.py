@@ -38,7 +38,6 @@ __all__ = [
     "eval_dlog_q",
     "q_ode_residual",
     "c_ode_residual",
-    "first_integral_kappa",
     "integrate_q_ode",
     "guarded_samples",
 ]
@@ -230,21 +229,6 @@ def guarded_samples(fam: QFamily, n: int = 200):
         else:
             glo = ghi - span
     return np.linspace(glo, ghi, n)
-
-
-def first_integral_kappa(fam: QFamily) -> float:
-    """kappa, verified as (Q')^2 - Q^4 = kappa Q^2 on a guarded sweep."""
-    s = guarded_samples(fam)
-    q, qp, _ = eval_q_derivatives(fam, s)
-    resid = qp * qp - q**4 - fam.kappa * q * q
-    scale = float(np.max(q**4))
-    worst = float(np.max(np.abs(resid)))
-    if worst > 1e-10 * scale:
-        raise ConsistencyError(
-            f"first integral violated for {fam.describe()}: "
-            f"max residual {worst:.3e} vs scale {scale:.3e}"
-        )
-    return fam.kappa
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bonnet_solver import SurfaceProfile
+from .bonnet_solver import MARGIN, SurfaceProfile
 from .forms2d import (
     CoframeSingularError,
     Grid,
@@ -78,6 +78,8 @@ __all__ = [
 
 MAX_STEP_ANGLE = 0.5
 POLE_EPS = 1e-12
+# RK4 stages per cell of the tau march
+TAU_SUBSTEPS = 4
 # grid rows per block of the frame reductions: they hold a few block-sized
 # temporaries at a time where whole-grid expressions would hold grid-sized ones
 _BLOCK_ROWS = 32
@@ -220,7 +222,7 @@ def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
             w2 * _profile_field(grid, profile.H - profile.J))
 
 
-def structure_residuals(cf: CoframeSet, profile: SurfaceProfile, margin: int = 2) -> dict:
+def structure_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
     """Max interior residuals of the five structure equations.
 
     d(omega1) = omega12 ^ omega2        d(omega2) = omega1 ^ omega12
@@ -236,12 +238,10 @@ def structure_residuals(cf: CoframeSet, profile: SurfaceProfile, margin: int = 2
         "d_omega23": d_oneform(w23) - wedge(w13, cf.omega12),
         "d_omega12": d_oneform(cf.omega12) + wedge(cf.omega1, cf.omega2) * k2d,
     }
-    return {k: v.max_abs_interior(margin) for k, v in res.items()}
+    return {k: v.max_abs_interior(MARGIN) for k, v in res.items()}
 
 
-def codazzi_summary_residuals(
-    cf: CoframeSet, profile: SurfaceProfile, margin: int = 2
-) -> dict:
+def codazzi_summary_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
     """Residuals of the integrated compatibility identities.
 
     dH = J theta1, d(log J) = alpha1 + 2 *omega12, d(theta1) = 0,
@@ -252,20 +252,20 @@ def codazzi_summary_residuals(
     j2d = _profile_field(g, profile.J)
     logj = _profile_field(g, np.log(profile.J))
     res = {
-        "codazzi_dh": (d_scalar(h2d) - cf.theta1 * j2d).max_abs_interior(margin),
+        "codazzi_dh": (d_scalar(h2d) - cf.theta1 * j2d).max_abs_interior(MARGIN),
         "codazzi_dlog_j": (
             d_scalar(logj) - cf.alpha1 - hodge(cf.omega12) * 2.0
-        ).max_abs_interior(margin),
-        "d_theta1": d_oneform(cf.theta1).max_abs_interior(margin),
-        "d_alpha1": d_oneform(cf.alpha1).max_abs_interior(margin),
+        ).max_abs_interior(MARGIN),
+        "d_theta1": d_oneform(cf.theta1).max_abs_interior(MARGIN),
+        "d_alpha1": d_oneform(cf.alpha1).max_abs_interior(MARGIN),
         "d_alpha2": (
             d_oneform(cf.alpha2) - wedge(cf.alpha1, cf.alpha2)
-        ).max_abs_interior(margin),
+        ).max_abs_interior(MARGIN),
     }
     return res
 
 
-def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile, margin: int = 2) -> dict:
+def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) -> dict:
     """Residuals tying the theta-coframe connection to psi and the profile.
 
     theta12 = d(psi) + omega12 + *d(log A)     (rotation + scaling law)
@@ -285,16 +285,16 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile, ma
     res = {
         "theta12_via_psi": (
             th12 - dpsi - cf.omega12 - hodge(d_scalar(loga))
-        ).max_abs_interior(margin),
-        "theta12_hodge": (hodge(th12) - cf.theta1 * c2d).max_abs_interior(margin),
+        ).max_abs_interior(MARGIN),
+        "theta12_hodge": (hodge(th12) - cf.theta1 * c2d).max_abs_interior(MARGIN),
         "dpsi_theta": (
             dpsi + cf.theta1 * half_sin + cf.theta2 * half_rest
-        ).max_abs_interior(margin),
-        "d_star_omega12": d_oneform(hodge(cf.omega12)).max_abs_interior(margin),
-        "d_star_theta12": d_oneform(hodge(th12)).max_abs_interior(margin),
+        ).max_abs_interior(MARGIN),
+        "d_star_omega12": d_oneform(hodge(cf.omega12)).max_abs_interior(MARGIN),
+        "d_star_theta12": d_oneform(hodge(th12)).max_abs_interior(MARGIN),
         "xi12_relation": (
             cf.xi12 + _e_dt(g, profile, (profile.C + profile.B) * profile.A)
-        ).max_abs_interior(margin),
+        ).max_abs_interior(MARGIN),
     }
     return res
 
@@ -318,7 +318,7 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     return c1 * x + c2 * y
 
 
-def rotation_transform_residual(cf: CoframeSet, angle: ScalarField, margin: int = 2) -> float:
+def rotation_transform_residual(cf: CoframeSet, angle: ScalarField) -> float:
     """Rotating the coframe by a field chi shifts the connection by -d(chi)."""
     c = np.cos(angle.values)
     s = np.sin(angle.values)
@@ -326,10 +326,10 @@ def rotation_transform_residual(cf: CoframeSet, angle: ScalarField, margin: int 
     rot2 = cf.omega1 * s + cf.omega2 * c
     gamma = connection_from_coframe(rot1, rot2)
     predicted = cf.omega12 - d_scalar(angle)
-    return (gamma - predicted).max_abs_interior(margin)
+    return (gamma - predicted).max_abs_interior(MARGIN)
 
 
-def scaling_transform_residual(cf: CoframeSet, scale: ScalarField, margin: int = 2) -> float:
+def scaling_transform_residual(cf: CoframeSet, scale: ScalarField) -> float:
     """Scaling the coframe by lambda shifts the connection by *d(log lambda)."""
     lam = scale.values
     if np.any(lam <= 0):
@@ -338,7 +338,7 @@ def scaling_transform_residual(cf: CoframeSet, scale: ScalarField, margin: int =
     sc2 = cf.omega2 * lam
     gamma = connection_from_coframe(sc1, sc2)
     predicted = cf.omega12 + hodge(d_scalar(_adopt(cf.grid, np.log(lam))))
-    return (gamma - predicted).max_abs_interior(margin)
+    return (gamma - predicted).max_abs_interior(MARGIN)
 
 
 def _rot_exp(m12, m13, m23) -> np.ndarray:
@@ -515,11 +515,11 @@ def fd_forms(frame: FrameField) -> Forms:
     )
 
 
-def forms_deviation(a: Forms, b: Forms, margin: int = 2) -> tuple:
+def forms_deviation(a: Forms, b: Forms) -> tuple:
     """(first, second): the max interior deviation of a's first form from b's
     and of a's second form from b's, each the max over its three coefficients."""
     def dev(names):
-        return max(max_interior(getattr(a, n).values - getattr(b, n).values, margin)
+        return max(max_interior(getattr(a, n).values - getattr(b, n).values, MARGIN)
                    for n in names)
     return dev(("gss", "gst", "gtt")), dev(("L", "M", "N"))
 
@@ -530,21 +530,18 @@ def _rhs_tau(alpha, y):
     return [st * st * cb - st * np.cos(y[0]) * ca]
 
 
-def integrate_deformation(
-    cf: CoframeSet, t0: float, order: str = "t_first", substeps: int = 4
-) -> ScalarField:
+def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> ScalarField:
     """March d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau) alpha1 over the grid
     from tau = atan2(1, t0) at the origin, and return tau.
 
     Equivalent to d(t) = t alpha1 - alpha2 for t = cot(tau), but free of
     poles: tau stays bounded where t passes through infinity.  Coefficients
     are interpolated linearly inside each cell and each cell is crossed
-    with `substeps` RK4 stages.
+    with TAU_SUBSTEPS RK4 stages.
     """
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    substeps = TAU_SUBSTEPS
     g = cf.grid
     # (alpha1, alpha2) coefficients and RK4 step of a cell along s, then t
     coef = (
@@ -589,9 +586,7 @@ def build_deformed_surface(
     return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, profile, order)
 
 
-def deformation_report(
-    profile: SurfaceProfile, forms: Forms, tau: ScalarField, fd: Forms, margin: int = 2
-) -> dict:
+def deformation_report(profile: SurfaceProfile, forms: Forms, tau: ScalarField, fd: Forms) -> dict:
     """The numbers the deformation family is judged by at one t0.
 
     `forms` are the base surface's fundamental forms, `tau` the tau march
@@ -607,11 +602,11 @@ def deformation_report(
     h2d = np.broadcast_to(profile.H[:, None], fd.grid.shape)
     e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
     h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
-    first, second = forms_deviation(fd, forms, margin)
+    first, second = forms_deviation(fd, forms)
     st = np.sin(tau.values)
     return {
         "metric_deviation": first,
-        "h_deviation": max_interior(h_fd - h2d, margin),
+        "h_deviation": max_interior(h_fd - h2d, MARGIN),
         "ii_deviation": second,
         "pole_count": int(np.count_nonzero(np.abs(st) < POLE_EPS)),
         "sign_flips": int(np.sum(np.diff(np.sign(st), axis=0) != 0)) + int(
@@ -619,7 +614,7 @@ def deformation_report(
     }
 
 
-def weingarten_residual(profile: SurfaceProfile, fd: Forms, margin: int = 3) -> dict:
+def weingarten_residual(profile: SurfaceProfile, fd: Forms) -> dict:
     """Functional dependence of K on H along the family.
 
     wedge_residual: max |dH ^ dK| with K from the FD shape operator of
@@ -637,7 +632,7 @@ def weingarten_residual(profile: SurfaceProfile, fd: Forms, margin: int = 3) -> 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det_g = fd.gss.values * fd.gtt.values - fd.gst.values * fd.gst.values
         k_fd = _adopt(grid, (fd.L.values * fd.N.values - fd.M.values * fd.M.values) / det_g)
-    wed = wedge(d_scalar(_profile_field(grid, profile.H)), d_scalar(k_fd)).max_abs_interior(margin)
+    wed = wedge(d_scalar(_profile_field(grid, profile.H)), d_scalar(k_fd)).max_abs_interior(3)
 
     k_alg = np.broadcast_to((profile.H**2 - profile.J**2)[:, None], grid.shape)
     t_var = float(np.max(k_alg.max(axis=1) - k_alg.min(axis=1)))

@@ -5,11 +5,14 @@ integration of the third-order system, so the RK4 march is checked against
 something it does not share code with.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bonnet import bonnet_solver
+from bonnet.forms2d import Grid
 from bonnet.q_family import ConsistencyError, QFamily, eval_q
 from bonnet.bonnet_solver import (
     BlowUpError,
@@ -23,7 +26,6 @@ from bonnet.bonnet_solver import (
     ideal_residuals,
     integrate_h,
     integrate_h_on_grid,
-    perturbed_profile,
     validate_profile,
     write_profile_csv,
 )
@@ -59,7 +61,7 @@ def test_initial_data_validation():
 @settings(max_examples=60, deadline=None)
 def test_third_derivative_closes_the_residual(H, Hp, Hpp, s, tau):
     """Plugging the explicit H''' back into the residual gives zero."""
-    hppp = h_third_derivative(s, H, Hp, Hpp, FAM, tau)
+    hppp = h_third_derivative(eval_q(FAM, s), H, Hp, Hpp, tau)
     r = h_ode_residual(s, H, Hp, Hpp, hppp, FAM, tau)
     scale = abs(hppp) + Hp + 1.0
     assert abs(r) < 1e-9 * scale
@@ -101,7 +103,7 @@ def test_profile_fields_and_identities():
 def test_validate_profile_catches_broken_identity():
     prof = integrate_h(ICS, FAM, 2.0, 1e-2)
     with pytest.raises(ConsistencyError):
-        validate_profile(perturbed_profile(prof, E=prof.E * 1.01))
+        validate_profile(replace(prof, E=prof.E * 1.01))
 
 
 def test_regime_error_when_hp_crosses_zero():
@@ -134,6 +136,20 @@ def test_grid_sampling_lands_on_nodes(demo_grid, demo_profile):
     assert np.max(np.abs(finer.H - demo_profile.H)) < 1e-10
 
 
+def test_every_stage_of_the_h_march_calls_h_third_derivative(monkeypatch):
+    # 4 RK4 stages a step, 8 steps a cell, 16 cells: the march keeps no copy of H'''
+    calls = []
+    third = bonnet_solver.h_third_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return third(*args)
+
+    monkeypatch.setattr(bonnet_solver, "h_third_derivative", counted)
+    integrate_h_on_grid(ICS, FAM, Grid(1.0, 2.0, 0.0, 1.0, 17, 5), substeps=8)
+    assert len(calls) == 4 * 16 * 8
+
+
 def test_profile_residuals_small_and_converging():
     steps = (4e-3, 2e-3, 1e-3)
     gauss, db = [], []
@@ -155,9 +171,9 @@ def test_geodesic_curvature_identity():
 
 def test_negative_controls_break_residuals():
     prof = integrate_h(ICS, FAM, 2.0, 1e-3)
-    warped = perturbed_profile(prof, E=prof.E * (1.0 + 0.01 * prof.s ** 2))
+    warped = replace(prof, E=prof.E * (1.0 + 0.01 * prof.s ** 2))
     assert gauss_s_residual(warped) > 1e-3
-    shifted = perturbed_profile(prof, B=prof.B + 0.01)
+    shifted = replace(prof, B=prof.B + 0.01)
     assert ideal_residuals(shifted)["db"] > 1e-3
 
 

@@ -35,7 +35,7 @@ from bonnet.cli import (
     load_config,
     main,
 )
-from bonnet.bonnet_solver import BlowUpError, RegimeError
+from bonnet.bonnet_solver import BlowUpError, ProfileRangeError, RegimeError
 from bonnet import forms2d
 from bonnet.forms2d import CoframeSingularError, Grid, NonFiniteFieldError
 from bonnet.lax_psi import LaxBlowUpError
@@ -133,6 +133,20 @@ def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()  # rejected before any file is written
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["utf-16-bom", "nested-100000-deep"])
+def test_config_that_cannot_be_decoded_exits_two(tmp_path, capsys, text):
+    # not UTF-8, and JSON nested past the interpreter's recursion limit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bonnet: config error: config is not valid JSON: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("psi", [
@@ -328,6 +342,25 @@ def test_data_that_overflow_print_no_warning(tmp_path, overrides, argv, code):
     assert proc.stderr.startswith("bonnet: NonFiniteFieldError") if code else proc.stderr == ""
 
 
+@pytest.mark.parametrize("path, section, key, value, field", [
+    (ROOT / "configs" / "demo_rational.json", "h_initial", "H0p", 1e-320, "A"),  # E overflows
+    (ROOT / "bench" / "configs" / "hyper_plus.json", "family", "a", 400, "E"),   # Q underflows
+], ids=["demo-H0p-1e-320", "hyper_plus-a-400"])
+def test_profile_out_of_float_range_exits_two(tmp_path, path, section, key, value, field):
+    # a fresh interpreter, so stderr is what a user sees, warnings included
+    data = json.loads(path.read_text())
+    data[section][key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "bonnet", "solve", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr == (f"bonnet: ProfileRangeError: profile field {field} must be "
+                           "positive everywhere, but is 0 at s = 1\n")
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("kind", KINDS)
 def test_rk4_crosscheck_is_fourth_order_for_both_signs(kind, sign):
@@ -519,6 +552,10 @@ def test_bad_arguments_exit_two_before_any_work(small_config, tmp_path, capsys,
     ({"refine_levels": 1000000}, ["verify"]),
     ({}, ["solve", "--refine", "40"]),
     ({}, ["verify", "--refine", "40"]),
+    ({"grid": {"ns": 9, "nt": 9}, "profile_substeps": 1e15}, ["solve"]),
+    ({"grid": {"ns": 9, "nt": 9}, "psi": {"integrate": True, "psi0": 0.0, "substeps": 1e15}},
+     ["solve"]),
+    ({"profile_substeps": 2**20}, ["verify", "--refine", "2"]),
 ], ids=lambda v: json.dumps(v))
 def test_oversize_ladder_exits_two_before_any_allocation(tmp_path, capsys, monkeypatch,
                                                          overrides, argv):
@@ -527,6 +564,8 @@ def test_oversize_ladder_exits_two_before_any_allocation(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli.PipelineData, "__init__", no_pipeline)
     cfg = write_config(tmp_path, **overrides)
+    if "psi" in overrides:  # a march, which the closed-form psi section may not be mixed with
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "psi": overrides["psi"]}))
     out = tmp_path / "o"
     command, *rest = argv
     tracemalloc.start()  # numpy buffers are traced too
@@ -537,7 +576,8 @@ def test_oversize_ladder_exits_two_before_any_allocation(tmp_path, capsys, monke
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "(2**22) nodes" in err
+    cap = "(2**23) RK4 steps" if "substeps" in json.dumps(overrides) else "(2**22) nodes"
+    assert "config error" in err and cap in err
     assert not out.exists()
     assert peak < 2**20
 
@@ -555,6 +595,24 @@ def test_ladder_size_cap_is_on_the_finest_level(n, levels, fits):
     else:
         with pytest.raises(ConfigError, match=r"\(2\*\*22\) nodes"):
             cli._check_ladder(grid, levels)
+
+
+@pytest.mark.parametrize("ns, levels, substeps, fits", [
+    (838860, 1, 10, True), (838860, 1, 11, False),  # the thinnest grid under the node cap
+    (9, 1, 2**20, True), (9, 1, 2**20 + 1, False),  # 8 cells
+    (9, 3, 2**18, True), (9, 3, 2**18 + 1, False),  # 32 cells on the finest level
+])
+def test_march_step_cap_is_on_the_finest_level(tmp_path, ns, levels, substeps, fits):
+    assert cli.MAX_MARCH_STEPS == 2**23
+    for key in ("profile_substeps", "psi_substeps"):
+        cfg = load_config(write_config(tmp_path, grid={"nt": 5}))
+        cfg.grid = Grid(1.0, 2.0, 0.0, 1.0, ns, 5)
+        setattr(cfg, key, substeps)
+        if fits:
+            cli._check_marches(cfg, levels)
+        else:
+            with pytest.raises(ConfigError, match=r"\(2\*\*23\) RK4 steps"):
+                cli._check_marches(cfg, levels)
 
 
 class Reached(Exception):
@@ -780,6 +838,7 @@ MODULE_ERROR_CASES = (
     ConsistencyError("identity broken"),
     RegimeError(1.25),
     BlowUpError(2.5),
+    ProfileRangeError("profile field E must be positive everywhere, but is 0 at s = 1"),
     LaxBlowUpError((3, 4)),
     CoframeSingularError((1, 2), -1e-20, 3.0),
     FrameStepError("refine the grid"),
@@ -1043,7 +1102,7 @@ def frameless_level(small_config, monkeypatch):
 def test_only_rows_marked_as_reading_the_frame_read_it(small_config, monkeypatch):
     level = frameless_level(small_config, monkeypatch)
     for row in cli.CHECKS:
-        if row.reads_frame:
+        if row.name.startswith(cli.FRAME_ROWS):
             with pytest.raises(FrameRead):
                 level.evaluate(row)
         else:  # every other row, the parent's finest-level share among them
@@ -1063,7 +1122,7 @@ def test_every_battery_is_read_and_every_battery_name_resolves():
 
 def test_frame_rows_are_the_tail_of_the_ladder_rows():
     on_ladder = [row for row in cli.CHECKS if row.rule in cli.LADDER_RULES]
-    flags = [row.reads_frame for row in on_ladder]
+    flags = [row.name.startswith(cli.FRAME_ROWS) for row in on_ladder]
     cut = flags.index(True)
     assert cut > 0 and not any(flags[:cut]) and all(flags[cut:])
     assert [row.name for row in on_ladder][cut:] == [

@@ -5,10 +5,10 @@ A row of cli.CHECKS with rule "identity" is zero in exact arithmetic by how
 its fields are built, so it is bounded by tolerances.algebraic on every
 level instead of fitted to an order.  That bound must not make the row
 vacuous.  Each entry of DEFECTS names one defect: a profile perturbed with
-bonnet_solver.perturbed_profile, or a mutation of one pipeline function,
-which the monkeypatch fixture reverts.  The row runs alone through the
-ladder over two levels of the demo config, 17^2 and 33^2; the clean run
-passes and the run under the defect fails.
+dataclasses.replace, which skips the profile's validation, or a mutation of
+one pipeline function, which the monkeypatch fixture reverts.  The row runs
+alone through the ladder over two levels of the demo config, 17^2 and 33^2;
+the clean run passes and the run under the defect fails.
 
 LADDER_DEFECTS does the same for ladder rows on a window of the demo
 config (window_config): the psi rows and lax.compat under a psi that is
@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from bonnet import bonnet_solver, cli, lax_psi, q_family, rk4, surface_embed
-from bonnet.bonnet_solver import perturbed_profile
 from bonnet.forms2d import ScalarField
 
 DEMO = Path(__file__).resolve().parent.parent / "configs" / "demo_rational.json"
@@ -59,7 +58,7 @@ def profile_with(**fields):
     def mutate(integrate):
         def perturbed(*args, **kwargs):
             p = integrate(*args, **kwargs)
-            return perturbed_profile(p, **{k: f(p) for k, f in fields.items()})
+            return replace(p, **{k: f(p) for k, f in fields.items()})
         return perturbed
     return bonnet_solver, "integrate_h_on_grid", mutate
 
@@ -233,7 +232,7 @@ BASE_DEFECTS = {
     # the companion marched with H + 0.5 in its second forms
     "deform.h": (surface_embed, "build_deformed_surface",
                  lambda build: lambda cf, profile, *args, **kwargs: build(
-                     cf, perturbed_profile(profile, H=profile.H + 0.5), *args, **kwargs)),
+                     cf, replace(profile, H=profile.H + 0.5), *args, **kwargs)),
     # tau = 0: the coframe is not rotated, so the companion is the base surface
     "deform.ii_distinct": (surface_embed, "build_deformed_surface",
                            lambda build: lambda cf, profile, tau, *args, **kwargs:

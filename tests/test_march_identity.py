@@ -75,7 +75,8 @@ def ref_integrate_h(ics, fam, s1, step):
         H, Hp, Hpp = y
         if not (Hp > 0):
             raise RegimeError(s)
-        return np.array([Hp, Hpp, float(h_third_derivative(s, H, Hp, Hpp, fam, ics.tau_c))])
+        q = eval_q(fam, s)
+        return np.array([Hp, Hpp, float(h_third_derivative(q, H, Hp, Hpp, ics.tau_c))])
 
     n = int(math.ceil((s1 - ics.s0) / step - 1e-12))
     h = (s1 - ics.s0) / n
@@ -454,10 +455,11 @@ def coframe_sets():
 
 
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
-def test_tau_march_matches_reference(coframe_sets, demo_coframes, order):
+def test_tau_march_matches_reference(coframe_sets, demo_coframes, monkeypatch, order):
     for cf in coframe_sets + [demo_coframes]:
         for t0, substeps in ((1.0, 4), (-0.4, 3)):
-            got = integrate_deformation(cf, t0, order=order, substeps=substeps)
+            monkeypatch.setattr(surface_embed, "TAU_SUBSTEPS", substeps)
+            got = integrate_deformation(cf, t0, order=order)
             want = ref_integrate_deformation(cf, t0, order, substeps)
             assert np.array_equal(got.values, want)
 

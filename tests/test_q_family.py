@@ -20,7 +20,6 @@ from bonnet.q_family import (
     eval_dlog_q,
     eval_q,
     eval_q_derivatives,
-    first_integral_kappa,
     guarded_samples,
     integrate_q_ode,
     q_ode_residual,
@@ -92,12 +91,6 @@ def test_defining_ode_on_guarded_samples(fam):
     assert np.all(q > 0.0)
     scale = float(np.max(q ** 4))
     assert np.max(np.abs(q_ode_residual(fam, s))) < 1e-10 * scale
-
-
-@pytest.mark.parametrize("fam", ALL_SIX, ids=lambda f: f"{f.kind}{f.sign:+d}")
-def test_first_integral_constant(fam):
-    kappa = first_integral_kappa(fam)
-    assert kappa == pytest.approx(fam.kappa, abs=1e-9 * max(1.0, fam.a ** 2))
 
 
 def test_kappa_values():

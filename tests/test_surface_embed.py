@@ -5,6 +5,7 @@ family on [1,2]x[0,1], 64x64).  Residual bounds use 25 h^2 with h = 1/63,
 the same working tolerance the command-line verifier applies.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from bonnet.forms2d import CoframeSingularError, Grid, ScalarField, d_scalar, wedge
 from bonnet.q_family import ConsistencyError, QFamily, eval_dlog_q
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
-from bonnet.bonnet_solver import integrate_h_on_grid, perturbed_profile
+from bonnet.bonnet_solver import integrate_h_on_grid
 from bonnet.surface_embed import (
     CoframeSet,
     FrameField,
@@ -183,7 +184,7 @@ def test_fundamental_forms_algebra(demo_forms, demo_profile):
 
 
 def test_fundamental_forms_rejects_inconsistent_profile(demo_profile, demo_psi):
-    bad = perturbed_profile(demo_profile, E=demo_profile.E * 1.01)
+    bad = replace(demo_profile, E=demo_profile.E * 1.01)
     with pytest.raises(ConsistencyError):
         fundamental_forms(bad, demo_psi)
 
@@ -219,8 +220,6 @@ def test_deformation_parameter_field(demo_coframes):
     assert np.max(np.abs(1.0 / np.tan(other.values) - 1.0 / np.tan(tau.values))) < TOL
     with pytest.raises(ValueError):
         integrate_deformation(demo_coframes, t0=math.inf)
-    with pytest.raises(ValueError):
-        integrate_deformation(demo_coframes, t0=1.0, substeps=0)
     with pytest.raises(ValueError):
         integrate_deformation(demo_coframes, t0=1.0, order="diagonal")
 
