@@ -54,28 +54,27 @@ H_BLOWUP = 1e9
 MARGIN = 2
 
 
-class RegimeError(RuntimeError):
+class _MarchStopped(RuntimeError):
+    """The H march stopped after s = last_valid_s, which a subclass's `message` formats."""
+
+    def __init__(self, last_valid_s: float):
+        self.last_valid_s = float(last_valid_s)
+        super().__init__(self.message.format(self.last_valid_s))
+
+    def __reduce__(self):
+        return type(self), (self.last_valid_s,)
+
+
+class RegimeError(_MarchStopped):
     """H' dropped to zero: the surface left the Bonnet regime."""
 
-    def __init__(self, last_valid_s: float):
-        self.last_valid_s = float(last_valid_s)
-        super().__init__(
-            f"H' <= 0 reached; last s inside the regime: {self.last_valid_s:.12g}"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.last_valid_s,)
+    message = "H' <= 0 reached; last s inside the regime: {:.12g}"
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(_MarchStopped):
     """Profile state exceeded the blow-up guard."""
 
-    def __init__(self, last_valid_s: float):
-        self.last_valid_s = float(last_valid_s)
-        super().__init__(f"profile blow-up after s = {self.last_valid_s:.12g}")
-
-    def __reduce__(self):
-        return type(self), (self.last_valid_s,)
+    message = "profile blow-up after s = {:.12g}"
 
 
 class ProfileRangeError(ValueError):

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from functools import cached_property
 from typing import NamedTuple
@@ -38,6 +39,8 @@ from .forms2d import (
     NonFiniteFieldError,
     ScalarField,
     _write_rows,
+    d_scalar,
+    decompose_in_coframe,
     mixed_partial_residual,
     observed_order,
     write_scalar_csv,
@@ -93,11 +96,13 @@ def _to_float(value) -> float:
         return math.nan
 
 
+# the parsers below echo a bad value through reprlib.repr, which keeps the message
+# one short line however long or deeply nested the value is
 def _number(value, name: str) -> float:
     """A finite config number (numeric strings allowed), else ConfigError."""
     x = _to_float(value)
     if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {reprlib.repr(value)}")
     return x
 
 
@@ -105,26 +110,26 @@ def _count(value, name: str) -> int:
     """An integer config value: 64 and 64.0 pass, 64.7 and "three" do not."""
     x = _to_float(value)
     if not x.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(x)
 
 
 def _sign(value, name: str) -> int:
     """A JSON number, so true and "1" are refused; QFamily checks it is 1 or -1."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be 1 or -1, got {value!r}")
+        raise ConfigError(f"{name} must be 1 or -1, got {reprlib.repr(value)}")
     return _count(value, name)
 
 
 def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+        raise ConfigError(f"{name} must be true or false, got {reprlib.repr(value)}")
     return value
 
 
 def _text(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {reprlib.repr(value)}")
     return value
 
 
@@ -149,25 +154,21 @@ CONFIG = {
 }
 
 
-def _check_ladder(grid: Grid, levels: int) -> None:
-    """ConfigError unless `levels` (>= 1) ladder levels of `grid` (refined
-    2**k for k < levels) stay within MAX_LADDER_NODES on the finest level.
+def _check_finest_level(cfg: RunConfig, levels: int) -> None:
+    """ConfigError unless the finest of `levels` (>= 1) ladder levels, cfg.grid
+    refined 2**(levels - 1), has at most MAX_LADDER_NODES nodes and its H and
+    psi marches take at most MAX_MARCH_STEPS RK4 steps each.
 
-    Every grid (at least 5 nodes per axis) is over the cap past ten levels,
+    Every grid (at least 5 nodes per axis) is over the node cap past ten levels,
     so the factor is clamped and a huge `levels` costs nothing to refuse.
     """
+    grid = cfg.grid
     factor = 2 ** min(levels - 1, 16)
-    if ((grid.ns - 1) * factor + 1) * ((grid.nt - 1) * factor + 1) > MAX_LADDER_NODES:
+    cells = (grid.ns - 1) * factor
+    if (cells + 1) * ((grid.nt - 1) * factor + 1) > MAX_LADDER_NODES:
         raise ConfigError(
             f"the {grid.ns} x {grid.nt} grid over {levels} ladder levels has more "
             f"than {MAX_LADDER_NODES} (2**22) nodes on the finest level")
-
-
-def _check_marches(cfg: RunConfig, levels: int) -> None:
-    """ConfigError unless the H and psi marches of the finest of `levels` ladder
-    levels take at most MAX_MARCH_STEPS RK4 steps each; after _check_ladder,
-    which bounds `levels`."""
-    cells = (cfg.grid.ns - 1) * 2 ** (levels - 1)
     for key, substeps in (("profile_substeps", cfg.profile_substeps),
                           ("psi.substeps", cfg.psi_substeps)):
         if cells * substeps > MAX_MARCH_STEPS:
@@ -191,7 +192,7 @@ def _walk(data, spec: dict, given: set, prefix: str = "") -> dict:
                                 for k in v)]
             near = difflib.get_close_matches(f"{prefix}{name}", known, n=1)
             hint = f"; did you mean '{near[0]}'?" if near else ""
-            raise ConfigError(f"unknown config key '{prefix}{name}'{hint}")
+            raise ConfigError(f"unknown config key {reprlib.repr(prefix + name)}{hint}")
     out = {}
     for name, entry in spec.items():
         path = f"{prefix}{name}"
@@ -318,8 +319,9 @@ class PipelineData:
 
     @cached_property
     def alpha(self) -> tuple:
-        """lax_psi.alpha_components in the coframes' alpha, which the psi.* rows share."""
-        return lax_psi.alpha_components(self.psi, self.cf.alpha1, self.cf.alpha2)
+        """(psi_1, psi_2), the components of d(psi) in the alpha coframe, which the
+        psi.* rows share."""
+        return decompose_in_coframe(d_scalar(self.psi), self.cf.alpha1, self.cf.alpha2)
 
     @cached_property
     def forms(self) -> surface_embed.Forms:
@@ -346,7 +348,7 @@ class PipelineData:
         s = guarded_samples(fam, 200)
         q, qp, _ = eval_q_derivatives(fam, s)
         return {
-            "q4": float(np.max(eval_q(fam, s) ** 4)),
+            "q4": float(np.max(q**4)),
             "exactness": float(np.max(np.abs(q_ode_residual(fam, s)))),
             "first_integral": float(np.max(np.abs(qp * qp - q**4 - fam.kappa * q * q))),
             "kappa": fam.kappa,
@@ -434,11 +436,11 @@ CHECKS = (
         r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1),
     Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi), margin=1),
     Check("psi.constraint", "scale_q",
-          lambda L: lax_psi.psi_constraint_residual(L.psi, L.alpha).max_abs_interior(2)),
+          lambda L: lax_psi.psi_constraint_residual(L.psi, *L.alpha).max_abs_interior(2)),
     Check("psi.c_relation", "scale_q", lambda L: max(
-        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, L.alpha))),
-    Check("psi.second_order", "scale_q",
-          lambda L: lax_psi.psi_second_order_residual(L.alpha).max_abs_interior(2)),
+        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, *L.alpha))),
+    Check("psi.second_order", "scale_q", lambda L: lax_psi.psi_second_order_residual(
+        *L.alpha, L.cf.alpha1, L.cf.alpha2).max_abs_interior(2)),
     Check("psi.mixed_partial", "scale_inv_q2", lambda L: mixed_partial_residual(
         ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
         L.cf.alpha1, L.cf.alpha2,
@@ -784,8 +786,7 @@ def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) ->
     returns the report's header fields.  Every writer is joined before
     <command>_report.json is written and printed; returns the exit code.
     """
-    _check_ladder(cfg.grid, levels)
-    _check_marches(cfg, levels)
+    _check_finest_level(cfg, levels)
     _check_margins(cfg.grid, rows)
     out = args.out if args.out else cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -989,11 +990,14 @@ _MODULE_ERRORS = (
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a numpy overflow, invalid value or division by zero that no site expects
+        # stops the command here, and in every process it forks, instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"bonnet: config error: {exc}", file=sys.stderr)
         return 2
-    except _MODULE_ERRORS as exc:
+    except (*_MODULE_ERRORS, FloatingPointError) as exc:
         print(f"bonnet: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

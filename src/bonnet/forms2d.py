@@ -284,11 +284,16 @@ def max_interior(values: np.ndarray, margin: int = 1) -> float:
     return float(np.max(np.abs(interior(values, margin))))
 
 
+def _grad(grid: Grid, values):
+    """(d/ds, d/dt) of node values, componentwise over trailing axes: (x_s, x_t) of x."""
+    return (np.gradient(values, grid.h_s, axis=0, edge_order=2),
+            np.gradient(values, grid.h_t, axis=1, edge_order=2))
+
+
 def d_scalar(f: ScalarField) -> OneForm:
-    """Exterior derivative df = f_s ds + f_t dt (second-order stencils)."""
+    """Exterior derivative df = f_s ds + f_t dt."""
     g = f.grid
-    p = np.gradient(f.values, g.h_s, axis=0, edge_order=2)
-    q = np.gradient(f.values, g.h_t, axis=1, edge_order=2)
+    p, q = _grad(g, f.values)
     return OneForm(_adopt(g, p), _adopt(g, q))
 
 

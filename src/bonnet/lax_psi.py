@@ -19,6 +19,7 @@ branch it came from stays with the caller.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,6 @@ __all__ = [
     "lax_residuals",
     "branch_lax_residuals",
     "harmonic_residual",
-    "alpha_components",
     "psi_constraint_residual",
     "c_relation_residuals",
     "psi_second_order_residual",
@@ -95,7 +95,7 @@ class PsiBranch:
 
     def __post_init__(self):
         if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case!r}, expected one of {CASES}")
+            raise ValueError(f"unknown case {reprlib.repr(self.case)}, expected one of {CASES}")
         for name in ("sigma", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -136,16 +136,15 @@ def _tan_parts_upper(branch: PsiBranch, s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     case = branch.case
-    if case == "rational_upper":
-        # tan(psi) = -(t + sigma)/s
-        N, D = -(t + sg) + 0.0 * s, s + 0.0 * t
-        den = s * s + (t + sg) ** 2
-        return N, D, (t + sg) / den, -s / den
-    if case == "rational_lower":
-        # tan(psi) = s/(t + sigma)
-        N, D = s + 0.0 * t, (t + sg) + 0.0 * s
-        den = s * s + (t + sg) ** 2
-        return N, D, (t + sg) / den, -s / den
+    if case in ("rational_upper", "rational_lower"):
+        # tan(psi) = -(t + sigma)/s or s/(t + sigma): a quarter turn apart, same derivatives
+        u = t + sg
+        if case == "rational_upper":
+            N, D = -u + 0.0 * s, s + 0.0 * t
+        else:
+            N, D = s + 0.0 * t, u + 0.0 * s
+        den = s * s + u ** 2
+        return N, D, u / den, -s / den
     if case == "trig_appendix":
         # tan(psi) = tanh(a t/2 + eta) * tan((a s + pi)/2)
         lam = a * t / 2 + eta
@@ -169,19 +168,16 @@ def _closed_form_parts(branch: PsiBranch, s, t):
     """(parts, mirrored) of the closed form at (s, t).
 
     The constant cases give (broadcast shape, None).  The others give the
-    (N, D, psi_s, psi_t) of _tan_parts_upper; a derived mirror takes them
-    from its sign +1 branch at (-s, t), since psi(s, t) = pi/2 - psi_+(-s, t),
-    so psi_s keeps its sign and psi_t flips.
+    (N, D, psi_s, psi_t) of _tan_parts_upper, which reads no sign; a derived
+    mirror takes them at (-s, t), since psi(s, t) = pi/2 - psi_+(-s, t), so
+    psi_s keeps its sign and psi_t flips.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if branch.case in ("constant_zero", "constant_half_pi"):
         return np.broadcast_shapes(s.shape, t.shape), None
-    if branch.derived_mirror:
-        plus = PsiBranch(branch.case, QFamily(branch.family.kind, 1, branch.family.a),
-                         branch.sigma, branch.eta)
-        return _tan_parts_upper(plus, -s, t), True
-    return _tan_parts_upper(branch, s, t), False
+    mirrored = branch.derived_mirror
+    return _tan_parts_upper(branch, -s if mirrored else s, t), mirrored
 
 
 def psi_closed_form(branch: PsiBranch, s, t):
@@ -284,38 +280,33 @@ def _guard_psi(value, node) -> None:
         raise LaxBlowUpError(tuple(k if isinstance(n, slice) else n for n in node))
 
 
-def _q_on_grid(fam: QFamily, grid: Grid):
-    s = grid.s_nodes()
-    q = np.broadcast_to(eval_q(fam, s)[:, None], grid.shape)
-    dlq = np.broadcast_to(eval_dlog_q(fam, s)[:, None], grid.shape)
-    return q, dlq
-
-
-def lax_residuals(psi: ScalarField, fam: QFamily):
-    """FD residuals of the pair as two scalar fields.
+def _lax_pair_residuals(fam: QFamily, grid: Grid, psi, psi_s, psi_t):
+    """The pair's residuals as two scalar fields, from node arrays of psi and
+    its derivatives, with Q analytic:
 
     First:  psi_s + (1/2) Q sin(2 psi)
     Second: psi_t - (1/2) (log Q)' + (1/2) Q cos(2 psi)
-    psi derivatives by second-order finite differences, Q analytic.
     """
-    q, dlq = _q_on_grid(fam, psi.grid)
+    s = grid.s_nodes()
+    q = np.broadcast_to(eval_q(fam, s)[:, None], grid.shape)
+    dlq = np.broadcast_to(eval_dlog_q(fam, s)[:, None], grid.shape)
+    two = 2.0 * psi
+    r1 = psi_s + 0.5 * q * np.sin(two)
+    r2 = psi_t - 0.5 * dlq + 0.5 * q * np.cos(two)
+    return _adopt(grid, r1), _adopt(grid, r2)
+
+
+def lax_residuals(psi: ScalarField, fam: QFamily):
+    """Residuals of the pair with psi derivatives by second-order finite differences."""
     d = d_scalar(psi)
-    two = 2.0 * psi.values
-    r1 = d.p.values + 0.5 * q * np.sin(two)
-    r2 = d.q.values - 0.5 * dlq + 0.5 * q * np.cos(two)
-    g = psi.grid
-    return _adopt(g, r1), _adopt(g, r2)
+    return _lax_pair_residuals(fam, psi.grid, psi.values, d.p.values, d.q.values)
 
 
 def branch_lax_residuals(branch: PsiBranch, grid: Grid):
     """Same residuals with analytic psi derivatives (no FD error)."""
-    q, dlq = _q_on_grid(branch.family, grid)
     S, T = grid.mesh()
     ps, pt = psi_closed_form_derivatives(branch, S, T)
-    two = 2.0 * psi_closed_form(branch, S, T)
-    r1 = ps + 0.5 * q * np.sin(two)
-    r2 = pt - 0.5 * dlq + 0.5 * q * np.cos(two)
-    return _adopt(grid, r1), _adopt(grid, r2)
+    return _lax_pair_residuals(branch.family, grid, psi_closed_form(branch, S, T), ps, pt)
 
 
 def harmonic_residual(psi: ScalarField) -> float:
@@ -323,29 +314,20 @@ def harmonic_residual(psi: ScalarField) -> float:
     return laplacian(psi).max_abs_interior(1)
 
 
-def alpha_components(psi: ScalarField, alpha1: OneForm, alpha2: OneForm) -> tuple:
-    """(alpha1, alpha2, psi_1, psi_2): the flat coframe alpha = Q R(2 psi) (ds, dt)
-    that surface_embed.build_coframes builds, and the components of d(psi)
-    in it, the `alpha` that the three residuals below share."""
-    p1, p2 = decompose_in_coframe(d_scalar(psi), alpha1, alpha2)
-    return alpha1, alpha2, p1, p2
-
-
-def psi_constraint_residual(psi: ScalarField, alpha: tuple) -> ScalarField:
+def psi_constraint_residual(psi: ScalarField, p1: ScalarField, p2: ScalarField) -> ScalarField:
     """Tangency constraint 2 psi_1 cos(2 psi) + (2 psi_2 + 1) sin(2 psi).
 
-    psi_1, psi_2 are the components of d(psi) in the alpha coframe.
+    Here and below (p1, p2) = (psi_1, psi_2) are the components of d(psi) in the
+    alpha coframe: decompose_in_coframe(d_scalar(psi), cf.alpha1, cf.alpha2).
     """
-    _, _, p1, p2 = alpha
     two = 2.0 * psi.values
     g = psi.grid
     vals = 2.0 * p1.values * np.cos(two) + (2.0 * p2.values + 1.0) * np.sin(two)
     return _adopt(g, vals)
 
 
-def c_relation_residuals(psi: ScalarField, fam: QFamily, alpha: tuple):
+def c_relation_residuals(psi: ScalarField, fam: QFamily, p1: ScalarField, p2: ScalarField):
     """Residuals of 2 psi_1 = C sin(2 psi), 2 psi_2 + 1 = -C cos(2 psi)."""
-    _, _, p1, p2 = alpha
     g = psi.grid
     c2d = np.broadcast_to(eval_c(fam, g.s_nodes())[:, None], g.shape)
     two = 2.0 * psi.values
@@ -354,9 +336,9 @@ def c_relation_residuals(psi: ScalarField, fam: QFamily, alpha: tuple):
     return _adopt(g, r1), _adopt(g, r2)
 
 
-def psi_second_order_residual(alpha: tuple) -> ScalarField:
-    """Second-order coframe identity psi_11 + psi_22 + psi_1 -> 0."""
-    a1, a2, p1, p2 = alpha
+def psi_second_order_residual(p1: ScalarField, p2: ScalarField,
+                              a1: OneForm, a2: OneForm) -> ScalarField:
+    """Second-order coframe identity psi_11 + psi_22 + psi_1 -> 0 in the coframe (a1, a2)."""
     p11 = decompose_in_coframe(d_scalar(p1), a1, a2)[0]
     p22 = decompose_in_coframe(d_scalar(p2), a1, a2)[1]
     return p11 + p22 + p1

@@ -18,6 +18,7 @@ feeds the profile ODE system downstream.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class QFamily:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
+            raise ValueError(f"unknown kind {reprlib.repr(self.kind)}, expected one of {KINDS}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if not (math.isfinite(self.a) and self.a > 0):
@@ -119,16 +120,10 @@ class SingularityGuard:
 
     family: QFamily
 
-    def effective_margin(self) -> float:
-        lo, hi = self.family.domain()
-        length = hi - lo
-        if not math.isfinite(length):
-            length = self.family.length
-        return 1e-3 * length
-
     def interval(self):
         lo, hi = self.family.domain()
-        m = self.effective_margin()
+        length = hi - lo
+        m = 1e-3 * (length if math.isfinite(length) else self.family.length)
         glo = lo + m if math.isfinite(lo) else lo
         ghi = hi - m if math.isfinite(hi) else hi
         if not glo < ghi:

@@ -41,6 +41,7 @@ from .forms2d import (
     OneForm,
     ScalarField,
     _adopt,
+    _grad,
     _write_rows,
     d_oneform,
     d_scalar,
@@ -177,11 +178,17 @@ class CoframeSet:
     alpha2: OneForm
 
 
+def _rotated(w1: OneForm, w2: OneForm, c, s) -> tuple:
+    """The coframe (w1, w2) rotated by the angle whose (cos, sin) is (c, s):
+    (w1 c - w2 s, w1 s + w2 c).  c and s may carry a common scale."""
+    return w1 * c - w2 * s, w1 * s + w2 * c
+
+
 def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
     """Assemble every coframe from the profile scalars and the angle field.
 
-    The twisted coframe is the conformal one rotated by psi, the theta
-    and alpha coframes are its rescalings by (u, v) = A (cos, sin) psi.
+    The twisted coframe is the conformal one rotated by psi; theta and alpha
+    are it rotated by -psi and +psi and scaled by A, with (u, v) = A (cos, sin) psi.
     This is the one place the alpha coframe is built.
     """
     grid = psi.grid
@@ -200,8 +207,7 @@ def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
     v = _adopt(grid, a2d * sinp)
     theta1 = omega1 * u + omega2 * v
     theta2 = omega2 * u - omega1 * v
-    alpha1 = omega1 * u - omega2 * v
-    alpha2 = omega1 * v + omega2 * u
+    alpha1, alpha2 = _rotated(omega1, omega2, u, v)
     return CoframeSet(grid, omega1, omega2, omega12, xi12, theta1, theta2, alpha1, alpha2)
 
 
@@ -318,15 +324,16 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     return c1 * x + c2 * y
 
 
+def _shift_residual(predicted: OneForm, c1: OneForm, c2: OneForm) -> float:
+    """Max interior deviation of the connection of a transformed coframe (c1, c2)
+    from `predicted`, omega12 shifted by the transformation law."""
+    return (connection_from_coframe(c1, c2) - predicted).max_abs_interior(MARGIN)
+
+
 def rotation_transform_residual(cf: CoframeSet, angle: ScalarField) -> float:
     """Rotating the coframe by a field chi shifts the connection by -d(chi)."""
-    c = np.cos(angle.values)
-    s = np.sin(angle.values)
-    rot1 = cf.omega1 * c - cf.omega2 * s
-    rot2 = cf.omega1 * s + cf.omega2 * c
-    gamma = connection_from_coframe(rot1, rot2)
-    predicted = cf.omega12 - d_scalar(angle)
-    return (gamma - predicted).max_abs_interior(MARGIN)
+    return _shift_residual(cf.omega12 - d_scalar(angle), *_rotated(
+        cf.omega1, cf.omega2, np.cos(angle.values), np.sin(angle.values)))
 
 
 def scaling_transform_residual(cf: CoframeSet, scale: ScalarField) -> float:
@@ -334,11 +341,8 @@ def scaling_transform_residual(cf: CoframeSet, scale: ScalarField) -> float:
     lam = scale.values
     if np.any(lam <= 0):
         raise ValueError("scaling field must be positive")
-    sc1 = cf.omega1 * lam
-    sc2 = cf.omega2 * lam
-    gamma = connection_from_coframe(sc1, sc2)
-    predicted = cf.omega12 + hodge(d_scalar(_adopt(cf.grid, np.log(lam))))
-    return (gamma - predicted).max_abs_interior(MARGIN)
+    return _shift_residual(cf.omega12 + hodge(d_scalar(_adopt(cf.grid, np.log(lam)))),
+                           cf.omega1 * lam, cf.omega2 * lam)
 
 
 def _rot_exp(m12, m13, m23) -> np.ndarray:
@@ -489,12 +493,6 @@ def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> Forms:
     )
 
 
-def _grad(grid: Grid, values):
-    """(d/ds, d/dt) of node values by finite differences, e.g. (x_s, x_t)."""
-    return (np.gradient(values, grid.h_s, axis=0, edge_order=2),
-            np.gradient(values, grid.h_t, axis=1, edge_order=2))
-
-
 def fd_forms(frame: FrameField) -> Forms:
     """The FD fundamental forms of (x, e3), from x_s, x_t, n_s and n_t taken once.
 
@@ -580,8 +578,7 @@ def build_deformed_surface(
     is invariant under its march.
     """
     st, ct = np.sin(tau.values), np.cos(tau.values)
-    w1s = cf.omega1 * ct - cf.omega2 * st
-    w2s = cf.omega1 * st + cf.omega2 * ct
+    w1s, w2s = _rotated(cf.omega1, cf.omega2, ct, st)
     dtau = cf.alpha2 * (st * st) - cf.alpha1 * (st * ct)
     return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, profile, order)
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from bonnet.forms2d import Grid, ScalarField, observed_order
+from bonnet.forms2d import Grid, ScalarField, d_scalar, decompose_in_coframe, observed_order
 from bonnet.q_family import (
     QFamily,
     eval_q,
@@ -24,7 +24,6 @@ from bonnet.q_family import (
 from bonnet.lax_psi import (
     PsiBranch,
     branch_lax_residuals,
-    alpha_components,
     c_relation_residuals,
     harmonic_residual,
     integrate_lax,
@@ -276,11 +275,13 @@ def test_c06_structure_equation_suite(level_stack):
         add("connection", "scaling", se.scaling_transform_residual(cf, _scaling_field(grid)),
             scale_q)
         fam = prof.family
-        alpha = alpha_components(psi, cf.alpha1, cf.alpha2)
-        add("psi", "constraint", psi_constraint_residual(psi, alpha).max_abs_interior(2), scale_q)
-        r1, r2 = c_relation_residuals(psi, fam, alpha)
+        p1, p2 = decompose_in_coframe(d_scalar(psi), cf.alpha1, cf.alpha2)
+        add("psi", "constraint", psi_constraint_residual(psi, p1, p2).max_abs_interior(2),
+            scale_q)
+        r1, r2 = c_relation_residuals(psi, fam, p1, p2)
         add("psi", "c_relation", max(r1.max_abs_interior(2), r2.max_abs_interior(2)), scale_q)
-        add("psi", "second_order", psi_second_order_residual(alpha).max_abs_interior(2), scale_q)
+        add("psi", "second_order",
+            psi_second_order_residual(p1, p2, cf.alpha1, cf.alpha2).max_abs_interior(2), scale_q)
         add("profile", "geodesic", geodesic_curvature_residual(prof), scale_q2)
 
     hs = [grid.h_max for grid, *_ in level_stack]

@@ -125,13 +125,19 @@ def test_config_validation_errors(tmp_path):
     {"psi": {"integrate": True, "psi0": 0.0}},        # with case and sigma
     {"psi": {"psi0": 0.0}},                           # march key without integrate
     {"psi": {"substeps": 8}},
+    # oversize values and keys, each echoed in short
+    {"out_dir": {"k": "x" * 5000}},
+    {"family": {"kind": "x" * 5000}},
+    {"psi": {"case": "x" * 5000}},
+    {"x" * 5000: 1.0},
 ], ids=lambda o: json.dumps(o)[:60])
 def test_bad_config_values_exit_two(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "o"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+    assert err.startswith("bonnet: config error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 200
     assert not out.exists()  # rejected before any file is written
 
 
@@ -185,6 +191,52 @@ def test_unknown_key_exits_two_and_names_the_nearest(tmp_path, capsys, path, nea
     err = capsys.readouterr().err
     assert f"unknown config key '{path}'; did you mean '{near}'?" in err
     assert not out.exists()
+
+
+def test_a_config_value_nested_to_the_json_depth_limit_is_echoed_in_one_short_line(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    data = {**SMALL_CONFIG, "family": {"kind": "KIND"}}
+    # the deepest family.kind that the config's JSON decoder accepts from here
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        cfg.write_text(json.dumps(data).replace('"KIND"', "[" * depth + "]" * depth))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if "not valid JSON" not in err:
+            break
+    assert depth > sys.getrecursionlimit() // 2
+    assert code == 2
+    assert err.startswith("bonnet: config error: family.kind must be a string, got [[[")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not (tmp_path / "o").exists()
+
+
+DEPENDENCY_PROBE = """
+import sys
+before = set(sys.modules)  # site hooks (a certifi .pth, say) have run already
+import contextlib, io, json
+from bonnet.cli import main
+cfg, out, result = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["families"])] + [
+        main([*argv, "--config", cfg, "--out", f"{out}/{k}"])
+        for k, argv in enumerate([["verify", "--refine", "2"], ["mesh"], ["deform"]])]
+allowed = sys.stdlib_module_names | {"numpy", "bonnet"}
+foreign = sorted(m for m in set(sys.modules) - before if m.split(".")[0] not in allowed)
+with open(result, "w") as fh:
+    json.dump({"codes": codes, "foreign": foreign}, fh)
+"""
+
+
+def test_a_run_imports_nothing_but_the_standard_library_and_numpy(small_config, tmp_path):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", DEPENDENCY_PROBE, str(small_config), str(tmp_path), str(result)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    # families, mesh and deform pass; verify fails on so coarse a base grid
+    assert json.loads(result.read_text()) == {"codes": [0, 1, 0, 0], "foreign": []}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.json"))
@@ -587,14 +639,15 @@ def test_oversize_ladder_exits_two_before_any_allocation(tmp_path, capsys, monke
     (64, 6, True), (64, 7, False),       # finest 2017**2 and 4033**2 nodes
     (1000, 2, True), (1000, 3, False),   # finest 1999**2 and 3997**2 nodes
 ])
-def test_ladder_size_cap_is_on_the_finest_level(n, levels, fits):
+def test_ladder_size_cap_is_on_the_finest_level(tmp_path, n, levels, fits):
     assert cli.MAX_LADDER_NODES == 2**22
-    grid = Grid(1.0, 2.0, 0.0, 1.0, n, n)
+    cfg = load_config(write_config(tmp_path))
+    cfg.grid = Grid(1.0, 2.0, 0.0, 1.0, n, n)
     if fits:
-        cli._check_ladder(grid, levels)
+        cli._check_finest_level(cfg, levels)
     else:
         with pytest.raises(ConfigError, match=r"\(2\*\*22\) nodes"):
-            cli._check_ladder(grid, levels)
+            cli._check_finest_level(cfg, levels)
 
 
 @pytest.mark.parametrize("ns, levels, substeps, fits", [
@@ -609,10 +662,10 @@ def test_march_step_cap_is_on_the_finest_level(tmp_path, ns, levels, substeps, f
         cfg.grid = Grid(1.0, 2.0, 0.0, 1.0, ns, 5)
         setattr(cfg, key, substeps)
         if fits:
-            cli._check_marches(cfg, levels)
+            cli._check_finest_level(cfg, levels)
         else:
             with pytest.raises(ConfigError, match=r"\(2\*\*23\) RK4 steps"):
-                cli._check_marches(cfg, levels)
+                cli._check_finest_level(cfg, levels)
 
 
 class Reached(Exception):
@@ -648,7 +701,9 @@ COUNTED = {
         "fd_forms",
     ),
     bonnet_solver: ("ideal_residuals",),
-    lax_psi: ("lax_residuals", "c_relation_residuals", "alpha_components"),
+    lax_psi: ("lax_residuals", "c_relation_residuals"),
+    # in cli, only PipelineData.alpha decomposes: d(psi) in the alpha coframe
+    cli: ("decompose_in_coframe",),
 }
 
 
@@ -705,7 +760,7 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
     assert work_counts["build_coframes"] == 4
     for name in ("structure_residuals", "codazzi_summary_residuals",
                  "theta12_report", "ideal_residuals", "lax_residuals",
-                 "c_relation_residuals", "alpha_components", "weingarten_residual"):
+                 "c_relation_residuals", "decompose_in_coframe", "weingarten_residual"):
         assert work_counts[name] == 3, name
     assert work_counts["integrate_deformation"] == 1
 
@@ -719,6 +774,7 @@ def test_psi_rows_decompose_in_the_levels_own_alpha_coframe(small_config, monkey
         return decompose(w, c1, c2)
 
     monkeypatch.setattr(lax_psi, "decompose_in_coframe", spy)
+    monkeypatch.setattr(cli, "decompose_in_coframe", spy)
     cfg = load_config(small_config)
     level = cli.PipelineData(cfg, cfg.grid)
     for row in cli.CHECKS:
@@ -927,6 +983,27 @@ def test_killed_child_is_named_by_its_signal(small_config, tmp_path, monkeypatch
     monkeypatch.setattr(surface_embed, "integrate_frame", killed)
     with pytest.raises(RuntimeError, match="SIGKILL"):
         verify_small(small_config, tmp_path)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("ns", [17, FINEST_NS], ids=["base-level-here", "finest-level-forked"])
+def test_a_floating_point_fault_exits_two_from_either_process(small_config, tmp_path, capsys,
+                                                                monkeypatch, ns):
+    # an overflow at no site that expects one, which numpy would only warn about
+    weingarten = surface_embed.weingarten_residual
+    faulted = tmp_path / "faulted-in"
+
+    def overflowing(profile, fd):
+        if fd.grid.ns == ns:
+            faulted.write_text(str(os.getpid()))
+            np.exp(np.full(3, 1e3))
+        return weingarten(profile, fd)
+
+    monkeypatch.setattr(surface_embed, "weingarten_residual", overflowing)
+    assert verify_small(small_config, tmp_path, "--only", "weingarten") == 2
+    assert capsys.readouterr().err == "bonnet: FloatingPointError: overflow encountered in exp\n"
+    # the base level's rows run in this process, the finest level's in the forked child
+    assert (faulted.read_text() == str(os.getpid())) == (ns == 17)
     assert_no_children()
 
 

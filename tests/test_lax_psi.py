@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bonnet.forms2d import Grid, ScalarField, observed_order
+from bonnet.forms2d import Grid, ScalarField, d_scalar, decompose_in_coframe, observed_order
 from bonnet.q_family import DomainError, QFamily, eval_q_derivatives, guarded_samples
 from bonnet.lax_psi import (
     PsiBranch,
-    alpha_components,
     branch_consistency_error,
     branch_lax_residuals,
     c_relation_residuals,
@@ -186,11 +185,12 @@ def test_harmonicity_converges(case):
 def test_auxiliary_residuals_small_on_demo(demo_psi, demo_family, demo_coframes):
     g = demo_psi.grid
     tol = 25.0 * g.h_max ** 2
-    alpha = alpha_components(demo_psi, demo_coframes.alpha1, demo_coframes.alpha2)
-    assert psi_constraint_residual(demo_psi, alpha).max_abs_interior(2) < tol
-    r1, r2 = c_relation_residuals(demo_psi, demo_family, alpha)
+    a1, a2 = demo_coframes.alpha1, demo_coframes.alpha2
+    p1, p2 = decompose_in_coframe(d_scalar(demo_psi), a1, a2)
+    assert psi_constraint_residual(demo_psi, p1, p2).max_abs_interior(2) < tol
+    r1, r2 = c_relation_residuals(demo_psi, demo_family, p1, p2)
     assert r1.max_abs_interior(2) < tol and r2.max_abs_interior(2) < tol
-    assert psi_second_order_residual(alpha).max_abs_interior(2) < 4 * tol
+    assert psi_second_order_residual(p1, p2, a1, a2).max_abs_interior(2) < 4 * tol
 
 
 def test_integrate_lax_matches_closed_form(demo_branch, demo_family):

@@ -4,8 +4,9 @@ solve --refine 2, mesh, deform --t0 1, deform --t0 -0.7 (the branch where
 cot(tau) starts negative) and verify --refine 2 run in-process
 on the 17 x 17 config of test_cli, and solve and verify --refine 2 again
 with psi marched from its corner value instead of read from its closed
-form; the sha256 of each file they write is compared with
-tests/data/report_sha256.json.  The digests hold under the
+form, and solve --refine 2 and deform --t0 1 on a 17 x 17 sign -1
+hyper_appendix config, whose psi is the derived mirror branch; the sha256
+of each file they write is compared with tests/data/report_sha256.json.  The digests hold under the
 numpy version recorded beside them; under another numpy the last bit of a
 residual may move, so the test skips.  To record them again:
 
@@ -24,6 +25,14 @@ from test_cli import SMALL_CONFIG
 
 RECORD = Path(__file__).resolve().parent / "data" / "report_sha256.json"
 MARCHED_CONFIG = {**SMALL_CONFIG, "psi": {"integrate": True, "psi0": 0.0}}
+# a sign -1 appendix branch: psi is the derived mirror of the sign +1 closed form
+MIRROR_CONFIG = {
+    **SMALL_CONFIG,
+    "family": {"kind": "hyper", "sign": -1, "a": 1.0},
+    "psi": {"case": "hyper_appendix", "eta": 0.0},
+    "h_initial": {**SMALL_CONFIG["h_initial"], "s0": -2.0},
+    "grid": {**SMALL_CONFIG["grid"], "s_min": -2.0, "s_max": -1.0},
+}
 # run name -> (config, command line)
 RUNS = {
     "solve": (SMALL_CONFIG, ["solve", "--refine", "2"]),
@@ -33,6 +42,8 @@ RUNS = {
     "verify": (SMALL_CONFIG, ["verify", "--refine", "2"]),
     "solve_marched": (MARCHED_CONFIG, ["solve", "--refine", "2"]),
     "verify_marched": (MARCHED_CONFIG, ["verify", "--refine", "2"]),
+    "solve_mirror": (MIRROR_CONFIG, ["solve", "--refine", "2"]),
+    "deform_mirror": (MIRROR_CONFIG, ["deform", "--t0", "1"]),
 }
 
 
