@@ -37,7 +37,6 @@ __all__ = [
     "RegimeError",
     "BlowUpError",
     "ProfileRangeError",
-    "h_ode_residual",
     "h_third_derivative",
     "integrate_h",
     "integrate_h_on_grid",
@@ -106,16 +105,6 @@ def h_third_derivative(q, H, Hp, Hpp, tau_c: float):
     """H''' isolated from the profile equation, where Q = q."""
     return Hpp * Hpp / Hp + Hp * (
         2.0 * q * q * (1.0 + tau_c * H * H / Hp) - 2.0 * tau_c * Hp
-    )
-
-
-def h_ode_residual(s, H, Hp, Hpp, Hppp, fam: QFamily, tau_c: float):
-    """(H''' H' - H''^2)/H'^2 + 2 tau_c H' - 2 Q^2 (1 + tau_c H^2/H')."""
-    q = eval_q(fam, s)
-    return (
-        (Hppp * Hp - Hpp * Hpp) / (Hp * Hp)
-        + 2.0 * tau_c * Hp
-        - 2.0 * q * q * (1.0 + tau_c * H * H / Hp)
     )
 
 

@@ -15,7 +15,10 @@ verify and solve --refine 2 or more evaluate the finest ladder level
 partly in a forked child (_ladder).  Configs are single JSON files (see
 configs/demo_rational.json).  All outputs are deterministic: fixed check
 order, sorted JSON keys, 17 significant digits, no timestamps.  Exit
-codes: 0 success, 1 residual failure, 2 config or domain error.
+codes: 0 every check passed, 1 a check failed, 2 bad config, domain or
+floating-point fault, or i/o error, 3 out of memory (a MemoryError, or a
+forked child that died, as the out-of-memory killer's SIGKILL leaves it),
+4 any other error, a bug, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ import argparse
 import json
 import math
 import os
+import re
 import reprlib
 import sys
+import traceback
 from functools import cached_property
 from typing import NamedTuple
 
@@ -60,7 +65,7 @@ from .q_family import (
 )
 from .surface_embed import FrameStepError
 
-__all__ = ["main", "RunConfig", "ConfigError", "cmd_verify"]
+__all__ = ["main", "RunConfig", "ConfigError", "ChildDiedError", "cmd_verify"]
 
 ORDER_TARGET = 1.9
 # the rules of the rows that run on every ladder level
@@ -72,9 +77,9 @@ RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
-# marches the finest frame, peaks at about 0.40 kB per node, and the parent, which
-# holds the finest psi, H, coframes and grid checks, at about 0.28 kB: so the cap
-# keeps them near 1.7 GB and 1.2 GB
+# marches the finest frame, peaks at about 0.33 kB per node, and the parent, which
+# holds the finest psi, H, coframes and grid checks, at about 0.27 kB: so the cap
+# keeps them near 1.4 GB and 1.1 GB
 MAX_LADDER_NODES = 2**22
 # RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
 # its psi march, (ns - 1) * psi.substeps.  The H march holds about 160 bytes a step and
@@ -267,9 +272,10 @@ def load_config(path) -> RunConfig:
 class PipelineData:
     """Everything the checks need on one grid.
 
-    psi, the profile and the coframes are built on construction; the frame,
-    its FD forms, the fundamental forms, the companion, every battery and
-    every scale are built on first use, at most once.
+    psi and the profile are built on construction, and so is the coframe
+    set, which builds each of its coframes when a row first reads it; the
+    frame, its FD forms, the fundamental forms, the companion, every
+    battery and every scale are built on first use, at most once.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
@@ -581,10 +587,15 @@ def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
     return [level.evaluate(row) for row in rows], exported
 
 
+class ChildDiedError(RuntimeError):
+    """A forked child ended without sending back what it returned or raised: killed
+    by a signal, as the out-of-memory killer's SIGKILL does, or exited (exit code 3)."""
+
+
 class _Forked:
     """work() run in a forked child; result() reads back what it returned or raised.
 
-    `doing` says what the child does, for the error raised if it dies.
+    `doing` says what the child does, for the ChildDiedError raised if it dies.
     The child pickles (True, result) or (False, exception) into a pipe and
     leaves with os._exit, so it never returns into the caller, flushes no
     buffer it inherited and runs no exit handler.  close() kills and reaps
@@ -617,10 +628,10 @@ class _Forked:
         self.pid = 0
         if os.WIFSIGNALED(status):
             name = signal.Signals(os.WTERMSIG(status)).name
-            raise RuntimeError(f"the process {self.doing} died from {name}")
+            raise ChildDiedError(f"the process {self.doing} died from {name}")
         if not data:
-            raise RuntimeError(f"the process {self.doing} exited with status "
-                               f"{os.waitstatus_to_exitcode(status)} and no result")
+            raise ChildDiedError(f"the process {self.doing} exited with status "
+                                 f"{os.waitstatus_to_exitcode(status)} and no result")
         ok, value = pickle.loads(data)
         if not ok:
             raise value
@@ -963,6 +974,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform", help="build one isometric companion surface")
     common(p)
     p.add_argument("--t0", type=float, default=None, help="deformation parameter")
+    # argparse takes -1e6 for an option, as its negative numbers have no exponent
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("verify", help="run every named residual check")
@@ -1003,6 +1016,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"bonnet: i/o error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, ChildDiedError) as exc:
+        print(f"bonnet: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
+    except Exception:  # a bug: its traceback, and a code no script reads as a failed check
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -210,16 +210,10 @@ class ScalarField:
     def __sub__(self, other):
         return _adopt(self.grid, self.values - self._coerce(other))
 
-    def __rsub__(self, other):
-        return _adopt(self.grid, self._coerce(other) - self.values)
-
     def __mul__(self, other):
         return _adopt(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _adopt(self.grid, self.values / self._coerce(other))
 
     def __neg__(self):
         return _adopt(self.grid, -self.values)

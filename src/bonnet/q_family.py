@@ -38,7 +38,6 @@ __all__ = [
     "eval_c_prime",
     "eval_dlog_q",
     "q_ode_residual",
-    "c_ode_residual",
     "integrate_q_ode",
     "guarded_samples",
 ]
@@ -201,13 +200,6 @@ def q_ode_residual(fam: QFamily, s):
     """Q''Q - (Q')^2 - Q^4, identically zero for every branch."""
     q, qp, qpp = eval_q_derivatives(fam, s)
     return qpp * q - qp * qp - q**4
-
-
-def c_ode_residual(fam: QFamily, s):
-    """C' - Q (C^2 - 1), identically zero for every branch."""
-    q = eval_q(fam, s)
-    c = eval_c(fam, s)
-    return eval_c_prime(fam, s) - q * (c * c - 1.0)
 
 
 def guarded_samples(fam: QFamily, n: int = 200):

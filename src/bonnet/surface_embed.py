@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,54 +162,53 @@ class FrameField:
         return _reduce_rows(np.min, _det, self.frames)
 
 
-@dataclass(frozen=True)
-class CoframeSet:
-    """All coframes of the construction over one grid: omega with its connection
-    omega12, xi12 = *d(log e), theta, and the flat coframe alpha = Q R(2 psi) (ds, dt)
-    of the closed ideal, in which the psi rows decompose d(psi)."""
-
-    grid: Grid
-    omega1: OneForm
-    omega2: OneForm
-    omega12: OneForm
-    xi12: OneForm
-    theta1: OneForm
-    theta2: OneForm
-    alpha1: OneForm
-    alpha2: OneForm
-
-
 def _rotated(w1: OneForm, w2: OneForm, c, s) -> tuple:
     """The coframe (w1, w2) rotated by the angle whose (cos, sin) is (c, s):
     (w1 c - w2 s, w1 s + w2 c).  c and s may carry a common scale."""
     return w1 * c - w2 * s, w1 * s + w2 * c
 
 
+@dataclass(frozen=True)
+class CoframeSet:
+    """The coframes over psi's grid, each built on first read: omega = e R(psi) (ds, dt)
+    with its connection omega12 = xi12 - d(psi), where xi12 = *d(log e), and theta and
+    alpha, omega rotated by -psi and +psi and scaled by A.  alpha = Q R(2 psi) (ds, dt)
+    is the flat coframe of the closed ideal, in which the psi rows decompose d(psi)."""
+
+    profile: SurfaceProfile
+    psi: ScalarField
+    grid = property(lambda cf: cf.psi.grid)
+
+    def __post_init__(self):
+        _check_alignment(self.profile, self.grid)
+
+    def _psi_rotation(self, f) -> tuple:
+        """(f cos psi, f sin psi) for an s-only array f."""
+        f2d, ang = np.broadcast_to(f[:, None], self.grid.shape), self.psi.values
+        return _adopt(self.grid, f2d * np.cos(ang)), _adopt(self.grid, f2d * np.sin(ang))
+
+    @cached_property
+    def _omega(self) -> tuple:
+        c, s = self._psi_rotation(self.profile.e)
+        return OneForm(c, -s), OneForm(s, c)
+
+    # (omega2, omega1) has the opposite orientation: rotating it by psi turns omega by -psi
+    _theta = cached_property(lambda cf: _rotated(
+        cf.omega2, cf.omega1, *cf._psi_rotation(cf.profile.A))[::-1])
+    _alpha = cached_property(lambda cf: _rotated(
+        cf.omega1, cf.omega2, *cf._psi_rotation(cf.profile.A)))
+    # each form of a pair is cached on its own
+    omega1, omega2, theta1, theta2, alpha1, alpha2 = (
+        cached_property(lambda cf, pair=pair, k=k: getattr(cf, pair)[k])
+        for pair in ("_omega", "_theta", "_alpha") for k in (0, 1))
+    xi12 = cached_property(
+        lambda cf: hodge(d_scalar(_profile_field(cf.grid, np.log(cf.profile.e)))))
+    omega12 = cached_property(lambda cf: cf.xi12 - d_scalar(cf.psi))
+
+
 def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
-    """Assemble every coframe from the profile scalars and the angle field.
-
-    The twisted coframe is the conformal one rotated by psi; theta and alpha
-    are it rotated by -psi and +psi and scaled by A, with (u, v) = A (cos, sin) psi.
-    This is the one place the alpha coframe is built.
-    """
-    grid = psi.grid
-    _check_alignment(profile, grid)
-    e2d = np.broadcast_to(profile.e[:, None], grid.shape)
-    a2d = np.broadcast_to(profile.A[:, None], grid.shape)
-    ang = psi.values
-    cosp, sinp = np.cos(ang), np.sin(ang)
-
-    omega1 = OneForm(_adopt(grid, e2d * cosp), _adopt(grid, -e2d * sinp))
-    omega2 = OneForm(_adopt(grid, e2d * sinp), _adopt(grid, e2d * cosp))
-    xi12 = hodge(d_scalar(_adopt(grid, np.log(e2d))))
-    omega12 = xi12 - d_scalar(psi)
-
-    u = _adopt(grid, a2d * cosp)
-    v = _adopt(grid, a2d * sinp)
-    theta1 = omega1 * u + omega2 * v
-    theta2 = omega2 * u - omega1 * v
-    alpha1, alpha2 = _rotated(omega1, omega2, u, v)
-    return CoframeSet(grid, omega1, omega2, omega12, xi12, theta1, theta2, alpha1, alpha2)
+    """The coframe set of profile and psi; each coframe is built on first read."""
+    return CoframeSet(profile, psi)
 
 
 def _e_dt(grid: Grid, profile: SurfaceProfile, coef) -> OneForm:
@@ -257,7 +257,7 @@ def codazzi_summary_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
     h2d = _profile_field(g, profile.H)
     j2d = _profile_field(g, profile.J)
     logj = _profile_field(g, np.log(profile.J))
-    res = {
+    return {
         "codazzi_dh": (d_scalar(h2d) - cf.theta1 * j2d).max_abs_interior(MARGIN),
         "codazzi_dlog_j": (
             d_scalar(logj) - cf.alpha1 - hodge(cf.omega12) * 2.0
@@ -268,7 +268,6 @@ def codazzi_summary_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
             d_oneform(cf.alpha2) - wedge(cf.alpha1, cf.alpha2)
         ).max_abs_interior(MARGIN),
     }
-    return res
 
 
 def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) -> dict:
@@ -288,7 +287,7 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) ->
     half_sin = _adopt(g, 0.5 * np.sin(two))
     half_rest = _adopt(g, 0.5 * (profile.C[:, None] + np.cos(two)))
     dpsi = d_scalar(psi)
-    res = {
+    return {
         "theta12_via_psi": (
             th12 - dpsi - cf.omega12 - hodge(d_scalar(loga))
         ).max_abs_interior(MARGIN),
@@ -302,7 +301,6 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) ->
             cf.xi12 + _e_dt(g, profile, (profile.C + profile.B) * profile.A)
         ).max_abs_interior(MARGIN),
     }
-    return res
 
 
 def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:

@@ -21,7 +21,6 @@ from bonnet.bonnet_solver import (
     SurfaceProfile,
     gauss_s_residual,
     geodesic_curvature_residual,
-    h_ode_residual,
     h_third_derivative,
     ideal_residuals,
     integrate_h,
@@ -60,9 +59,12 @@ def test_initial_data_validation():
 )
 @settings(max_examples=60, deadline=None)
 def test_third_derivative_closes_the_residual(H, Hp, Hpp, s, tau):
-    """Plugging the explicit H''' back into the residual gives zero."""
-    hppp = h_third_derivative(eval_q(FAM, s), H, Hp, Hpp, tau)
-    r = h_ode_residual(s, H, Hp, Hpp, hppp, FAM, tau)
+    """Plugging the explicit H''' back into the profile equation
+    (H''' H' - H''^2)/H'^2 + 2 tau_c H' - 2 Q^2 (1 + tau_c H^2/H') gives zero."""
+    q = eval_q(FAM, s)
+    hppp = h_third_derivative(q, H, Hp, Hpp, tau)
+    r = (hppp * Hp - Hpp * Hpp) / (Hp * Hp) + 2.0 * tau * Hp - 2.0 * q * q * (
+        1.0 + tau * H * H / Hp)
     scale = abs(hppp) + Hp + 1.0
     assert abs(r) < 1e-9 * scale
 

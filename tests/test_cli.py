@@ -538,6 +538,18 @@ def test_deform_reports(tmp_path):
     assert (out / "deformed.obj").exists()
 
 
+@pytest.mark.parametrize("value, t0", [("-1e6", -1e6), ("-1E+3", -1e3), ("-.5e2", -50.0)])
+def test_t0_takes_negative_e_notation(tmp_path, value, t0):
+    # argparse reads a negative number with an exponent as an option unless told not to
+    cfg = write_config(tmp_path)
+    runs = []
+    for spelling in (["--t0", value], [f"--t0={value}"]):
+        out = tmp_path / spelling[0]
+        assert main(["deform", "--config", str(cfg), "--out", str(out), *spelling]) in (0, 1)
+        runs.append((out / "deform_report.json").read_bytes())
+    assert runs[0] == runs[1] and json.loads(runs[0])["t0"] == t0
+
+
 def test_deform_requires_t0(tmp_path, capsys):
     cfg = write_config(tmp_path, t0=None)
     data = json.loads(cfg.read_text())
@@ -668,8 +680,9 @@ def test_march_step_cap_is_on_the_finest_level(tmp_path, ns, levels, substeps, f
                 cli._check_finest_level(cfg, levels)
 
 
-class Reached(Exception):
-    """Raised in place of the ladder once a command is past the size cap."""
+class Reached(BaseException):
+    """Raised in place of the ladder once a command is past the size cap; not an
+    Exception, so main lets it through."""
 
 
 @pytest.mark.parametrize("grid, argv, levels", [
@@ -765,6 +778,44 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
     assert work_counts["integrate_deformation"] == 1
 
 
+@pytest.fixture()
+def coframe_builds(monkeypatch, tmp_path):
+    """The coframes of surface_embed.CoframeSet built, by name, in this process
+    and in its forked children."""
+    counts = SharedCounts(tmp_path / "coframes.txt")
+    for name in ("omega1", "omega2", "omega12", "xi12", "theta1", "theta2", "alpha1", "alpha2"):
+        def counted(cf, _build=getattr(surface_embed.CoframeSet, name).func, _name=name):
+            counts.add(_name)
+            return _build(cf)
+        spy = cached_property(counted)
+        spy.__set_name__(surface_embed.CoframeSet, name)
+        monkeypatch.setattr(surface_embed.CoframeSet, name, spy)
+    yield counts
+    os.close(counts.fd)
+
+
+OMEGA = {"omega1", "omega2", "xi12", "omega12"}
+
+
+@pytest.mark.parametrize("argv, levels, built", [
+    (["mesh"], 1, OMEGA),
+    # the forked child evaluates the finest level of the frame rows
+    (["verify", "--only", "frame.", "--refine", "2"], 2, OMEGA),
+    (["deform", "--t0", "1"], 1, OMEGA | {"alpha1", "alpha2"}),
+    (["solve", "--refine", "2"], 2, {"omega1", "omega2", "alpha1", "alpha2"}),
+], ids=["mesh", "verify-only-frame", "deform", "solve-refine-2"])
+def test_each_command_builds_only_the_coframes_its_rows_read(small_config, tmp_path,
+                                                             coframe_builds, argv, levels, built):
+    command, *rest = argv
+    # the small grid fails an order at two levels: exit 1, with every row run
+    assert main([command, "--config", str(small_config), "--out", str(tmp_path / "o"),
+                 *rest]) in (0, 1)
+    names = coframe_builds.path.read_text().split()
+    assert set(names) == built
+    assert all(names.count(name) == levels for name in built)  # once per level
+    assert_no_children()
+
+
 def test_psi_rows_decompose_in_the_levels_own_alpha_coframe(small_config, monkeypatch):
     coframes = []
     decompose = lax_psi.decompose_in_coframe
@@ -849,8 +900,8 @@ def test_check_rows_differentiate_no_surface_twice(demo_config_file, monkeypatch
 FINEST_NS = 33
 
 
-class Hung(Exception):
-    """main ran past its alarm."""
+class Hung(BaseException):
+    """main ran past its alarm; not an Exception, so main lets it through."""
 
 
 def guarded_main(argv, seconds=60):
@@ -953,36 +1004,63 @@ def test_base_level_error_wins_and_the_child_is_killed(small_config, tmp_path, c
     assert_no_children()
 
 
-def test_foreign_error_in_the_child_surfaces(small_config, tmp_path, monkeypatch):
-    fail_on_grid(monkeypatch, FINEST_NS, ZeroDivisionError("boom in the finest level"))
-    with pytest.raises(ZeroDivisionError, match="boom in the finest level") as info:
-        verify_small(small_config, tmp_path)
-    assert "integrate_frame" in "".join(getattr(info.value, "__notes__", ["integrate_frame"]))
+@pytest.mark.parametrize("ns", [17, FINEST_NS], ids=["base-level-here", "finest-level-forked"])
+def test_foreign_error_exits_four_with_its_traceback(small_config, tmp_path, capsys,
+                                                     monkeypatch, ns):
+    fail_on_grid(monkeypatch, ns, ZeroDivisionError("boom"))
+    assert verify_small(small_config, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "\nZeroDivisionError: boom\n" in err, err
+    if ns == FINEST_NS and sys.version_info >= (3, 11):  # with the child's own traceback
+        assert "raised in the forked child" in err and "integrate_frame" in err
     assert_no_children()
 
 
-def test_unpicklable_error_in_the_child_surfaces_by_name(small_config, tmp_path, monkeypatch):
+def test_unpicklable_error_in_the_child_surfaces_by_name(small_config, tmp_path, capsys,
+                                                         monkeypatch):
     class LocalError(Exception):  # a local class cannot be pickled
         pass
 
     fail_on_grid(monkeypatch, FINEST_NS, LocalError("boom in the finest level"))
-    with pytest.raises(RuntimeError, match="LocalError: boom in the finest level"):
-        verify_small(small_config, tmp_path)
+    assert verify_small(small_config, tmp_path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith("RuntimeError: LocalError: boom in the finest level\n"), err
     assert_no_children()
 
 
-def test_killed_child_is_named_by_its_signal(small_config, tmp_path, monkeypatch):
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 1.9 GiB for an array"),
+     "MemoryError: Unable to allocate 1.9 GiB for an array"),
+    (MemoryError(), "MemoryError: out of memory"),
+], ids=["message", "bare"])
+@pytest.mark.parametrize("ns", [17, FINEST_NS], ids=["base-level-here", "finest-level-forked"])
+def test_out_of_memory_exits_three_with_one_line(small_config, tmp_path, capsys, monkeypatch,
+                                                 ns, exc, line):
+    fail_on_grid(monkeypatch, ns, exc)
+    assert verify_small(small_config, tmp_path) == 3
+    assert capsys.readouterr() == ("", f"bonnet: {line}\n")
+    assert_no_children()
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "died from SIGKILL"),
+    (lambda: os._exit(7), "exited with status 7 and no result"),
+], ids=["killed", "exited"])
+def test_a_child_that_dies_is_named_and_exits_three(small_config, tmp_path, capsys,
+                                                    monkeypatch, end, how):
     # the frame march on the finest grid runs in the child alone
     march = surface_embed.integrate_frame
 
-    def killed(cf, *args, **kwargs):
+    def dying(cf, *args, **kwargs):
         if cf.grid.ns == FINEST_NS:
-            os.kill(os.getpid(), signal.SIGKILL)
+            end()
         return march(cf, *args, **kwargs)
 
-    monkeypatch.setattr(surface_embed, "integrate_frame", killed)
-    with pytest.raises(RuntimeError, match="SIGKILL"):
-        verify_small(small_config, tmp_path)
+    monkeypatch.setattr(surface_embed, "integrate_frame", dying)
+    assert verify_small(small_config, tmp_path) == 3
+    assert capsys.readouterr() == (
+        "", f"bonnet: ChildDiedError: the process evaluating the finest ladder level {how}\n")
     assert_no_children()
 
 
@@ -1114,7 +1192,7 @@ def test_a_writers_error_wins_over_a_later_one(small_config, tmp_path, capsys, m
     assert_no_children()
 
 
-def test_a_writer_killed_by_a_signal_is_named(small_config, tmp_path, monkeypatch):
+def test_a_writer_killed_by_a_signal_is_named(small_config, tmp_path, capsys, monkeypatch):
     parent = os.getpid()
 
     def export_obj(frame, path):
@@ -1122,8 +1200,10 @@ def test_a_writer_killed_by_a_signal_is_named(small_config, tmp_path, monkeypatc
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(surface_embed, "export_obj", export_obj)
-    with pytest.raises(RuntimeError, match=r"writing .*surface\.obj died from SIGKILL"):
-        guarded_main(["mesh", "--config", str(small_config), "--out", str(tmp_path / "o")])
+    assert guarded_main(["mesh", "--config", str(small_config),
+                         "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (f"bonnet: ChildDiedError: the process writing "
+                                       f"{tmp_path / 'o' / 'surface.obj'} died from SIGKILL\n")
     assert not (tmp_path / "o" / "mesh_report.json").exists()
     assert_no_children()
 

@@ -63,12 +63,19 @@ def profile_with(**fields):
     return bonnet_solver, "integrate_h_on_grid", mutate
 
 
+def overridden(cf, **forms):
+    """The coframe set cf with forms[name] cached as its coframe `name`: read in
+    place of the one it would build, also by a coframe it builds from it later."""
+    vars(cf).update(forms)
+    return cf
+
+
 def coframes_with(**fields):
-    """The pipeline's coframes with fields[name](coframes) in place of each field."""
+    """The pipeline's coframes with fields[name](coframes) in place of each coframe."""
     def mutate(build):
         def rebuilt(profile, psi):
             cf = build(profile, psi)
-            return replace(cf, **{k: f(cf) for k, f in fields.items()})
+            return overridden(cf, **{k: f(cf) for k, f in fields.items()})
         return rebuilt
     return surface_embed, "build_coframes", mutate
 
@@ -226,8 +233,9 @@ BASE_DEFECTS = {
     **{name: (rk4, "rk4_step", midpoint) for name in ("q.rk4_error", "q.rk4_halving")},
     # the companion's coframe (omega1, omega2) scaled by 1.5: its metric is 2.25 E
     "deform.metric": (surface_embed, "build_deformed_surface",
-                      lambda build: lambda cf, *args, **kwargs: build(
-                          replace(cf, omega1=cf.omega1 * 1.5, omega2=cf.omega2 * 1.5),
+                      lambda build: lambda cf, *args, **kwargs: build(overridden(
+                          surface_embed.CoframeSet(cf.profile, cf.psi), alpha1=cf.alpha1,
+                          alpha2=cf.alpha2, omega1=cf.omega1 * 1.5, omega2=cf.omega2 * 1.5),
                           *args, **kwargs)),
     # the companion marched with H + 0.5 in its second forms
     "deform.h": (surface_embed, "build_deformed_surface",

@@ -6,6 +6,7 @@ the same working tolerance the command-line verifier applies.
 """
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -61,9 +62,19 @@ def test_coframe_algebra(demo_coframes, demo_profile, demo_psi):
         assert np.max(np.abs(form.q.values - q2d * q)) < 1e-13
 
 
-def test_coframe_set_holds_no_unread_fields():
-    assert list(CoframeSet.__dataclass_fields__) == [
-        "grid", "omega1", "omega2", "omega12", "xi12", "theta1", "theta2", "alpha1", "alpha2"]
+COFRAMES = {"omega1", "omega2", "omega12", "xi12", "theta1", "theta2", "alpha1", "alpha2"}
+
+
+def test_coframe_set_holds_no_unread_fields(demo_profile, demo_psi):
+    # two fields, the grid read from psi, and each coframe cached on first read
+    assert list(CoframeSet.__dataclass_fields__) == ["profile", "psi"]
+    public = {name for name in vars(CoframeSet) if not name.startswith("_")}
+    assert public == COFRAMES | {"grid"}
+    assert all(isinstance(vars(CoframeSet)[name], cached_property) for name in COFRAMES)
+    cf = build_coframes(demo_profile, demo_psi)
+    assert cf.grid is demo_psi.grid and set(vars(cf)) == {"profile", "psi"}
+    assert cf.alpha1 is cf.alpha1 and set(vars(cf)) & COFRAMES == {
+        "omega1", "omega2", "alpha1"}
 
 
 def test_structure_residuals_small(demo_coframes, demo_profile):
