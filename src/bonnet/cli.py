@@ -10,15 +10,16 @@ Commands
 solve, mesh, deform and verify share one table of checks (CHECKS) and one
 refinement ladder (_ladder): they differ only in the rows they select and
 the number of levels they run.  mesh and deform write their CSV and OBJ
-files from forked children (_Writers) while they go on with the checks;
+files from child processes (_Writers) while they go on with the checks;
 verify and solve --refine 2 or more evaluate the finest ladder level
-partly in a forked child (_ladder).  Configs are single JSON files (see
-configs/demo_rational.json).  All outputs are deterministic: fixed check
-order, sorted JSON keys, 17 significant digits, no timestamps.  Exit
-codes: 0 every check passed, 1 a check failed, 2 bad config, domain or
-floating-point fault, or i/o error, 3 out of memory (a MemoryError, or a
-forked child that died, as the out-of-memory killer's SIGKILL leaves it),
-4 any other error, a bug, printed with its traceback.
+partly in a child (_ladder).  Where no child can be forked (_Forked), the
+same work runs in the command's own process.  Configs are single JSON
+files (see configs/demo_rational.json).  All outputs are deterministic:
+fixed check order, sorted JSON keys, 17 significant digits, no
+timestamps.  Exit codes: 0 every check passed, 1 a check failed, 2 bad
+config, domain or floating-point fault, or i/o error, 3 out of memory (a
+MemoryError, or a forked child that died, as the out-of-memory killer's
+SIGKILL leaves it), 4 any other error, a bug, printed with its traceback.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import argparse
 import json
 import math
 import os
+import pickle
 import re
 import reprlib
+import signal
 import sys
 import traceback
 from functools import cached_property
@@ -600,27 +603,34 @@ class _Forked:
     leaves with os._exit, so it never returns into the caller, flushes no
     buffer it inherited and runs no exit handler.  close() kills and reaps
     a child that result() has not reaped.  The only other threads a run
-    has are OpenBLAS workers, which OpenBLAS stops before a fork.
+    has are OpenBLAS workers, which OpenBLAS stops before a fork.  Where
+    os.fork is missing or os.pipe or os.fork raises OSError, no child is
+    forked: result() runs work() here and close() has nothing to reap.
     """
 
     def __init__(self, work, doing: str):
-        self.doing = doing
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
+        self.work, self.doing, self.pid, self.read = work, doing, 0, None
+        if not hasattr(os, "fork"):
+            return
+        try:  # an OSError: no descriptor or no process to spare, so no child
+            read, write = os.pipe()
+            try:
+                self.pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+        except OSError:
+            return
         if self.pid == 0:
             _child(work, write)
         os.close(write)
-        self.read = read
+        # drop work here, where it would keep what it captures alive until the join
+        self.work, self.read = None, read
 
     def result(self):
-        import pickle
-        import signal
-
+        if self.work is not None:  # no child: work runs here, now
+            return self.work()
         with open(self.read, "rb") as fh:  # the file owns the descriptor now
             self.read = None
             data = fh.read()
@@ -638,8 +648,6 @@ class _Forked:
         return value
 
     def close(self) -> None:
-        import signal
-
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -651,15 +659,11 @@ class _Forked:
 
 def _child(work, write: int):
     """The forked side of _Forked: send work()'s outcome down `write` and exit."""
-    import pickle
-
     code = 1
     try:
         try:
             data = pickle.dumps((True, work()))
         except BaseException as exc:
-            import traceback
-
             if hasattr(exc, "add_note"):  # Python 3.11+: keep the child's traceback
                 exc.add_note("raised in the forked child, at\n"
                              + "".join(traceback.format_exception(exc)))
@@ -667,7 +671,9 @@ def _child(work, write: int):
                 data = pickle.dumps((False, exc))
                 pickle.loads(data)
             except Exception:
-                data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                error.__notes__ = getattr(exc, "__notes__", [])  # the child's traceback
+                data = pickle.dumps((False, error))
         with open(write, "wb") as fh:
             fh.write(data)
         code = 0
@@ -676,15 +682,14 @@ def _child(work, write: int):
 
 
 class _Writers:
-    """Output files written by forked children while the command goes on.
+    """Output files written by child processes (_Forked) while the command goes on.
 
     write(path, work) starts a child in which work() writes the file at
-    `path`; where no process can be forked, work() runs here and now.
-    Leaving the `with` block joins every writer: the first one started
-    that failed raises its error, over any error the block raised after
-    it, as in one process, where the writer would have run first.  The
-    writers started after a failed one are killed, and every writer is
-    reaped on every way out.
+    `path`.  Leaving the `with` block joins every writer: the first one
+    started that failed raises its error, over any error the block raised
+    after it, as in one process, where the writer would have run first.
+    The writers started after a failed one are killed, or never run where
+    no child was forked, and every child is reaped on every way out.
     """
 
     def __init__(self):
@@ -693,13 +698,7 @@ class _Writers:
     def write(self, path: str, work) -> None:
         from . import text17  # noqa: F401  once, here, so the writers share its tables
 
-        if hasattr(os, "fork"):
-            try:
-                self.started.append(_Forked(work, f"writing {path}"))
-                return
-            except OSError:  # no process to spare
-                pass
-        work()
+        self.started.append(_Forked(work, f"writing {path}"))
 
     def __enter__(self):
         return self
@@ -725,37 +724,31 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     report entries in row order and what export returned.
 
     With two or more levels, the finest level is split at the first ladder
-    row that reads the frame march.  A forked child evaluates that row and
-    the ones after it (the whole level when no row reads the frame) while
-    this process runs the other levels in order and then the rows before
-    the cut on the finest level, so each process holds one level at a time.
-    All run _level, and the child sends back its floats, so the report is
-    the same as from one process.  An error reads as it would in one
-    process: the lowest failing level's error is raised, and on the finest
-    level a row before the cut wins, as its rows come first.  The child is
-    killed and reaped on every way out.  Where no process can be forked,
-    the finest level runs here, whole and last.
+    row that reads the frame march.  A child (_Forked) evaluates that row
+    and the ones after it (the whole level when no row reads the frame)
+    while this process runs the other levels in order and then the rows
+    before the cut on the finest level, so each process holds one level at
+    a time.  All run _level, and the child sends back its floats, so the
+    report is the same as from one process.  An error reads as it would in
+    one process: the lowest failing level's error is raised, and on the
+    finest level a row before the cut wins, as its rows come first.  The
+    child is killed and reaped on every way out.  Where no child is
+    forked, the same schedule runs in this process alone.
     """
     on_ladder = [row for row in rows if row.rule in LADDER_RULES]
     n = levels if on_ladder else 1
     # no row reading the frame puts the cut at 0: the child takes the whole level
     cut = next((i for i, row in enumerate(on_ladder) if row.name.startswith(FRAME_ROWS)), 0)
     head, tail = on_ladder[:cut], on_ladder[cut:]
-    finest = None
-    if n > 1 and hasattr(os, "fork"):
-        try:
-            finest = _Forked(lambda: _level(cfg, tail, n - 1)[0],
-                             "evaluating the finest ladder level")
-        except OSError:  # no process to spare
-            pass
+    if n > 1:
+        finest = _Forked(lambda: _level(cfg, tail, n - 1)[0], "evaluating the finest ladder level")
     try:
         base, exported = _level(cfg, rows, 0, export)
-        found = [base] + [_level(cfg, on_ladder, k)[0]
-                          for k in range(1, n if finest is None else n - 1)]
-        if finest is not None:
+        found = [base] + [_level(cfg, on_ladder, k)[0] for k in range(1, n - 1)]
+        if n > 1:
             found.append((_level(cfg, head, n - 1)[0] if head else []) + finest.result())
     finally:
-        if finest is not None:
+        if n > 1:
             finest.close()
     values = {row.name: [] for row in rows}
     scales, details = {}, {}
@@ -886,10 +879,12 @@ def cmd_mesh(args) -> int:
     def export(level, out, write):
         # forms.csv is written while the frame is marched, surface.obj while the
         # rows are evaluated.  The writer builds the forms it writes, so this
-        # process holds none through the frame march and its FD forms, mesh's peak
+        # process holds none through the frame march and its FD forms, mesh's peak.
+        # A writer holds what it writes, not the level, to the join if no child runs it
         forms_path, obj_path = os.path.join(out, "forms.csv"), os.path.join(out, "surface.obj")
+        profile, psi = level.profile, level.psi
         write(forms_path, lambda: _forms_csv(
-            forms_path, surface_embed.fundamental_forms(level.profile, level.psi)))
+            forms_path, surface_embed.fundamental_forms(profile, psi)))
         frame = level.frame
         write(obj_path, lambda: surface_embed.export_obj(frame, obj_path))
         return {

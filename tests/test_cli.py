@@ -763,13 +763,39 @@ def work_counts(monkeypatch, tmp_path):
     os.close(counts.fd)
 
 
+def no_fork():
+    raise OSError(errno.EAGAIN, "no process to spare")
+
+
+def no_pipe():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+# the three ways cli._Forked finds no child to fork, each applied through monkeypatch
+NO_CHILD = {
+    "fork-missing": lambda monkeypatch: monkeypatch.delattr(os, "fork"),
+    "fork-eagain": lambda monkeypatch: monkeypatch.setattr(os, "fork", no_fork),
+    "pipe-emfile": lambda monkeypatch: monkeypatch.setattr(os, "pipe", no_pipe),
+}
+
+
+@pytest.fixture(params=NO_CHILD.values(), ids=NO_CHILD)
+def no_child(request, monkeypatch):
+    """A call that leaves the command's process no child to fork from then on."""
+    return lambda: request.param(monkeypatch)
+
+
+@pytest.mark.parametrize("child", [None, *NO_CHILD.values()], ids=["forked", *NO_CHILD])
 def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file, tmp_path,
-                                                               work_counts):
+                                                               work_counts, monkeypatch, child):
+    if child:
+        child(monkeypatch)
     assert main(["verify", "--config", str(demo_config_file), "--out", str(tmp_path),
                  "--refine", "3"]) == 0
     # t-first and s-first frame on each of 3 levels, one deformed frame
     assert work_counts["integrate_frame"] + work_counts["build_deformed_surface"] == 7
-    # the finest level's psi, H and coframes are built in both processes
+    # the finest level's psi, H and coframes are built twice, with or without a
+    # child: once for the rows before the cut and once for the frame rows
     assert work_counts["build_coframes"] == 4
     for name in ("structure_residuals", "codazzi_summary_residuals",
                  "theta12_report", "ideal_residuals", "lax_residuals",
@@ -1025,7 +1051,9 @@ def test_unpicklable_error_in_the_child_surfaces_by_name(small_config, tmp_path,
     assert verify_small(small_config, tmp_path) == 4
     err = capsys.readouterr().err
     assert err.startswith("Traceback")
-    assert err.endswith("RuntimeError: LocalError: boom in the finest level\n"), err
+    assert "RuntimeError: LocalError: boom in the finest level\n" in err, err
+    if sys.version_info >= (3, 11):  # with the child's own traceback
+        assert "raised in the forked child" in err and "in integrate_frame" in err, err
     assert_no_children()
 
 
@@ -1096,10 +1124,6 @@ def test_no_child_outlives_main(demo_config_file, tmp_path, argv, code):
     assert_no_children()
 
 
-def no_fork():
-    raise OSError(errno.EAGAIN, "no process to spare")
-
-
 def run_small(small_config, out, capsys, argv):
     """(exit code, stdout, stderr, {name: bytes} of every file in out) of one
     command, with out spelled OUT in what it prints."""
@@ -1110,12 +1134,9 @@ def run_small(small_config, out, capsys, argv):
     return code, printed.out.replace(str(out), "OUT"), printed.err.replace(str(out), "OUT"), files
 
 
-def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, capsys):
-    # the ladder forks only on two or more levels; mesh and deform fork their
-    # writers, and where no process can be forked they write the same bytes
-    code = verify_small(small_config, tmp_path)
-    forked = (tmp_path / "o" / "verify_report.json").read_bytes()
-    capsys.readouterr()
+def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, capsys, no_child):
+    # the ladder forks only on two or more levels, and mesh and deform fork one
+    # writer per file; without a child every command prints and writes the same bytes
     fork, forks = os.fork, []
 
     def counted_fork():
@@ -1123,52 +1144,41 @@ def test_only_a_multi_level_ladder_forks(small_config, tmp_path, monkeypatch, ca
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    written = {argv: run_small(small_config, tmp_path / argv[0], capsys, argv)
-               for argv in (("mesh",), ("deform", "--t0", "1"))}
-    assert len(forks) == 3  # forms.csv, surface.obj, deformed.obj
-    assert [w[0] for w in written.values()] == [0, 0]
-    assert sorted(written[("mesh",)][3]) == ["forms.csv", "mesh_report.json", "surface.obj"]
-    calls = []
-
-    def counted_no_fork():
-        calls.append(1)
-        no_fork()
-
-    monkeypatch.setattr(os, "fork", counted_no_fork)
-    for argv in (["solve"], ["solve", "--refine", "1"], ["verify", "--only", "q."]):
-        command, *rest = argv
-        out = tmp_path / command
-        assert guarded_main([command, "--config", str(small_config), "--out", str(out),
-                             *rest]) == 0, argv
-    assert calls == []
-    capsys.readouterr()
-    for argv, files in written.items():
-        assert run_small(small_config, tmp_path / argv[0], capsys, argv) == files
-    assert calls == [1, 1, 1]
-    # where no process can be forked, the finest level runs here, last
-    assert verify_small(small_config, tmp_path) == code
-    assert calls == [1, 1, 1, 1]
-    assert (tmp_path / "o" / "verify_report.json").read_bytes() == forked
+    expected = {("mesh",): 2, ("deform", "--t0", "1"): 1, ("solve",): 0,
+                ("solve", "--refine", "1"): 0, ("verify", "--only", "q."): 0, ("verify",): 1}
+    forked = {}
+    for i, argv in enumerate(expected):
+        forks.clear()
+        forked[argv] = run_small(small_config, tmp_path / f"forked{i}", capsys, argv)
+        assert len(forks) == expected[argv], argv
+    # the small grid fails an order at two levels
+    assert [run[0] for run in forked.values()] == [0, 0, 0, 0, 0, 1]
+    assert sorted(forked[("mesh",)][3]) == ["forms.csv", "mesh_report.json", "surface.obj"]
+    forks.clear()
+    no_child()
+    for i, argv in enumerate(expected):
+        assert run_small(small_config, tmp_path / f"here{i}", capsys, argv) == forked[argv], argv
+    assert forks == []
     assert_no_children()
 
 
-def fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, argv):
-    """run_small of argv with a fork, then with os.fork raising, each in a fresh out."""
+def fork_and_no_fork(small_config, tmp_path, capsys, no_child, argv):
+    """run_small of argv with a child, then with none, each in a fresh out."""
     forked = run_small(small_config, tmp_path / "forked", capsys, argv)
     assert_no_children()
-    monkeypatch.setattr(os, "fork", no_fork)
+    no_child()
     here = run_small(small_config, tmp_path / "here", capsys, argv)
     return forked, here
 
 
 @pytest.mark.parametrize("argv", [("mesh",), ("deform", "--t0", "1")], ids=" ".join)
 def test_an_io_error_in_a_writer_reads_as_in_one_process(small_config, tmp_path, capsys,
-                                                         monkeypatch, argv):
+                                                         monkeypatch, no_child, argv):
     def export_obj(frame, path):
         raise OSError(errno.ENOSPC, "No space left on device", os.path.basename(path))
 
     monkeypatch.setattr(surface_embed, "export_obj", export_obj)
-    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, argv)
+    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, no_child, argv)
     name = "surface.obj" if argv[0] == "mesh" else "deformed.obj"
     assert forked[:3] == here[:3] == (
         2, "", f"bonnet: i/o error: [Errno 28] No space left on device: '{name}'\n")
@@ -1178,14 +1188,14 @@ def test_an_io_error_in_a_writer_reads_as_in_one_process(small_config, tmp_path,
 
 @pytest.mark.parametrize("march_fails", [True, False], ids=["march-fails", "obj-writer-starts"])
 def test_a_writers_error_wins_over_a_later_one(small_config, tmp_path, capsys, monkeypatch,
-                                               march_fails):
-    # forms.csv is written before the frame march, which fails too or goes on
-    # to start the surface.obj writer, which is then killed and reaped
+                                               no_child, march_fails):
+    # the forms.csv writer starts before the frame march, which fails too or goes
+    # on to start the surface.obj writer, which is then killed, or never runs
     for out in ("forked", "here"):
         (tmp_path / out / "forms.csv").mkdir(parents=True)
     if march_fails:
         fail_on_grid(monkeypatch, 17, FrameStepError("frame step too large; refine the grid"))
-    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, monkeypatch, ("mesh",))
+    forked, here = fork_and_no_fork(small_config, tmp_path, capsys, no_child, ("mesh",))
     assert forked[:3] == here[:3]
     assert forked[0] == 2
     assert forked[2] == "bonnet: i/o error: [Errno 21] Is a directory: 'OUT/forms.csv'\n"
@@ -1221,7 +1231,7 @@ SMALL_BRANCHES = {
 
 
 @pytest.mark.parametrize("branch", SMALL_BRANCHES)
-def test_forked_and_one_process_runs_match(tmp_path, monkeypatch, capsys, branch):
+def test_forked_and_one_process_runs_match(tmp_path, capsys, no_child, branch):
     family, psi, (s_min, s_max) = SMALL_BRANCHES[branch]
     data = {**SMALL_CONFIG, "family": family, "psi": psi,
             "grid": {**SMALL_CONFIG["grid"], "s_min": s_min, "s_max": s_max},
@@ -1237,7 +1247,7 @@ def test_forked_and_one_process_runs_match(tmp_path, monkeypatch, capsys, branch
                 (out / "verify_report.json").read_bytes())
 
     forked = run("forked")
-    monkeypatch.setattr(os, "fork", no_fork)
+    no_child()
     assert run("here") == forked
     assert_no_children()
 
@@ -1287,7 +1297,7 @@ def test_frame_rows_are_the_tail_of_the_ladder_rows():
 
 
 def test_parent_error_on_the_finest_level_wins_over_the_childs(small_config, tmp_path,
-                                                                capsys, monkeypatch):
+                                                                capsys, monkeypatch, no_child):
     # structure.* come before the cut, so the parent evaluates them on the finest
     # level, while the child's frame march fails there too
     battery = surface_embed.structure_residuals
@@ -1302,7 +1312,7 @@ def test_parent_error_on_the_finest_level_wins_over_the_childs(small_config, tmp
     forked = verify_small(small_config, tmp_path), capsys.readouterr()
     assert forked[1].err == "bonnet: DomainError: the finest structure battery left the domain\n"
     assert_no_children()
-    monkeypatch.setattr(os, "fork", no_fork)
+    no_child()
     assert (verify_small(small_config, tmp_path), capsys.readouterr()) == forked
     assert forked[0] == 2
 
