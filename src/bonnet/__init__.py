@@ -9,7 +9,7 @@ mean-curvature-preserving companions (surface_embed).  forms2d supplies
 the grid calculus that turns each identity into a measurable residual.
 """
 
-from .bonnet_solver import HInitialData, SurfaceProfile, integrate_h, integrate_h_on_grid
+from .bonnet_solver import HInitialData, SurfaceProfile, integrate_h
 from .forms2d import Grid, OneForm, ScalarField, observed_order
 from .lax_psi import PsiBranch, integrate_lax, psi_field_from_branch
 from .q_family import QFamily, SingularityGuard
@@ -38,7 +38,6 @@ __all__ = [
     "HInitialData",
     "SurfaceProfile",
     "integrate_h",
-    "integrate_h_on_grid",
     "FrameField",
     "Forms",
     "build_coframes",

@@ -14,10 +14,12 @@ algebraic in (H, H', H'') and Q:
     B = (log A)'/Q  from the scaling relation d(log A) = A B xi1
     C = (1/Q)'      from the Q branch
 
-The Bonnet regime requires H' > 0 throughout; the integrator aborts the
-moment it is lost.  B is computed by finite differences of log A (not by
-integrating its own ODE), which keeps the dB relation available as an
-independent residual check.
+integrate_h, the one H march, takes (ns - 1) * substeps equal RK4 steps
+from grid.s_min to grid.s_max and keeps every substeps-th, so its samples
+are the grid's s-nodes by construction.  The Bonnet regime requires
+H' > 0 throughout; the march aborts the moment it is lost.  B is computed
+by finite differences of log A (not by integrating its own ODE), which
+keeps the dB relation available as an independent residual check.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms2d import _second_derivative, _write_rows, max_interior
+from .forms2d import Grid, _second_derivative, _write_rows, max_interior
 from .q_family import ConsistencyError, QFamily, SingularityGuard, eval_c, eval_c_prime, eval_q
 from .rk4 import rk4_step
 
@@ -39,7 +41,6 @@ __all__ = [
     "ProfileRangeError",
     "h_third_derivative",
     "integrate_h",
-    "integrate_h_on_grid",
     "validate_profile",
     "gauss_s_residual",
     "ideal_residuals",
@@ -185,21 +186,24 @@ def validate_profile(profile: SurfaceProfile) -> None:
     close(p.e * p.e, p.E, "e^2 = E")
 
 
-def integrate_h(ics: HInitialData, fam: QFamily, s1: float, step: float) -> SurfaceProfile:
-    """RK4 march of (H, H', H'') from s0 to s1, sampled at every step.
+def integrate_h(ics: HInitialData, fam: QFamily, grid: Grid, substeps: int = 8) -> SurfaceProfile:
+    """Profile sampled at the grid s-nodes: an RK4 march of (H, H', H'') from
+    s0 = grid.s_min to grid.s_max in (ns - 1) * substeps equal steps, kept at
+    every substeps-th step, so its samples are the nodes by construction
+    (substeps RK4 steps per cell keep the march error far below FD truncation).
 
     Raises RegimeError when H' hits zero (with the last s still inside
     the regime) and BlowUpError past the magnitude guard.  Q is evaluated
     once, at every stage abscissa of the march.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("step must be positive and finite")
-    if s1 <= ics.s0:
-        raise ValueError("s1 must exceed s0")
-    SingularityGuard(fam).check(np.array([ics.s0, s1]))
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if abs(grid.s_min - ics.s0) > 1e-12 * max(1.0, abs(ics.s0)):
+        raise ValueError("initial s0 must coincide with grid.s_min")
+    SingularityGuard(fam).check(np.array([ics.s0, grid.s_max]))
 
-    n = int(math.ceil((s1 - ics.s0) / step - 1e-12))
-    h = (s1 - ics.s0) / n
+    n = (grid.ns - 1) * substeps
+    h = (grid.s_max - ics.s0) / n
     s_out = ics.s0 + h * np.arange(n + 1)
     s_k = s_out[:-1]
     # a hyperbolic Q whose sinh overflows is 0 here, without a warning: validate_profile
@@ -225,29 +229,11 @@ def integrate_h(ics: HInitialData, fam: QFamily, s1: float, step: float) -> Surf
             raise RegimeError(s_k[k])
         out[k + 1] = y
 
-    profile = SurfaceProfile.from_h_samples(
-        s_out, out[:, 0], out[:, 1], out[:, 2], fam, ics.tau_c
-    )
+    # copies of the node samples, so the march's arrays go with the march
+    H, Hp, Hpp = out[::substeps].T.copy()
+    profile = SurfaceProfile.from_h_samples(s_out[::substeps].copy(), H, Hp, Hpp, fam, tau_c)
     validate_profile(profile)
     return profile
-
-
-def integrate_h_on_grid(ics: HInitialData, fam: QFamily, grid, substeps: int = 8) -> SurfaceProfile:
-    """Profile sampled exactly at the grid s-nodes (substeps RK4 stages
-    per cell keep the march error far below FD truncation)."""
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if abs(grid.s_min - ics.s0) > 1e-12 * max(1.0, abs(ics.s0)):
-        raise ValueError("initial s0 must coincide with grid.s_min")
-    fine = integrate_h(ics, fam, grid.s_max, grid.h_s / substeps)
-    idx = np.arange(0, fine.s.size, substeps)
-    if idx[-1] != fine.s.size - 1:
-        raise ConsistencyError("substep count did not land on the grid nodes")
-    prof = SurfaceProfile.from_h_samples(
-        fine.s[idx], fine.H[idx], fine.Hp[idx], fine.Hpp[idx], fam, ics.tau_c
-    )
-    validate_profile(prof)
-    return prof
 
 
 def _d1(vals: np.ndarray, s: np.ndarray) -> np.ndarray:

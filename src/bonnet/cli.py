@@ -85,8 +85,8 @@ K_T_VARIATION_TOL = 1e-10
 # keeps them near 1.4 GB and 1.1 GB
 MAX_LADDER_NODES = 2**22
 # RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
-# its psi march, (ns - 1) * psi.substeps.  The H march holds about 160 bytes a step and
-# the psi march about 52, so the cap keeps them near 1.3 GB and 0.4 GB.  The thinnest
+# its psi march, (ns - 1) * psi.substeps.  The H march holds about 73 bytes a step and
+# the psi march about 52, so the cap keeps them near 0.6 GB and 0.4 GB.  The thinnest
 # grid under MAX_LADDER_NODES, 838860 x 5, takes 6.7M steps at 8 substeps
 MAX_MARCH_STEPS = 2**23
 
@@ -291,7 +291,7 @@ class PipelineData:
             self.psi = lax_psi.integrate_lax(
                 self.fam, grid, cfg.psi0, substeps=cfg.psi_substeps
             )
-        self.profile = bonnet_solver.integrate_h_on_grid(
+        self.profile = bonnet_solver.integrate_h(
             cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
         )
         self.cf = surface_embed.build_coframes(self.profile, self.psi)
@@ -319,7 +319,7 @@ class PipelineData:
     @cached_property
     def frame(self) -> surface_embed.FrameField:
         """The t-first frame march from the identity frame at the origin."""
-        return surface_embed.integrate_frame(self.cf, self.profile)
+        return surface_embed.integrate_frame(self.cf)
 
     @cached_property
     def fd_forms(self) -> surface_embed.Forms:
@@ -348,7 +348,7 @@ class PipelineData:
     @cached_property
     def deformed_frame(self) -> surface_embed.FrameField:
         """The companion's frame march at t0."""
-        return surface_embed.build_deformed_surface(self.cf, self.profile, self.tau)
+        return surface_embed.build_deformed_surface(self.cf, self.tau)
 
     @cached_property
     def q(self) -> dict:
@@ -365,9 +365,9 @@ class PipelineData:
 
     # the batteries that several rows read, besides q and deformation
     rk4 = cached_property(lambda L: _rk4_crosscheck(L.fam))  # (error, halving ratio)
-    structure = cached_property(lambda L: surface_embed.structure_residuals(L.cf, L.profile))
-    codazzi = cached_property(lambda L: surface_embed.codazzi_summary_residuals(L.cf, L.profile))
-    theta12 = cached_property(lambda L: surface_embed.theta12_report(L.cf, L.psi, L.profile))
+    structure = cached_property(lambda L: surface_embed.structure_residuals(L.cf))
+    codazzi = cached_property(lambda L: surface_embed.codazzi_summary_residuals(L.cf))
+    theta12 = cached_property(lambda L: surface_embed.theta12_report(L.cf))
     ideal = cached_property(lambda L: bonnet_solver.ideal_residuals(L.profile))
     weingarten = cached_property(lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms))
     frame_forms = cached_property(lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms))
@@ -415,7 +415,7 @@ class Check(NamedTuple):
     key: object = None
     rule: str = "ladder"
     details: tuple = ()
-    margin: int = 2
+    margin: int = bonnet_solver.MARGIN
 
 
 # report order; verify runs every row, the other commands a prefix filter
@@ -484,7 +484,7 @@ CHECKS = (
         L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
     # the ladder rows that read the frame march come last (see _ladder)
     Check("frame.two_path", 1.0,
-          lambda L: surface_embed.two_path_residual(L.cf, L.profile, L.frame), margin=0),
+          lambda L: surface_embed.two_path_residual(L.cf, L.frame), margin=0),
     Check("frame.metric_recovery", "scale_e", "frame_forms", 0),
     Check("frame.second_form", "scale_ii", "frame_forms", 1),
     Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3),

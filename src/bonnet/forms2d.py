@@ -40,8 +40,8 @@ __all__ = [
     "read_scalar_csv",
 ]
 
-# |det| below 1e-12 * (max coframe component)^2 means the coframe does not
-# invert reliably at that node; callers must refuse, not regularize.
+# |det| at or below 1e-12 * (max coframe component)^2 means the coframe does not
+# invert reliably at that node; _coframe_det refuses it, never regularizes.
 DET_RTOL = 1e-12
 
 # rows per block that _write_rows formats and writes at once: enough that
@@ -59,7 +59,7 @@ class CoframeSingularError(ValueError):
         self.scale = float(scale)
         super().__init__(
             f"coframe is numerically singular at node {self.index}: "
-            f"|det| = {abs(det):.3e} < {DET_RTOL:g} * max(component)^2 = "
+            f"|det| = {abs(det):.3e} <= {DET_RTOL:g} * max(component)^2 = "
             f"{DET_RTOL * scale * scale:.3e}"
         )
 
@@ -311,24 +311,35 @@ def hodge(w: OneForm) -> OneForm:
     return OneForm(-w.q, w.p)
 
 
+def _coframe_det(c1: OneForm, c2: OneForm) -> np.ndarray:
+    """The determinant of the coframe (c1, c2) at every node, the coefficient of c1 ^ c2.
+
+    Raises CoframeSingularError at the first node where
+    |det| <= DET_RTOL * (max component there)^2, which includes a node where
+    the coframe vanishes; degenerate coframes are an error, never regularized.
+    """
+    det = wedge(c1, c2).values
+    p1, q1 = c1.p.values, c1.q.values
+    p2, q2 = c2.p.values, c2.q.values
+    scale = np.maximum(np.maximum(np.abs(p1), np.abs(q1)), np.maximum(np.abs(p2), np.abs(q2)))
+    bad = np.abs(det) <= DET_RTOL * scale * scale
+    if np.any(bad):
+        idx = tuple(np.argwhere(bad)[0])
+        raise CoframeSingularError(idx, det[idx], scale[idx])
+    return det
+
+
 def decompose_in_coframe(w: OneForm, c1: OneForm, c2: OneForm):
     """Solve w = f1 c1 + f2 c2 pointwise for scalar fields (f1, f2).
 
-    Raises CoframeSingularError at the first node where the coframe
-    determinant falls below the inversion tolerance; degenerate coframes
-    are an error, never regularized.
+    Raises CoframeSingularError where _coframe_det finds the coframe singular.
     """
     g = w.grid
     if c1.grid != g or c2.grid != g:
         raise ValueError("coframe and form live on different grids")
+    det = _coframe_det(c1, c2)
     p1, q1 = c1.p.values, c1.q.values
     p2, q2 = c2.p.values, c2.q.values
-    det = p1 * q2 - q1 * p2
-    scale = np.maximum(np.maximum(np.abs(p1), np.abs(q1)), np.maximum(np.abs(p2), np.abs(q2)))
-    bad = np.abs(det) < DET_RTOL * scale * scale
-    if np.any(bad):
-        idx = np.argwhere(bad)[0]
-        raise CoframeSingularError(idx, det[tuple(idx)], scale[tuple(idx)])
     f1 = (w.p.values * q2 - w.q.values * p2) / det
     f2 = (p1 * w.q.values - q1 * w.p.values) / det
     return _adopt(g, f1), _adopt(g, f2)

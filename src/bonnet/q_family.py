@@ -54,7 +54,10 @@ class DomainError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Internal identity violated beyond rounding; indicates a bug."""
+    """An identity the input data must satisfy is violated beyond rounding: a
+    profile identity (validate_profile), the two routes to the second form
+    (fundamental_forms) or the RK4 cross-check of Q, which blew up.  The CLI
+    exits 2 on it, as on any other bad input."""
 
 
 @dataclass(frozen=True)

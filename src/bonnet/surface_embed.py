@@ -9,11 +9,14 @@ build the orthonormal coframe
 
 with connection form omega12 = xi12 - d(psi), where xi12 = *d(log e)
 is the connection of the untwisted conformal coframe e (ds, dt).
-Every structure identity of the construction is exposed as a grid
-residual, the frame (x, e1, e2, e3) is integrated with exact rotation
-steps from the identity frame at the origin, and the one-parameter
-family of isometric, mean-curvature preserving companions is produced
-by rotating the coframe with the angle tau(s, t) that solves
+A CoframeSet holds the profile and psi with the coframes built from them,
+and every function that takes one reads the profile and psi from it, so
+no call can pair a set with another profile.  Every structure identity
+of the construction is exposed as a grid residual, the frame
+(x, e1, e2, e3) is integrated with exact rotation steps from the
+identity frame at the origin, and the one-parameter family of
+isometric, mean-curvature preserving companions is produced by rotating
+the coframe with the angle tau(s, t) that solves
 d(cot tau) = cot(tau) alpha1 - alpha2.  tau, not its cotangent, is what
 the march returns: it stays inside (0, pi) where cot(tau) has a pole, the
 companion's builder reads sin(tau) and cos(tau) off it, and the report
@@ -37,11 +40,11 @@ import numpy as np
 
 from .bonnet_solver import MARGIN, SurfaceProfile
 from .forms2d import (
-    CoframeSingularError,
     Grid,
     OneForm,
     ScalarField,
     _adopt,
+    _coframe_det,
     _grad,
     _write_rows,
     d_oneform,
@@ -211,14 +214,15 @@ def build_coframes(profile: SurfaceProfile, psi: ScalarField) -> CoframeSet:
     return CoframeSet(profile, psi)
 
 
-def _e_dt(grid: Grid, profile: SurfaceProfile, coef) -> OneForm:
-    """coef e dt for an s-only coef; each node's q is the product e * coef."""
-    return OneForm(_adopt(grid, np.zeros(grid.shape)), _profile_field(grid, profile.e * coef))
+def _e_dt(cf: CoframeSet, coef) -> OneForm:
+    """coef e dt on cf's grid for an s-only coef; each node's q is the product e * coef."""
+    g = cf.grid
+    return OneForm(_adopt(g, np.zeros(g.shape)), _profile_field(g, cf.profile.e * coef))
 
 
-def theta12_form(cf: CoframeSet, profile: SurfaceProfile) -> OneForm:
+def theta12_form(cf: CoframeSet) -> OneForm:
     """Connection form of the theta coframe: theta12 = -C A e dt."""
-    return _e_dt(cf.grid, profile, -profile.C * profile.A)
+    return _e_dt(cf, -cf.profile.C * cf.profile.A)
 
 
 def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
@@ -228,13 +232,14 @@ def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
             w2 * _profile_field(grid, profile.H - profile.J))
 
 
-def structure_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
+def structure_residuals(cf: CoframeSet) -> dict:
     """Max interior residuals of the five structure equations.
 
     d(omega1) = omega12 ^ omega2        d(omega2) = omega1 ^ omega12
     d(omega13) = omega12 ^ omega23      d(omega23) = omega13 ^ omega12
     d(omega12) = -K omega1 ^ omega2,    K = H^2 - J^2
     """
+    profile = cf.profile
     k2d = _profile_field(cf.grid, profile.H**2 - profile.J**2)
     w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
     res = {
@@ -247,13 +252,13 @@ def structure_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
     return {k: v.max_abs_interior(MARGIN) for k, v in res.items()}
 
 
-def codazzi_summary_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
+def codazzi_summary_residuals(cf: CoframeSet) -> dict:
     """Residuals of the integrated compatibility identities.
 
     dH = J theta1, d(log J) = alpha1 + 2 *omega12, d(theta1) = 0,
     d(alpha1) = 0 and d(alpha2) = alpha1 ^ alpha2.
     """
-    g = cf.grid
+    g, profile = cf.grid, cf.profile
     h2d = _profile_field(g, profile.H)
     j2d = _profile_field(g, profile.J)
     logj = _profile_field(g, np.log(profile.J))
@@ -270,7 +275,7 @@ def codazzi_summary_residuals(cf: CoframeSet, profile: SurfaceProfile) -> dict:
     }
 
 
-def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) -> dict:
+def theta12_report(cf: CoframeSet) -> dict:
     """Residuals tying the theta-coframe connection to psi and the profile.
 
     theta12 = d(psi) + omega12 + *d(log A)     (rotation + scaling law)
@@ -279,8 +284,8 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) ->
     d(*omega12) = 0,  d(*theta12) = 0
     xi12 = -(C + B) A e dt
     """
-    g = cf.grid
-    th12 = theta12_form(cf, profile)
+    g, psi, profile = cf.grid, cf.psi, cf.profile
+    th12 = theta12_form(cf)
     loga = _profile_field(g, np.log(profile.A))
     c2d = _profile_field(g, profile.C)
     two = 2.0 * psi.values
@@ -298,7 +303,7 @@ def theta12_report(cf: CoframeSet, psi: ScalarField, profile: SurfaceProfile) ->
         "d_star_omega12": d_oneform(hodge(cf.omega12)).max_abs_interior(MARGIN),
         "d_star_theta12": d_oneform(hodge(th12)).max_abs_interior(MARGIN),
         "xi12_relation": (
-            cf.xi12 + _e_dt(g, profile, (profile.C + profile.B) * profile.A)
+            cf.xi12 + _e_dt(cf, (profile.C + profile.B) * profile.A)
         ).max_abs_interior(MARGIN),
     }
 
@@ -307,16 +312,10 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     """Solve d(c1) = gamma ^ c2, d(c2) = c1 ^ gamma for the connection gamma.
 
     Writing gamma = x c1 + y c2 the two equations decouple through the
-    area form w = c1 ^ c2:  x = d(c1)/w, y = d(c2)/w.
+    area form w = c1 ^ c2:  x = d(c1)/w, y = d(c2)/w.  Raises CoframeSingularError
+    where _coframe_det finds the coframe singular.
     """
-    w = wedge(c1, c2).values
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        raise CoframeSingularError((0, 0), 0.0, 0.0)
-    bad = np.abs(w) <= 1e-12 * scale
-    if np.any(bad):
-        idx = tuple(int(k) for k in np.argwhere(bad)[0])
-        raise CoframeSingularError(idx, float(w[idx]), scale)
+    w = _coframe_det(c1, c2)
     x = d_oneform(c1).values / w
     y = d_oneform(c2).values / w
     return c1 * x + c2 * y
@@ -425,17 +424,17 @@ def _integrate_frame_forms(
     return FrameField(grid, x, E)
 
 
-def integrate_frame(cf: CoframeSet, profile: SurfaceProfile, order: str = "t_first") -> FrameField:
+def integrate_frame(cf: CoframeSet, order: str = "t_first") -> FrameField:
     """Integrate the moving frame of the base surface over the grid."""
-    return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, profile, order)
+    return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, cf.profile, order)
 
 
-def two_path_residual(cf: CoframeSet, profile: SurfaceProfile, frame: FrameField) -> float:
+def two_path_residual(cf: CoframeSet, frame: FrameField) -> float:
     """Disagreement between the two integration path orders (flatness check).
 
     `frame` is the t-first march; the s-first march starts from the same corner.
     """
-    other = integrate_frame(cf, profile, "s_first")
+    other = integrate_frame(cf, "s_first")
     return float(np.max([
         _reduce_rows(np.max, _abs_diff, frame.x, other.x),
         _reduce_rows(np.max, _abs_diff, frame.frames, other.frames),
@@ -562,9 +561,7 @@ def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> 
     return _adopt(g, tau)
 
 
-def build_deformed_surface(
-    cf: CoframeSet, profile: SurfaceProfile, tau: ScalarField, order: str = "t_first"
-) -> FrameField:
+def build_deformed_surface(cf: CoframeSet, tau: ScalarField, order: str = "t_first") -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
     Returns the FrameField of the deformed immersion; its fundamental
@@ -578,7 +575,7 @@ def build_deformed_surface(
     st, ct = np.sin(tau.values), np.cos(tau.values)
     w1s, w2s = _rotated(cf.omega1, cf.omega2, ct, st)
     dtau = cf.alpha2 * (st * st) - cf.alpha1 * (st * ct)
-    return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, profile, order)
+    return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, cf.profile, order)
 
 
 def deformation_report(profile: SurfaceProfile, forms: Forms, tau: ScalarField, fd: Forms) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from bonnet.forms2d import Grid
 from bonnet.q_family import QFamily
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
-from bonnet.bonnet_solver import HInitialData, integrate_h_on_grid
+from bonnet.bonnet_solver import HInitialData, integrate_h
 from bonnet.surface_embed import build_coframes, integrate_frame, fundamental_forms
 
 DEMO_ICS = dict(s0=1.0, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -53,7 +53,7 @@ def demo_psi(demo_branch, demo_grid):
 
 @pytest.fixture(scope="session")
 def demo_profile(demo_ics, demo_family, demo_grid):
-    return integrate_h_on_grid(demo_ics, demo_family, demo_grid, substeps=8)
+    return integrate_h(demo_ics, demo_family, demo_grid, substeps=8)
 
 
 @pytest.fixture(scope="session")
@@ -62,8 +62,8 @@ def demo_coframes(demo_profile, demo_psi):
 
 
 @pytest.fixture(scope="session")
-def demo_frame(demo_coframes, demo_profile):
-    return integrate_frame(demo_coframes, demo_profile)
+def demo_frame(demo_coframes):
+    return integrate_frame(demo_coframes)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +78,7 @@ def level_stack(demo_ics, demo_family, demo_branch, demo_grid):
     for k in range(3):
         grid = demo_grid.refined(2 ** k)
         psi = psi_field_from_branch(demo_branch, grid)
-        profile = integrate_h_on_grid(demo_ics, demo_family, grid, substeps=8)
+        profile = integrate_h(demo_ics, demo_family, grid, substeps=8)
         cf = build_coframes(profile, psi)
         levels.append((grid, psi, profile, cf))
     return levels

@@ -204,7 +204,7 @@ def test_c04_harmonicity():
 
 
 def test_c05_h_equation_and_gauss_consistency():
-    prof = integrate_h(DEMO_ICS, DEMO_FAM, 2.0, 1e-4)
+    prof = integrate_h(DEMO_ICS, DEMO_FAM, Grid(1.0, 2.0, 0.0, 1.0, 10001, 5), substeps=1)
     gauss = gauss_s_residual(prof)
     ideal = ideal_residuals(prof)
     point_ok = gauss < 1e-6 and all(v < 1e-5 for v in ideal.values())
@@ -216,7 +216,8 @@ def test_c05_h_equation_and_gauss_consistency():
     series: dict[tuple, list] = {("profile", "gauss"): []}
     scale = 1.0
     for step in steps:
-        p = integrate_h(DEMO_ICS, DEMO_FAM, 2.0, step)
+        cells = round(1.0 / step)
+        p = integrate_h(DEMO_ICS, DEMO_FAM, Grid(1.0, 2.0, 0.0, 1.0, cells + 1, 5), substeps=1)
         scale = max(scale, float(np.max(2.0 * p.Q**2)))
         series["profile", "gauss"].append(gauss_s_residual(p))
         for key, value in ideal_residuals(p).items():
@@ -264,11 +265,11 @@ def test_c06_structure_equation_suite(level_stack):
         battery.setdefault((name, key), ([], scale))[0].append(float(value))
 
     for grid, psi, prof, cf in level_stack:
-        for key, value in se.structure_residuals(cf, prof).items():
+        for key, value in se.structure_residuals(cf).items():
             add("structure", key, value, max(scale_e, scale_ii))
-        for key, value in se.codazzi_summary_residuals(cf, prof).items():
+        for key, value in se.codazzi_summary_residuals(cf).items():
             add("codazzi", key, value, scale_q)
-        for key, value in se.theta12_report(cf, psi, prof).items():
+        for key, value in se.theta12_report(cf).items():
             add("theta12", key, value, scale_q)
         add("connection", "rotation", se.rotation_transform_residual(cf, _rotation_field(grid)),
             scale_q)
@@ -303,7 +304,7 @@ def test_c06_structure_equation_suite(level_stack):
 @pytest.fixture(scope="module")
 def level_frames(level_stack):
     return [
-        se.integrate_frame(cf, prof)
+        se.integrate_frame(cf)
         for grid, psi, prof, cf in level_stack
     ]
 
@@ -313,7 +314,7 @@ def test_c07_immersion_fidelity(level_stack, level_frames):
     hs, two_path, metric, second = [], [], [], []
     for (grid, psi, prof, cf), frame in zip(level_stack, level_frames):
         hs.append(grid.h_max)
-        two_path.append(se.two_path_residual(cf, prof, frame))
+        two_path.append(se.two_path_residual(cf, frame))
         first, ii = se.forms_deviation(se.fd_forms(frame), se.fundamental_forms(prof, psi))
         metric.append(first)
         second.append(ii)
@@ -337,7 +338,7 @@ def test_c08_isometric_deformation(level_stack):
     tol_ii = FD_FACTOR * grid.h_max**2 * scale_ii
 
     tau = se.integrate_deformation(cf, 1.0)
-    frame = se.build_deformed_surface(cf, prof, tau)
+    frame = se.build_deformed_surface(cf, tau)
     rep = se.deformation_report(prof, se.fundamental_forms(prof, psi), tau, se.fd_forms(frame))
     tol_metric = FD_FACTOR * grid.h_max**2 * max(1.0, float(np.max(prof.E)))
     tol_h = FD_FACTOR * grid.h_max**2 * max(1.0, float(np.max(np.abs(prof.H))))
@@ -348,7 +349,7 @@ def test_c08_isometric_deformation(level_stack):
     fields = {}
     for t0 in (0.5, 1.0, 2.0):
         tau = se.integrate_deformation(cf, t0)
-        fields[t0] = se.fd_forms(se.build_deformed_surface(cf, prof, tau)).L.values
+        fields[t0] = se.fd_forms(se.build_deformed_surface(cf, tau)).L.values
     gaps = [
         float(np.max(np.abs(fields[a] - fields[b])))
         for a, b in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0))

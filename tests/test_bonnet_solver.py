@@ -24,7 +24,6 @@ from bonnet.bonnet_solver import (
     h_third_derivative,
     ideal_residuals,
     integrate_h,
-    integrate_h_on_grid,
     validate_profile,
     write_profile_csv,
 )
@@ -37,6 +36,16 @@ H_END = 0.92309890561434617547
 HP_END = 0.7559674381959440627
 HPP_END = -0.45685418912587117187
 H_MID = 0.49286316371344801039  # at s = 1.5
+
+
+def s_grid(s1: float, cells: int, s0: float = 1.0) -> Grid:
+    """A grid over [s0, s1] with `cells` s-cells; the H march reads no t-node."""
+    return Grid(s0, s1, 0.0, 1.0, cells + 1, 5)
+
+
+def march(s1: float, cells: int, ics: HInitialData = ICS):
+    """integrate_h with one RK4 step a cell: step (s1 - s0)/cells."""
+    return integrate_h(ics, FAM, s_grid(s1, cells, ics.s0), substeps=1)
 
 
 def test_initial_data_validation():
@@ -70,7 +79,7 @@ def test_third_derivative_closes_the_residual(H, Hp, Hpp, s, tau):
 
 
 def test_endpoint_matches_taylor_reference():
-    prof = integrate_h(ICS, FAM, 2.0, 1e-3)
+    prof = march(2.0, 1000)
     assert prof.H[-1] == pytest.approx(H_END, abs=1e-12)
     assert prof.Hp[-1] == pytest.approx(HP_END, abs=1e-12)
     assert prof.Hpp[-1] == pytest.approx(HPP_END, abs=1e-12)
@@ -78,18 +87,18 @@ def test_endpoint_matches_taylor_reference():
 
 
 def test_midpoint_matches_taylor_reference():
-    prof = integrate_h(ICS, FAM, 1.5, 1e-3)
+    prof = march(1.5, 500)
     assert prof.H[-1] == pytest.approx(H_MID, abs=1e-12)
 
 
 def test_step_refinement_tightens_endpoint():
-    coarse = abs(integrate_h(ICS, FAM, 2.0, 4e-3).H[-1] - H_END)
-    fine = abs(integrate_h(ICS, FAM, 2.0, 2e-3).H[-1] - H_END)
+    coarse = abs(march(2.0, 250).H[-1] - H_END)
+    fine = abs(march(2.0, 500).H[-1] - H_END)
     assert fine < coarse / 12.0  # fourth-order march
 
 
 def test_profile_fields_and_identities():
-    prof = integrate_h(ICS, FAM, 2.0, 1e-3)
+    prof = march(2.0, 1000)
     validate_profile(prof)
     q = eval_q(FAM, prof.s)
     assert np.allclose(prof.Q, q, rtol=1e-14, atol=0.0)
@@ -103,7 +112,7 @@ def test_profile_fields_and_identities():
 
 
 def test_validate_profile_catches_broken_identity():
-    prof = integrate_h(ICS, FAM, 2.0, 1e-2)
+    prof = march(2.0, 100)
     with pytest.raises(ConsistencyError):
         validate_profile(replace(prof, E=prof.E * 1.01))
 
@@ -111,22 +120,22 @@ def test_validate_profile_catches_broken_identity():
 def test_regime_error_when_hp_crosses_zero():
     steep = HInitialData(1.0, 0.0, 0.01, -10.0, 1.0)
     with pytest.raises(RegimeError) as err:
-        integrate_h(steep, FAM, 2.0, 1e-2)
+        march(2.0, 100, steep)
     assert err.value.last_valid_s == pytest.approx(1.0, abs=0.1)
 
 
 def test_blow_up_error_on_runaway_growth():
     violent = HInitialData(1.0, 0.0, 1.0, 1e5, 1.0)
     with pytest.raises(BlowUpError) as err:
-        integrate_h(violent, FAM, 3.0, 1e-3)
+        march(3.0, 2000, violent)
     assert 1.0 <= err.value.last_valid_s < 3.0
 
 
 def test_integrate_h_argument_validation():
     with pytest.raises(ValueError):
-        integrate_h(ICS, FAM, 2.0, -1e-3)
+        integrate_h(ICS, FAM, s_grid(2.0, 10), substeps=0)
     with pytest.raises(ValueError):
-        integrate_h(ICS, FAM, 1.0, 1e-3)  # s1 must exceed s0
+        integrate_h(ICS, FAM, s_grid(2.0, 10, s0=1.1))  # s0 must be grid.s_min
 
 
 def test_grid_sampling_lands_on_nodes(demo_grid, demo_profile):
@@ -134,8 +143,24 @@ def test_grid_sampling_lands_on_nodes(demo_grid, demo_profile):
     assert np.allclose(demo_profile.s, demo_grid.s_nodes(), rtol=0, atol=1e-12)
     validate_profile(demo_profile)
     # same march, denser substeps: endpoint must agree to RK4 accuracy
-    finer = integrate_h_on_grid(ICS, FAM, demo_grid, substeps=16)
+    finer = integrate_h(ICS, FAM, demo_grid, substeps=16)
     assert np.max(np.abs(finer.H - demo_profile.H)) < 1e-10
+
+
+@pytest.mark.parametrize("s_min, s_max, ns", [(0.3, 1.7, 2426), (0.05, 3.0, 2523)])
+def test_the_march_lands_on_the_grid_nodes_by_construction(s_min, s_max, ns):
+    # grids where a step count rounded up from the float step h_s / 8 came out one over
+    grid = s_grid(s_max, ns - 1, s0=s_min)
+    prof = integrate_h(replace(ICS, s0=s_min), FAM, grid, substeps=8)
+    assert prof.s.shape == (ns,)
+    assert np.allclose(prof.s, grid.s_nodes(), rtol=0, atol=1e-12)
+
+
+def test_bonnet_solver_exports_one_h_march():
+    import bonnet
+    for module in (bonnet, bonnet_solver):
+        assert [name for name in module.__all__ if name.startswith("integrate_h")] == [
+            "integrate_h"]
 
 
 def test_every_stage_of_the_h_march_calls_h_third_derivative(monkeypatch):
@@ -148,15 +173,14 @@ def test_every_stage_of_the_h_march_calls_h_third_derivative(monkeypatch):
         return third(*args)
 
     monkeypatch.setattr(bonnet_solver, "h_third_derivative", counted)
-    integrate_h_on_grid(ICS, FAM, Grid(1.0, 2.0, 0.0, 1.0, 17, 5), substeps=8)
+    integrate_h(ICS, FAM, s_grid(2.0, 16), substeps=8)
     assert len(calls) == 4 * 16 * 8
 
 
 def test_profile_residuals_small_and_converging():
-    steps = (4e-3, 2e-3, 1e-3)
     gauss, db = [], []
-    for step in steps:
-        prof = integrate_h(ICS, FAM, 2.0, step)
+    for cells in (250, 500, 1000):
+        prof = march(2.0, cells)
         gauss.append(gauss_s_residual(prof))
         ideal = ideal_residuals(prof)
         assert set(ideal) == {"dlog_a", "db", "dc", "dh", "dlog_j"}
@@ -167,12 +191,12 @@ def test_profile_residuals_small_and_converging():
 
 
 def test_geodesic_curvature_identity():
-    prof = integrate_h(ICS, FAM, 2.0, 1e-3)
+    prof = march(2.0, 1000)
     assert geodesic_curvature_residual(prof) < 1e-4
 
 
 def test_negative_controls_break_residuals():
-    prof = integrate_h(ICS, FAM, 2.0, 1e-3)
+    prof = march(2.0, 1000)
     warped = replace(prof, E=prof.E * (1.0 + 0.01 * prof.s ** 2))
     assert gauss_s_residual(warped) > 1e-3
     shifted = replace(prof, B=prof.B + 0.01)
@@ -191,7 +215,7 @@ def test_from_h_samples_requires_consistent_shapes():
 
 
 def test_profile_csv_format(tmp_path):
-    prof = integrate_h(ICS, FAM, 2.0, 0.25)
+    prof = march(2.0, 4)
     path = tmp_path / "profile.csv"
     write_profile_csv(prof, path)
     lines = path.read_text().splitlines()

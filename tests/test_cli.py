@@ -1358,6 +1358,14 @@ def test_json_flag_prints_report(small_config, tmp_path, capsys):
     assert printed == on_disk
 
 
+def test_solve_runs_where_a_rounded_up_h_march_missed_the_last_node(tmp_path, capsys):
+    # on [0.3, 1.7] at 2426 x 5 a step count rounded up from the float step h_s / 8
+    # came out one over; (ns - 1) * substeps steps land on the last node
+    path = write_config(tmp_path, grid={"s_min": 0.3, "s_max": 1.7, "ns": 2426, "nt": 5},
+                        h_initial={"s0": 0.3})
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_exit_one_on_residual_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, tolerances={"algebraic": 1e-30, "fd_factor": 1e-12})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

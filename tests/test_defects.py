@@ -60,7 +60,7 @@ def profile_with(**fields):
             p = integrate(*args, **kwargs)
             return replace(p, **{k: f(p) for k, f in fields.items()})
         return perturbed
-    return bonnet_solver, "integrate_h_on_grid", mutate
+    return bonnet_solver, "integrate_h", mutate
 
 
 def overridden(cf, **forms):
@@ -94,7 +94,7 @@ DEFECTS = {
     "theta12.hodge": coframes_with(theta1=lambda cf: cf.alpha1),
     # *theta12 = C A e ds times a function of t is not closed
     "theta12.d_star_theta12": (surface_embed, "theta12_form",
-                               lambda form: lambda cf, p: form(cf, p) * t_factor(cf.grid)),
+                               lambda form: lambda cf: form(cf) * t_factor(cf.grid)),
 }
 
 
@@ -237,14 +237,15 @@ BASE_DEFECTS = {
                           surface_embed.CoframeSet(cf.profile, cf.psi), alpha1=cf.alpha1,
                           alpha2=cf.alpha2, omega1=cf.omega1 * 1.5, omega2=cf.omega2 * 1.5),
                           *args, **kwargs)),
-    # the companion marched with H + 0.5 in its second forms
+    # the companion marched with H + 0.5 in its second forms, from a coframe set
+    # whose profile carries it
     "deform.h": (surface_embed, "build_deformed_surface",
-                 lambda build: lambda cf, profile, *args, **kwargs: build(
-                     cf, replace(profile, H=profile.H + 0.5), *args, **kwargs)),
+                 lambda build: lambda cf, *args, **kwargs: build(surface_embed.CoframeSet(
+                     replace(cf.profile, H=cf.profile.H + 0.5), cf.psi), *args, **kwargs)),
     # tau = 0: the coframe is not rotated, so the companion is the base surface
     "deform.ii_distinct": (surface_embed, "build_deformed_surface",
-                           lambda build: lambda cf, profile, tau, *args, **kwargs:
-                           surface_embed.integrate_frame(cf, profile, *args, **kwargs)),
+                           lambda build: lambda cf, tau, *args, **kwargs:
+                           surface_embed.integrate_frame(cf, *args, **kwargs)),
     # every step's rotation 1e-9 too long: the frames drift off orthonormal
     "frame.orthonormality": (surface_embed, "_rot_exp",
                              lambda rot: lambda *m: rot(*m) * (1.0 + 1e-9)),

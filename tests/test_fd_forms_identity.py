@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bonnet import surface_embed as se
-from bonnet.bonnet_solver import HInitialData, SurfaceProfile, integrate_h_on_grid
+from bonnet.bonnet_solver import HInitialData, SurfaceProfile, integrate_h
 from bonnet.forms2d import Grid, _adopt, d_scalar, max_interior, wedge
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
@@ -141,11 +141,11 @@ def surface(request):
     grid = Grid(s_min, s_max, 0.0, 1.0, *shape)
     psi = psi_field_from_branch(PsiBranch(family=fam, **branch), grid)
     ics = HInitialData(s0=s_min, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
-    profile = integrate_h_on_grid(ics, fam, grid, substeps=8)
+    profile = integrate_h(ics, fam, grid, substeps=8)
     cf = se.build_coframes(profile, psi)
     tau = se.integrate_deformation(cf, 1.0)
-    deformed = se.build_deformed_surface(cf, profile, tau)
-    frame = se.integrate_frame(cf, profile)
+    deformed = se.build_deformed_surface(cf, tau)
+    frame = se.integrate_frame(cf)
     return profile, se.fundamental_forms(profile, psi), tau, frame, deformed
 
 

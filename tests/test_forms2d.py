@@ -29,6 +29,7 @@ from bonnet.forms2d import (
     wedge,
     write_scalar_csv,
 )
+from bonnet.surface_embed import connection_from_coframe
 
 GRID = Grid(0.0, 1.0, 0.0, 2.0, 17, 33)
 
@@ -208,6 +209,38 @@ def test_decompose_rejects_degenerate_coframe():
         decompose_in_coframe(c1, c1, c1 * 2.0)
     assert err.value.det == 0.0
     assert err.value.index == (0, 0)
+
+
+# the two ways a coframe is inverted; both refuse it by one rule
+INVERSIONS = {
+    "decompose_in_coframe": lambda c1, c2: decompose_in_coframe(c1, c1, c2),
+    "connection_from_coframe": connection_from_coframe,
+}
+
+
+@pytest.mark.parametrize("invert", INVERSIONS.values(), ids=INVERSIONS)
+def test_a_coframe_that_vanishes_at_one_node_is_singular_there(invert):
+    f = np.ones(GRID.shape)
+    f[3, 4] = 0.0
+    f, zero = ScalarField(GRID, f), ScalarField.constant(GRID, 0.0)
+    with pytest.raises(CoframeSingularError) as err:
+        invert(OneForm(f, zero), OneForm(zero, f))
+    assert (err.value.index, err.value.det, err.value.scale) == ((3, 4), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("invert", INVERSIONS.values(), ids=INVERSIONS)
+def test_a_singular_coframe_states_the_threshold_it_applied(invert):
+    # (2 ds, 2 dt) but at node (1, 2), where c2 = 2e-12 dt: det 4e-12 there is
+    # exactly DET_RTOL times its largest component squared, so it is refused
+    q = np.full(GRID.shape, 2.0)
+    q[1, 2] = 2e-12
+    zero = ScalarField.constant(GRID, 0.0)
+    c1 = OneForm(ScalarField.constant(GRID, 2.0), zero)
+    with pytest.raises(CoframeSingularError) as err:
+        invert(c1, OneForm(zero, ScalarField(GRID, q)))
+    assert err.value.index == (1, 2)
+    assert str(err.value).endswith(
+        "|det| = 4.000e-12 <= 1e-12 * max(component)^2 = 4.000e-12")
 
 
 def test_interior_margins():

@@ -18,7 +18,7 @@ import pytest
 
 from bonnet import cli
 from bonnet import surface_embed as se
-from bonnet.bonnet_solver import HInitialData, integrate_h_on_grid
+from bonnet.bonnet_solver import HInitialData, integrate_h
 from bonnet.forms2d import Grid
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
@@ -38,8 +38,8 @@ SHAPES = ((B // 2 + 1, 9), (B, 24), (B + 1, 40), (2 * B + 11, 13))
 # the whole-array expressions
 
 
-def ref_two_path_residual(cf, profile, frame):
-    other = integrate_frame(cf, profile, "s_first")
+def ref_two_path_residual(cf, frame):
+    other = integrate_frame(cf, "s_first")
     return max(
         float(np.max(np.abs(frame.x - other.x))),
         float(np.max(np.abs(frame.frames - other.frames))),
@@ -66,10 +66,10 @@ def build(name, shape):
     grid = Grid(s_min, s_max, 0.0, 1.0, *shape)
     psi = psi_field_from_branch(PsiBranch(family=fam, **branch), grid)
     ics = HInitialData(s0=s_min, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
-    profile = integrate_h_on_grid(ics, fam, grid, substeps=8)
+    profile = integrate_h(ics, fam, grid, substeps=8)
     cf = se.build_coframes(profile, psi)
-    deformed = se.build_deformed_surface(cf, profile, se.integrate_deformation(cf, 1.0))
-    return profile, cf, integrate_frame(cf, profile), deformed
+    deformed = se.build_deformed_surface(cf, se.integrate_deformation(cf, 1.0))
+    return profile, cf, integrate_frame(cf), deformed
 
 
 @pytest.fixture(scope="module", params=[(c, s) for c in CASES for s in SHAPES],
@@ -84,8 +84,8 @@ def test_block_reductions_equal_the_whole_array_ones(surface):
     for surf in (frame, deformed):
         assert surf.orthonormality_error() == ref_orthonormality_error(surf)
         assert surf.min_handedness() == ref_min_handedness(surf)
-    res = se.two_path_residual(cf, profile, frame)
-    assert res == ref_two_path_residual(cf, profile, frame)
+    res = se.two_path_residual(cf, frame)
+    assert res == ref_two_path_residual(cf, frame)
     assert 0.0 < res < 1e-2
 
 
@@ -144,7 +144,7 @@ def test_a_non_finite_node_in_the_last_block_fails_the_frame_rows(level, where, 
     pipeline.__dict__["frame"] = frame
     try:
         with np.errstate(invalid="ignore"):
-            two_path = se.two_path_residual(pipeline.cf, pipeline.profile, frame)
+            two_path = se.two_path_residual(pipeline.cf, frame)
             ortho, hand = frame.orthonormality_error(), frame.min_handedness()
             assert same(ortho, ref_orthonormality_error(frame))
             assert same(hand, ref_min_handedness(frame))
@@ -197,10 +197,10 @@ def test_frame_reductions_hold_no_grid_sized_temporary(fine):
     assert grid_frames >= 4 * block
 
     # two_path: one s-first march, plus a block or two of differences
-    other, march = traced_peak(lambda: integrate_frame(cf, profile, "s_first"))
+    other, march = traced_peak(lambda: integrate_frame(cf, "s_first"))
     assert march >= other.x.nbytes + other.frames.nbytes
     del other
-    _, peak = traced_peak(lambda: se.two_path_residual(cf, profile, frame))
+    _, peak = traced_peak(lambda: se.two_path_residual(cf, frame))
     assert peak <= march + 2 * block
 
     # orthonormality and handedness: a few blocks, whatever ns is

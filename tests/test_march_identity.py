@@ -27,7 +27,6 @@ from bonnet.bonnet_solver import (
     RegimeError,
     h_third_derivative,
     integrate_h,
-    integrate_h_on_grid,
 )
 from bonnet.forms2d import Grid, OneForm, ScalarField
 from bonnet.lax_psi import PSI_BLOWUP, LaxBlowUpError, integrate_lax
@@ -70,7 +69,8 @@ def grid_for(fam, shape):
 # reference marches
 
 
-def ref_integrate_h(ics, fam, s1, step):
+def ref_integrate_h(ics, fam, s1, n):
+    """n RK4 steps of (s1 - s0)/n, every sample kept."""
     def rhs(s, y):
         H, Hp, Hpp = y
         if not (Hp > 0):
@@ -78,7 +78,6 @@ def ref_integrate_h(ics, fam, s1, step):
         q = eval_q(fam, s)
         return np.array([Hp, Hpp, float(h_third_derivative(q, H, Hp, Hpp, ics.tau_c))])
 
-    n = int(math.ceil((s1 - ics.s0) / step - 1e-12))
     h = (s1 - ics.s0) / n
     s_out = ics.s0 + h * np.arange(n + 1)
     out = np.empty((n + 1, 3))
@@ -368,30 +367,33 @@ def raised(fn, *args, **kwargs):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("fam", FAMILIES, ids=str)
 def test_h_march_matches_reference(fam, shape):
+    """Every fine node at one step a cell, and every 8th of them at 8 steps a cell."""
     grid = grid_for(fam, shape)
     ics = HInitialData(s0=grid.s_min, **ICS)
-    step = grid.h_s / 8
-    prof = integrate_h(ics, fam, grid.s_max, step)
-    s_ref, out_ref = ref_integrate_h(ics, fam, grid.s_max, step)
-    assert np.array_equal(prof.s, s_ref)
-    for col, name in enumerate(("H", "Hp", "Hpp")):
-        assert np.array_equal(getattr(prof, name), out_ref[:, col]), name
+    n = (grid.ns - 1) * 8
+    s_ref, out_ref = ref_integrate_h(ics, fam, grid.s_max, n)
+    fine = Grid(grid.s_min, grid.s_max, grid.t_min, grid.t_max, n + 1, grid.nt)
+    for prof, every in ((integrate_h(ics, fam, fine, substeps=1), 1),
+                        (integrate_h(ics, fam, grid, substeps=8), 8)):
+        assert np.array_equal(prof.s, s_ref[::every])
+        for col, name in enumerate(("H", "Hp", "Hpp")):
+            assert np.array_equal(getattr(prof, name), out_ref[::every, col]), name
 
 
-@pytest.mark.parametrize("H0p, H0pp, step, error", [
-    (0.01, -10.0, 1e-2, RegimeError),   # in the first step
-    (0.1, 30.0, 1e-1, RegimeError),
-    (0.1, 30.0, 2e-2, RegimeError),
-    (0.01, 3.0, 2e-2, RegimeError),
-    (1.0, 1e5, 1e-3, BlowUpError),      # in the first step
-    (0.1, 300.0, 2e-2, BlowUpError),
-    (0.01, 3.0, 1e-2, BlowUpError),
+@pytest.mark.parametrize("H0p, H0pp, n, error", [
+    (0.01, -10.0, 200, RegimeError),   # in the first step
+    (0.1, 30.0, 20, RegimeError),
+    (0.1, 30.0, 100, RegimeError),
+    (0.01, 3.0, 100, RegimeError),
+    (1.0, 1e5, 2000, BlowUpError),     # in the first step
+    (0.1, 300.0, 100, BlowUpError),
+    (0.01, 3.0, 200, BlowUpError),
 ])
-def test_h_march_stops_where_the_reference_stops(H0p, H0pp, step, error):
+def test_h_march_stops_where_the_reference_stops(H0p, H0pp, n, error):
     fam = QFamily("rational", 1, 1.0)
     ics = HInitialData(1.0, 0.0, H0p, H0pp, 1.0)
-    _, got = raised(integrate_h, ics, fam, 3.0, step)
-    _, want = raised(ref_integrate_h, ics, fam, 3.0, step)
+    _, got = raised(integrate_h, ics, fam, Grid(1.0, 3.0, 0.0, 1.0, n + 1, 5), substeps=1)
+    _, want = raised(ref_integrate_h, ics, fam, 3.0, n)
     assert type(got) is type(want) is error
     assert got.last_valid_s == want.last_valid_s
 
@@ -450,7 +452,7 @@ def coframe_sets():
         grid = grid_for(fam, SHAPES[1])
         psi = integrate_lax(fam, grid, 0.3)
         ics = HInitialData(s0=grid.s_min, **ICS)
-        sets.append(build_coframes(integrate_h_on_grid(ics, fam, grid), psi))
+        sets.append(build_coframes(integrate_h(ics, fam, grid), psi))
     return sets
 
 
@@ -472,7 +474,7 @@ def frame_cases():
         for shape in SHAPES:
             grid = grid_for(fam, shape)
             psi = integrate_lax(fam, grid, 0.3)
-            profile = integrate_h_on_grid(HInitialData(s0=grid.s_min, **ICS), fam, grid)
+            profile = integrate_h(HInitialData(s0=grid.s_min, **ICS), fam, grid)
             cases.append((profile, build_coframes(profile, psi)))
     return cases
 
@@ -480,7 +482,7 @@ def frame_cases():
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_frame_march_matches_reference(frame_cases, order):
     for profile, cf in frame_cases:
-        got = integrate_frame(cf, profile, order=order)
+        got = integrate_frame(cf, order=order)
         want = ref_integrate_frame(
             *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, order)
         assert np.array_equal(got.x, want[0])
@@ -491,7 +493,7 @@ def test_frame_march_matches_reference(frame_cases, order):
 def test_deformed_frame_matches_reference(frame_cases, order):
     for profile, cf in frame_cases:
         tau = integrate_deformation(cf, 1.0)
-        got = build_deformed_surface(cf, profile, tau, order=order)
+        got = build_deformed_surface(cf, tau, order=order)
         want = ref_integrate_frame(*ref_deformed_forms(cf, profile, tau), cf.grid, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])
@@ -510,9 +512,9 @@ def test_frame_march_makes_one_rotation_call_per_line_step(frame_cases, monkeypa
     monkeypatch.setattr(surface_embed, "_rot_exp", counted)
     for profile, cf in frame_cases:
         lines = (cf.grid.ns if order == "t_first" else cf.grid.nt) - 1
-        for march in (lambda: integrate_frame(cf, profile, order=order),
+        for march in (lambda: integrate_frame(cf, order=order),
                       lambda: build_deformed_surface(
-                          cf, profile, integrate_deformation(cf, 1.0), order=order)):
+                          cf, integrate_deformation(cf, 1.0), order=order)):
             calls.clear()
             march()
             assert len(calls) == lines + 1

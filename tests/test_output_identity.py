@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bonnet.bonnet_solver import HInitialData, integrate_h_on_grid, write_profile_csv
+from bonnet.bonnet_solver import HInitialData, integrate_h, write_profile_csv
 from bonnet.cli import _forms_csv
 from bonnet.forms2d import ROWS_PER_WRITE, Grid, ScalarField, _write_rows, write_scalar_csv
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
@@ -124,7 +124,7 @@ def ref_export_obj(frame, path):
 def surface(shape):
     grid = Grid(1.0, 2.0, 0.0, 1.0, *shape)
     psi = psi_field_from_branch(PsiBranch("rational_upper", FAM), grid)
-    profile = integrate_h_on_grid(ICS, FAM, grid)
+    profile = integrate_h(ICS, FAM, grid)
     return grid, psi, profile
 
 
@@ -181,7 +181,7 @@ def test_forms_csv_matches_reference(tmp_path, shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_obj_matches_reference(tmp_path, shape):
     _, psi, profile = surface(shape)
-    frame = integrate_frame(build_coframes(profile, psi), profile)
+    frame = integrate_frame(build_coframes(profile, psi))
     frame = dataclasses.replace(frame, x=spiked(frame.x))
     ns, nt = shape
     lines = assert_same_bytes(tmp_path, lambda p: export_obj(frame, p),

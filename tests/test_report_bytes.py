@@ -6,9 +6,12 @@ on the 17 x 17 config of test_cli, and solve and verify --refine 2 again
 with psi marched from its corner value instead of read from its closed
 form, and solve --refine 2 and deform --t0 1 on a 17 x 17 sign -1
 hyper_appendix config, whose psi is the derived mirror branch; the sha256
-of each file they write is compared with tests/data/report_sha256.json.  The digests hold under the
-numpy version recorded beside them; under another numpy the last bit of a
-residual may move, so the test skips.  To record them again:
+of each file they write is compared with tests/data/report_sha256.json.
+solve --refine 2 at profile_substeps 1 and 3 (SUBSTEP_RUNS) is compared
+with SUBSTEP_SHA256 below.  The digests hold under the numpy version
+recorded in the JSON file; under another numpy the last bit of a residual
+may move, so the tests skip.  To record them again (the script rewrites the
+JSON file and prints SUBSTEP_SHA256):
 
     PYTHONPATH=src python tests/test_report_bytes.py
 """
@@ -46,11 +49,31 @@ RUNS = {
     "deform_mirror": (MIRROR_CONFIG, ["deform", "--t0", "1"]),
 }
 
+# the H march at substep counts other than the default 8
+SUBSTEP_RUNS = {
+    f"solve_substeps{n}": ({**SMALL_CONFIG, "profile_substeps": n}, ["solve", "--refine", "2"])
+    for n in (1, 3)
+}
+SUBSTEP_SHA256 = {
+    "solve_substeps1/profile.csv":
+        "9869d6d4f3d8985526ce1fa42f68b526ec7eaee5ef57ca5c195dfa2e5ae15c0e",
+    "solve_substeps1/psi.csv":
+        "df08f1f924fb7c1abe56d9a55720ca3705895c61aa334a98c90fbfa785085c23",
+    "solve_substeps1/solve_report.json":
+        "bb60c254c5f9281731d61dcacfecd4c22fe4a7c08043a5a4ccadb2357dc74130",
+    "solve_substeps3/profile.csv":
+        "945931dd2fd4ad423e563e6e0d49252bd0e5cc0a07891ae5d73dd3a56d7e63d4",
+    "solve_substeps3/psi.csv":
+        "df08f1f924fb7c1abe56d9a55720ca3705895c61aa334a98c90fbfa785085c23",
+    "solve_substeps3/solve_report.json":
+        "3889e18b322951fb423f3d4400ee170806201536da5ad331c626ec219d5b3d4f",
+}
 
-def digests(root: Path) -> dict:
-    """sha256 of every file of every run in RUNS, keyed "<run>/<file>"."""
+
+def digests(root: Path, runs: dict) -> dict:
+    """sha256 of every file of every run in `runs`, keyed "<run>/<file>"."""
     out = {}
-    for run, (data, argv) in RUNS.items():
+    for run, (data, argv) in runs.items():
         config = root / f"{run}.json"
         config.write_text(json.dumps(data))
         folder = root / run
@@ -60,16 +83,28 @@ def digests(root: Path) -> dict:
     return out
 
 
-def test_every_output_file_keeps_its_bytes(tmp_path, capsys):
+def recorded() -> dict:
+    """The JSON record, or a skip where it was made under another numpy."""
     record = json.loads(RECORD.read_text())
     if record["numpy"] != np.__version__:
         pytest.skip(f"digests recorded under numpy {record['numpy']}, "
                     f"this is numpy {np.__version__}")
-    assert digests(tmp_path) == record["sha256"]
+    return record
+
+
+def test_every_output_file_keeps_its_bytes(tmp_path, capsys):
+    assert digests(tmp_path, RUNS) == recorded()["sha256"]
+
+
+def test_solve_keeps_its_bytes_at_other_profile_substeps(tmp_path, capsys):
+    recorded()
+    assert digests(tmp_path, SUBSTEP_RUNS) == SUBSTEP_SHA256
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"numpy": np.__version__, "sha256": digests(Path(tmp))}
+        record = {"numpy": np.__version__, "sha256": digests(Path(tmp), RUNS)}
+        substeps = digests(Path(tmp), SUBSTEP_RUNS)
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print("SUBSTEP_SHA256 =", json.dumps(substeps, indent=4, sort_keys=True))

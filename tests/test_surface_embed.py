@@ -4,6 +4,7 @@ All the geometry funnels through the demo surface fixtures (rational
 family on [1,2]x[0,1], 64x64).  Residual bounds use 25 h^2 with h = 1/63,
 the same working tolerance the command-line verifier applies.
 """
+import inspect
 import math
 from dataclasses import replace
 from functools import cached_property
@@ -11,10 +12,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from bonnet import surface_embed
 from bonnet.forms2d import CoframeSingularError, Grid, ScalarField, d_scalar, wedge
 from bonnet.q_family import ConsistencyError, QFamily, eval_dlog_q
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
-from bonnet.bonnet_solver import integrate_h_on_grid
+from bonnet.bonnet_solver import integrate_h
 from bonnet.surface_embed import (
     CoframeSet,
     FrameField,
@@ -40,6 +42,20 @@ from bonnet.surface_embed import (
 )
 
 TOL = 25.0 / 63.0 ** 2  # working FD tolerance on the demo grid
+
+
+def test_a_function_that_takes_a_coframe_set_reads_profile_and_psi_from_it():
+    takes_cf = {}
+    for name, fn in vars(surface_embed).items():
+        if (not name.startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == surface_embed.__name__):
+            params = set(inspect.signature(fn).parameters)
+            if "cf" in params:
+                takes_cf[name] = params & {"profile", "psi"}
+    assert {"theta12_form", "structure_residuals", "codazzi_summary_residuals",
+            "theta12_report", "integrate_frame", "two_path_residual",
+            "build_deformed_surface"} <= set(takes_cf)
+    assert not any(takes_cf.values()), takes_cf
 
 
 def test_coframe_algebra(demo_coframes, demo_profile, demo_psi):
@@ -77,15 +93,15 @@ def test_coframe_set_holds_no_unread_fields(demo_profile, demo_psi):
         "omega1", "omega2", "alpha1"}
 
 
-def test_structure_residuals_small(demo_coframes, demo_profile):
-    res = structure_residuals(demo_coframes, demo_profile)
+def test_structure_residuals_small(demo_coframes):
+    res = structure_residuals(demo_coframes)
     assert set(res) == {"d_omega1", "d_omega2", "d_omega13", "d_omega23", "d_omega12"}
     for name, value in res.items():
         assert value < TOL, name
 
 
-def test_codazzi_summary_small(demo_coframes, demo_profile):
-    res = codazzi_summary_residuals(demo_coframes, demo_profile)
+def test_codazzi_summary_small(demo_coframes):
+    res = codazzi_summary_residuals(demo_coframes)
     assert set(res) == {"codazzi_dh", "codazzi_dlog_j", "d_theta1", "d_alpha1", "d_alpha2"}
     for name, value in res.items():
         assert value < TOL, name
@@ -93,8 +109,8 @@ def test_codazzi_summary_small(demo_coframes, demo_profile):
     assert res["d_theta1"] < 1e-12
 
 
-def test_theta12_relations(demo_coframes, demo_psi, demo_profile):
-    rep = theta12_report(demo_coframes, demo_psi, demo_profile)
+def test_theta12_relations(demo_coframes, demo_profile):
+    rep = theta12_report(demo_coframes)
     expected = {"theta12_via_psi", "theta12_hodge", "dpsi_theta",
                 "d_star_omega12", "d_star_theta12", "xi12_relation"}
     assert set(rep) == expected
@@ -102,7 +118,7 @@ def test_theta12_relations(demo_coframes, demo_psi, demo_profile):
         assert value < TOL, name
     # *theta12 = C theta1 holds algebraically on the nose
     assert rep["theta12_hodge"] < 1e-12
-    form = theta12_form(demo_coframes, demo_profile)
+    form = theta12_form(demo_coframes)
     dlq = eval_dlog_q(demo_profile.family, demo_profile.s)[:, None]
     assert np.max(np.abs(form.q.values - dlq)) < 1e-12
     assert np.max(np.abs(form.p.values)) < 1e-12
@@ -165,11 +181,11 @@ def test_frame_integration_stays_orthonormal(demo_frame, demo_grid):
     assert np.array_equal(demo_frame.frames[0, 0], np.eye(3))
 
 
-def test_two_path_agreement(demo_profile, demo_frame, demo_coframes):
-    res = two_path_residual(demo_coframes, demo_profile, demo_frame)
+def test_two_path_agreement(demo_frame, demo_coframes):
+    res = two_path_residual(demo_coframes, demo_frame)
     assert res < TOL
     # both marches start from the identity frame at the origin
-    other = integrate_frame(demo_coframes, demo_profile, "s_first")
+    other = integrate_frame(demo_coframes, "s_first")
     gap = max(float(np.max(np.abs(demo_frame.x - other.x))),
               float(np.max(np.abs(demo_frame.frames - other.frames))))
     assert gap == res
@@ -245,9 +261,9 @@ def test_tau_stays_strictly_inside_zero_to_pi(demo_coframes, t0):
     assert np.all(tau > 0.0) and np.all(tau < math.pi)
 
 
-def test_deformed_surface_is_distinct(demo_profile, demo_coframes, demo_forms):
+def test_deformed_surface_is_distinct(demo_coframes, demo_forms):
     tau = integrate_deformation(demo_coframes, t0=1.0)
-    frame = build_deformed_surface(demo_coframes, demo_profile, tau)
+    frame = build_deformed_surface(demo_coframes, tau)
     assert isinstance(frame, FrameField)
     assert frame.orthonormality_error() < 1e-12
     # the second form must genuinely change; the isometry is judged in the report
@@ -256,7 +272,7 @@ def test_deformed_surface_is_distinct(demo_profile, demo_coframes, demo_forms):
 
 def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
     tau = integrate_deformation(demo_coframes, t0=1.0)
-    fd = fd_forms(build_deformed_surface(demo_coframes, demo_profile, tau))
+    fd = fd_forms(build_deformed_surface(demo_coframes, tau))
     rep = deformation_report(demo_profile, demo_forms, tau, fd)
     assert set(rep) == {"metric_deviation", "h_deviation", "ii_deviation",
                         "pole_count", "sign_flips"}
@@ -285,11 +301,11 @@ def test_deformation_report_counts_poles_and_sign_flips(demo_profile, demo_frame
     assert rep["sign_flips"] == 2 + 10 + 1 + 2 + 2 + 1
 
 
-def test_distinct_t0_give_distinct_second_forms(demo_profile, demo_coframes):
+def test_distinct_t0_give_distinct_second_forms(demo_coframes):
     forms_by_t0 = {}
     for t0 in (0.5, 2.0):
         tau = integrate_deformation(demo_coframes, t0=t0)
-        forms_by_t0[t0] = fd_forms(build_deformed_surface(demo_coframes, demo_profile, tau))
+        forms_by_t0[t0] = fd_forms(build_deformed_surface(demo_coframes, tau))
     gap = np.max(np.abs(forms_by_t0[0.5].L.values - forms_by_t0[2.0].L.values))
     assert gap > 0.3
 
@@ -300,8 +316,8 @@ def test_export_obj_layout(tmp_path):
     grid = Grid(1.0, 2.0, 0.0, 1.0, 5, 6)
     psi = psi_field_from_branch(branch, grid)
     from bonnet.bonnet_solver import HInitialData
-    profile = integrate_h_on_grid(HInitialData(1.0, 0.0, 1.0, 0.0, 1.0), fam, grid)
-    frame = integrate_frame(build_coframes(profile, psi), profile)
+    profile = integrate_h(HInitialData(1.0, 0.0, 1.0, 0.0, 1.0), fam, grid)
+    frame = integrate_frame(build_coframes(profile, psi))
     path = tmp_path / "surface.obj"
     export_obj(frame, path)
     lines = path.read_text().splitlines()
