@@ -7,10 +7,11 @@ assemble coframes and integrate the moving frame to an immersion, then
 rotate the coframe through tau(s, t) to produce the isometric,
 mean-curvature-preserving companions (surface_embed).  forms2d supplies
 the grid calculus that turns each identity into a measurable residual.
+Every error the pipeline raises on data it cannot take is a DataError.
 """
 
 from .bonnet_solver import HInitialData, SurfaceProfile, integrate_h
-from .forms2d import Grid, OneForm, ScalarField, observed_order
+from .forms2d import DataError, Grid, OneForm, ScalarField, observed_order
 from .lax_psi import PsiBranch, integrate_lax, psi_field_from_branch
 from .q_family import QFamily, SingularityGuard
 from .surface_embed import (
@@ -30,6 +31,7 @@ __all__ = [
     "ScalarField",
     "OneForm",
     "observed_order",
+    "DataError",
     "QFamily",
     "SingularityGuard",
     "PsiBranch",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms2d import Grid, _second_derivative, _write_rows, max_interior
+from .forms2d import DataError, Grid, _second_derivative, _write_rows, max_interior
 from .q_family import ConsistencyError, QFamily, SingularityGuard, eval_c, eval_c_prime, eval_q
 from .rk4 import rk4_step
 
@@ -54,15 +54,12 @@ H_BLOWUP = 1e9
 MARGIN = 2
 
 
-class _MarchStopped(RuntimeError):
+class _MarchStopped(DataError, RuntimeError):
     """The H march stopped after s = last_valid_s, which a subclass's `message` formats."""
 
     def __init__(self, last_valid_s: float):
         self.last_valid_s = float(last_valid_s)
         super().__init__(self.message.format(self.last_valid_s))
-
-    def __reduce__(self):
-        return type(self), (self.last_valid_s,)
 
 
 class RegimeError(_MarchStopped):
@@ -77,7 +74,7 @@ class BlowUpError(_MarchStopped):
     message = "profile blow-up after s = {:.12g}"
 
 
-class ProfileRangeError(ValueError):
+class ProfileRangeError(DataError, ValueError):
     """A profile field that must be positive is not: its data overflow or
     underflow on the grid."""
 

@@ -11,6 +11,8 @@ All derivative stencils are second order: central differences in the
 interior, one-sided second-order formulas at the boundary rows.
 Residual norms are taken over interior nodes only, because boundary
 stencils pollute convergence rates.
+DataError, the base of the pipeline's bad-data errors, lives here, as
+this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "Grid",
     "ScalarField",
     "OneForm",
+    "DataError",
     "CoframeSingularError",
     "NonFiniteFieldError",
     "d_scalar",
@@ -50,7 +53,21 @@ DET_RTOL = 1e-12
 ROWS_PER_WRITE = 1024
 
 
-class CoframeSingularError(ValueError):
+class DataError(Exception):
+    """Data the construction cannot take (the CLI exits 2 on it).  It keeps the
+    positional arguments it was made with and pickles by them, so it crosses from
+    a forked child as it was raised, whatever fields a subclass derives from them."""
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self._made_with = args
+        return self
+
+    def __reduce__(self):
+        return type(self), self._made_with, vars(self)
+
+
+class CoframeSingularError(DataError, ValueError):
     """Coframe determinant too small to invert at some node."""
 
     def __init__(self, index, det, scale):
@@ -63,11 +80,8 @@ class CoframeSingularError(ValueError):
             f"{DET_RTOL * scale * scale:.3e}"
         )
 
-    def __reduce__(self):
-        return type(self), (self.index, self.det, self.scale)
 
-
-class NonFiniteFieldError(ValueError):
+class NonFiniteFieldError(DataError, ValueError):
     """A scalar field sample is nan or infinite, such as where the data overflow."""
 
     def __init__(self, index, s, t, value):
@@ -77,9 +91,6 @@ class NonFiniteFieldError(ValueError):
             f"scalar field is {self.value} at node {self.index} "
             f"(s = {self.s:.17g}, t = {self.t:.17g}): the data do not stay finite on this grid"
         )
-
-    def __reduce__(self):
-        return type(self), (self.index, self.s, self.t, self.value)
 
 
 @dataclass(frozen=True)

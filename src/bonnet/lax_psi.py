@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms2d import (
+    DataError,
     Grid,
     OneForm,
     ScalarField,
@@ -66,15 +67,12 @@ CASES = (
 PSI_BLOWUP = 1e3
 
 
-class LaxBlowUpError(RuntimeError):
+class LaxBlowUpError(DataError, RuntimeError):
     """psi integration blew up; carries the first bad node."""
 
     def __init__(self, node):
         self.node = tuple(int(k) for k in node)
         super().__init__(f"psi integration blew up at node {self.node}")
-
-    def __reduce__(self):
-        return type(self), (self.node,)
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,17 @@ def _principal(angle):
 # from them raise NonFiniteFieldError, which names the node
 @np.errstate(over="ignore", invalid="ignore")
 def _tan_parts_upper(branch: PsiBranch, s, t):
-    """(N, D, psi_s, psi_t) for the s > 0 closed forms, tan(psi) = N/D."""
+    """(N, D, psi_s, psi_t) for the constant and s > 0 closed forms, tan(psi) = N/D."""
     a, sg, eta = branch.family.a, branch.sigma, branch.eta
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     case = branch.case
+    if case in ("constant_zero", "constant_half_pi"):
+        # tan(psi) = 0/1 or 1/0
+        shape = np.broadcast_shapes(s.shape, t.shape)
+        zero, one = np.zeros(shape), np.ones(shape)
+        N, D = (zero, one) if case == "constant_zero" else (one, zero)
+        return N, D, np.zeros(shape), np.zeros(shape)
     if case in ("rational_upper", "rational_lower"):
         # tan(psi) = -(t + sigma)/s or s/(t + sigma): a quarter turn apart, same derivatives
         u = t + sg
@@ -167,34 +171,25 @@ def _tan_parts_upper(branch: PsiBranch, s, t):
 def _closed_form_parts(branch: PsiBranch, s, t):
     """(parts, mirrored) of the closed form at (s, t).
 
-    The constant cases give (broadcast shape, None).  The others give the
-    (N, D, psi_s, psi_t) of _tan_parts_upper, which reads no sign; a derived
-    mirror takes them at (-s, t), since psi(s, t) = pi/2 - psi_+(-s, t), so
-    psi_s keeps its sign and psi_t flips.
+    parts are the (N, D, psi_s, psi_t) of _tan_parts_upper, which reads no
+    sign; a derived mirror takes them at (-s, t), since
+    psi(s, t) = pi/2 - psi_+(-s, t), so psi_s keeps its sign and psi_t flips.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if branch.case in ("constant_zero", "constant_half_pi"):
-        return np.broadcast_shapes(s.shape, t.shape), None
     mirrored = branch.derived_mirror
+    s = np.asarray(s, dtype=float)
     return _tan_parts_upper(branch, -s if mirrored else s, t), mirrored
 
 
 def psi_closed_form(branch: PsiBranch, s, t):
     """Pointwise psi, principal value in (-pi/2, pi/2] mod pi."""
     parts, mirrored = _closed_form_parts(branch, s, t)
-    if mirrored is None:
-        return np.full(parts, np.pi / 2 if branch.case == "constant_half_pi" else 0.0)
     angle = np.arctan2(parts[0], parts[1])
     return _principal(np.pi / 2 - angle if mirrored else angle)
 
 
 def psi_closed_form_derivatives(branch: PsiBranch, s, t):
     """Analytic (psi_s, psi_t); derivative formulas are pole-free."""
-    parts, mirrored = _closed_form_parts(branch, s, t)
-    if mirrored is None:
-        return np.zeros(parts), np.zeros(parts)
-    _, _, ps, pt = parts
+    (_, _, ps, pt), mirrored = _closed_form_parts(branch, s, t)
     return ps, -pt if mirrored else pt
 
 

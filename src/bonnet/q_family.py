@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms2d import DataError
 from .rk4 import rk4_step
 
 __all__ = [
@@ -44,16 +45,16 @@ __all__ = [
 
 KINDS = ("rational", "trig", "hyper")
 
-# blow-up guard for the direct integrator; Q above this means the pole
-# was reached and the trajectory is truncated
+# blow-up guard for the direct integrator: Q above this multiple of its first
+# value (Q scales with a) means the pole was reached and the march is truncated
 Q_BLOWUP = 1e6
 
 
-class DomainError(ValueError):
+class DomainError(DataError, ValueError):
     """s left the guarded domain of a branch."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(DataError, RuntimeError):
     """An identity the input data must satisfy is violated beyond rounding: a
     profile identity (validate_profile), the two routes to the second form
     (fundamental_forms) or the RK4 cross-check of Q, which blew up.  The CLI
@@ -236,8 +237,9 @@ class QTrajectory:
     truncated: bool
 
 
-def integrate_q_ode(q0: float, q0p: float, s0: float, s1: float, step: float) -> QTrajectory:
-    """Integrate Q'' = 2 Q^3 + kappa Q with kappa fixed by the initial data.
+def integrate_q_ode(q0: float, q0p: float, s0: float, s1: float, n: int) -> QTrajectory:
+    """Integrate Q'' = 2 Q^3 + kappa Q with kappa fixed by the initial data,
+    in n RK4 steps of (s1 - s0)/n.
 
     kappa = (q0p/q0)^2 - q0^2 rearranges the first integral.  This is
     the family-independent cross-check of the closed forms: starting
@@ -245,13 +247,12 @@ def integrate_q_ode(q0: float, q0p: float, s0: float, s1: float, step: float) ->
     """
     if not (math.isfinite(q0) and q0 > 0):
         raise ValueError("initial Q must be positive and finite")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError("step must be positive and finite")
+    if n < 1:
+        raise ValueError("step count must be at least 1")
     if s1 == s0:
         raise ValueError("empty integration interval")
 
     kappa = float((q0p / q0) ** 2 - q0 * q0)
-    n = int(math.ceil(abs(s1 - s0) / step - 1e-12))
     h = (s1 - s0) / n
 
     ss = [s0]
@@ -266,7 +267,7 @@ def integrate_q_ode(q0: float, q0p: float, s0: float, s1: float, step: float) ->
             truncated = True
             break
         q, qp = y
-        if not (math.isfinite(q) and math.isfinite(qp)) or abs(q) > Q_BLOWUP:
+        if not (math.isfinite(q) and math.isfinite(qp)) or abs(q) > Q_BLOWUP * q0:
             truncated = True
             break
         ss.append(s0 + (k + 1) * h)

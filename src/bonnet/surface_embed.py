@@ -40,6 +40,7 @@ import numpy as np
 
 from .bonnet_solver import MARGIN, SurfaceProfile
 from .forms2d import (
+    DataError,
     Grid,
     OneForm,
     ScalarField,
@@ -90,7 +91,7 @@ TAU_SUBSTEPS = 4
 _BLOCK_ROWS = 32
 
 
-class FrameStepError(ValueError):
+class FrameStepError(DataError, ValueError):
     """A frame step would rotate by more than MAX_STEP_ANGLE; the grid is too coarse."""
 
 

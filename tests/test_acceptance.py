@@ -138,8 +138,8 @@ def test_c02_q_ode_rk4_cross_check():
         s0, s1 = _unit_window(fam)
         q0, qp0, _ = eval_q_derivatives(fam, s0)
         errs = []
-        for step in (2e-3, 1e-3):
-            traj = integrate_q_ode(float(q0), float(qp0), s0, s1, step)
+        for n in (500, 1000):  # steps 2e-3 and 1e-3 over the unit window
+            traj = integrate_q_ode(float(q0), float(qp0), s0, s1, n)
             assert not traj.truncated
             exact = eval_q(fam, traj.s)
             errs.append(float(np.max(np.abs(traj.q - exact)) / np.max(np.abs(exact))))

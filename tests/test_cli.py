@@ -426,9 +426,10 @@ def test_rk4_crosscheck_is_fourth_order_for_both_signs(kind, sign):
 @pytest.mark.parametrize("kind", KINDS)
 def test_rk4_crosscheck_is_measured_in_units_of_one_over_a(kind, sign):
     # window and steps scale with 1/a, so a power-of-two frequency rescales
-    # every number of the march exactly and reproduces the a = 1 pair
+    # every number of the march exactly and reproduces the a = 1 pair; the
+    # blow-up guard is relative to the first Q, so it does not stop a large a
     ref = _rk4_crosscheck(QFamily(kind, sign, 1.0))
-    for a in (0.25, 0.5, 2.0, 4.0):
+    for a in (0.25, 0.5, 2.0, 4.0, 2.0**20, 2.0**21):
         assert _rk4_crosscheck(QFamily(kind, sign, a)) == ref
     if kind == "trig":
         assert _rk4_crosscheck(QFamily(kind, sign, 3.7))[0] <= RK4_TOL
@@ -979,9 +980,27 @@ MODULE_ERROR_CASES = (
 )
 
 
+def public_data_errors(cls=forms2d.DataError):
+    """The public subclasses of cls, found recursively."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            found.add(sub)
+        found |= public_data_errors(sub)
+    return found
+
+
 def test_every_module_error_has_a_pickling_case():
     assert sorted(type(e).__name__ for e in MODULE_ERROR_CASES) == sorted(
-        cls.__name__ for cls in cli._MODULE_ERRORS)
+        cls.__name__ for cls in public_data_errors())
+
+
+@pytest.mark.parametrize("exc", MODULE_ERROR_CASES, ids=lambda e: type(e).__name__)
+def test_module_errors_keep_their_builtin_base(exc):
+    runtime = type(exc).__name__ in (
+        "ConsistencyError", "RegimeError", "BlowUpError", "LaxBlowUpError")
+    assert isinstance(exc, forms2d.DataError)
+    assert (isinstance(exc, RuntimeError), isinstance(exc, ValueError)) == (runtime, not runtime)
 
 
 @pytest.mark.parametrize("exc", MODULE_ERROR_CASES, ids=lambda e: type(e).__name__)
@@ -992,8 +1011,7 @@ def test_module_errors_survive_pickling(exc):
     assert vars(back) == vars(exc)  # last_valid_s, node, or index, det and scale
 
 
-@pytest.mark.parametrize("exc", [FrameStepError("frame step too large; refine the grid"),
-                                 RegimeError(1.5)], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("exc", MODULE_ERROR_CASES, ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize("ns", [17, FINEST_NS], ids=["base-level-here", "finest-level-forked"])
 def test_an_error_reads_the_same_from_either_process(small_config, tmp_path, capsys,
                                                       monkeypatch, ns, exc):

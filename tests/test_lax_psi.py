@@ -151,15 +151,18 @@ def test_mirror_branches_solve_their_system(kind):
     assert max(r1.max_abs(), r2.max_abs()) < 1e-10
 
 
-def test_constant_branches_evaluate():
-    fam = QFamily("rational", 1, 1.0)
-    zero = PsiBranch("constant_zero", fam)
-    half = PsiBranch("constant_half_pi", fam)
-    S, T = unit_grid(1.0, 2.0).mesh()
-    assert np.all(psi_closed_form(zero, S, T) == 0.0)
-    assert np.all(psi_closed_form(half, S, T) == math.pi / 2)
-    ps, pt = psi_closed_form_derivatives(half, S, T)
-    assert np.all(ps == 0.0) and np.all(pt == 0.0)
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("case, value", [("constant_zero", 0.0),
+                                         ("constant_half_pi", math.pi / 2)])
+def test_constant_branches_evaluate(case, value, sign):
+    branch = PsiBranch(case, QFamily("rational", sign, 1.0))
+    S, T = unit_grid(*((1.0, 2.0) if sign == 1 else (-2.0, -1.0))).mesh()
+    psi = psi_closed_form(branch, S, T)
+    ps, pt = psi_closed_form_derivatives(branch, S, T)
+    # bytes, not ==, so a -0.0 would show
+    assert psi.tobytes() == np.full(S.shape, value).tobytes()
+    assert ps.tobytes() == pt.tobytes() == np.zeros(S.shape).tobytes()
+    assert not np.any(np.signbit(psi) | np.signbit(ps) | np.signbit(pt))
 
 
 @given(sigma=st.floats(min_value=-0.4, max_value=0.4),
