@@ -72,7 +72,8 @@ __all__ = ["main", "RunConfig", "ConfigError", "ChildDiedError", "cmd_verify"]
 ORDER_TARGET = 1.9
 # the rules of the rows that run on every ladder level
 LADDER_RULES = ("ladder", "identity")
-# the prefixes of the rows that read the t-first frame march (PipelineData.frame)
+# the prefixes of the rows that read the t-first frame march (PipelineData.frame):
+# on the finest ladder level, the forked child evaluates these (see _ladder)
 FRAME_ROWS = ("frame.", "weingarten.")
 RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
@@ -184,11 +185,10 @@ def _check_finest_level(cfg: RunConfig, levels: int) -> None:
                 f"more than {MAX_MARCH_STEPS} (2**23) RK4 steps")
 
 
-def _walk(data, spec: dict, given: set, prefix: str = "") -> dict:
+def _walk(data, spec: dict, prefix: str = "") -> dict:
     """`data` parsed against `spec` (CONFIG or a section of it), defaults filled in.
 
     Unknown keys, missing required keys and bad values raise ConfigError.
-    The dotted path of every key that `data` sets goes into `given`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config {prefix[:-1] or 'root'} must be a JSON object")
@@ -204,9 +204,8 @@ def _walk(data, spec: dict, given: set, prefix: str = "") -> dict:
     for name, entry in spec.items():
         path = f"{prefix}{name}"
         if isinstance(entry, dict):
-            out[name] = _walk(data.get(name, {}), entry, given, f"{path}.")
+            out[name] = _walk(data.get(name, {}), entry, f"{path}.")
         elif name in data and not (data[name] is None and entry[1] is None):
-            given.add(path)
             out[name] = entry[0](data[name], path)
         elif entry[1] is ...:
             raise ConfigError(f"config is missing required key '{path}'")
@@ -219,13 +218,15 @@ class RunConfig:
     """Validated contents of one JSON config file."""
 
     def __init__(self, data: dict):
-        cfg = _walk(data, CONFIG, given := set())
+        cfg = _walk(data, CONFIG)
         psi, tol = cfg["psi"], cfg["tolerances"]
         integrate = psi["integrate"]
-        # psi is a closed-form branch or a march from a corner value, never both
+        # psi is a closed-form branch or a march from a corner value, never both: a key
+        # of the other mode that the config sets, to anything but null, is refused
         mode, needed = ("with", "psi0") if integrate else ("without", "case")
         other = ("case", "sigma", "eta") if integrate else ("psi0", "substeps")
-        if psi[needed] is None or any(f"psi.{k}" in given for k in other):
+        given = data.get("psi", {})  # an object, as _walk has checked
+        if psi[needed] is None or any(given.get(k) is not None for k in other):
             raise ConfigError(f"{mode} psi.integrate, psi needs {needed} and none of "
                               f"{', '.join(other)}")
         try:
@@ -481,7 +482,6 @@ CHECKS = (
         L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
     Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
         L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
-    # the ladder rows that read the frame march come last (see _ladder)
     Check("frame.two_path", 1.0,
           lambda L: surface_embed.two_path_residual(L.cf, L.frame), margin=0),
     Check("frame.metric_recovery", "scale_e", "frame_forms", 0),
@@ -577,14 +577,15 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
 
 
 def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
-    """([(value, scale, details) of each row], export(level)) on ladder level k.
+    """({row name: (value, scale, details)}, export(level)) on ladder level k.
 
-    The level is cfg.grid refined 2**k.  export runs first, and the level
-    is dropped on return, so only the rows' floats outlive it.
+    The level is cfg.grid refined 2**k.  export runs first, the rows are
+    evaluated in order, and the level is dropped on return, so only the
+    rows' floats outlive it.
     """
     level = PipelineData(cfg, cfg.grid.refined(2**k))
     exported = export(level) if export else None
-    return [level.evaluate(row) for row in rows], exported
+    return {row.name: level.evaluate(row) for row in rows}, exported
 
 
 class ChildDiedError(RuntimeError):
@@ -714,51 +715,45 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k.
 
     Each level is built, its rows are evaluated and only their floats are
-    kept before it is dropped, so no grid-sized array outlives its level.
-    Ladder rows (rule in LADDER_RULES) run on every level, the others on
-    the base level only, and one level is built when no ladder row is
-    selected.  export(level) runs first, on the base level.  Returns the
-    report entries in row order and what export returned.
+    kept, by row name, before it is dropped, so no grid-sized array
+    outlives its level.  Ladder rows (rule in LADDER_RULES) run on every
+    level, the others on the base level only, and one level is built when
+    no ladder row is selected.  export(level) runs first, on the base
+    level.  Returns the report entries in row order and what export
+    returned.
 
-    With two or more levels, the finest level is split at the first ladder
-    row that reads the frame march.  A child (_Forked) evaluates that row
-    and the ones after it (the whole level when no row reads the frame)
-    while this process runs the other levels in order and then the rows
-    before the cut on the finest level, so each process holds one level at
-    a time.  All run _level, and the child sends back its floats, so the
-    report is the same as from one process.  An error reads as it would in
-    one process: the lowest failing level's error is raised, and on the
-    finest level a row before the cut wins, as its rows come first.  The
-    child is killed and reaped on every way out.  Where no child is
-    forked, the same schedule runs in this process alone.
+    With two or more levels, a child (_Forked) evaluates the ladder rows
+    that read the frame march (FRAME_ROWS) on the finest level, or all of
+    them when none does, while this process runs the other levels in order
+    and then the finest level's other ladder rows, so each process holds
+    one level at a time.  All run _level, and the child sends back its
+    floats, so the report is the same as from one process.  An error reads
+    as it would in one process with the frame rows last: the lowest
+    failing level's error is raised, and on the finest level this
+    process's own rows are read before the child's.  The child is killed
+    and reaped on every way out.  Where no child is forked, the same
+    schedule runs in this process alone.
     """
     on_ladder = [row for row in rows if row.rule in LADDER_RULES]
     n = levels if on_ladder else 1
-    # no row reading the frame puts the cut at 0: the child takes the whole level
-    cut = next((i for i, row in enumerate(on_ladder) if row.name.startswith(FRAME_ROWS)), 0)
-    head, tail = on_ladder[:cut], on_ladder[cut:]
+    tail = [row for row in on_ladder if row.name.startswith(FRAME_ROWS)] or on_ladder
+    head = [row for row in on_ladder if row not in tail]
     if n > 1:
         finest = _Forked(lambda: _level(cfg, tail, n - 1)[0], "evaluating the finest ladder level")
     try:
         base, exported = _level(cfg, rows, 0, export)
         found = [base] + [_level(cfg, on_ladder, k)[0] for k in range(1, n - 1)]
         if n > 1:
-            found.append((_level(cfg, head, n - 1)[0] if head else []) + finest.result())
+            found.append({**(_level(cfg, head, n - 1)[0] if head else {}), **finest.result()})
     finally:
         if n > 1:
             finest.close()
-    values = {row.name: [] for row in rows}
-    scales, details = {}, {}
-    for k, results in enumerate(found):
-        for row, (value, scale, extra) in zip(rows if k == 0 else on_ladder, results):
-            values[row.name].append(value)
-            scales[row.name] = scale  # from the last level the row runs on
-            details.setdefault(row.name, extra)  # from the base level
     hs = [cfg.grid.refined(2**k).h_max for k in range(n)]
-    checks = [
-        _judge(cfg, row, values[row.name], scales[row.name], details[row.name], hs)
-        for row in rows
-    ]
+    checks = []
+    for row in rows:
+        got = [results[row.name] for results in found if row.name in results]
+        # the scale from the last level the row runs on, the details from the base level
+        checks.append(_judge(cfg, row, [value for value, _, _ in got], got[-1][1], got[0][2], hs))
     return checks, exported
 
 

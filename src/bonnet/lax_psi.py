@@ -198,8 +198,7 @@ def psi_field_from_branch(branch: PsiBranch, grid: Grid) -> ScalarField:
     every s-line so arctan pole crossings do not leave pi-jumps."""
     SingularityGuard(branch.family).check((grid.s_min, grid.s_max))
     S, T = grid.mesh()
-    vals = psi_closed_form(branch, S, T)
-    vals = np.array(vals)
+    vals = psi_closed_form(branch, S, T)  # a fresh array, unwrapped in place
     vals[0, :] = np.unwrap(vals[0, :], period=np.pi)
     vals = np.unwrap(vals, axis=0, period=np.pi)
     return _adopt(grid, vals)

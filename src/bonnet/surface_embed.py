@@ -484,7 +484,7 @@ def fundamental_forms(profile: SurfaceProfile, psi: ScalarField) -> Forms:
             f"second-form routes disagree by {worst:.3e}; profile is inconsistent"
         )
     N_a = e2d * (h2d - j2d * cos2)
-    E = _adopt(grid, np.broadcast_to(e2d, grid.shape).copy())
+    E = _profile_field(grid, profile.E)
     return Forms(
         grid, E, _adopt(grid, np.zeros(grid.shape)), E,
         _adopt(grid, L_a), _adopt(grid, M_a), _adopt(grid, N_a),

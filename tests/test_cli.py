@@ -169,6 +169,14 @@ def test_psi_is_a_branch_or_a_march(psi):
         RunConfig({**SMALL_CONFIG, "psi": psi})
 
 
+@pytest.mark.parametrize("psi", [
+    {"integrate": True, "psi0": 0.0, "case": None},
+    {"case": "rational_upper", "psi0": None},
+], ids=lambda o: json.dumps(o))
+def test_a_null_key_of_the_other_psi_mode_reads_as_absent(psi):
+    assert isinstance(RunConfig({**SMALL_CONFIG, "psi": psi}), RunConfig)
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMO_FILE = json.loads((ROOT / "configs" / "demo_rational.json").read_text())
 
@@ -796,7 +804,7 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
     # t-first and s-first frame on each of 3 levels, one deformed frame
     assert work_counts["integrate_frame"] + work_counts["build_deformed_surface"] == 7
     # the finest level's psi, H and coframes are built twice, with or without a
-    # child: once for the rows before the cut and once for the frame rows
+    # child: once for the rows that do not read the frame and once for the frame rows
     assert work_counts["build_coframes"] == 4
     for name in ("structure_residuals", "codazzi_summary_residuals",
                  "theta12_report", "ideal_residuals", "lax_residuals",
@@ -1305,18 +1313,48 @@ def test_every_battery_is_read_and_every_battery_name_resolves():
     assert cached - named == {"frame", "fd_forms", "alpha", "forms", "tau", "deformed_frame"}
 
 
-def test_frame_rows_are_the_tail_of_the_ladder_rows():
-    on_ladder = [row for row in cli.CHECKS if row.rule in cli.LADDER_RULES]
-    flags = [row.name.startswith(cli.FRAME_ROWS) for row in on_ladder]
-    cut = flags.index(True)
-    assert cut > 0 and not any(flags[:cut]) and all(flags[cut:])
-    assert [row.name for row in on_ladder][cut:] == [
-        "frame.two_path", "frame.metric_recovery", "frame.second_form", "weingarten.wedge"]
+def test_check_names_are_unique():
+    assert len({row.name for row in cli.CHECKS}) == len(cli.CHECKS)
+
+
+def test_the_child_takes_the_frame_rows_wherever_they_sit(small_config, tmp_path, capsys,
+                                                           monkeypatch, no_child):
+    # frame.two_path moved up among the ladder rows: the child still evaluates it,
+    # and only it and the other frame rows, on the finest level
+    argv = ("verify", "--refine", "2")
+    unpatched = run_small(small_config, tmp_path / "unpatched", capsys, argv)
+    rows = [row for row in cli.CHECKS if row.name != "frame.two_path"]
+    at = [row.name for row in rows].index("lax.compat") + 1
+    rows.insert(at, next(row for row in cli.CHECKS if row.name == "frame.two_path"))
+    monkeypatch.setattr(cli, "CHECKS", tuple(rows))
+    counts, parent = SharedCounts(tmp_path / "pids.txt"), os.getpid()
+    for module, name in ((surface_embed, "structure_residuals"),
+                         (lax_psi, "harmonic_residual"), (surface_embed, "integrate_frame")):
+        def recorded(field, *args, _fn=getattr(module, name), _name=name, **kwargs):
+            if field.grid.ns == FINEST_NS:
+                counts.add(f"{_name}:{'here' if os.getpid() == parent else 'child'}")
+            return _fn(field, *args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+    forked = run_small(small_config, tmp_path / "forked", capsys, argv)
+    assert_no_children()
+
+    def entries(run):
+        return {c["name"]: c for c in json.loads(run[3]["verify_report.json"])["checks"]}
+
+    assert entries(forked) == entries(unpatched)
+    assert list(entries(forked)) == [row.name for row in rows]
+    assert counts["structure_residuals:here"] == counts["harmonic_residual:here"] == 1
+    assert counts["structure_residuals:child"] == counts["harmonic_residual:child"] == 0
+    # the t-first march and two_path's s-first march
+    assert (counts["integrate_frame:here"], counts["integrate_frame:child"]) == (0, 2)
+    no_child()
+    assert run_small(small_config, tmp_path / "here", capsys, argv) == forked
+    os.close(counts.fd)
 
 
 def test_parent_error_on_the_finest_level_wins_over_the_childs(small_config, tmp_path,
                                                                 capsys, monkeypatch, no_child):
-    # structure.* come before the cut, so the parent evaluates them on the finest
+    # structure.* do not read the frame, so the parent evaluates them on the finest
     # level, while the child's frame march fails there too
     battery = surface_embed.structure_residuals
 

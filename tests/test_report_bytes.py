@@ -8,10 +8,13 @@ form, and solve --refine 2 and deform --t0 1 on a 17 x 17 sign -1
 hyper_appendix config, whose psi is the derived mirror branch; the sha256
 of each file they write is compared with tests/data/report_sha256.json.
 solve --refine 2 at profile_substeps 1 and 3 (SUBSTEP_RUNS) is compared
-with SUBSTEP_SHA256 below.  The digests hold under the numpy version
+with SUBSTEP_SHA256 below, and verify --refine 3, verify --refine 2 --only
+frame. and verify --refine 3 --only psi. (SPLIT_RUNS) with SPLIT_SHA256:
+the ways verify splits its finest level between its own process and the
+child.  The digests hold under the numpy version
 recorded in the JSON file; under another numpy the last bit of a residual
 may move, so the tests skip.  To record them again (the script rewrites the
-JSON file and prints SUBSTEP_SHA256):
+JSON file and prints SUBSTEP_SHA256 and SPLIT_SHA256):
 
     PYTHONPATH=src python tests/test_report_bytes.py
 """
@@ -69,6 +72,24 @@ SUBSTEP_SHA256 = {
         "3889e18b322951fb423f3d4400ee170806201536da5ad331c626ec219d5b3d4f",
 }
 
+# verify with a level between the base and the finest; with the finest level's rows
+# all in the child (frame.), where the command's own process builds nothing on that
+# level; and with no row reading the frame march (psi.), where the child takes the
+# whole finest level
+SPLIT_RUNS = {
+    "verify_refine3": (SMALL_CONFIG, ["verify", "--refine", "3"]),
+    "verify_frame": (SMALL_CONFIG, ["verify", "--refine", "2", "--only", "frame."]),
+    "verify_psi": (SMALL_CONFIG, ["verify", "--refine", "3", "--only", "psi."]),
+}
+SPLIT_SHA256 = {
+    "verify_frame/verify_report.json":
+        "16b0189f934b9216228b0ce1ddae30a7329f2383f3dcbbdc102a5aedc99da25e",
+    "verify_psi/verify_report.json":
+        "ffabd9fc96aa117ff3c8f5b783a81dd7a9a7f48aaea9ff755a7dc98c2fc94d6c",
+    "verify_refine3/verify_report.json":
+        "ffbf7f18599820c7202b0701c31273bf2adb2356657408944ce3e4bce485f7f7",
+}
+
 
 def digests(root: Path, runs: dict) -> dict:
     """sha256 of every file of every run in `runs`, keyed "<run>/<file>"."""
@@ -101,10 +122,17 @@ def test_solve_keeps_its_bytes_at_other_profile_substeps(tmp_path, capsys):
     assert digests(tmp_path, SUBSTEP_RUNS) == SUBSTEP_SHA256
 
 
+def test_verify_keeps_its_bytes_however_the_finest_level_splits(tmp_path, capsys):
+    recorded()
+    assert digests(tmp_path, SPLIT_RUNS) == SPLIT_SHA256
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"numpy": np.__version__, "sha256": digests(Path(tmp), RUNS)}
         substeps = digests(Path(tmp), SUBSTEP_RUNS)
+        split = digests(Path(tmp), SPLIT_RUNS)
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print("SUBSTEP_SHA256 =", json.dumps(substeps, indent=4, sort_keys=True))
+    print("SPLIT_SHA256 =", json.dumps(split, indent=4, sort_keys=True))
