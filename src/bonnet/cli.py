@@ -9,14 +9,17 @@ Commands
 
 solve, mesh, deform and verify share one table of checks (CHECKS) and one
 refinement ladder (_ladder): they differ only in the rows they select and
-the number of levels they run.  mesh and deform write their CSV and OBJ
-files from child processes (_Writers) while they go on with the checks;
-verify and solve --refine 2 or more evaluate the finest ladder level
-partly in a child (_ladder).  Where no child can be forked (_Forked), the
-same work runs in the command's own process.  Configs are single JSON
-files (see configs/demo_rational.json).  All outputs are deterministic:
-fixed check order, sorted JSON keys, 17 significant digits, no
-timestamps.  Exit codes: 0 every check passed, 1 a check failed, 2 bad
+the number of levels they run.  Every row, every value a level caches
+(READS) and every command's export declares the level names it reads; a
+level drops each value once nothing still to run reads it (_level).  mesh
+and deform write their CSV and OBJ files from child processes (_Writers)
+while they go on with the checks; verify and solve --refine 2 or more
+evaluate the finest ladder level partly in a child, which takes the rows
+whose reads reach the frame march (_ladder).  Where no child can be forked
+(_Forked), the same work runs in the command's own process.  Configs are
+single JSON files (see configs/demo_rational.json).  All outputs are
+deterministic: fixed check order, sorted JSON keys, 17 significant digits,
+no timestamps.  Exit codes: 0 every check passed, 1 a check failed, 2 bad
 config or data (ConfigError, forms2d.DataError), floating-point fault or
 i/o error, 3 out of memory (a MemoryError, or a forked child that died, as
 the out-of-memory killer's SIGKILL leaves it), 4 any other error, a bug,
@@ -36,6 +39,7 @@ import signal
 import sys
 import traceback
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -72,17 +76,14 @@ __all__ = ["main", "RunConfig", "ConfigError", "ChildDiedError", "cmd_verify"]
 ORDER_TARGET = 1.9
 # the rules of the rows that run on every ladder level
 LADDER_RULES = ("ladder", "identity")
-# the prefixes of the rows that read the t-first frame march (PipelineData.frame):
-# on the finest ladder level, the forked child evaluates these (see _ladder)
-FRAME_ROWS = ("frame.", "weingarten.")
 RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
-# marches the finest frame, peaks at about 0.33 kB per node, and the parent, which
-# holds the finest psi, H, coframes and grid checks, at about 0.27 kB: so the cap
-# keeps them near 1.4 GB and 1.1 GB
+# marches the finest frame, peaks at about 0.30 kB per node, and the parent, which
+# holds the finest psi, H, coframes and grid checks, at about 0.26 kB: so the cap
+# keeps them near 1.3 GB and 1.1 GB
 MAX_LADDER_NODES = 2**22
 # RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
 # its psi march, (ns - 1) * psi.substeps.  The H march holds about 73 bytes a step and
@@ -272,19 +273,74 @@ def load_config(path) -> RunConfig:
 # one level of the refinement ladder
 
 
+# the level names each cached value of PipelineData reads while it is built: other
+# values, and psi and the profile, which are built on construction.  A level run by
+# _level drops a built value as soon as no consumer still to run reaches it
+READS = {
+    "cf": ("profile", "psi"),
+    "frame": ("cf",),
+    "fd_forms": ("frame",),
+    "alpha": ("psi", "cf"),
+    "forms": ("profile", "psi"),
+    "tau": ("cf",),
+    "deformed_frame": ("cf", "tau"),
+    "q": (),
+    "rk4": (),
+    "structure": ("cf",),
+    "codazzi": ("cf",),
+    "theta12": ("cf",),
+    "ideal": ("profile",),
+    "weingarten": ("profile", "fd_forms"),
+    "frame_forms": ("fd_forms", "forms"),
+    "deformation": ("deformed_frame", "profile", "forms", "tau"),
+    **{name: ("profile",) for name in ("scale_q", "scale_q2", "scale_inv_q2", "scale_e",
+                                       "scale_h", "scale_ii")},
+    "scale_q4": ("q",),
+    "scale_structure": ("scale_e", "scale_ii"),
+}
+
+
+def _reach(reads, built=frozenset()) -> set:
+    """The level names `reads` reach: each name read, and, for a value not in
+    `built`, the names it reads to be built, in turn."""
+    seen, todo = set(), list(reads)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            if name not in built:
+                todo.extend(READS.get(name, ()))
+    return seen
+
+
+class _value(cached_property):
+    """A cached value of the level (READS): once it is built, the level drops
+    every value that no consumer still to run reaches (PipelineData.drop)."""
+
+    def __get__(self, level, owner=None):
+        value = super().__get__(level, owner)
+        if level is not None:
+            level.drop()
+        return value
+
+
 class PipelineData:
     """Everything the checks need on one grid.
 
-    psi and the profile are built on construction, and so is the coframe
-    set, which builds each of its coframes when a row first reads it; the
-    frame, its FD forms, the fundamental forms, the companion, every
-    battery and every scale are built on first use, at most once.
+    psi and the profile are built on construction; every other value (READS)
+    is built on first read: the coframe set, which builds each of its
+    coframes when a row first reads it, the frame, its FD forms, the
+    fundamental forms, the companion, every battery and every scale.
+    _level sets `pending`, the reads of the consumers still to run, and the
+    level then drops a value once none of them reaches it, so no value is
+    built twice.  A level with no pending list keeps every value it builds.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
         self.cfg = cfg
         self.fam = cfg.family
         self.grid = grid
+        self.pending = None
         if cfg.psi_branch is not None:
             self.psi = lax_psi.psi_field_from_branch(cfg.psi_branch, grid)
         else:
@@ -294,7 +350,6 @@ class PipelineData:
         self.profile = bonnet_solver.integrate_h(
             cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
         )
-        self.cf = surface_embed.build_coframes(self.profile, self.psi)
 
     def evaluate(self, row: Check):
         """(value, scale, details) of one check row on this level."""
@@ -303,36 +358,45 @@ class PipelineData:
         scale = getattr(self, row.scale) if isinstance(row.scale, str) else row.scale
         return value, scale, {key: result[key] for key in row.details}
 
-    # the tolerance scales that rows name
-    scale_q = cached_property(lambda L: max(1.0, float(np.max(np.abs(L.profile.Q)))))
-    scale_q2 = cached_property(lambda L: max(1.0, float(np.max(2.0 * L.profile.Q * L.profile.Q))))
-    # psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice
-    scale_inv_q2 = cached_property(
-        lambda L: max(1.0, float(np.max(1.0 / (L.profile.Q * L.profile.Q)))))
-    scale_q4 = cached_property(lambda L: L.q["q4"])
-    scale_e = cached_property(lambda L: max(1.0, float(np.max(L.profile.E))))
-    scale_h = cached_property(lambda L: max(1.0, float(np.max(np.abs(L.profile.H)))))
-    scale_ii = cached_property(
-        lambda L: max(1.0, float(np.max(L.profile.E * (np.abs(L.profile.H) + L.profile.J)))))
-    scale_structure = cached_property(lambda L: max(L.scale_e, L.scale_ii))
+    def drop(self) -> None:
+        """Delete every built value that no pending consumer reaches (_reach)."""
+        if self.pending is not None:
+            built = READS.keys() & vars(self).keys()
+            for name in built - _reach(chain.from_iterable(self.pending), built):
+                delattr(self, name)
 
-    @cached_property
+    cf = _value(lambda L: surface_embed.build_coframes(L.profile, L.psi))
+
+    # the tolerance scales that rows name
+    scale_q = _value(lambda L: max(1.0, float(np.max(np.abs(L.profile.Q)))))
+    scale_q2 = _value(lambda L: max(1.0, float(np.max(2.0 * L.profile.Q * L.profile.Q))))
+    # psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice
+    scale_inv_q2 = _value(
+        lambda L: max(1.0, float(np.max(1.0 / (L.profile.Q * L.profile.Q)))))
+    scale_q4 = _value(lambda L: L.q["q4"])
+    scale_e = _value(lambda L: max(1.0, float(np.max(L.profile.E))))
+    scale_h = _value(lambda L: max(1.0, float(np.max(np.abs(L.profile.H)))))
+    scale_ii = _value(
+        lambda L: max(1.0, float(np.max(L.profile.E * (np.abs(L.profile.H) + L.profile.J)))))
+    scale_structure = _value(lambda L: max(L.scale_e, L.scale_ii))
+
+    @_value
     def frame(self) -> surface_embed.FrameField:
         """The t-first frame march from the identity frame at the origin."""
         return surface_embed.integrate_frame(self.cf)
 
-    @cached_property
+    @_value
     def fd_forms(self) -> surface_embed.Forms:
         """The frame march's FD fundamental forms, which the frame rows share."""
         return surface_embed.fd_forms(self.frame)
 
-    @cached_property
+    @_value
     def alpha(self) -> tuple:
         """(psi_1, psi_2), the components of d(psi) in the alpha coframe, which the
         psi.* rows share."""
         return decompose_in_coframe(d_scalar(self.psi), self.cf.alpha1, self.cf.alpha2)
 
-    @cached_property
+    @_value
     def forms(self) -> surface_embed.Forms:
         return surface_embed.fundamental_forms(self.profile, self.psi)
 
@@ -341,16 +405,16 @@ class PipelineData:
         """The companion's t0: the config's, else 1, which verify uses."""
         return 1.0 if self.cfg.t0 is None else self.cfg.t0
 
-    @cached_property
+    @_value
     def tau(self) -> ScalarField:
         return surface_embed.integrate_deformation(self.cf, self.t0)
 
-    @cached_property
+    @_value
     def deformed_frame(self) -> surface_embed.FrameField:
         """The companion's frame march at t0."""
         return surface_embed.build_deformed_surface(self.cf, self.tau)
 
-    @cached_property
+    @_value
     def q(self) -> dict:
         """Q ODE and first-integral residuals over 200 guarded samples, and max Q^4."""
         fam = self.fam
@@ -364,19 +428,20 @@ class PipelineData:
         }
 
     # the batteries that several rows read, besides q and deformation
-    rk4 = cached_property(lambda L: _rk4_crosscheck(L.fam))  # (error, halving ratio)
-    structure = cached_property(lambda L: surface_embed.structure_residuals(L.cf))
-    codazzi = cached_property(lambda L: surface_embed.codazzi_summary_residuals(L.cf))
-    theta12 = cached_property(lambda L: surface_embed.theta12_report(L.cf))
-    ideal = cached_property(lambda L: bonnet_solver.ideal_residuals(L.profile))
-    weingarten = cached_property(lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms))
-    frame_forms = cached_property(lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms))
+    rk4 = _value(lambda L: _rk4_crosscheck(L.fam))  # (error, halving ratio)
+    structure = _value(lambda L: surface_embed.structure_residuals(L.cf))
+    codazzi = _value(lambda L: surface_embed.codazzi_summary_residuals(L.cf))
+    theta12 = _value(lambda L: surface_embed.theta12_report(L.cf))
+    ideal = _value(lambda L: bonnet_solver.ideal_residuals(L.profile))
+    weingarten = _value(lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms))
+    frame_forms = _value(lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms))
 
-    @cached_property
+    @_value
     def deformation(self) -> dict:
         """deformation_report of the companion, with its t0.  Its FD forms are taken
-        before the base forms are built: their temporaries are the peak of `deform`,
-        and the base forms would be held through them."""
+        before the base forms are built, so the base forms are not held through their
+        temporaries.  In `deform` the level has dropped the coframes by then: nothing
+        left to run reads them once the companion is marched."""
         fd = surface_embed.fd_forms(self.deformed_frame)
         return {"t0": self.t0,
                 **surface_embed.deformation_report(self.profile, self.forms, self.tau, fd)}
@@ -389,10 +454,11 @@ class PipelineData:
 class Check(NamedTuple):
     """One row of the check table.
 
-    A string battery or scale names an attribute of the level
-    (PipelineData), built at most once: a battery that several rows read,
-    or a tolerance scale.  Any other battery is a function of the level
-    computing this row alone, and any other scale is a number.  key picks
+    A string battery or scale names a value of the level (PipelineData,
+    READS), built at most once: a battery that several rows read, or a
+    tolerance scale.  Any other battery is a function of the level
+    computing this row alone, and `reads` lists the level names it reads;
+    any other scale is a number.  key picks
     the value out of the battery's result (None: the result is the value);
     details names result keys copied into the report.  margin is the
     number of nodes the row's residuals strip at each edge of the grid.
@@ -416,6 +482,13 @@ class Check(NamedTuple):
     rule: str = "ladder"
     details: tuple = ()
     margin: int = bonnet_solver.MARGIN
+    reads: tuple = ()
+
+
+def _reads(row: Check) -> tuple:
+    """The level names `row` reads: its battery and scale where they are names, and
+    the names its function battery reads."""
+    return tuple(name for name in (row.battery, row.scale) if isinstance(name, str)) + row.reads
 
 
 # report order; verify runs every row, the other commands a prefix filter
@@ -430,11 +503,11 @@ CHECKS = (
     ), rule="algebraic", margin=0),
     Check("psi.branch_consistency", 1.0,
           lambda L: lax_psi.branch_consistency_error(L.cfg.psi_branch, L.psi),
-          rule="algebraic", margin=0),
+          rule="algebraic", margin=0, reads=("psi",)),
     Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
-          rule="bound", margin=0),
+          rule="bound", margin=0, reads=("frame",)),
     Check("frame.handedness", ORTHONORMALITY_TOL, lambda L: 1.0 - L.frame.min_handedness(),
-          rule="bound", margin=0),
+          rule="bound", margin=0, reads=("frame",)),
     Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound",
           margin=3),
     Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
@@ -442,26 +515,31 @@ CHECKS = (
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
     Check("lax.compat", "scale_q", lambda L: max(
-        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1),
-    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi), margin=1),
+        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1,
+          reads=("psi",)),
+    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi), margin=1,
+          reads=("psi",)),
     Check("psi.constraint", "scale_q",
-          lambda L: lax_psi.psi_constraint_residual(L.psi, *L.alpha).max_abs_interior(2)),
+          lambda L: lax_psi.psi_constraint_residual(L.psi, *L.alpha).max_abs_interior(2),
+          reads=("psi", "alpha")),
     Check("psi.c_relation", "scale_q", lambda L: max(
-        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, *L.alpha))),
+        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, *L.alpha)),
+        reads=("psi", "alpha")),
     Check("psi.second_order", "scale_q", lambda L: lax_psi.psi_second_order_residual(
-        *L.alpha, L.cf.alpha1, L.cf.alpha2).max_abs_interior(2)),
+        *L.alpha, L.cf.alpha1, L.cf.alpha2).max_abs_interior(2), reads=("alpha", "cf")),
     Check("psi.mixed_partial", "scale_inv_q2", lambda L: mixed_partial_residual(
         ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
         L.cf.alpha1, L.cf.alpha2,
-    ).max_abs_interior(2)),
-    Check("profile.gauss", "scale_q2", lambda L: bonnet_solver.gauss_s_residual(L.profile)),
+    ).max_abs_interior(2), reads=("cf",)),
+    Check("profile.gauss", "scale_q2", lambda L: bonnet_solver.gauss_s_residual(L.profile),
+          reads=("profile",)),
     Check("profile.ideal_dlog_a", "scale_q2", "ideal", "dlog_a", "identity"),
     Check("profile.ideal_db", "scale_q2", "ideal", "db"),
     Check("profile.ideal_dc", "scale_q2", "ideal", "dc", "identity"),
     Check("profile.ideal_dh", "scale_q2", "ideal", "dh", "identity"),
     Check("profile.ideal_dlog_j", "scale_q2", "ideal", "dlog_j"),
     Check("profile.geodesic", "scale_q2",
-          lambda L: bonnet_solver.geodesic_curvature_residual(L.profile)),
+          lambda L: bonnet_solver.geodesic_curvature_residual(L.profile), reads=("profile",)),
     Check("structure.d_omega1", "scale_structure", "structure", "d_omega1"),
     Check("structure.d_omega2", "scale_structure", "structure", "d_omega2"),
     Check("structure.d_omega13", "scale_structure", "structure", "d_omega13"),
@@ -479,11 +557,14 @@ CHECKS = (
     Check("theta12.d_star_theta12", "scale_q", "theta12", "d_star_theta12", "identity"),
     Check("theta12.xi12", "scale_q", "theta12", "xi12_relation"),
     Check("transform.rotation", "scale_q", lambda L: surface_embed.rotation_transform_residual(
-        L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
+        L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t))),
+        reads=("cf",)),
     Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
-        L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
+        L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t)))),
+        reads=("cf",)),
     Check("frame.two_path", 1.0,
-          lambda L: surface_embed.two_path_residual(L.cf, L.frame), margin=0),
+          lambda L: surface_embed.two_path_residual(L.cf, L.frame), margin=0,
+          reads=("cf", "frame")),
     Check("frame.metric_recovery", "scale_e", "frame_forms", 0),
     Check("frame.second_form", "scale_ii", "frame_forms", 1),
     Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3),
@@ -576,16 +657,29 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     return entry
 
 
-def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
+def _level(cfg: RunConfig, rows: list, k: int, export=None, reads=()) -> tuple:
     """({row name: (value, scale, details)}, export(level)) on ladder level k.
 
-    The level is cfg.grid refined 2**k.  export runs first, the rows are
-    evaluated in order, and the level is dropped on return, so only the
-    rows' floats outlive it.
+    The level is cfg.grid refined 2**k.  export, which reads the level names
+    `reads`, runs first, and the rows are evaluated in order.  After each
+    value is built and after each of these consumers, the level drops every
+    value that no consumer still to run reaches (PipelineData.drop), and
+    the level itself is dropped on return, so only the rows' floats outlive
+    it.
     """
     level = PipelineData(cfg, cfg.grid.refined(2**k))
-    exported = export(level) if export else None
-    return {row.name: level.evaluate(row) for row in rows}, exported
+    level.pending = [_reads(row) for row in rows]
+    if export:
+        level.pending.insert(0, reads)
+
+    def run(consumer):
+        result = consumer(level)
+        del level.pending[0]
+        level.drop()
+        return result
+
+    exported = run(export) if export else None
+    return {row.name: run(lambda L, row=row: L.evaluate(row)) for row in rows}, exported
 
 
 class ChildDiedError(RuntimeError):
@@ -711,21 +805,21 @@ class _Writers:
                 writer.close()
 
 
-def _ladder(cfg: RunConfig, rows: list, levels: int, export):
+def _ladder(cfg: RunConfig, rows: list, levels: int, export, reads: tuple = ()):
     """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k.
 
     Each level is built, its rows are evaluated and only their floats are
     kept, by row name, before it is dropped, so no grid-sized array
     outlives its level.  Ladder rows (rule in LADDER_RULES) run on every
     level, the others on the base level only, and one level is built when
-    no ladder row is selected.  export(level) runs first, on the base
-    level.  Returns the report entries in row order and what export
-    returned.
+    no ladder row is selected.  export(level), which reads the level names
+    `reads`, runs first, on the base level.  Returns the report entries in
+    row order and what export returned.
 
     With two or more levels, a child (_Forked) evaluates the ladder rows
-    that read the frame march (FRAME_ROWS) on the finest level, or all of
-    them when none does, while this process runs the other levels in order
-    and then the finest level's other ladder rows, so each process holds
+    whose reads reach the frame march (_reach) on the finest level, or all
+    of them when none does, while this process runs the other levels in
+    order and then the finest level's other ladder rows, so each process holds
     one level at a time.  All run _level, and the child sends back its
     floats, so the report is the same as from one process.  An error reads
     as it would in one process with the frame rows last: the lowest
@@ -736,12 +830,12 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     """
     on_ladder = [row for row in rows if row.rule in LADDER_RULES]
     n = levels if on_ladder else 1
-    tail = [row for row in on_ladder if row.name.startswith(FRAME_ROWS)] or on_ladder
+    tail = [row for row in on_ladder if "frame" in _reach(_reads(row))] or on_ladder
     head = [row for row in on_ladder if row not in tail]
     if n > 1:
         finest = _Forked(lambda: _level(cfg, tail, n - 1)[0], "evaluating the finest ladder level")
     try:
-        base, exported = _level(cfg, rows, 0, export)
+        base, exported = _level(cfg, rows, 0, export, reads)
         found = [base] + [_level(cfg, on_ladder, k)[0] for k in range(1, n - 1)]
         if n > 1:
             found.append({**(_level(cfg, head, n - 1)[0] if head else {}), **finest.result()})
@@ -772,14 +866,15 @@ def _check_margins(grid: Grid, rows: list) -> None:
             f"{2 * row.margin + 1}")
 
 
-def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) -> int:
+def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export,
+         reads: tuple) -> int:
     """One command: `rows` over `levels` ladder levels, refused (ConfigError)
     before any output exists if the finest level is over MAX_LADDER_NODES or
     MAX_MARCH_STEPS or the base grid is too small for a row's margin.
 
     export(level, out, write) writes the command's files (CSV, OBJ) from
     the base level, in place or through write (_Writers.write), and
-    returns the report's header fields.  Every writer is joined before
+    returns the report's header fields; it reads the level names `reads`.  Every writer is joined before
     <command>_report.json is written and printed; returns the exit code.
     """
     _check_finest_level(cfg, levels)
@@ -788,7 +883,7 @@ def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) ->
     os.makedirs(out, exist_ok=True)
     with _Writers() as writers:
         checks, fields = _ladder(cfg, rows, levels,
-                                 lambda level: export(level, out, writers.write))
+                                 lambda level: export(level, out, writers.write), reads)
     report = {"command": command, **fields, "checks": checks,
               "pass": all(c["passed"] for c in checks)}
     path = os.path.join(out, f"{command}_report.json")
@@ -853,7 +948,7 @@ def cmd_solve(args) -> int:
         return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
 
     rows = _select(cfg, ("q.", "lax.", "psi.", "profile."))
-    return _run(args, cfg, "solve", rows, levels, export)
+    return _run(args, cfg, "solve", rows, levels, export, ("profile", "psi"))
 
 
 def _forms_csv(path, ff: surface_embed.Forms) -> None:
@@ -888,7 +983,7 @@ def cmd_mesh(args) -> int:
 
     rows = _select(cfg, ("structure.", "frame.orthonormality", "frame.metric_recovery",
                          "frame.second_form"))
-    return _run(args, cfg, "mesh", rows, 1, export)
+    return _run(args, cfg, "mesh", rows, 1, export, ("profile", "psi", "frame", "structure"))
 
 
 def cmd_deform(args) -> int:
@@ -912,7 +1007,8 @@ def cmd_deform(args) -> int:
             "sign_flips": rep["sign_flips"],
         }
 
-    return _run(args, cfg, "deform", _select(cfg, ("deform.",)), 1, export)
+    return _run(args, cfg, "deform", _select(cfg, ("deform.",)), 1, export,
+                ("deformed_frame", "deformation"))
 
 
 def cmd_verify(args) -> int:
@@ -925,7 +1021,7 @@ def cmd_verify(args) -> int:
         grids = [cfg.grid.refined(2**k) for k in range(levels)]
         return {"family": cfg.family.describe(), "levels": [_grid_info(g) for g in grids]}
 
-    return _run(args, cfg, "verify", _select(cfg, ("",), args.only), levels, export)
+    return _run(args, cfg, "verify", _select(cfg, ("",), args.only), levels, export, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,196 @@
+"""The declared dataflow of a ladder level (cli.READS, Check.reads and each
+command's export reads) is what the code reads, and the level drops each
+value once nothing still to run reads it.
+
+A recording PipelineData logs every level name read on a 17 x 17 level: by
+each value while it is built, and by each row and export from outside any
+build.  The commands run with no child forked, so every level is seen.
+"""
+import errno
+import json
+import os
+import tracemalloc
+from collections import Counter
+
+import pytest
+
+import bonnet.text17  # noqa: F401  imported by the writers; imported here, it traces no bytes
+from bonnet import cli
+from bonnet.cli import load_config, main
+from conftest import DEMO_CONFIG
+from test_cli import SMALL_CONFIG, small_config  # noqa: F401  (a fixture)
+
+# the level names that values, rows and exports read: psi and the profile, built on
+# construction, and every cached value
+LEVEL_NAMES = {"profile", "psi", *cli.READS}
+
+
+def held(level) -> set:
+    """The values `level` holds."""
+    return set(cli.READS) & set(vars(level))
+
+
+class RecordingLevel(cli.PipelineData):
+    """A level that logs the level names read (LEVEL_NAMES).
+
+    stack[0] gathers the names read from outside any build; `builds` holds
+    (value, names its build read, values held once it was built and the
+    level had dropped) per value built, and `drops` (pending reads, values
+    held) after each drop of a level that _level runs.
+    """
+
+    levels = []  # every level built since the list was last cleared
+
+    def __init__(self, cfg, grid):
+        for name in ("builds", "drops"):
+            object.__setattr__(self, name, [])
+        object.__setattr__(self, "stack", [set()])
+        RecordingLevel.levels.append(self)
+        super().__init__(cfg, grid)
+
+    def __getattribute__(self, name):
+        get = object.__getattribute__
+        if name not in LEVEL_NAMES:
+            return get(self, name)
+        stack = get(self, "stack")
+        stack[-1].add(name)
+        if name not in cli.READS or name in get(self, "__dict__"):
+            return get(self, name)
+        stack.append(set())
+        try:
+            return get(self, name)
+        finally:
+            get(self, "builds").append((name, stack.pop(), held(self)))
+
+    def drop(self):
+        super().drop()
+        if self.pending is not None:
+            self.drops.append(([*self.pending], held(self)))
+
+
+def needed(pending, built) -> set:
+    """The values a pending consumer can still read: those it reads, and those
+    that a value it reads and that is not built reads to be built, in turn."""
+    def reach(name):
+        deeper = () if name in built else cli.READS.get(name, ())
+        return {name}.union(*map(reach, deeper))
+    return set().union(*(reach(name) for reads in pending for name in reads))
+
+
+def no_fork():
+    raise OSError(errno.EAGAIN, "no process to spare")
+
+
+def test_every_value_and_row_reads_what_it_declares(small_config):
+    cfg = load_config(small_config)
+    level = RecordingLevel(cfg, cfg.grid)
+    for row in cli.CHECKS:
+        level.stack[0].clear()
+        level.evaluate(row)
+        assert level.stack[0] == set(cli._reads(row)), row.name
+    built = Counter(name for name, _, _ in level.builds)
+    assert built == Counter(list(cli.READS))  # every value, each once: a level alone drops none
+    for name, reads, _ in level.builds:
+        assert reads == set(cli.READS[name]), name
+
+
+@pytest.fixture()
+def recording(monkeypatch, tmp_path):
+    """run(*argv): the levels one command on SMALL_CONFIG builds, in one process,
+    and checks that each export reads what it declares."""
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "PipelineData", RecordingLevel)
+    level = cli._level
+
+    def recorded_level(cfg, rows, k, export=None, reads=()):
+        def recorded(data):
+            data.stack[0].clear()
+            result = export(data)
+            assert data.stack[0] == set(reads)
+            return result
+        return level(cfg, rows, k, recorded if export else None, reads)
+
+    monkeypatch.setattr(cli, "_level", recorded_level)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+
+    def run(*argv):
+        RecordingLevel.levels.clear()
+        command, *rest = argv
+        # the small grid fails an order at two levels: exit 1, with every row run
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o"),
+                     *rest]) in (0, 1)
+        return list(RecordingLevel.levels)
+
+    return run
+
+
+SELECTIONS = [
+    ("solve", "--refine", "2"),
+    ("mesh",),
+    ("deform", "--t0", "1"),
+    ("verify", "--refine", "2"),
+    ("verify", "--refine", "2", "--only", "frame."),
+    ("verify", "--refine", "2", "--only", "psi."),
+]
+
+
+@pytest.mark.parametrize("argv", SELECTIONS, ids=" ".join)
+def test_each_value_is_built_once_and_dropped_when_nothing_reads_it(recording, argv):
+    levels = recording(*argv)
+    assert levels
+    for level in levels:
+        built = Counter(name for name, _, _ in level.builds)
+        assert max(built.values(), default=1) == 1, built
+        # after each value built and each consumer, nothing that the rule drops is held
+        assert level.drops
+        for pending, now in level.drops:
+            assert now <= needed(pending, now)
+        assert level.drops[-1] == ([], set())
+
+
+def held_after(level, value) -> set:
+    """The values `level` held once `value` was built."""
+    return next(now for name, _, now in level.builds if name == value)
+
+
+def test_mesh_and_deform_drop_the_coframes_before_their_peak(recording):
+    # deform: the coframes go once the companion is marched, before the writer
+    # forks and the companion's FD forms are taken
+    (level,) = recording("deform", "--t0", "1")
+    assert held_after(level, "deformed_frame") == {"tau", "deformed_frame"}
+    # mesh: the coframes go with the structure battery, the frame with its FD forms
+    (level,) = recording("mesh")
+    assert "cf" not in held_after(level, "structure")
+    assert held_after(level, "fd_forms") == {"fd_forms", "scale_e", "scale_ii"}
+
+
+def test_the_child_drops_the_coframes_and_the_frame_as_it_goes(recording):
+    levels = recording("verify", "--refine", "2", "--only", "frame.")
+    finest = levels[-1]
+    assert finest.grid.ns == 33
+    assert "cf" not in held_after(finest, "frame_forms")
+    assert "frame" not in held_after(finest, "fd_forms")
+
+
+@pytest.mark.parametrize("argv, bound", [(("mesh",), 305), (("deform", "--t0", "1"), 348)],
+                         ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, argv, bound):
+    """The traced peak of one command on the demo window at 129 x 129, in one
+    process, in bytes per node.  Holding every value to the end of the level,
+    mesh peaked at 332 and deform at 372; dropping each value after its last
+    reader, 276 and 324."""
+    monkeypatch.setattr(os, "fork", no_fork)
+    config = tmp_path / "demo129.json"
+    config.write_text(json.dumps({**DEMO_CONFIG, "grid": {**DEMO_CONFIG["grid"],
+                                                          "ns": 129, "nt": 129}}))
+    command, *rest = argv
+    tracemalloc.start()  # numpy buffers are traced too
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "o"), *rest])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / 129**2 < bound

@@ -9,9 +9,9 @@ hyper_appendix config, whose psi is the derived mirror branch; the sha256
 of each file they write is compared with tests/data/report_sha256.json.
 solve --refine 2 at profile_substeps 1 and 3 (SUBSTEP_RUNS) is compared
 with SUBSTEP_SHA256 below, and verify --refine 3, verify --refine 2 --only
-frame. and verify --refine 3 --only psi. (SPLIT_RUNS) with SPLIT_SHA256:
-the ways verify splits its finest level between its own process and the
-child.  The digests hold under the numpy version
+frame., verify --refine 2 --only weingarten. and verify --refine 3 --only
+psi. (SPLIT_RUNS) with SPLIT_SHA256: the ways verify splits its finest
+level between its own process and the child.  The digests hold under the numpy version
 recorded in the JSON file; under another numpy the last bit of a residual
 may move, so the tests skip.  To record them again (the script rewrites the
 JSON file and prints SUBSTEP_SHA256 and SPLIT_SHA256):
@@ -74,11 +74,13 @@ SUBSTEP_SHA256 = {
 
 # verify with a level between the base and the finest; with the finest level's rows
 # all in the child (frame.), where the command's own process builds nothing on that
-# level; and with no row reading the frame march (psi.), where the child takes the
-# whole finest level
+# level; with rows that reach the frame march only through its FD forms
+# (weingarten.); and with no row reading the frame march (psi.), where the child
+# takes the whole finest level
 SPLIT_RUNS = {
     "verify_refine3": (SMALL_CONFIG, ["verify", "--refine", "3"]),
     "verify_frame": (SMALL_CONFIG, ["verify", "--refine", "2", "--only", "frame."]),
+    "verify_weingarten": (SMALL_CONFIG, ["verify", "--refine", "2", "--only", "weingarten."]),
     "verify_psi": (SMALL_CONFIG, ["verify", "--refine", "3", "--only", "psi."]),
 }
 SPLIT_SHA256 = {
@@ -88,6 +90,8 @@ SPLIT_SHA256 = {
         "ffabd9fc96aa117ff3c8f5b783a81dd7a9a7f48aaea9ff755a7dc98c2fc94d6c",
     "verify_refine3/verify_report.json":
         "ffbf7f18599820c7202b0701c31273bf2adb2356657408944ce3e4bce485f7f7",
+    "verify_weingarten/verify_report.json":
+        "b4b79ebd251f0dafa93ffc5e49dac2c23cb528822b001e3516cbe351c46d3263",
 }
 
 
