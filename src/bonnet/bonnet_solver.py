@@ -25,6 +25,7 @@ keeps the dB relation available as an independent residual check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ __all__ = [
     "write_profile_csv",
 ]
 
+# the H march stops once |H|, |H'| or |H''| passes H_BLOWUP times u, u^2 or u^3, where
+# u = max(|H0|, sqrt(H0'), cbrt(|H0''|), Q(s0)) > 0 is a 1/length of the data
 H_BLOWUP = 1e9
 # nodes the grid residuals here and in surface_embed strip at each edge,
 # where their one-sided FD stencils leave the largest h^2 error
@@ -217,10 +220,17 @@ def integrate_h(ics: HInitialData, fam: QFamily, grid: Grid, substeps: int = 8) 
 
     out = np.empty((n + 1, 3))
     out[0] = y = [float(ics.H0), float(ics.H0p), float(ics.H0pp)]
+    # the similarity s -> s/lam, H -> lam H, Q -> lam Q that maps a solution to a
+    # solution maps u to lam u, so the bounds scale as H, H' and H''.  A bound past the
+    # largest float is capped there, so an infinite state still stops
+    u = max(abs(ics.H0), math.sqrt(ics.H0p), abs(ics.H0pp) ** (1.0 / 3.0), q_start.item(0))
+    big = sys.float_info.max
+    bound_h, bound_hp, bound_hpp = (min(H_BLOWUP * u, big), min(H_BLOWUP * u * u, big),
+                                    min(H_BLOWUP * u * u * u, big))
     for k in range(n):
         y = rk4_step(rhs, y, h, q_start.item(k), q_mid.item(k), q_end.item(k))
         H, Hp, Hpp = y
-        if not (abs(H) <= H_BLOWUP and abs(Hp) <= H_BLOWUP and abs(Hpp) <= H_BLOWUP):
+        if not (abs(H) <= bound_h and abs(Hp) <= bound_hp and abs(Hpp) <= bound_hpp):
             raise BlowUpError(s_k[k])
         if not Hp > 0:
             raise RegimeError(s_k[k])

@@ -9,9 +9,9 @@ Commands
 
 solve, mesh, deform and verify share one table of checks (CHECKS) and one
 refinement ladder (_ladder): they differ only in the rows they select and
-the number of levels they run.  Every row, every value a level caches
-(READS) and every command's export declares the level names it reads; a
-level drops each value once nothing still to run reads it (_level).  mesh
+the number of levels they run.  A value a level caches (_value) and a row
+that computes in a function read the level names their parameters name; a
+level drops each value once no row still to run reads it (_level).  mesh
 and deform write their CSV and OBJ files from child processes (_Writers)
 while they go on with the checks; verify and solve --refine 2 or more
 evaluate the finest ladder level partly in a child, which takes the rows
@@ -38,7 +38,6 @@ import reprlib
 import signal
 import sys
 import traceback
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -273,31 +272,10 @@ def load_config(path) -> RunConfig:
 # one level of the refinement ladder
 
 
-# the level names each cached value of PipelineData reads while it is built: other
-# values, and psi and the profile, which are built on construction.  A level run by
-# _level drops a built value as soon as no consumer still to run reaches it
-READS = {
-    "cf": ("profile", "psi"),
-    "frame": ("cf",),
-    "fd_forms": ("frame",),
-    "alpha": ("psi", "cf"),
-    "forms": ("profile", "psi"),
-    "tau": ("cf",),
-    "deformed_frame": ("cf", "tau"),
-    "q": (),
-    "rk4": (),
-    "structure": ("cf",),
-    "codazzi": ("cf",),
-    "theta12": ("cf",),
-    "ideal": ("profile",),
-    "weingarten": ("profile", "fd_forms"),
-    "frame_forms": ("fd_forms", "forms"),
-    "deformation": ("deformed_frame", "profile", "forms", "tau"),
-    **{name: ("profile",) for name in ("scale_q", "scale_q2", "scale_inv_q2", "scale_e",
-                                       "scale_h", "scale_ii")},
-    "scale_q4": ("q",),
-    "scale_structure": ("scale_e", "scale_ii"),
-}
+def _params(build) -> tuple:
+    """The names of `build`'s parameters: the level names it reads."""
+    code = build.__code__
+    return code.co_varnames[:code.co_argcount]
 
 
 def _reach(reads, built=frozenset()) -> set:
@@ -309,31 +287,43 @@ def _reach(reads, built=frozenset()) -> set:
         if name not in seen:
             seen.add(name)
             if name not in built:
-                todo.extend(READS.get(name, ()))
+                todo.extend(getattr(getattr(PipelineData, name, None), "reads", ()))
     return seen
 
 
-class _value(cached_property):
-    """A cached value of the level (READS): once it is built, the level drops
-    every value that no consumer still to run reaches (PipelineData.drop)."""
+class _value:
+    """A value of the level, built on first read by calling `build` with the
+    level names its parameters name (`reads`), and then kept; once it is
+    built, the level drops every value that no row still to run reaches
+    (PipelineData.drop)."""
+
+    def __init__(self, build):
+        self.build, self.reads = build, _params(build)
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, level, owner=None):
-        value = super().__get__(level, owner)
-        if level is not None:
-            level.drop()
+        if level is None:
+            return self
+        value = self.build(*(getattr(level, name) for name in self.reads))
+        level.__dict__[self.name] = value
+        level.drop()
         return value
 
 
 class PipelineData:
     """Everything the checks need on one grid.
 
-    psi and the profile are built on construction; every other value (READS)
-    is built on first read: the coframe set, which builds each of its
-    coframes when a row first reads it, the frame, its FD forms, the
-    fundamental forms, the companion, every battery and every scale.
-    _level sets `pending`, the reads of the consumers still to run, and the
-    level then drops a value once none of them reaches it, so no value is
-    built twice.  A level with no pending list keeps every value it builds.
+    psi and the profile are built on construction; every other value (a
+    _value, whose parameters name what it reads: other values, psi, the
+    profile, cfg, grid, fam and t0) is built on first read: the coframe
+    set, which builds each of its coframes when a row first reads it, the
+    frame, its FD forms, the fundamental forms, the companion, every
+    battery and every scale.  _level sets `pending`, the reads of the rows
+    still to run, and the level then drops a value once none of them
+    reaches it, so no value is built twice.  A level with no pending list
+    keeps every value it builds.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
@@ -353,71 +343,58 @@ class PipelineData:
 
     def evaluate(self, row: Check):
         """(value, scale, details) of one check row on this level."""
-        result = getattr(self, row.battery) if isinstance(row.battery, str) else row.battery(self)
+        battery = row.battery
+        result = getattr(self, battery) if isinstance(battery, str) else battery(
+            *(getattr(self, name) for name in _params(battery)))
         value = result if row.key is None else result[row.key]
         scale = getattr(self, row.scale) if isinstance(row.scale, str) else row.scale
         return value, scale, {key: result[key] for key in row.details}
 
     def drop(self) -> None:
-        """Delete every built value that no pending consumer reaches (_reach)."""
+        """Delete every built value that no pending row reaches (_reach)."""
         if self.pending is not None:
-            built = READS.keys() & vars(self).keys()
+            built = {name for name in vars(self) if isinstance(getattr(type(self), name, None),
+                                                               _value)}
             for name in built - _reach(chain.from_iterable(self.pending), built):
                 delattr(self, name)
 
-    cf = _value(lambda L: surface_embed.build_coframes(L.profile, L.psi))
+    cf = _value(lambda profile, psi: surface_embed.build_coframes(profile, psi))
 
     # the tolerance scales that rows name
-    scale_q = _value(lambda L: max(1.0, float(np.max(np.abs(L.profile.Q)))))
-    scale_q2 = _value(lambda L: max(1.0, float(np.max(2.0 * L.profile.Q * L.profile.Q))))
+    scale_q = _value(lambda profile: max(1.0, float(np.max(np.abs(profile.Q)))))
+    scale_q2 = _value(lambda profile: max(1.0, float(np.max(2.0 * profile.Q * profile.Q))))
     # psi.mixed_partial applies the inverse alpha coframe (1/Q) R(-2 psi) twice
     scale_inv_q2 = _value(
-        lambda L: max(1.0, float(np.max(1.0 / (L.profile.Q * L.profile.Q)))))
-    scale_q4 = _value(lambda L: L.q["q4"])
-    scale_e = _value(lambda L: max(1.0, float(np.max(L.profile.E))))
-    scale_h = _value(lambda L: max(1.0, float(np.max(np.abs(L.profile.H)))))
+        lambda profile: max(1.0, float(np.max(1.0 / (profile.Q * profile.Q)))))
+    scale_q4 = _value(lambda q: q["q4"])
+    scale_e = _value(lambda profile: max(1.0, float(np.max(profile.E))))
+    scale_h = _value(lambda profile: max(1.0, float(np.max(np.abs(profile.H)))))
     scale_ii = _value(
-        lambda L: max(1.0, float(np.max(L.profile.E * (np.abs(L.profile.H) + L.profile.J)))))
-    scale_structure = _value(lambda L: max(L.scale_e, L.scale_ii))
+        lambda profile: max(1.0, float(np.max(profile.E * (np.abs(profile.H) + profile.J)))))
+    scale_structure = _value(lambda scale_e, scale_ii: max(scale_e, scale_ii))
 
-    @_value
-    def frame(self) -> surface_embed.FrameField:
-        """The t-first frame march from the identity frame at the origin."""
-        return surface_embed.integrate_frame(self.cf)
-
-    @_value
-    def fd_forms(self) -> surface_embed.Forms:
-        """The frame march's FD fundamental forms, which the frame rows share."""
-        return surface_embed.fd_forms(self.frame)
-
-    @_value
-    def alpha(self) -> tuple:
-        """(psi_1, psi_2), the components of d(psi) in the alpha coframe, which the
-        psi.* rows share."""
-        return decompose_in_coframe(d_scalar(self.psi), self.cf.alpha1, self.cf.alpha2)
-
-    @_value
-    def forms(self) -> surface_embed.Forms:
-        return surface_embed.fundamental_forms(self.profile, self.psi)
+    # the t-first frame march from the identity frame at the origin, and its FD
+    # fundamental forms, which the frame rows share
+    frame = _value(lambda cf: surface_embed.integrate_frame(cf))
+    fd_forms = _value(lambda frame: surface_embed.fd_forms(frame))
+    # (psi_1, psi_2), the components of d(psi) in the alpha coframe, which the psi.*
+    # rows share
+    alpha = _value(lambda psi, cf: decompose_in_coframe(d_scalar(psi), cf.alpha1, cf.alpha2))
+    forms = _value(lambda profile, psi: surface_embed.fundamental_forms(profile, psi))
 
     @property
     def t0(self) -> float:
         """The companion's t0: the config's, else 1, which verify uses."""
         return 1.0 if self.cfg.t0 is None else self.cfg.t0
 
-    @_value
-    def tau(self) -> ScalarField:
-        return surface_embed.integrate_deformation(self.cf, self.t0)
+    tau = _value(lambda cf, t0: surface_embed.integrate_deformation(cf, t0))
+    # the companion's frame march at t0, and its FD forms
+    deformed_frame = _value(lambda cf, tau: surface_embed.build_deformed_surface(cf, tau))
+    deformed_fd_forms = _value(lambda deformed_frame: surface_embed.fd_forms(deformed_frame))
 
     @_value
-    def deformed_frame(self) -> surface_embed.FrameField:
-        """The companion's frame march at t0."""
-        return surface_embed.build_deformed_surface(self.cf, self.tau)
-
-    @_value
-    def q(self) -> dict:
+    def q(fam) -> dict:
         """Q ODE and first-integral residuals over 200 guarded samples, and max Q^4."""
-        fam = self.fam
         s = guarded_samples(fam, 200)
         q, qp, _ = eval_q_derivatives(fam, s)
         return {
@@ -428,23 +405,24 @@ class PipelineData:
         }
 
     # the batteries that several rows read, besides q and deformation
-    rk4 = _value(lambda L: _rk4_crosscheck(L.fam))  # (error, halving ratio)
-    structure = _value(lambda L: surface_embed.structure_residuals(L.cf))
-    codazzi = _value(lambda L: surface_embed.codazzi_summary_residuals(L.cf))
-    theta12 = _value(lambda L: surface_embed.theta12_report(L.cf))
-    ideal = _value(lambda L: bonnet_solver.ideal_residuals(L.profile))
-    weingarten = _value(lambda L: surface_embed.weingarten_residual(L.profile, L.fd_forms))
-    frame_forms = _value(lambda L: surface_embed.forms_deviation(L.fd_forms, L.forms))
+    rk4 = _value(lambda fam: _rk4_crosscheck(fam))  # (error, halving ratio)
+    structure = _value(lambda cf: surface_embed.structure_residuals(cf))
+    codazzi = _value(lambda cf: surface_embed.codazzi_summary_residuals(cf))
+    theta12 = _value(lambda cf: surface_embed.theta12_report(cf))
+    ideal = _value(lambda profile: bonnet_solver.ideal_residuals(profile))
+    weingarten = _value(
+        lambda profile, fd_forms: surface_embed.weingarten_residual(profile, fd_forms))
+    frame_forms = _value(
+        lambda fd_forms, forms: surface_embed.forms_deviation(fd_forms, forms))
 
     @_value
-    def deformation(self) -> dict:
-        """deformation_report of the companion, with its t0.  Its FD forms are taken
-        before the base forms are built, so the base forms are not held through their
-        temporaries.  In `deform` the level has dropped the coframes by then: nothing
-        left to run reads them once the companion is marched."""
-        fd = surface_embed.fd_forms(self.deformed_frame)
-        return {"t0": self.t0,
-                **surface_embed.deformation_report(self.profile, self.forms, self.tau, fd)}
+    def deformation(deformed_fd_forms, profile, forms, tau, t0) -> dict:
+        """deformation_report of the companion, with its t0.  Its FD forms are
+        built before the base forms, so the base forms are not held through their
+        temporaries.  In `deform` the level has dropped the coframes by then:
+        nothing left to run reads them once the companion is marched."""
+        return {"t0": t0, **surface_embed.deformation_report(profile, forms, tau,
+                                                             deformed_fd_forms)}
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +432,11 @@ class PipelineData:
 class Check(NamedTuple):
     """One row of the check table.
 
-    A string battery or scale names a value of the level (PipelineData,
-    READS), built at most once: a battery that several rows read, or a
-    tolerance scale.  Any other battery is a function of the level
-    computing this row alone, and `reads` lists the level names it reads;
-    any other scale is a number.  key picks
+    A string battery or scale names a value of the level (PipelineData),
+    built at most once: a battery that several rows read, or a tolerance
+    scale.  Any other battery is a function computing this row alone,
+    called with the level names its parameters name; any other scale is
+    a number.  key picks
     the value out of the battery's result (None: the result is the value);
     details names result keys copied into the report.  margin is the
     number of nodes the row's residuals strip at each edge of the grid.
@@ -482,13 +460,13 @@ class Check(NamedTuple):
     rule: str = "ladder"
     details: tuple = ()
     margin: int = bonnet_solver.MARGIN
-    reads: tuple = ()
 
 
 def _reads(row: Check) -> tuple:
-    """The level names `row` reads: its battery and scale where they are names, and
-    the names its function battery reads."""
-    return tuple(name for name in (row.battery, row.scale) if isinstance(name, str)) + row.reads
+    """The level names `row` reads: its battery's name, or the parameters of its
+    function battery, and its scale's name."""
+    battery = (row.battery,) if isinstance(row.battery, str) else _params(row.battery)
+    return battery + ((row.scale,) if isinstance(row.scale, str) else ())
 
 
 # report order; verify runs every row, the other commands a prefix filter
@@ -498,48 +476,43 @@ CHECKS = (
           margin=0),
     Check("q.rk4_error", RK4_TOL, "rk4", 0, "bound", margin=0),
     Check("q.rk4_halving", None, "rk4", 1, "ratio", margin=0),
-    Check("lax.closed_form", "scale_q", lambda L: max(
-        r.max_abs() for r in lax_psi.branch_lax_residuals(L.cfg.psi_branch, L.grid)
+    Check("lax.closed_form", "scale_q", lambda cfg, grid: max(
+        r.max_abs() for r in lax_psi.branch_lax_residuals(cfg.psi_branch, grid)
     ), rule="algebraic", margin=0),
     Check("psi.branch_consistency", 1.0,
-          lambda L: lax_psi.branch_consistency_error(L.cfg.psi_branch, L.psi),
-          rule="algebraic", margin=0, reads=("psi",)),
-    Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda L: L.frame.orthonormality_error(),
-          rule="bound", margin=0, reads=("frame",)),
-    Check("frame.handedness", ORTHONORMALITY_TOL, lambda L: 1.0 - L.frame.min_handedness(),
-          rule="bound", margin=0, reads=("frame",)),
+          lambda cfg, psi: lax_psi.branch_consistency_error(cfg.psi_branch, psi),
+          rule="algebraic", margin=0),
+    Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda frame: frame.orthonormality_error(),
+          rule="bound", margin=0),
+    Check("frame.handedness", ORTHONORMALITY_TOL, lambda frame: 1.0 - frame.min_handedness(),
+          rule="bound", margin=0),
     Check("weingarten.k_t_variation", K_T_VARIATION_TOL, "weingarten", "k_t_variation", "bound",
           margin=3),
     Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
     Check("deform.h", "scale_h", "deformation", "h_deviation", "fd", ("t0",)),
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
-    Check("lax.compat", "scale_q", lambda L: max(
-        r.max_abs_interior(1) for r in lax_psi.lax_residuals(L.psi, L.fam)), margin=1,
-          reads=("psi",)),
-    Check("psi.harmonic", "scale_q2", lambda L: lax_psi.harmonic_residual(L.psi), margin=1,
-          reads=("psi",)),
+    Check("lax.compat", "scale_q", lambda psi, fam: max(
+        r.max_abs_interior(1) for r in lax_psi.lax_residuals(psi, fam)), margin=1),
+    Check("psi.harmonic", "scale_q2", lambda psi: lax_psi.harmonic_residual(psi), margin=1),
     Check("psi.constraint", "scale_q",
-          lambda L: lax_psi.psi_constraint_residual(L.psi, *L.alpha).max_abs_interior(2),
-          reads=("psi", "alpha")),
-    Check("psi.c_relation", "scale_q", lambda L: max(
-        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(L.psi, L.fam, *L.alpha)),
-        reads=("psi", "alpha")),
-    Check("psi.second_order", "scale_q", lambda L: lax_psi.psi_second_order_residual(
-        *L.alpha, L.cf.alpha1, L.cf.alpha2).max_abs_interior(2), reads=("alpha", "cf")),
-    Check("psi.mixed_partial", "scale_inv_q2", lambda L: mixed_partial_residual(
-        ScalarField.from_function(L.grid, lambda s, t: np.sin(s + 2.0 * t)),
-        L.cf.alpha1, L.cf.alpha2,
-    ).max_abs_interior(2), reads=("cf",)),
-    Check("profile.gauss", "scale_q2", lambda L: bonnet_solver.gauss_s_residual(L.profile),
-          reads=("profile",)),
+          lambda psi, alpha: lax_psi.psi_constraint_residual(psi, *alpha).max_abs_interior(2)),
+    Check("psi.c_relation", "scale_q", lambda psi, fam, alpha: max(
+        r.max_abs_interior(2) for r in lax_psi.c_relation_residuals(psi, fam, *alpha))),
+    Check("psi.second_order", "scale_q", lambda alpha, cf: lax_psi.psi_second_order_residual(
+        *alpha, cf.alpha1, cf.alpha2).max_abs_interior(2)),
+    Check("psi.mixed_partial", "scale_inv_q2", lambda grid, cf: mixed_partial_residual(
+        ScalarField.from_function(grid, lambda s, t: np.sin(s + 2.0 * t)),
+        cf.alpha1, cf.alpha2,
+    ).max_abs_interior(2)),
+    Check("profile.gauss", "scale_q2", lambda profile: bonnet_solver.gauss_s_residual(profile)),
     Check("profile.ideal_dlog_a", "scale_q2", "ideal", "dlog_a", "identity"),
     Check("profile.ideal_db", "scale_q2", "ideal", "db"),
     Check("profile.ideal_dc", "scale_q2", "ideal", "dc", "identity"),
     Check("profile.ideal_dh", "scale_q2", "ideal", "dh", "identity"),
     Check("profile.ideal_dlog_j", "scale_q2", "ideal", "dlog_j"),
     Check("profile.geodesic", "scale_q2",
-          lambda L: bonnet_solver.geodesic_curvature_residual(L.profile), reads=("profile",)),
+          lambda profile: bonnet_solver.geodesic_curvature_residual(profile)),
     Check("structure.d_omega1", "scale_structure", "structure", "d_omega1"),
     Check("structure.d_omega2", "scale_structure", "structure", "d_omega2"),
     Check("structure.d_omega13", "scale_structure", "structure", "d_omega13"),
@@ -556,15 +529,14 @@ CHECKS = (
     Check("theta12.d_star_omega12", "scale_q", "theta12", "d_star_omega12"),
     Check("theta12.d_star_theta12", "scale_q", "theta12", "d_star_theta12", "identity"),
     Check("theta12.xi12", "scale_q", "theta12", "xi12_relation"),
-    Check("transform.rotation", "scale_q", lambda L: surface_embed.rotation_transform_residual(
-        L.cf, ScalarField.from_function(L.grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t))),
-        reads=("cf",)),
-    Check("transform.scaling", "scale_q", lambda L: surface_embed.scaling_transform_residual(
-        L.cf, ScalarField.from_function(L.grid, lambda s, t: np.exp(0.1 * np.sin(s + t)))),
-        reads=("cf",)),
+    Check("transform.rotation", "scale_q", lambda cf, grid:
+          surface_embed.rotation_transform_residual(cf, ScalarField.from_function(
+              grid, lambda s, t: 0.3 + 0.2 * np.sin(s) * np.cos(t)))),
+    Check("transform.scaling", "scale_q", lambda cf, grid:
+          surface_embed.scaling_transform_residual(cf, ScalarField.from_function(
+              grid, lambda s, t: np.exp(0.1 * np.sin(s + t))))),
     Check("frame.two_path", 1.0,
-          lambda L: surface_embed.two_path_residual(L.cf, L.frame), margin=0,
-          reads=("cf", "frame")),
+          lambda cf, frame: surface_embed.two_path_residual(cf, frame), margin=0),
     Check("frame.metric_recovery", "scale_e", "frame_forms", 0),
     Check("frame.second_form", "scale_ii", "frame_forms", 1),
     Check("weingarten.wedge", 1.0, "weingarten", "wedge_residual", margin=3),
@@ -657,29 +629,27 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
     return entry
 
 
-def _level(cfg: RunConfig, rows: list, k: int, export=None, reads=()) -> tuple:
+def _level(cfg: RunConfig, rows: list, k: int, export=None) -> tuple:
     """({row name: (value, scale, details)}, export(level)) on ladder level k.
 
-    The level is cfg.grid refined 2**k.  export, which reads the level names
-    `reads`, runs first, and the rows are evaluated in order.  After each
-    value is built and after each of these consumers, the level drops every
-    value that no consumer still to run reaches (PipelineData.drop), and
-    the level itself is dropped on return, so only the rows' floats outlive
-    it.
+    The level is cfg.grid refined 2**k.  export runs first, and the rows
+    are evaluated in order.  After each value is built and after each row,
+    the level drops every value that no row still to run reaches
+    (PipelineData.drop), and the level itself is dropped on return, so only
+    the rows' floats outlive it.  export declares no reads: it holds what
+    it reads in its own locals.
     """
     level = PipelineData(cfg, cfg.grid.refined(2**k))
     level.pending = [_reads(row) for row in rows]
-    if export:
-        level.pending.insert(0, reads)
+    exported = export(level) if export else None
 
-    def run(consumer):
-        result = consumer(level)
+    def run(row):
+        result = level.evaluate(row)
         del level.pending[0]
         level.drop()
         return result
 
-    exported = run(export) if export else None
-    return {row.name: run(lambda L, row=row: L.evaluate(row)) for row in rows}, exported
+    return {row.name: run(row) for row in rows}, exported
 
 
 class ChildDiedError(RuntimeError):
@@ -805,16 +775,15 @@ class _Writers:
                 writer.close()
 
 
-def _ladder(cfg: RunConfig, rows: list, levels: int, export, reads: tuple = ()):
+def _ladder(cfg: RunConfig, rows: list, levels: int, export):
     """Evaluate `rows` over `levels` grids, cfg.grid refined 2**k.
 
     Each level is built, its rows are evaluated and only their floats are
     kept, by row name, before it is dropped, so no grid-sized array
     outlives its level.  Ladder rows (rule in LADDER_RULES) run on every
     level, the others on the base level only, and one level is built when
-    no ladder row is selected.  export(level), which reads the level names
-    `reads`, runs first, on the base level.  Returns the report entries in
-    row order and what export returned.
+    no ladder row is selected.  export(level) runs first, on the base level.
+    Returns the report entries in row order and what export returned.
 
     With two or more levels, a child (_Forked) evaluates the ladder rows
     whose reads reach the frame march (_reach) on the finest level, or all
@@ -835,7 +804,7 @@ def _ladder(cfg: RunConfig, rows: list, levels: int, export, reads: tuple = ()):
     if n > 1:
         finest = _Forked(lambda: _level(cfg, tail, n - 1)[0], "evaluating the finest ladder level")
     try:
-        base, exported = _level(cfg, rows, 0, export, reads)
+        base, exported = _level(cfg, rows, 0, export)
         found = [base] + [_level(cfg, on_ladder, k)[0] for k in range(1, n - 1)]
         if n > 1:
             found.append({**(_level(cfg, head, n - 1)[0] if head else {}), **finest.result()})
@@ -866,15 +835,14 @@ def _check_margins(grid: Grid, rows: list) -> None:
             f"{2 * row.margin + 1}")
 
 
-def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export,
-         reads: tuple) -> int:
+def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export) -> int:
     """One command: `rows` over `levels` ladder levels, refused (ConfigError)
     before any output exists if the finest level is over MAX_LADDER_NODES or
     MAX_MARCH_STEPS or the base grid is too small for a row's margin.
 
     export(level, out, write) writes the command's files (CSV, OBJ) from
     the base level, in place or through write (_Writers.write), and
-    returns the report's header fields; it reads the level names `reads`.  Every writer is joined before
+    returns the report's header fields.  Every writer is joined before
     <command>_report.json is written and printed; returns the exit code.
     """
     _check_finest_level(cfg, levels)
@@ -883,7 +851,7 @@ def _run(args, cfg: RunConfig, command: str, rows: list, levels: int, export,
     os.makedirs(out, exist_ok=True)
     with _Writers() as writers:
         checks, fields = _ladder(cfg, rows, levels,
-                                 lambda level: export(level, out, writers.write), reads)
+                                 lambda level: export(level, out, writers.write))
     report = {"command": command, **fields, "checks": checks,
               "pass": all(c["passed"] for c in checks)}
     path = os.path.join(out, f"{command}_report.json")
@@ -948,7 +916,7 @@ def cmd_solve(args) -> int:
         return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
 
     rows = _select(cfg, ("q.", "lax.", "psi.", "profile."))
-    return _run(args, cfg, "solve", rows, levels, export, ("profile", "psi"))
+    return _run(args, cfg, "solve", rows, levels, export)
 
 
 def _forms_csv(path, ff: surface_embed.Forms) -> None:
@@ -983,7 +951,7 @@ def cmd_mesh(args) -> int:
 
     rows = _select(cfg, ("structure.", "frame.orthonormality", "frame.metric_recovery",
                          "frame.second_form"))
-    return _run(args, cfg, "mesh", rows, 1, export, ("profile", "psi", "frame", "structure"))
+    return _run(args, cfg, "mesh", rows, 1, export)
 
 
 def cmd_deform(args) -> int:
@@ -1007,8 +975,7 @@ def cmd_deform(args) -> int:
             "sign_flips": rep["sign_flips"],
         }
 
-    return _run(args, cfg, "deform", _select(cfg, ("deform.",)), 1, export,
-                ("deformed_frame", "deformation"))
+    return _run(args, cfg, "deform", _select(cfg, ("deform.",)), 1, export)
 
 
 def cmd_verify(args) -> int:
@@ -1021,7 +988,7 @@ def cmd_verify(args) -> int:
         grids = [cfg.grid.refined(2**k) for k in range(levels)]
         return {"family": cfg.family.describe(), "levels": [_grid_info(g) for g in grids]}
 
-    return _run(args, cfg, "verify", _select(cfg, ("",), args.only), levels, export, ())
+    return _run(args, cfg, "verify", _select(cfg, ("",), args.only), levels, export)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,21 @@ def test_blow_up_error_on_runaway_growth():
     assert 1.0 <= err.value.last_valid_s < 3.0
 
 
+@pytest.mark.parametrize("lam", [2.0**20, 2.0**-20], ids=["2^20", "2^-20"])
+def test_the_h_march_commutes_with_the_similarity(lam):
+    """s -> s/lam, H -> lam H maps a profile of the trig +1 family at a = 1 to one
+    at a = lam, and E is unchanged.  With lam a power of two every sample scales
+    exactly, and so do the blow-up bounds: an absolute bound stopped lam = 2^20 at
+    its first step."""
+    def profile(a):
+        ics = HInitialData(1.0 / a, 0.5 * a, a**2, 0.25 * a**3, 1.0)
+        return integrate_h(ics, QFamily("trig", 1, a), Grid(1.0 / a, 2.0 / a, 0.0, 1.0, 65, 5))
+
+    base, scaled = profile(1.0), profile(lam)
+    for name, k in (("s", -1), ("H", 1), ("Hp", 2), ("Hpp", 3), ("E", 0)):
+        assert np.array_equal(getattr(scaled, name), getattr(base, name) * lam**k), name
+
+
 def test_integrate_h_argument_validation():
     with pytest.raises(ValueError):
         integrate_h(ICS, FAM, s_grid(2.0, 10), substeps=0)

@@ -1,10 +1,10 @@
-"""The declared dataflow of a ladder level (cli.READS, Check.reads and each
-command's export reads) is what the code reads, and the level drops each
-value once nothing still to run reads it.
+"""The dataflow of a ladder level: each cached value (cli._value) and each
+row that computes in a function reads the level names its parameters name,
+and the level drops each value once no row still to run reads it.
 
 A recording PipelineData logs every level name read on a 17 x 17 level: by
-each value while it is built, and by each row and export from outside any
-build.  The commands run with no child forked, so every level is seen.
+each value while it is built, and by each row from outside any build.  The
+commands run with no child forked, so every level is seen.
 """
 import errno
 import json
@@ -20,14 +20,17 @@ from bonnet.cli import load_config, main
 from conftest import DEMO_CONFIG
 from test_cli import SMALL_CONFIG, small_config  # noqa: F401  (a fixture)
 
-# the level names that values, rows and exports read: psi and the profile, built on
-# construction, and every cached value
-LEVEL_NAMES = {"profile", "psi", *cli.READS}
+# every cached value of a level, by name
+VALUES = {name: attr for name, attr in vars(cli.PipelineData).items()
+          if isinstance(attr, cli._value)}
+# the level names that values and rows read: every value, psi and the profile, built
+# on construction, the config, grid and family, and the companion's t0
+LEVEL_NAMES = {"profile", "psi", "cfg", "grid", "fam", "t0", *VALUES}
 
 
 def held(level) -> set:
     """The values `level` holds."""
-    return set(cli.READS) & set(vars(level))
+    return set(VALUES) & set(vars(level))
 
 
 class RecordingLevel(cli.PipelineData):
@@ -54,13 +57,16 @@ class RecordingLevel(cli.PipelineData):
             return get(self, name)
         stack = get(self, "stack")
         stack[-1].add(name)
-        if name not in cli.READS or name in get(self, "__dict__"):
+        built = name not in VALUES or name in get(self, "__dict__")
+        if built and name != "t0":
             return get(self, name)
-        stack.append(set())
+        stack.append(set())  # what t0 reads to be computed, or a value to be built
         try:
             return get(self, name)
         finally:
-            get(self, "builds").append((name, stack.pop(), held(self)))
+            reads = stack.pop()
+            if not built:
+                get(self, "builds").append((name, reads, held(self)))
 
     def drop(self):
         super().drop()
@@ -69,10 +75,10 @@ class RecordingLevel(cli.PipelineData):
 
 
 def needed(pending, built) -> set:
-    """The values a pending consumer can still read: those it reads, and those
-    that a value it reads and that is not built reads to be built, in turn."""
+    """The values a pending row can still read: those it reads, and those that
+    a value it reads and that is not built reads to be built, in turn."""
     def reach(name):
-        deeper = () if name in built else cli.READS.get(name, ())
+        deeper = VALUES[name].reads if name in VALUES and name not in built else ()
         return {name}.union(*map(reach, deeper))
     return set().union(*(reach(name) for reads in pending for name in reads))
 
@@ -81,7 +87,16 @@ def no_fork():
     raise OSError(errno.EAGAIN, "no process to spare")
 
 
-def test_every_value_and_row_reads_what_it_declares(small_config):
+def function_batteries():
+    return [row.battery for row in cli.CHECKS if not isinstance(row.battery, str)]
+
+
+def test_every_parameter_is_a_level_name():
+    for build in [value.build for value in VALUES.values()] + function_batteries():
+        assert set(cli._params(build)) <= LEVEL_NAMES, build.__qualname__
+
+
+def test_every_value_and_row_reads_what_its_parameters_name(small_config):
     cfg = load_config(small_config)
     level = RecordingLevel(cfg, cfg.grid)
     for row in cli.CHECKS:
@@ -89,28 +104,16 @@ def test_every_value_and_row_reads_what_it_declares(small_config):
         level.evaluate(row)
         assert level.stack[0] == set(cli._reads(row)), row.name
     built = Counter(name for name, _, _ in level.builds)
-    assert built == Counter(list(cli.READS))  # every value, each once: a level alone drops none
+    assert built == Counter(list(VALUES))  # every value, each once: a level alone drops none
     for name, reads, _ in level.builds:
-        assert reads == set(cli.READS[name]), name
+        assert reads == set(VALUES[name].reads), name
 
 
 @pytest.fixture()
 def recording(monkeypatch, tmp_path):
-    """run(*argv): the levels one command on SMALL_CONFIG builds, in one process,
-    and checks that each export reads what it declares."""
+    """run(*argv): the levels one command on SMALL_CONFIG builds, in one process."""
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(cli, "PipelineData", RecordingLevel)
-    level = cli._level
-
-    def recorded_level(cfg, rows, k, export=None, reads=()):
-        def recorded(data):
-            data.stack[0].clear()
-            result = export(data)
-            assert data.stack[0] == set(reads)
-            return result
-        return level(cfg, rows, k, recorded if export else None, reads)
-
-    monkeypatch.setattr(cli, "_level", recorded_level)
     config = tmp_path / "small.json"
     config.write_text(json.dumps(SMALL_CONFIG))
 

@@ -1,9 +1,14 @@
-"""The README's "Library use" example runs as written, and its
-"Configuration" table matches the loader's CONFIG table."""
+"""The README's "Library use" example runs as written, its "Configuration"
+table matches the loader's CONFIG table, and every bonnet name it cites
+exists."""
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import bonnet
 from bonnet.cli import CONFIG
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +41,27 @@ def test_configuration_table_lists_every_key_and_default():
         path: "required" if default is ... else f"`{json.dumps(default)}`"
         for path, default in table.items()
     }
+
+
+def test_every_bonnet_name_the_readme_cites_resolves():
+    # `cli._ladder` and `bonnet.rk4.sweep` start at the package or one of its modules,
+    # `PipelineData.alpha` at a class of one; `frame.two_path`, `grid.ns` and
+    # `np.gradient` name a check, a config key and another package
+    modules = {info.name: importlib.import_module(f"bonnet.{info.name}")
+               for info in pkgutil.iter_modules(bonnet.__path__)}
+    heads = {"bonnet": bonnet, **modules,
+             **{name: cls for module in modules.values()
+                for name, cls in inspect.getmembers(module, inspect.isclass)
+                if cls.__module__.startswith("bonnet.")}}
+    cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text()))
+
+    def resolves(name):
+        head, *attrs = name.split(".")
+        obj = heads.get(head)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        return obj is not None
+
+    checked = [name for name in sorted(cited) if name.split(".")[0] in heads or name[0].isupper()]
+    assert {"cli.PipelineData", "PipelineData.alpha"} <= set(checked)
+    assert [name for name in checked if not resolves(name)] == []
