@@ -388,9 +388,11 @@ class PipelineData:
         return 1.0 if self.cfg.t0 is None else self.cfg.t0
 
     tau = _value(lambda cf, t0: surface_embed.integrate_deformation(cf, t0))
-    # the companion's frame march at t0, and its FD forms
+    # the companion's frame march at t0, its FD forms and its forms in closed form at psi + tau
     deformed_frame = _value(lambda cf, tau: surface_embed.build_deformed_surface(cf, tau))
     deformed_fd_forms = _value(lambda deformed_frame: surface_embed.fd_forms(deformed_frame))
+    deformed_forms = _value(
+        lambda profile, psi, tau: surface_embed.fundamental_forms(profile, psi + tau))
 
     @_value
     def q(fam) -> dict:
@@ -416,13 +418,15 @@ class PipelineData:
         lambda fd_forms, forms: surface_embed.forms_deviation(fd_forms, forms))
 
     @_value
-    def deformation(deformed_fd_forms, profile, forms, tau, t0) -> dict:
-        """deformation_report of the companion, with its t0.  Its FD forms are
-        built before the base forms, so the base forms are not held through their
-        temporaries.  In `deform` the level has dropped the coframes by then:
-        nothing left to run reads them once the companion is marched."""
-        return {"t0": t0, **surface_embed.deformation_report(profile, forms, tau,
-                                                             deformed_fd_forms)}
+    def deformation(deformed_fd_forms, deformed_forms, forms, profile, tau, t0) -> dict:
+        """The companion at t0: its FD forms judged against its closed-form ones, as
+        the base surface's are, and its II' - II in closed form.  Its FD forms are
+        built first, so no closed form is held through their temporaries."""
+        metric, second = surface_embed.forms_deviation(deformed_fd_forms, deformed_forms)
+        return {"t0": t0, "metric_deviation": metric, "second_form": second,
+                "h_deviation": surface_embed.mean_curvature_deviation(profile, deformed_fd_forms),
+                "ii_deviation": surface_embed.forms_deviation(deformed_forms, forms)[1],
+                **surface_embed.deformation_report(tau)}
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +451,7 @@ class Check(NamedTuple):
       bound        value <= scale
       ratio        RK4_RATIO_LOW <= value <= RK4_RATIO_HIGH
       fd           value <= F h^2 scale, on the base level only
-      lower_bound  value > 10 F h^2 scale, on the base level only
+      lower_bound  value > tolerances.algebraic * scale, on the base level only
       ladder       fd on every level, and the observed order >= ORDER_TARGET
       identity     algebraic on every level, with no order: the residual is
                    zero in exact arithmetic, by how its fields are built
@@ -490,6 +494,7 @@ CHECKS = (
           margin=3),
     Check("deform.metric", "scale_e", "deformation", "metric_deviation", "fd", ("t0",)),
     Check("deform.h", "scale_h", "deformation", "h_deviation", "fd", ("t0",)),
+    Check("deform.second_form", "scale_ii", "deformation", "second_form", "fd", ("t0",)),
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
     Check("lax.compat", "scale_q", lambda psi, fam: max(
@@ -591,11 +596,11 @@ def _fmt_order(order) -> str:
 def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: list) -> dict:
     """The report entry of one row from its values on the levels run."""
     value = values[0]
-    h2 = cfg.fd_factor * cfg.grid.h_max**2
     order = None
-    if row.rule in ("algebraic", "identity"):  # one value, or one per level
+    if row.rule in ("algebraic", "identity", "lower_bound"):  # one value, or one per level
         tol = cfg.tol_algebraic * scale
-        passed = all(v <= tol for v in values)  # a NaN on any level fails
+        # a NaN fails either way, on any level
+        passed = value > tol if row.rule == "lower_bound" else all(v <= tol for v in values)
     elif row.rule == "bound":
         tol = scale
         passed = value <= tol
@@ -603,11 +608,8 @@ def _judge(cfg: RunConfig, row: Check, values: list, scale, details: dict, hs: l
         tol = None
         passed = RK4_RATIO_LOW <= value <= RK4_RATIO_HIGH
         details = {"low": RK4_RATIO_LOW, "high": RK4_RATIO_HIGH}
-    elif row.rule == "lower_bound":
-        tol = 10.0 * (h2 * scale)
-        passed = value > tol
     else:  # fd on the base level, ladder on every level
-        tol = h2 * scale
+        tol = cfg.fd_factor * cfg.grid.h_max**2 * scale
         passed = all(v <= tol for v in values)  # a NaN on any level fails
         if len(values) >= 2:  # only ladder rows run on more than one level
             order = observed_order(hs, values)
@@ -962,9 +964,9 @@ def cmd_deform(args) -> int:
         raise ConfigError("deform needs --t0 (or t0 in the config)")
 
     def export(level, out, write):
+        # the writer, not this call, holds the frame, which the level's drop then frees
         path = os.path.join(out, "deformed.obj")
-        frame = level.deformed_frame
-        write(path, lambda: surface_embed.export_obj(frame, path))
+        write(path, lambda frame=level.deformed_frame: surface_embed.export_obj(frame, path))
         rep = level.deformation
         return {
             "t0": rep["t0"],

@@ -77,6 +77,7 @@ __all__ = [
     "forms_deviation",
     "integrate_deformation",
     "build_deformed_surface",
+    "mean_curvature_deviation",
     "deformation_report",
     "weingarten_residual",
     "export_obj",
@@ -565,42 +566,38 @@ def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> 
 def build_deformed_surface(cf: CoframeSet, tau: ScalarField, order: str = "t_first") -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
-    Returns the FrameField of the deformed immersion; its fundamental
-    forms are read off the march by fd_forms.  The deformed connection is
-    omega12 - d(tau) with d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau)
-    alpha1, the tau march's own right-hand side, so no FD derivative of
-    tau enters the frame march.  Every term is bounded, poles of
-    t = cot(tau) included, and tau stays inside (0, pi) because sin(tau) = 0
-    is invariant under its march.
+    Returns the FrameField of the deformed immersion; fd_forms reads its
+    forms off the march, and its coframe e R(psi + tau) (ds, dt) gives them
+    in closed form, fundamental_forms(profile, psi + tau).  The deformed
+    connection is omega12 - d(tau) with d(tau) = sin^2(tau) alpha2 -
+    sin(tau) cos(tau) alpha1, the tau march's own right-hand side, so no FD
+    derivative of tau enters the frame march.  Every term is bounded, poles
+    of t = cot(tau) included, and tau stays inside (0, pi) because
+    sin(tau) = 0 is invariant under its march.
     """
     st, ct = np.sin(tau.values), np.cos(tau.values)
     w1s, w2s = _rotated(cf.omega1, cf.omega2, ct, st)
-    dtau = cf.alpha2 * (st * st) - cf.alpha1 * (st * ct)
-    return _integrate_frame_forms(w1s, w2s, cf.omega12 - dtau, cf.profile, order)
+    w12 = cf.omega12 - (cf.alpha2 * (st * st) - cf.alpha1 * (st * ct))
+    del st, ct  # the march holds the rotated coframe and its connection, and no more
+    return _integrate_frame_forms(w1s, w2s, w12, cf.profile, order)
 
 
-def deformation_report(profile: SurfaceProfile, forms: Forms, tau: ScalarField, fd: Forms) -> dict:
-    """The numbers the deformation family is judged by at one t0.
+def mean_curvature_deviation(profile: SurfaceProfile, fd: Forms) -> float:
+    """Max interior deviation from the profile's H, which the companion keeps, of
+    the mean curvature (L + N) / (gss + gtt) of FD forms of a conformal metric."""
+    h_fd = 0.5 * (fd.L.values + fd.N.values) / (0.5 * (fd.gss.values + fd.gtt.values))
+    return max_interior(h_fd - profile.H[:, None], MARGIN)
 
-    `forms` are the base surface's fundamental forms, `tau` the tau march
-    and `fd` the FD forms of the companion's frame built from it.
-    metric_deviation and h_deviation compare the FD metric and FD mean
-    curvature of the companion against the base surface's (both vanish
-    with h^2); ii_deviation, the max deviation of its FD second form from
-    the base surface's, does not, as the companion is a different surface.
-    pole_count is the number of nodes where |sin(tau)| < POLE_EPS, the poles
-    of t = cot(tau), and sign_flips the number of sign changes of sin(tau)
-    along every s-line and along the t-edge.
+
+def deformation_report(tau: ScalarField) -> dict:
+    """The poles of t = cot(tau) on the companion at one t0, from its tau march.
+
+    pole_count is the number of nodes where |sin(tau)| < POLE_EPS, and
+    sign_flips the number of sign changes of sin(tau) along every s-line and
+    along the t-edge.
     """
-    h2d = np.broadcast_to(profile.H[:, None], fd.grid.shape)
-    e_fd = 0.5 * (fd.gss.values + fd.gtt.values)
-    h_fd = 0.5 * (fd.L.values + fd.N.values) / e_fd
-    first, second = forms_deviation(fd, forms)
     st = np.sin(tau.values)
     return {
-        "metric_deviation": first,
-        "h_deviation": max_interior(h_fd - h2d, MARGIN),
-        "ii_deviation": second,
         "pole_count": int(np.count_nonzero(np.abs(st) < POLE_EPS)),
         "sign_flips": int(np.sum(np.diff(np.sign(st), axis=0) != 0)) + int(
             np.sum(np.diff(np.sign(st[0, :])) != 0)),

@@ -4,7 +4,9 @@ Exit code contract: 0 all checks pass, 1 a residual check failed,
 2 configuration or domain errors.  Reports must be byte-stable across
 reruns of the same config.
 """
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import weakref
@@ -343,7 +346,7 @@ def test_grid_too_small_for_a_rows_margin_exits_two_before_any_work(tmp_path, ca
 @pytest.mark.parametrize("grid, argv, code", [
     # no selected row strips more than 2 nodes, so 5 per axis are enough
     ({"ns": 5, "nt": 5}, ["mesh"], 0),
-    ({"ns": 5, "nt": 5}, ["deform"], 1),
+    ({"ns": 5, "nt": 5}, ["deform"], 0),
     ({"ns": 5, "nt": 5}, ["solve", "--refine", "2"], 1),
     ({"ns": 5, "nt": 20}, ["verify", "--only", "psi."], 1),
     ({"ns": 7, "nt": 7}, ["verify", "--refine", "2"], 1),
@@ -534,17 +537,58 @@ def test_mesh_outputs(small_config, tmp_path):
 
 
 def test_deform_reports(tmp_path):
-    # 17x17 is too coarse for the ii-distinctness margin (10 x 25 h^2 is
-    # huge there), so the deform run gets a 33x33 grid
-    cfg = write_config(tmp_path, grid={"ns": 33, "nt": 33})
+    cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["deform", "--config", str(cfg), "--out", str(out),
                  "--t0", "2.0"]) == 0
     report = json.loads((out / "deform_report.json").read_text())
     assert report["t0"] == 2.0
     assert report["pole_count"] == 0
-    assert report["II_deviation"] > 10 * report["checks"][0]["tolerance"]
+    assert [c["name"] for c in report["checks"]] == [
+        "deform.metric", "deform.h", "deform.second_form", "deform.ii_distinct"]
     assert (out / "deformed.obj").exists()
+
+
+@pytest.mark.parametrize("t0", ["1", "-0.7"])
+def test_the_deform_header_holds_the_values_of_its_rows(tmp_path, t0):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["deform", "--config", str(cfg), "--out", str(out), "--t0", t0]) == 0
+    report = json.loads((out / "deform_report.json").read_text())
+    values = {c["name"]: c["value"] for c in report["checks"]}
+    assert [report[key] for key in ("metric_deviation", "H_deviation", "II_deviation")] == [
+        values[name] for name in ("deform.metric", "deform.h", "deform.ii_distinct")]
+
+
+def run_deform(data: dict, ns: int, t0: str, folder) -> int:
+    """deform on `data` with its grid at ns x ns, in `folder`."""
+    data = json.loads(json.dumps(data))
+    data["grid"].update(ns=ns, nt=ns)
+    config = pathlib.Path(folder) / "cfg.json"
+    config.write_text(json.dumps(data))
+    return main(["deform", "--config", str(config), "--out", str(config.parent / "o"),
+                 "--t0", t0])
+
+
+# "distinct" is judged on the closed-form II' - II, which is nonzero wherever
+# J sin(tau) is: a bound on the FD second form's gap, 10 F h^2 scale_ii, failed
+# a 13 x 13 grid and a |t0| of 100 or more, where that gap is below FD error
+@pytest.mark.parametrize("ns, t0", [(13, "1"), (64, "100"), (64, "-100"), (64, "1e6")])
+def test_deform_finds_the_companion_distinct_on_coarse_grids_and_large_t0(
+        tmp_path, capsys, ns, t0):
+    assert run_deform(DEMO_FILE, ns, t0, tmp_path) == 0, capsys.readouterr().out
+
+
+RATIONAL_MINUS = json.loads((ROOT / "bench" / "configs" / "rational_minus.json").read_text())
+
+
+@settings(max_examples=48, deadline=None)
+@given(st.sampled_from([DEMO_FILE, RATIONAL_MINUS]), st.sampled_from([1.0, -1.0]),
+       st.floats(math.log(1e-6), math.log(1e9)))
+def test_deform_passes_at_every_t0_for_both_signs(data, sign, log_t0):
+    # the demo is family.sign +1 and rational_minus -1; t0 is log-uniform over +-[1e-6, 1e9]
+    with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
+        assert run_deform(data, 17, repr(sign * math.exp(log_t0)), folder) == 0
 
 
 @pytest.mark.parametrize("value, t0", [("-1e6", -1e6), ("-1E+3", -1e3), ("-.5e2", -50.0)])
@@ -877,8 +921,10 @@ def test_deform_and_solve_compute_each_battery_once(demo_config_file, tmp_path, 
     assert main(["deform", "--config", str(demo_config_file), "--out", str(tmp_path / "d"),
                  "--t0", "1.0"]) == 0
     for name in ("integrate_deformation", "build_deformed_surface", "build_coframes",
-                 "fundamental_forms", "deformation_report"):
+                 "deformation_report"):
         assert work_counts[name] == 1, name
+    # the companion's closed-form forms, and the base surface's for II' - II
+    assert work_counts["fundamental_forms"] == 2
     assert work_counts["integrate_frame"] == 0
     assert_no_children()
     work_counts.clear()
@@ -1316,7 +1362,7 @@ def test_every_battery_is_read_and_every_battery_name_resolves():
     # a battery or scale no row reads would be dead work on every level it is built
     # on; these are read by other values of the level or by row functions
     assert cached - named == {"cf", "frame", "fd_forms", "alpha", "forms", "tau",
-                              "deformed_frame", "deformed_fd_forms"}
+                              "deformed_frame", "deformed_fd_forms", "deformed_forms"}
 
 
 def test_check_names_are_unique():

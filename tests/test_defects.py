@@ -242,10 +242,15 @@ BASE_DEFECTS = {
     "deform.h": (surface_embed, "build_deformed_surface",
                  lambda build: lambda cf, *args, **kwargs: build(surface_embed.CoframeSet(
                      replace(cf.profile, H=cf.profile.H + 0.5), cf.psi), *args, **kwargs)),
-    # tau = 0: the coframe is not rotated, so the companion is the base surface
-    "deform.ii_distinct": (surface_embed, "build_deformed_surface",
+    # the companion marched with its coframe rotated by tau + 0.2: its FD second form
+    # leaves the closed form at psi + tau by about 2 E J 0.2
+    "deform.second_form": (surface_embed, "build_deformed_surface",
                            lambda build: lambda cf, tau, *args, **kwargs:
-                           surface_embed.integrate_frame(cf, *args, **kwargs)),
+                           build(cf, tau + 0.2, *args, **kwargs)),
+    # tau = 0: the coframe is not rotated, so the companion, marched and in closed
+    # form, is the base surface
+    "deform.ii_distinct": (surface_embed, "integrate_deformation",
+                           lambda march: lambda *args, **kwargs: march(*args, **kwargs) * 0.0),
     # every step's rotation 1e-9 too long: the frames drift off orthonormal
     "frame.orthonormality": (surface_embed, "_rot_exp",
                              lambda rot: lambda *m: rot(*m) * (1.0 + 1e-9)),

@@ -8,8 +8,14 @@ itself: `_grad`, `_fd_first_form`, `_fd_second_form` and
 `_metric_deviation` are that code word for word, and each `ref_*` is the
 body of one check on it.  Every coefficient and every residual must be
 exactly equal, on the base surface and on its companion at t0 = 1, for a
-rational and a trig branch on two grids.
+rational and a trig branch on two grids.  The companion is judged against
+its closed-form forms, fundamental_forms at psi + tau:
+`ref_companion_second_form` writes that second form out from E, H and J,
+bit for bit, and `ref_second_form_change` the derived II' - II, equal to
+rounding.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,6 +119,25 @@ def ref_deformation_report(profile, forms, tau, frame, margin=2):
     }
 
 
+def ref_companion_second_form(profile, psi, tau):
+    """(L, M, N) of the companion in closed form, at its twist phi = psi + tau:
+    E (H + J cos 2 phi), -E J sin 2 phi and E (H - J cos 2 phi)."""
+    e2d, h2d, j2d = (np.broadcast_to(f[:, None], psi.grid.shape)
+                     for f in (profile.E, profile.H, profile.J))
+    cos2, sin2 = np.cos(2.0 * (psi.values + tau.values)), np.sin(2.0 * (psi.values + tau.values))
+    return tuple(_adopt(psi.grid, v) for v in (
+        e2d * (h2d + j2d * cos2), -e2d * j2d * sin2, e2d * (h2d - j2d * cos2)))
+
+
+def ref_second_form_change(profile, psi, tau):
+    """II' - II = -2 E J sin(tau) (sin(2 psi + tau), cos(2 psi + tau), -sin(2 psi + tau))
+    in (L, M, N): the companion's closed-form second form less the base surface's."""
+    e2d, j2d = (np.broadcast_to(f[:, None], psi.grid.shape) for f in (profile.E, profile.J))
+    amp = -2.0 * e2d * j2d * np.sin(tau.values)
+    both = 2.0 * psi.values + tau.values
+    return amp * np.sin(both), amp * np.cos(both), -amp * np.sin(both)
+
+
 def ref_weingarten(profile, frame, margin=3):
     grid = frame.grid
     xs, xt = _grad(grid, frame.x)
@@ -135,7 +160,7 @@ def ref_weingarten(profile, frame, margin=3):
 @pytest.fixture(scope="module", params=[(c, s) for c in CASES for s in SHAPES],
                 ids=lambda p: f"{p[0]}-{p[1][0]}x{p[1][1]}")
 def surface(request):
-    """(profile, forms, tau, base frame, deformed frame) of one case on one grid."""
+    """(profile, forms, tau, base frame, deformed frame, psi) of one case on one grid."""
     name, shape = request.param
     fam, branch, (s_min, s_max) = CASES[name]
     grid = Grid(s_min, s_max, 0.0, 1.0, *shape)
@@ -146,11 +171,11 @@ def surface(request):
     tau = se.integrate_deformation(cf, 1.0)
     deformed = se.build_deformed_surface(cf, tau)
     frame = se.integrate_frame(cf)
-    return profile, se.fundamental_forms(profile, psi), tau, frame, deformed
+    return profile, se.fundamental_forms(profile, psi), tau, frame, deformed, psi
 
 
 def test_fd_forms_equal_the_per_check_coefficients(surface):
-    _, _, _, frame, deformed = surface
+    _, _, _, frame, deformed, _ = surface
     for surf in (frame, deformed):
         fd = se.fd_forms(surf)
         assert fd.grid is surf.grid
@@ -159,15 +184,28 @@ def test_fd_forms_equal_the_per_check_coefficients(surface):
 
 
 def test_checks_on_fd_forms_equal_the_per_check_route(surface):
-    profile, forms, tau, frame, deformed = surface
+    profile, forms, tau, frame, deformed, psi = surface
     fd, fd2 = se.fd_forms(frame), se.fd_forms(deformed)
     assert se.forms_deviation(fd, forms) == (
         ref_metric_recovery(frame, profile), ref_second_form_vs_frame(forms, frame))
-    assert se.forms_deviation(fd2, forms)[0] == ref_metric_recovery(deformed, profile)
     assert se.weingarten_residual(profile, fd) == ref_weingarten(profile, frame)
-    rep = se.deformation_report(profile, forms, tau, fd2)
     ref = ref_deformation_report(profile, forms, tau, deformed)
-    assert set(rep) == {"metric_deviation", "h_deviation", "ii_deviation",
-                        "pole_count", "sign_flips"}
-    assert rep == {key: ref[key] for key in rep}
-    assert rep["ii_deviation"] > 0.0
+    # the companion's closed-form first form is the base surface's one E field
+    closed = se.fundamental_forms(profile, psi + tau)
+    L, M, N = ref_companion_second_form(profile, psi, tau)
+    assert se.forms_deviation(fd2, closed) == (
+        ref["metric_deviation"], ref_second_form_vs_frame(SimpleNamespace(L=L, M=M, N=N),
+                                                          deformed))
+    assert se.mean_curvature_deviation(profile, fd2) == ref["h_deviation"]
+    assert se.deformation_report(tau) == {key: ref[key] for key in ("pole_count", "sign_flips")}
+
+
+def test_the_closed_form_second_form_change_matches_its_derivation(surface):
+    profile, forms, tau, _, _, psi = surface
+    closed = se.fundamental_forms(profile, psi + tau)
+    # the two routes round differently: they agree to a few ulps of the forms' scale
+    scale = float(np.max(profile.E * (np.abs(profile.H) + profile.J)))
+    for name, change in zip("LMN", ref_second_form_change(profile, psi, tau)):
+        diff = getattr(closed, name).values - getattr(forms, name).values
+        assert np.max(np.abs(diff - change)) < 1e-14 * scale, name
+    assert se.forms_deviation(closed, forms)[1] > 0.1 * scale

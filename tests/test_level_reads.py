@@ -176,13 +176,14 @@ def test_the_child_drops_the_coframes_and_the_frame_as_it_goes(recording):
     assert "frame" not in held_after(finest, "fd_forms")
 
 
-@pytest.mark.parametrize("argv, bound", [(("mesh",), 305), (("deform", "--t0", "1"), 348)],
+@pytest.mark.parametrize("argv, bound", [(("mesh",), 305), (("deform", "--t0", "1"), 317)],
                          ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
 def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, argv, bound):
     """The traced peak of one command on the demo window at 129 x 129, in one
     process, in bytes per node.  Holding every value to the end of the level,
     mesh peaked at 332 and deform at 372; dropping each value after its last
-    reader, 276 and 324."""
+    reader, 276 and 324; with the companion's march holding no sin and cos of
+    tau, deform at 293."""
     monkeypatch.setattr(os, "fork", no_fork)
     config = tmp_path / "demo129.json"
     config.write_text(json.dumps({**DEMO_CONFIG, "grid": {**DEMO_CONFIG["grid"],

@@ -31,6 +31,7 @@ from bonnet.surface_embed import (
     fundamental_forms,
     integrate_deformation,
     integrate_frame,
+    mean_curvature_deviation,
     rotation_transform_residual,
     scaling_transform_residual,
     structure_residuals,
@@ -270,20 +271,24 @@ def test_deformed_surface_is_distinct(demo_coframes, demo_forms):
     assert np.max(np.abs(fd_forms(frame).L.values - demo_forms.L.values)) > 0.5
 
 
-def test_deformation_report_numbers(demo_profile, demo_coframes, demo_forms):
+def test_the_companion_meets_its_closed_form(demo_profile, demo_coframes, demo_forms):
+    # its coframe is the base coframe rotated by tau, so its forms are those at psi + tau
     tau = integrate_deformation(demo_coframes, t0=1.0)
     fd = fd_forms(build_deformed_surface(demo_coframes, tau))
-    rep = deformation_report(demo_profile, demo_forms, tau, fd)
-    assert set(rep) == {"metric_deviation", "h_deviation", "ii_deviation",
-                        "pole_count", "sign_flips"}
-    assert rep["pole_count"] == 0 and rep["sign_flips"] == 0
-    assert rep["metric_deviation"] < TOL * max(1.0, float(np.max(demo_profile.E)))
-    assert rep["h_deviation"] < TOL * max(1.0, float(np.max(np.abs(demo_profile.H))))
-    assert rep["ii_deviation"] > 0.5
-    assert (rep["metric_deviation"], rep["ii_deviation"]) == forms_deviation(fd, demo_forms)
+    closed = fundamental_forms(demo_profile, demo_coframes.psi + tau)
+    metric, second = forms_deviation(fd, closed)
+    assert metric < TOL * max(1.0, float(np.max(demo_profile.E)))
+    assert second < TOL * max(1.0, float(np.max(demo_profile.E * (np.abs(demo_profile.H)
+                                                                 + demo_profile.J))))
+    assert mean_curvature_deviation(demo_profile, fd) < TOL * max(
+        1.0, float(np.max(np.abs(demo_profile.H))))
+    # the first forms are one E field, so the companion is isometric to the base surface
+    assert forms_deviation(closed, demo_forms)[0] == 0.0
+    assert forms_deviation(closed, demo_forms)[1] > 0.5
+    assert deformation_report(tau) == {"pole_count": 0, "sign_flips": 0}
 
 
-def test_deformation_report_counts_poles_and_sign_flips(demo_profile, demo_frame, demo_forms):
+def test_deformation_report_counts_poles_and_sign_flips(demo_frame):
     # a hand-built tau on the 64 x 64 demo grid: 0.5 (sin > 0) but where set below
     grid = demo_frame.grid
     vals = np.full(grid.shape, 0.5)
@@ -296,7 +301,7 @@ def test_deformation_report_counts_poles_and_sign_flips(demo_profile, demo_frame
     vals[30, 40] = 1e-13     # pole, sin = 1e-13 > 0: no flip
     vals[31, 41] = 1e-11     # not a pole (POLE_EPS is 1e-12), sin > 0: no flip
     tau = ScalarField(grid, vals)
-    rep = deformation_report(demo_profile, demo_forms, tau, fd_forms(demo_frame))
+    rep = deformation_report(tau)
     assert rep["pole_count"] == 5
     assert rep["sign_flips"] == 2 + 10 + 1 + 2 + 2 + 1
 
