@@ -2,10 +2,11 @@
 
 Each right-hand side in the package splits into coefficients that depend
 only on the abscissa (Q and (log Q)' for the profile, Q and psi marches,
-the interpolated alpha coefficients for the tau march) and the state.
-The marches evaluate those coefficients for every stage up front, in one
-call per march or per cell, so the step takes them as arguments instead
-of recomputing them (and re-checking the Q domain guard) at each stage.
+alpha at a cell's two nodes and their mean at its midpoint for the tau
+march, one step per cell) and the state.  The marches evaluate those
+coefficients for every stage up front, in one call per march or per cell,
+so the step takes them as arguments instead of recomputing them (and
+re-checking the Q domain guard) at each stage.
 
 The psi pair, the frame structure equations and d(cot tau) are
 integrable systems, so each is marched the same way from the corner

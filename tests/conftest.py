@@ -4,15 +4,19 @@ The heavy objects (profile, frames, refinement stacks) are built once per
 session; every test that needs the demo configuration shares them.
 """
 import json
+from functools import cache
+from pathlib import Path
 
 import pytest
 
+from bonnet.cli import PipelineData, load_config
 from bonnet.forms2d import Grid
 from bonnet.q_family import QFamily
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.bonnet_solver import HInitialData, integrate_h
 from bonnet.surface_embed import build_coframes, integrate_frame, fundamental_forms
 
+ROOT = Path(__file__).resolve().parents[1]
 DEMO_ICS = dict(s0=1.0, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
 
 DEMO_CONFIG = {
@@ -89,3 +93,12 @@ def demo_config_file(tmp_path):
     path = tmp_path / "demo.json"
     path.write_text(json.dumps(DEMO_CONFIG, indent=2))
     return path
+
+
+@cache
+def coframes_at(config: str, ns: int):
+    """The coframe set of a shipped config (a path from the repository root) on
+    its window at ns x ns."""
+    cfg = load_config(ROOT / config)
+    g = cfg.grid
+    return PipelineData(cfg, Grid(g.s_min, g.s_max, g.t_min, g.t_max, ns, ns)).cf

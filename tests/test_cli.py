@@ -583,12 +583,13 @@ RATIONAL_MINUS = json.loads((ROOT / "bench" / "configs" / "rational_minus.json")
 
 
 @settings(max_examples=48, deadline=None)
-@given(st.sampled_from([DEMO_FILE, RATIONAL_MINUS]), st.sampled_from([1.0, -1.0]),
-       st.floats(math.log(1e-6), math.log(1e9)))
-def test_deform_passes_at_every_t0_for_both_signs(data, sign, log_t0):
-    # the demo is family.sign +1 and rational_minus -1; t0 is log-uniform over +-[1e-6, 1e9]
+@given(st.sampled_from([DEMO_FILE, RATIONAL_MINUS]), st.sampled_from([5, 9, 17]),
+       st.sampled_from([1.0, -1.0]), st.floats(math.log(1e-6), math.log(1e9)))
+def test_deform_passes_at_every_t0_for_both_signs(data, ns, sign, log_t0):
+    # the demo is family.sign +1 and rational_minus -1; t0 is log-uniform over +-[1e-6, 1e9],
+    # and the grids are coarse, where the tau march's one RK4 step per cell is widest
     with tempfile.TemporaryDirectory() as folder, contextlib.redirect_stdout(io.StringIO()):
-        assert run_deform(data, 17, repr(sign * math.exp(log_t0)), folder) == 0
+        assert run_deform(data, ns, repr(sign * math.exp(log_t0)), folder) == 0
 
 
 @pytest.mark.parametrize("value, t0", [("-1e6", -1e6), ("-1E+3", -1e3), ("-.5e2", -50.0)])

@@ -11,7 +11,9 @@ walk for each order by hand, which the package shares in one sweep.
 The frame reference steps with its own copy of the per-step Rodrigues
 rotation (`ref_rot_exp`, `ref_step`: two rotations per node or line),
 which the package batches over the edge and over each line's full and
-half steps, so a change to the step's arithmetic shows here too.
+half steps, so a change to the step's arithmetic shows here too.  The tau
+march takes one RK4 step per cell, and its reference at four steps per
+cell shows that more would move tau by far less than the march's own error.
 """
 import math
 from types import SimpleNamespace
@@ -49,6 +51,7 @@ from bonnet.surface_embed import (
     integrate_deformation,
     integrate_frame,
 )
+from conftest import coframes_at
 
 FAMILIES = [QFamily(kind, sign, 1.0) for kind in KINDS for sign in (1, -1)]
 ICS = dict(H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -194,7 +197,7 @@ def ref_integrate_lax(fam, grid, psi0, substeps, order):
     return vals
 
 
-def ref_integrate_deformation(cf, t0, order, substeps=4):
+def ref_integrate_deformation(cf, t0, order, substeps):
     g = cf.grid
     ns, nt = g.shape
     a1p, a1q = cf.alpha1.p.values, cf.alpha1.q.values
@@ -461,13 +464,33 @@ def coframe_sets():
 
 
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
-def test_tau_march_matches_reference(coframe_sets, demo_coframes, monkeypatch, order):
+def test_tau_march_matches_reference(coframe_sets, demo_coframes, order):
+    # one step per cell: the reference's interpolated midpoint is 0.5 c_src + 0.5 c_dst
     for cf in coframe_sets + [demo_coframes]:
-        for t0, substeps in ((1.0, 4), (-0.4, 3)):
-            monkeypatch.setattr(surface_embed, "TAU_SUBSTEPS", substeps)
+        for t0 in (1.0, -0.4):
             got = integrate_deformation(cf, t0, order=order)
-            want = ref_integrate_deformation(cf, t0, order, substeps)
+            want = ref_integrate_deformation(cf, t0, order, substeps=1)
             assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("config", ["configs/demo_rational.json",
+                                    "bench/configs/hyper_minus.json"])
+def test_tau_march_is_second_order_and_one_step_per_cell_is_enough(config):
+    # alpha is interpolated linearly inside each cell, so the march converges at
+    # O(h^2) whatever its step; RK4's own error is O(h^4), so on every refined level
+    # four steps per cell move tau by far less than the march's own error
+    coframes = [coframes_at(config, 16 * 2 ** k + 1) for k in range(4)]
+    for t0 in (1.0, -0.7):
+        # tau at the base nodes, one step and four steps per cell
+        one = [integrate_deformation(cf, t0).values[::2 ** k, ::2 ** k]
+               for k, cf in enumerate(coframes)]
+        four = [ref_integrate_deformation(cf, t0, "t_first", substeps=4)[::2 ** k, ::2 ** k]
+                for k, cf in enumerate(coframes)]
+        change = [np.max(np.abs(b - a)) for a, b in zip(one, one[1:])]
+        orders = [math.log2(a / b) for a, b in zip(change, change[1:])]
+        assert min(orders) >= 1.9, orders
+        for k in range(1, 4):
+            assert np.max(np.abs(one[k] - four[k])) <= 1e-2 * change[k - 1]
 
 
 @pytest.fixture(scope="module")

@@ -15,11 +15,14 @@ weingarten. and verify --refine 3 --only psi. (SPLIT_RUNS) with its
 its own process and the child.  The digests hold under the numpy version
 recorded in the JSON file; under another numpy the last bit of a residual
 may move, so the tests skip.  To record every digest again (the script
-rewrites the JSON file):
+rewrites the JSON file and prints each digest key it moved, added or
+dropped against the file it replaces):
 
     PYTHONPATH=src python tests/test_report_bytes.py
 """
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -110,9 +113,34 @@ def test_verify_keeps_its_bytes_however_the_finest_level_splits(tmp_path, capsys
     assert digests(tmp_path, SPLIT_RUNS) == expected
 
 
+def changes(old: dict, new: dict) -> list:
+    """One "moved", "added" or "dropped" line per digest key of GROUPS whose
+    digest in the record `new` differs from the one in the record `old`."""
+    lines = []
+    for group in GROUPS:
+        was, now = old.get(group, {}), new[group]
+        for key in sorted(was.keys() | now.keys()):
+            if key not in was:
+                lines.append(f"added    {group} {key}")
+            elif key not in now:
+                lines.append(f"dropped  {group} {key}")
+            elif was[key] != now[key]:
+                lines.append(f"moved    {group} {key}")
+    return lines
+
+
+def test_changes_names_each_moved_added_and_dropped_key():
+    old = {"sha256": {"a": "1", "b": "2", "c": "3"}}
+    new = {**{group: {} for group in GROUPS}, "sha256": {"a": "1", "b": "9", "d": "4"}}
+    assert changes(old, new) == ["moved    sha256 b", "dropped  sha256 c", "added    sha256 d"]
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    old = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+    # the commands' own PASS/FAIL lines would bury the list of changes
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         record = {"numpy": np.__version__,
                   **{key: digests(Path(tmp), runs) for key, runs in GROUPS.items()}}
     RECORD.parent.mkdir(exist_ok=True)
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    print("\n".join(changes(old, record)) or "no digest moved")

@@ -41,6 +41,7 @@ from bonnet.surface_embed import (
     weingarten_residual,
     _rot_exp,
 )
+from conftest import coframes_at
 
 TOL = 25.0 / 63.0 ** 2  # working FD tolerance on the demo grid
 
@@ -252,14 +253,28 @@ def test_deformation_parameter_field(demo_coframes):
         integrate_deformation(demo_coframes, t0=1.0, order="diagonal")
 
 
+# the demo at 64 x 64, and coarse grids, where one RK4 step per cell is widest, on
+# both family signs
+@pytest.mark.parametrize("config, ns", [("configs/demo_rational.json", 64)] + [
+    (config, ns) for config in ("configs/demo_rational.json",
+                                "bench/configs/rational_minus.json",
+                                "bench/configs/hyper_minus.json")
+    for ns in (5, 9, 17)])
 @pytest.mark.parametrize("t0", [-1e6, -100.0, -0.7, 1e-6, 1.0, 100.0, 1e6])
-def test_tau_stays_strictly_inside_zero_to_pi(demo_coframes, t0):
+def test_tau_stays_strictly_inside_zero_to_pi(config, ns, t0):
     # tau starts at atan2(1, t0) in (0, pi), and sin(tau) = 0 is invariant under
     # the march, so it reaches neither end: sin(tau) > 0 at every node, and
     # build_deformed_surface's rotation by sin(tau) and cos(tau) is the one by
-    # t = cot(tau) with sin(tau) = 1 / sqrt(1 + t^2)
-    tau = integrate_deformation(demo_coframes, t0=t0).values
-    assert np.all(tau > 0.0) and np.all(tau < math.pi)
+    # t = cot(tau) with sin(tau) = 1 / sqrt(1 + t^2).  The discrete map keeps
+    # that too: the RK4 step fixes tau = 0 and pi, and near either end, where the
+    # right-hand side is -alpha1 (tau - k pi), it multiplies tau - k pi by RK4's
+    # stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -h alpha1 where
+    # alpha1 is constant across the cell, which has no real root, and by a
+    # polynomial that stays positive while |h alpha1| < 3.1 at both nodes where
+    # it varies (|h alpha1| <= 0.3 on these grids), so no step crosses an end
+    tau = integrate_deformation(coframes_at(config, ns), t0=t0)
+    assert np.all(tau.values > 0.0) and np.all(tau.values < math.pi)
+    assert deformation_report(tau)["sign_flips"] == 0
 
 
 def test_deformed_surface_is_distinct(demo_coframes, demo_forms):
