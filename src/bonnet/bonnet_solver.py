@@ -14,9 +14,7 @@ algebraic in (H, H', H'') and Q:
     B = (log A)'/Q  from the scaling relation d(log A) = A B xi1
     C = (1/Q)'      from the Q branch
 
-integrate_h, the one H march, takes (ns - 1) * substeps equal RK4 steps
-from grid.s_min to grid.s_max and keeps every substeps-th, so its samples
-are the grid's s-nodes by construction.  The Bonnet regime requires
+integrate_h is the one H march.  The Bonnet regime requires
 H' > 0 throughout; the march aborts the moment it is lost.  B is computed
 by finite differences of log A (not by integrating its own ODE), which
 keeps the dB relation available as an independent residual check.

@@ -79,10 +79,10 @@ RK4_RATIO_LOW, RK4_RATIO_HIGH = 12.0, 20.0
 RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
-# nodes of the finest ladder grid.  Above its baseline, verify's forked child, which
-# marches the finest frame, peaks at about 0.30 kB per node, and the parent, which
-# holds the finest psi, H, coframes and grid checks, at about 0.26 kB: so the cap
-# keeps them near 1.3 GB and 1.1 GB
+# nodes of the finest ladder grid.  Above its baseline, verify's process, which holds
+# the finest psi, H, coframes and grid checks, peaks at about 0.26 kB per node, and its
+# forked child, which marches the finest frame, at about 0.18 kB: so the cap keeps
+# them near 1.1 GB and 0.8 GB
 MAX_LADDER_NODES = 2**22
 # RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
 # its psi march, (ns - 1) * psi.substeps.  The H march holds about 73 bytes a step and

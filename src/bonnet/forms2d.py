@@ -413,12 +413,8 @@ def _write_rows(fh, rows, sep: str = ",", prefix: str = "") -> None:
 
     Integers get the bytes "%d" gives, floats those "%.17g" gives: 17
     significant digits that read back exactly.  Both come from
-    bonnet.text17 a block at a time.  A float on 1e-6 < |x| < 1e17 is an
-    exact two-product of x and a power of ten, whose 17-digit significand
-    is rounded half to even as dtoa rounds it; an integer on
-    0 <= x < 1e8 is two four-digit chunks.  Their digits come from
-    tables, and other values go through "%.17g" or "%d" one at a time.
-    The newline mode fh was opened with sets the line ending.
+    bonnet.text17 a block at a time.  The newline mode fh was opened with
+    sets the line ending.
     """
     from .text17 import format_int_rows, format_rows  # on first use: see its docstring
 

@@ -231,11 +231,9 @@ def integrate_lax(
 ) -> ScalarField:
     """March the pair from the corner value psi(s_min, t_min) = psi0.
 
-    order "t_first" integrates psi_t along the t-edge, then psi_s along
-    every s-line (vectorized across lines); "s_first" swaps the roles.
-    The coefficients are analytic in s, so each interval takes `substeps`
-    full RK4 steps.  Q and (log Q)' are evaluated once, at every stage
-    abscissa of the march.
+    order picks the path of rk4.sweep.  The coefficients are analytic in s,
+    so each interval takes `substeps` full RK4 steps.  Q and (log Q)' are
+    evaluated once, at every stage abscissa of the march.
     """
     SingularityGuard(fam).check((grid.s_min, grid.s_max))
     s = grid.s_nodes()
@@ -260,8 +258,8 @@ def integrate_lax(
         return y
 
     vals = np.empty(grid.shape)
-    vals[0, 0] = float(psi0)
-    sweep(order, [vals], step)
+    for node, (value,) in sweep(order, grid.shape, [float(psi0)], step):
+        vals[node] = value
     return _adopt(grid, vals)
 
 

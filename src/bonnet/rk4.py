@@ -11,12 +11,14 @@ re-checking the Q domain guard) at each stage.
 The psi pair, the frame structure equations and d(cot tau) are
 integrable systems, so each is marched the same way from the corner
 node: along one edge of the grid, then across every line at once.
-`sweep` walks that path for either order; the march supplies one step.
-`sweep_edge` names that edge, so a march can precompute what its
-single-node edge steps need in one call per march.
+`sweep` walks that path for either order and hands over each state it
+makes; the march supplies one step, and may precompute its edge steps
+from `sweep_edge`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = ["rk4_step", "sweep", "sweep_edge"]
 
@@ -53,22 +55,30 @@ def sweep_edge(order):
     return (1, (0, slice(None))) if order == "t_first" else (0, (slice(None), 0))
 
 
-def sweep(order, fields, step):
-    """Fill `fields` (arrays over the (ns, nt) grid) from their corner node (0, 0).
+def sweep(order, shape, start, step):
+    """Yield (node, state) over the (ns, nt) grid `shape`, from `start` at (0, 0).
 
     order "t_first" walks the t-edge (s index 0) node by node, then every
     s-line at once; "s_first" walks the s-edge, then every t-line.  Each
     move calls step(axis, src, dst, state): axis is 0 for a step in s and
     1 for a step in t, src and dst are the numpy indices of the node or
     line moved from and to ((0, k), (k, 0), (k, slice), (slice, k)), and
-    state holds each field at src.  step returns each field at dst.
+    state holds each component at src.  step returns them at dst, and
+    each is yielded at once: the caller stores or reduces it, and the
+    sweep holds the edge and one line, no grid.
     """
     edge, _ = sweep_edge(order)
+    yield (0, 0), start
+    nodes = [start]
     for axis, across in ((edge, 0), (1 - edge, slice(None))):
-        for k in range(fields[0].shape[axis] - 1):
+        # the lines start from the edge's nodes
+        state = start if axis == edge else [np.stack(c) for c in zip(*nodes)]
+        for k in range(shape[axis] - 1):
             if axis == 0:
                 src, dst = (k, across), (k + 1, across)
             else:
                 src, dst = (across, k), (across, k + 1)
-            for f, value in zip(fields, step(axis, src, dst, [f[src] for f in fields])):
-                f[dst] = value
+            state = step(axis, src, dst, state)
+            yield dst, state
+            if axis == edge:
+                nodes.append(state)

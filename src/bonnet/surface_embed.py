@@ -13,16 +13,12 @@ A CoframeSet holds the profile and psi with the coframes built from them,
 and every function that takes one reads the profile and psi from it, so
 no call can pair a set with another profile.  Every structure identity
 of the construction is exposed as a grid residual, the frame
-(x, e1, e2, e3) is integrated with exact rotation steps from the
-identity frame at the origin, and the one-parameter family of
+(x, e1, e2, e3) is marched from the identity at the origin, and the
+one-parameter family of
 isometric, mean-curvature preserving companions is produced by rotating
 the coframe with the angle tau(s, t) that solves
-d(cot tau) = cot(tau) alpha1 - alpha2.  tau, not its cotangent, is what
-the march returns: it stays inside (0, pi) where cot(tau) has a pole, the
-companion's builder reads sin(tau) and cos(tau) off it, and the report
-the poles of cot(tau).  The march crosses each cell with one RK4 step,
-since the linear interpolation of alpha inside a cell already bounds it at
-O(h^2).  The fundamental forms of every surface, algebraic
+d(cot tau) = cot(tau) alpha1 - alpha2, marched as tau, which has no
+poles.  The fundamental forms of every surface, algebraic
 (fundamental_forms) or read off a frame march by finite differences
 (fd_forms), are one Forms type, and forms_deviation compares two of them.
 
@@ -48,7 +44,6 @@ from .forms2d import (
     ScalarField,
     _adopt,
     _coframe_det,
-    _grad,
     _write_rows,
     d_oneform,
     d_scalar,
@@ -87,8 +82,8 @@ __all__ = [
 
 MAX_STEP_ANGLE = 0.5
 POLE_EPS = 1e-12
-# grid rows per block of the frame reductions: they hold a few block-sized
-# temporaries at a time where whole-grid expressions would hold grid-sized ones
+# grid rows per block of the frame reductions and the FD forms, which hold
+# block-sized temporaries where whole-grid expressions would hold grid-sized ones
 _BLOCK_ROWS = 32
 
 
@@ -113,10 +108,6 @@ def _reduce_rows(reduce, term, *arrays) -> float:
         reduce(term(*(a[i:i + _BLOCK_ROWS] for a in arrays)))
         for i in range(0, arrays[0].shape[0], _BLOCK_ROWS)
     ]))
-
-
-def _abs_diff(a, b):
-    return np.abs(a - b)
 
 
 def _gram_deviation(frames):
@@ -227,13 +218,6 @@ def theta12_form(cf: CoframeSet) -> OneForm:
     return _e_dt(cf, -cf.profile.C * cf.profile.A)
 
 
-def _second_forms(w1: OneForm, w2: OneForm, profile: SurfaceProfile):
-    """(omega13, omega23) = ((H + J) w1, (H - J) w2) of a coframe (w1, w2)."""
-    grid = w1.grid
-    return (w1 * _profile_field(grid, profile.H + profile.J),
-            w2 * _profile_field(grid, profile.H - profile.J))
-
-
 def structure_residuals(cf: CoframeSet) -> dict:
     """Max interior residuals of the five structure equations.
 
@@ -243,7 +227,8 @@ def structure_residuals(cf: CoframeSet) -> dict:
     """
     profile = cf.profile
     k2d = _profile_field(cf.grid, profile.H**2 - profile.J**2)
-    w13, w23 = _second_forms(cf.omega1, cf.omega2, profile)
+    w13 = cf.omega1 * _profile_field(cf.grid, profile.H + profile.J)
+    w23 = cf.omega2 * _profile_field(cf.grid, profile.H - profile.J)
     res = {
         "d_omega1": d_oneform(cf.omega1) - wedge(cf.omega12, cf.omega2),
         "d_omega2": d_oneform(cf.omega2) - wedge(cf.omega1, cf.omega12),
@@ -391,38 +376,50 @@ def _step(xc, Ec, rot, half, a1, a2):
 _FULL_HALF = np.array([[1.0], [0.5]])
 
 
-def _integrate_frame_forms(
-    w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str
-) -> FrameField:
-    """Sweep the frame from the identity at the origin, each step the exp of
-    the trapezoid integrals of (w12, w13, w23) with the position advanced by
-    (w1, w2), where (w13, w23) are the second forms of (w1, w2).
+def _frame_moves(w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str):
+    """sweep's (node, (x, frame)) of the frame march from the identity at the
+    origin, each step the exp of the trapezoid integrals of (w12, w13, w23)
+    with the position advanced by (w1, w2).  (w13, w23) = ((H + J) w1,
+    (H - J) w2) is formed on each edge or line stepped across.
 
     The full and half rotations of every single-node edge step come from
     one _rot_exp call per march; each line step makes one.
     """
     grid = w1.grid
-    w13, w23 = _second_forms(w1, w2, profile)
-    # components along s, then along t: (w12, w13, w23) then (w1, w2)
-    comps = tuple([getattr(w, c).values for w in (w12, w13, w23, w1, w2)] for c in "pq")
+    hj = (profile.H + profile.J, profile.H - profile.J)
+    # components along s, then t
+    comps = tuple([getattr(w, c).values for w in (w12, w1, w2)] for c in "pq")
+
+    def forms(axis, at):
+        """(w12, w13, w23, w1, w2) along axis at a node, a line or the edge."""
+        c12, c1, c2 = (c[at] for c in comps[axis])
+        return c12, c1 * hj[0][at[0]], c2 * hj[1][at[0]], c1, c2
+
     h = (grid.h_s, grid.h_t)
     edge, line = sweep_edge(order)
-    inc = [0.5 * (c[line][:-1] + c[line][1:]) * h[edge] for c in comps[edge]]
+    inc = [0.5 * (c[:-1] + c[1:]) * h[edge] for c in forms(edge, line)]
     rot, half = _rot_exp(*(_FULL_HALF * m for m in inc[:3]))
 
     def step(axis, src, dst, state):
         if axis == edge:
             k = src[axis]
             return _step(*state, rot[k], half[k], inc[3][k], inc[4][k])
-        m = [0.5 * (c[src] + c[dst]) * h[axis] for c in comps[axis]]
+        m = [0.5 * (a + b) * h[axis] for a, b in zip(forms(axis, src), forms(axis, dst))]
         both = _rot_exp(*(_FULL_HALF * v for v in m[:3]))
         return _step(*state, both[0], both[1], *m[3:])
 
+    return sweep(order, grid.shape, [np.zeros(3), np.eye(3)], step)
+
+
+def _integrate_frame_forms(
+    w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str
+) -> FrameField:
+    """_frame_moves stored over the grid."""
+    grid = w1.grid
     x = np.empty(grid.shape + (3,))
     E = np.empty(grid.shape + (3, 3))
-    x[0, 0] = 0.0
-    E[0, 0] = np.eye(3)
-    sweep(order, [x, E], step)
+    for node, (xn, En) in _frame_moves(w1, w2, w12, profile, order):
+        x[node], E[node] = xn, En
     return FrameField(grid, x, E)
 
 
@@ -434,13 +431,13 @@ def integrate_frame(cf: CoframeSet, order: str = "t_first") -> FrameField:
 def two_path_residual(cf: CoframeSet, frame: FrameField) -> float:
     """Disagreement between the two integration path orders (flatness check).
 
-    `frame` is the t-first march; the s-first march starts from the same corner.
+    `frame` is the t-first march.  The s-first march, from the same corner,
+    is compared with it as each node or line arrives and is not stored;
+    np.max keeps a NaN.
     """
-    other = integrate_frame(cf, "s_first")
-    return float(np.max([
-        _reduce_rows(np.max, _abs_diff, frame.x, other.x),
-        _reduce_rows(np.max, _abs_diff, frame.frames, other.frames),
-    ]))
+    moves = _frame_moves(cf.omega1, cf.omega2, cf.omega12, cf.profile, "s_first")
+    return float(np.max([np.max(np.abs(a - b[node])) for node, state in moves
+                         for a, b in zip(state, (frame.x, frame.frames))]))
 
 
 @dataclass(frozen=True)
@@ -497,19 +494,27 @@ def fd_forms(frame: FrameField) -> Forms:
 
     The second form uses L = -<x_s, n_s> and friends, which needs only
     first derivatives and is second-order accurate up to the boundary.
+    Derivatives are taken a block of _BLOCK_ROWS rows at a time, d/ds
+    from the block's rows, one more each side and at least three in all.
     """
-    g = frame.grid
-    xs, xt = _grad(g, frame.x)
-    ns_, nt_ = _grad(g, frame.e3)
-    return Forms(
-        g,
-        _adopt(g, np.sum(xs * xs, axis=-1)),
-        _adopt(g, np.sum(xs * xt, axis=-1)),
-        _adopt(g, np.sum(xt * xt, axis=-1)),
-        _adopt(g, -np.sum(xs * ns_, axis=-1)),
-        _adopt(g, -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1))),
-        _adopt(g, -np.sum(xt * nt_, axis=-1)),
-    )
+    g, n = frame.grid, _BLOCK_ROWS
+    out = [np.empty(g.shape) for _ in range(6)]
+    for i in range(0, g.ns, n):
+        lo = max(0, min(i - 1, g.ns - 3))
+        xs, ns_ = (np.gradient(v[lo:i + n + 1], g.h_s, axis=0, edge_order=2)[i - lo:i - lo + n]
+                   for v in (frame.x, frame.e3))
+        xt, nt_ = (np.gradient(v[i:i + n], g.h_t, axis=1, edge_order=2)
+                   for v in (frame.x, frame.e3))
+        for o, b in zip(out, (
+            np.sum(xs * xs, axis=-1),
+            np.sum(xs * xt, axis=-1),
+            np.sum(xt * xt, axis=-1),
+            -np.sum(xs * ns_, axis=-1),
+            -0.5 * (np.sum(xs * nt_, axis=-1) + np.sum(xt * ns_, axis=-1)),
+            -np.sum(xt * nt_, axis=-1),
+        )):
+            o[i:i + n] = b
+    return Forms(g, *(_adopt(g, o) for o in out))
 
 
 def forms_deviation(a: Forms, b: Forms) -> tuple:
@@ -557,8 +562,8 @@ def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> 
         return rk4_step(_rhs_tau, y, h, (c1[src], c2[src]), mid, (c1[dst], c2[dst]))
 
     tau = np.empty(g.shape)
-    tau[0, 0] = math.atan2(1.0, t0)
-    sweep(order, [tau], step)
+    for node, (value,) in sweep(order, g.shape, [math.atan2(1.0, t0)], step):
+        tau[node] = value
     return _adopt(g, tau)
 
 
@@ -570,9 +575,7 @@ def build_deformed_surface(cf: CoframeSet, tau: ScalarField, order: str = "t_fir
     in closed form, fundamental_forms(profile, psi + tau).  The deformed
     connection is omega12 - d(tau) with d(tau) = sin^2(tau) alpha2 -
     sin(tau) cos(tau) alpha1, the tau march's own right-hand side, so no FD
-    derivative of tau enters the frame march.  Every term is bounded, poles
-    of t = cot(tau) included, and tau stays inside (0, pi) because
-    sin(tau) = 0 is invariant under its march.
+    derivative of tau enters the frame march.
     """
     st, ct = np.sin(tau.values), np.cos(tau.values)
     w1s, w2s = _rotated(cf.omega1, cf.omega2, ct, st)

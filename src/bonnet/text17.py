@@ -182,13 +182,10 @@ def _lay_out(out, digits, k) -> None:
 def format_rows(block, sep: str, prefix: str) -> bytes:
     """Bytes of prefix + sep.join("%.17g" % x for x in row) + newline, per row.
 
-    Byte for byte what "%.17g" gives, with no Python call per value on
-    the fast range 1e-6 < |x| < 1e17.  Each value gets a NUL-padded cell
-    in one uint8 canvas: prefix slot, sign, text, then sep or the
-    newline.  Values are sorted by decimal exponent, so each exponent's
-    layout is a few slice copies.  Zero, |x| <= 1e-6, |x| >= 1e17 and
-    non-finite values take "%.17g" % x itself.  Deleting the NULs leaves
-    the text.
+    Each value on the fast range gets a NUL-padded cell in one uint8
+    canvas: prefix slot, sign, text, then sep or the newline.  Values are
+    sorted by decimal exponent, so each exponent's layout is a few slice
+    copies.  Deleting the NULs leaves the text.
     """
     ncols = block.shape[1]
     x = block.ravel()
@@ -218,9 +215,8 @@ def format_rows(block, sep: str, prefix: str) -> bytes:
 def format_int_rows(block, sep: str, prefix: str) -> bytes:
     """Bytes of prefix + sep.join("%d" % x for x in row) + newline, per row.
 
-    Byte for byte what "%d" gives, with no Python call per value on
-    0 <= x < 1e8: its high and low four-digit chunks are two table words
-    in a NUL-padded cell (see format_rows).  Any other value takes
+    On 0 <= x < 1e8 its high and low four-digit chunks are two table
+    words in a NUL-padded cell (see format_rows).  Any other value takes
     "%d" % x itself, in a cell as wide as the longest int64.
     """
     ncols = block.shape[1]

@@ -762,7 +762,7 @@ def test_cap_counts_the_levels_the_command_runs(tmp_path, monkeypatch, grid, arg
 
 COUNTED = {
     surface_embed: (
-        "integrate_frame", "build_deformed_surface", "build_coframes",
+        "_frame_moves", "integrate_frame", "build_deformed_surface", "build_coframes",
         "integrate_deformation", "structure_residuals", "codazzi_summary_residuals",
         "theta12_report", "weingarten_residual", "fundamental_forms", "deformation_report",
         "fd_forms",
@@ -846,8 +846,11 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
         child(monkeypatch)
     assert main(["verify", "--config", str(demo_config_file), "--out", str(tmp_path),
                  "--refine", "3"]) == 0
-    # t-first and s-first frame on each of 3 levels, one deformed frame
-    assert work_counts["integrate_frame"] + work_counts["build_deformed_surface"] == 7
+    # t-first and s-first frame on each of 3 levels, one deformed frame; only the
+    # t-first frames are stored
+    assert work_counts["_frame_moves"] == 7
+    assert work_counts["integrate_frame"] == 3
+    assert work_counts["build_deformed_surface"] == 1
     # the finest level's psi, H and coframes are built twice, with or without a
     # child: once for the rows that do not read the frame and once for the frame rows
     assert work_counts["build_coframes"] == 4
@@ -958,7 +961,7 @@ def test_each_integrated_surface_is_read_by_finite_differences_once(
 
 def test_check_rows_differentiate_no_surface_twice(demo_config_file, monkeypatch):
     """Every row of the check table on one level takes x_s, x_t, n_s and n_t
-    of the base and of the deformed surface once each."""
+    of the base and of the deformed surface once each, a block of rows at a time."""
     cfg = load_config(demo_config_file)
     level = cli.PipelineData(cfg, cfg.grid)
     gradient = np.gradient
@@ -972,7 +975,9 @@ def test_check_rows_differentiate_no_surface_twice(demo_config_file, monkeypatch
     monkeypatch.setattr(np, "gradient", counted)
     for row in cli.CHECKS:
         level.evaluate(row)
-    assert len(derivatives) == 8
+    blocks = -(-cfg.grid.ns // surface_embed._BLOCK_ROWS)
+    assert blocks == 2
+    assert len(derivatives) == 8 * blocks
     assert len(set(derivatives)) == len(derivatives)
 
 
@@ -1382,7 +1387,7 @@ def test_the_child_takes_the_frame_rows_wherever_they_sit(small_config, tmp_path
     monkeypatch.setattr(cli, "CHECKS", tuple(rows))
     counts, parent = SharedCounts(tmp_path / "pids.txt"), os.getpid()
     for module, name in ((surface_embed, "structure_residuals"),
-                         (lax_psi, "harmonic_residual"), (surface_embed, "integrate_frame")):
+                         (lax_psi, "harmonic_residual"), (surface_embed, "_frame_moves")):
         def recorded(field, *args, _fn=getattr(module, name), _name=name, **kwargs):
             if field.grid.ns == FINEST_NS:
                 counts.add(f"{_name}:{'here' if os.getpid() == parent else 'child'}")
@@ -1398,8 +1403,8 @@ def test_the_child_takes_the_frame_rows_wherever_they_sit(small_config, tmp_path
     assert list(entries(forked)) == [row.name for row in rows]
     assert counts["structure_residuals:here"] == counts["harmonic_residual:here"] == 1
     assert counts["structure_residuals:child"] == counts["harmonic_residual:child"] == 0
-    # the t-first march and two_path's s-first march
-    assert (counts["integrate_frame:here"], counts["integrate_frame:child"]) == (0, 2)
+    # the t-first march, which is stored, and two_path's s-first march, which is not
+    assert (counts["_frame_moves:here"], counts["_frame_moves:child"]) == (0, 2)
     no_child()
     assert run_small(small_config, tmp_path / "here", capsys, argv) == forked
     os.close(counts.fd)

@@ -183,6 +183,21 @@ def test_fd_forms_equal_the_per_check_coefficients(surface):
             assert np.array_equal(getattr(fd, name).values, ref.values), name
 
 
+@pytest.mark.parametrize("shape", [(n, n) for n in (5, 6, 7, 33, 34, 64, 65)] + [(97, 12)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_blocked_fd_forms_equal_the_whole_grid_coefficients(shape):
+    # fd_forms differentiates blocks of _BLOCK_ROWS (32) rows with their neighbour
+    # rows; one block covers the grid, or the last block has 1, 2 or 32 rows
+    fam, branch, (s_min, s_max) = CASES["rational_plus"]
+    grid = Grid(s_min, s_max, 0.0, 1.0, *shape)
+    psi = psi_field_from_branch(PsiBranch(family=fam, **branch), grid)
+    ics = HInitialData(s0=s_min, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
+    frame = se.integrate_frame(se.build_coframes(integrate_h(ics, fam, grid), psi))
+    fd = se.fd_forms(frame)
+    for name, ref in zip(COEFFICIENTS, ref_coefficients(frame)):
+        assert np.array_equal(getattr(fd, name).values, ref.values), name
+
+
 def test_checks_on_fd_forms_equal_the_per_check_route(surface):
     profile, forms, tau, frame, deformed, psi = surface
     fd, fd2 = se.fd_forms(frame), se.fd_forms(deformed)

@@ -176,19 +176,13 @@ def test_the_child_drops_the_coframes_and_the_frame_as_it_goes(recording):
     assert "frame" not in held_after(finest, "fd_forms")
 
 
-@pytest.mark.parametrize("argv, bound", [(("mesh",), 305), (("deform", "--t0", "1"), 317)],
-                         ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
-def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, argv, bound):
-    """The traced peak of one command on the demo window at 129 x 129, in one
-    process, in bytes per node.  Holding every value to the end of the level,
-    mesh peaked at 332 and deform at 372; dropping each value after its last
-    reader, 276 and 324; with the companion's march holding no sin and cos of
-    tau, deform at 293."""
+def traced_peak(tmp_path, monkeypatch, ns, command, *rest):
+    """(exit code, traced peak in bytes) of one command on the demo window at
+    ns x ns, in one process."""
     monkeypatch.setattr(os, "fork", no_fork)
-    config = tmp_path / "demo129.json"
+    config = tmp_path / f"demo{ns}.json"
     config.write_text(json.dumps({**DEMO_CONFIG, "grid": {**DEMO_CONFIG["grid"],
-                                                          "ns": 129, "nt": 129}}))
-    command, *rest = argv
+                                                          "ns": ns, "nt": ns}}))
     tracemalloc.start()  # numpy buffers are traced too
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -196,5 +190,31 @@ def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, 
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("argv, bound", [(("mesh",), 302), (("deform", "--t0", "1"), 310)],
+                         ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, argv, bound):
+    """The traced peak of one command on the demo window at 129 x 129, in one
+    process, in bytes per node.  Holding every value to the end of the level,
+    mesh peaked at 332 and deform at 372; dropping each value after its last
+    reader, 276 and 324; with the companion's march holding no sin and cos of
+    tau, deform at 293; with the FD forms taken a block of rows at a time and
+    the frame march's second forms a line at a time, 274 and 287."""
+    code, peak = traced_peak(tmp_path, monkeypatch, 129, *argv)
     assert code == 0
     assert peak / 129**2 < bound
+
+
+def test_the_childs_frame_rows_peak_under_their_bytes_per_node(tmp_path, monkeypatch):
+    """The traced peak of verify's frame rows, which its forked child evaluates
+    on the finest level, on the demo window at 129 x 129 refined once, in one
+    process, in bytes per finest node.  With frame.two_path's s-first march
+    stored whole and the FD forms' derivatives held over the whole grid, it
+    was 295; with that march compared a line at a time and the derivatives
+    taken a block of rows at a time, 185."""
+    code, peak = traced_peak(tmp_path, monkeypatch, 129, "verify", "--refine", "2",
+                             "--only", "frame.")
+    assert code == 0
+    assert peak / 257**2 < 200

@@ -50,6 +50,7 @@ from bonnet.surface_embed import (
     build_deformed_surface,
     integrate_deformation,
     integrate_frame,
+    two_path_residual,
 )
 from conftest import coframes_at
 
@@ -596,10 +597,9 @@ ALL = slice(None)
                  (1, (ALL, 0), (ALL, 1)), (1, (ALL, 1), (ALL, 2)), (1, (ALL, 2), (ALL, 3))]),
 ])
 def test_sweep_walks_the_edge_then_the_lines(order, visits):
-    seen = []
+    seen, handed = [], []
     ij = np.zeros((3, 4, 2))
     count = np.zeros((3, 4))
-    ij[0, 0] = count[0, 0] = 1.0
 
     def step(axis, src, dst, state):
         seen.append((axis, src, dst))
@@ -609,8 +609,12 @@ def test_sweep_walks_the_edge_then_the_lines(order, visits):
         pos[..., axis] += 1.0
         return pos, n + 1.0
 
-    sweep(order, [ij, count], step)
+    # each state is handed over as it is made, the corner's first
+    for node, (pos, n) in sweep(order, count.shape, [np.ones(2), 1.0], step):
+        handed.append(node)
+        ij[node], count[node] = pos, n
     assert seen == visits
+    assert handed == [(0, 0)] + [dst for _, _, dst in visits]
     i, j = np.indices(count.shape)
     assert np.array_equal(ij, np.stack([i + 1.0, j + 1.0], axis=-1))
     assert np.array_equal(count, 1.0 + i + j)
@@ -620,7 +624,47 @@ def test_sweep_rejects_an_unknown_order_before_any_step():
     def step(axis, src, dst, state):
         raise AssertionError("step called")
 
-    field = np.zeros((5, 5))
     with pytest.raises(ValueError, match="t_first"):
-        sweep("diagonal", [field], step)
-    assert not field.any()
+        next(sweep("diagonal", (5, 5), [0.0], step))
+
+
+def ref_two_path_residual(cf, frame):
+    """The s-first march stored over the grid, then the max of |difference| from
+    `frame` over x and over the frames."""
+    other = integrate_frame(cf, "s_first")
+    return float(np.max([np.max(np.abs(frame.x - other.x)),
+                         np.max(np.abs(frame.frames - other.frames))]))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_two_path_residual_matches_the_stored_march(shape):
+    # the six families and the demo; two_path_residual compares the s-first march
+    # line by line as it arrives
+    sets = []
+    for fam in FAMILIES:
+        grid = grid_for(fam, shape)
+        ics = HInitialData(s0=grid.s_min, **ICS)
+        sets.append(build_coframes(integrate_h(ics, fam, grid), integrate_lax(fam, grid, 0.3)))
+    sets.append(coframes_at("configs/demo_rational.json", shape[0]))
+    for cf in sets:
+        frame = integrate_frame(cf)
+        assert two_path_residual(cf, frame) == ref_two_path_residual(cf, frame)
+
+
+def test_two_path_residual_keeps_a_nan_of_one_s_first_line(frame_cases, monkeypatch):
+    _, cf = frame_cases[1]
+    frame = integrate_frame(cf)
+    assert not math.isnan(two_path_residual(cf, frame))
+    line = (ALL, cf.grid.nt // 2)
+    march = surface_embed.sweep
+
+    def spoiled(*args):
+        # a NaN in one frame of one line; the march goes on from the clean state
+        for node, (x, E) in march(*args):
+            if node == line:
+                E = E.copy()
+                E[3, 1, 1] = np.nan
+            yield node, (x, E)
+
+    monkeypatch.setattr(surface_embed, "sweep", spoiled)
+    assert math.isnan(two_path_residual(cf, frame))
