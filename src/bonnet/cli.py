@@ -52,6 +52,7 @@ from .forms2d import (
     _write_rows,
     d_scalar,
     decompose_in_coframe,
+    laplacian,
     mixed_partial_residual,
     observed_order,
     write_scalar_csv,
@@ -80,9 +81,9 @@ RK4_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 K_T_VARIATION_TOL = 1e-10
 # nodes of the finest ladder grid.  Above its baseline, verify's process, which holds
-# the finest psi, H, coframes and grid checks, peaks at about 0.26 kB per node, and its
-# forked child, which marches the finest frame, at about 0.18 kB: so the cap keeps
-# them near 1.1 GB and 0.8 GB
+# the finest psi, H, coframes and grid checks, peaks at about 0.24 kB per node, and its
+# forked child, which marches the finest frame, at about 0.16 kB: so the cap keeps
+# them near 1.0 GB and 0.7 GB
 MAX_LADDER_NODES = 2**22
 # RK4 steps along s of the finest level's H march, (ns - 1) * profile_substeps, and of
 # its psi march, (ns - 1) * psi.substeps.  The H march holds about 73 bytes a step and
@@ -497,6 +498,8 @@ CHECKS = (
     Check("deform.second_form", "scale_ii", "deformation", "second_form", "fd", ("t0",)),
     Check("deform.ii_distinct", "scale_ii", "deformation", "ii_deviation", "lower_bound",
           ("t0", "pole_count")),
+    Check("deform.harmonic", "scale_q2",
+          lambda tau: laplacian(tau).max_abs_interior(bonnet_solver.MARGIN)),
     Check("lax.compat", "scale_q", lambda psi, fam: max(
         r.max_abs_interior(1) for r in lax_psi.lax_residuals(psi, fam)), margin=1),
     Check("psi.harmonic", "scale_q2", lambda psi: lax_psi.harmonic_residual(psi), margin=1),

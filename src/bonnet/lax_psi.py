@@ -227,11 +227,9 @@ def integrate_lax(
     grid: Grid,
     psi0: float,
     substeps: int = 8,
-    order: str = "t_first",
 ) -> ScalarField:
-    """March the pair from the corner value psi(s_min, t_min) = psi0.
-
-    order picks the path of rk4.sweep.  The coefficients are analytic in s,
+    """March the pair along rk4.sweep's path from the corner value
+    psi(s_min, t_min) = psi0.  The coefficients are analytic in s,
     so each interval takes `substeps` full RK4 steps.  Q and (log Q)' are
     evaluated once, at every stage abscissa of the march.
     """
@@ -258,7 +256,7 @@ def integrate_lax(
         return y
 
     vals = np.empty(grid.shape)
-    for node, (value,) in sweep(order, grid.shape, [float(psi0)], step):
+    for node, (value,) in sweep(grid.shape, [float(psi0)], step):
         vals[node] = value
     return _adopt(grid, vals)
 

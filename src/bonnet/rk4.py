@@ -9,18 +9,19 @@ so the step takes them as arguments instead of recomputing them (and
 re-checking the Q domain guard) at each stage.
 
 The psi pair, the frame structure equations and d(cot tau) are
-integrable systems, so each is marched the same way from the corner
-node: along one edge of the grid, then across every line at once.
-`sweep` walks that path for either order and hands over each state it
-makes; the march supplies one step, and may precompute its edge steps
-from `sweep_edge`.
+integrable systems, so the path a march takes matters only to its FD
+accuracy, and every march takes one path from the corner node: along
+the t-edge, then across every s-line at once.  `sweep` walks that path
+and hands over each state it makes; the march supplies one step.  The
+one other path, s-edge then t-lines, is the same walk of the transposed
+grid (`surface_embed.two_path_residual` compares the two).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rk4_step", "sweep", "sweep_edge"]
+__all__ = ["rk4_step", "sweep"]
 
 
 def rk4_step(rhs, y, h, c_start, c_mid, c_end):
@@ -43,42 +44,26 @@ def rk4_step(rhs, y, h, c_start, c_mid, c_end):
     ]
 
 
-def sweep_edge(order):
-    """(axis, index) of the edge `sweep` walks first in `order`.
-
-    "t_first" walks along t (axis 1) on the row at s index 0, "s_first"
-    along s (axis 0) on the column at t index 0; index picks that line
-    out of an (ns, nt) array.
-    """
-    if order not in ("t_first", "s_first"):
-        raise ValueError("order must be 't_first' or 's_first'")
-    return (1, (0, slice(None))) if order == "t_first" else (0, (slice(None), 0))
-
-
-def sweep(order, shape, start, step):
+def sweep(shape, start, step):
     """Yield (node, state) over the (ns, nt) grid `shape`, from `start` at (0, 0).
 
-    order "t_first" walks the t-edge (s index 0) node by node, then every
-    s-line at once; "s_first" walks the s-edge, then every t-line.  Each
-    move calls step(axis, src, dst, state): axis is 0 for a step in s and
-    1 for a step in t, src and dst are the numpy indices of the node or
-    line moved from and to ((0, k), (k, 0), (k, slice), (slice, k)), and
-    state holds each component at src.  step returns them at dst, and
-    each is yielded at once: the caller stores or reduces it, and the
-    sweep holds the edge and one line, no grid.
+    The walk goes along the t-edge (s index 0) node by node, then across
+    every s-line at once.  Each move calls step(axis, src, dst, state):
+    axis is 1 for a step in t and 0 for a step in s, src and dst are the
+    numpy indices of the node or line moved from and to ((0, k) or
+    (k, slice)), and state holds each component at src.  step returns
+    them at dst, and each is yielded at once: the caller stores or
+    reduces it, and the sweep holds the edge and one line, no grid.
     """
-    edge, _ = sweep_edge(order)
     yield (0, 0), start
     nodes = [start]
-    for axis, across in ((edge, 0), (1 - edge, slice(None))):
-        # the lines start from the edge's nodes
-        state = start if axis == edge else [np.stack(c) for c in zip(*nodes)]
-        for k in range(shape[axis] - 1):
-            if axis == 0:
-                src, dst = (k, across), (k + 1, across)
-            else:
-                src, dst = (across, k), (across, k + 1)
-            state = step(axis, src, dst, state)
-            yield dst, state
-            if axis == edge:
-                nodes.append(state)
+    state = start
+    for k in range(shape[1] - 1):
+        state = step(1, (0, k), (0, k + 1), state)
+        yield (0, k + 1), state
+        nodes.append(state)
+    # the lines start from the edge's nodes
+    state = [np.stack(c) for c in zip(*nodes)]
+    for k in range(shape[0] - 1):
+        state = step(0, (k, slice(None)), (k + 1, slice(None)), state)
+        yield (k + 1, slice(None)), state

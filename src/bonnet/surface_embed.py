@@ -52,7 +52,7 @@ from .forms2d import (
     wedge,
 )
 from .q_family import ConsistencyError
-from .rk4 import rk4_step, sweep, sweep_edge
+from .rk4 import rk4_step, sweep
 
 __all__ = [
     "FrameField",
@@ -229,14 +229,15 @@ def structure_residuals(cf: CoframeSet) -> dict:
     k2d = _profile_field(cf.grid, profile.H**2 - profile.J**2)
     w13 = cf.omega1 * _profile_field(cf.grid, profile.H + profile.J)
     w23 = cf.omega2 * _profile_field(cf.grid, profile.H - profile.J)
+    # each residual is reduced as it is built, so one residual field is held at a time
     res = {
-        "d_omega1": d_oneform(cf.omega1) - wedge(cf.omega12, cf.omega2),
-        "d_omega2": d_oneform(cf.omega2) - wedge(cf.omega1, cf.omega12),
-        "d_omega13": d_oneform(w13) - wedge(cf.omega12, w23),
-        "d_omega23": d_oneform(w23) - wedge(w13, cf.omega12),
-        "d_omega12": d_oneform(cf.omega12) + wedge(cf.omega1, cf.omega2) * k2d,
+        "d_omega1": lambda: d_oneform(cf.omega1) - wedge(cf.omega12, cf.omega2),
+        "d_omega2": lambda: d_oneform(cf.omega2) - wedge(cf.omega1, cf.omega12),
+        "d_omega13": lambda: d_oneform(w13) - wedge(cf.omega12, w23),
+        "d_omega23": lambda: d_oneform(w23) - wedge(w13, cf.omega12),
+        "d_omega12": lambda: d_oneform(cf.omega12) + wedge(cf.omega1, cf.omega2) * k2d,
     }
-    return {k: v.max_abs_interior(MARGIN) for k, v in res.items()}
+    return {k: build().max_abs_interior(MARGIN) for k, build in res.items()}
 
 
 def codazzi_summary_residuals(cf: CoframeSet) -> dict:
@@ -305,6 +306,7 @@ def connection_from_coframe(c1: OneForm, c2: OneForm) -> OneForm:
     w = _coframe_det(c1, c2)
     x = d_oneform(c1).values / w
     y = d_oneform(c2).values / w
+    del w  # freed before the products, which with it held set verify's peak at 505^2
     return c1 * x + c2 * y
 
 
@@ -333,13 +335,9 @@ def _rot_exp(m12, m13, m23) -> np.ndarray:
     """Exact rotation exp of the skew step matrix, Rodrigues with series fallback.
 
     The skew generator has upper triangle (m12, m13, m23); theta is the
-    rotation angle.  Inputs broadcast; output gains a trailing (3, 3).
+    rotation angle.  The inputs are float arrays of one shape; the output
+    gains a trailing (3, 3).
     """
-    m12, m13, m23 = np.broadcast_arrays(
-        np.asarray(m12, dtype=float),
-        np.asarray(m13, dtype=float),
-        np.asarray(m23, dtype=float),
-    )
     with np.errstate(over="ignore"):  # an overflowing step is an inf angle, refused below
         th2 = m12 * m12 + m13 * m13 + m23 * m23
     th = np.sqrt(th2)
@@ -376,27 +374,33 @@ def _step(xc, Ec, rot, half, a1, a2):
 _FULL_HALF = np.array([[1.0], [0.5]])
 
 
-def _frame_moves(w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str):
+def _components(*forms):
+    """_frame_moves's forms_at for forms held over the grid: their components at `at`."""
+    comps = tuple([getattr(w, c).values for w in forms] for c in "pq")
+    return lambda axis, at: [c[at] for c in comps[axis]]
+
+
+def _frame_moves(grid: Grid, profile: SurfaceProfile, forms_at, s_first: bool = False):
     """sweep's (node, (x, frame)) of the frame march from the identity at the
     origin, each step the exp of the trapezoid integrals of (w12, w13, w23)
-    with the position advanced by (w1, w2).  (w13, w23) = ((H + J) w1,
-    (H - J) w2) is formed on each edge or line stepped across.
+    with the position advanced by (w1, w2).  forms_at(axis, at) gives the
+    components of (w12, w1, w2) along axis (0: ds, 1: dt) at the edge, node
+    or line at, and (w13, w23) = ((H + J) w1, (H - J) w2) is formed there too.
 
-    The full and half rotations of every single-node edge step come from
-    one _rot_exp call per march; each line step makes one.
+    s_first walks the s-edge, then every t-line: sweep's walk of the
+    transposed grid, its axes and nodes turned back.  The full and half
+    rotations of every single-node edge step come from one _rot_exp call
+    per march; each line step makes one.
     """
-    grid = w1.grid
     hj = (profile.H + profile.J, profile.H - profile.J)
-    # components along s, then t
-    comps = tuple([getattr(w, c).values for w in (w12, w1, w2)] for c in "pq")
 
     def forms(axis, at):
         """(w12, w13, w23, w1, w2) along axis at a node, a line or the edge."""
-        c12, c1, c2 = (c[at] for c in comps[axis])
+        c12, c1, c2 = forms_at(axis, at)
         return c12, c1 * hj[0][at[0]], c2 * hj[1][at[0]], c1, c2
 
     h = (grid.h_s, grid.h_t)
-    edge, line = sweep_edge(order)
+    edge, line = (0, (slice(None), 0)) if s_first else (1, (0, slice(None)))
     inc = [0.5 * (c[:-1] + c[1:]) * h[edge] for c in forms(edge, line)]
     rot, half = _rot_exp(*(_FULL_HALF * m for m in inc[:3]))
 
@@ -408,34 +412,38 @@ def _frame_moves(w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile
         both = _rot_exp(*(_FULL_HALF * v for v in m[:3]))
         return _step(*state, both[0], both[1], *m[3:])
 
-    return sweep(order, grid.shape, [np.zeros(3), np.eye(3)], step)
+    start = [np.zeros(3), np.eye(3)]
+    if not s_first:
+        return sweep(grid.shape, start, step)
+    moves = sweep(grid.shape[::-1], start,
+                  lambda axis, src, dst, state: step(1 - axis, src[::-1], dst[::-1], state))
+    return ((node[::-1], state) for node, state in moves)
 
 
-def _integrate_frame_forms(
-    w1: OneForm, w2: OneForm, w12: OneForm, profile: SurfaceProfile, order: str
-) -> FrameField:
+def _integrate_frame_forms(grid: Grid, profile: SurfaceProfile, forms_at) -> FrameField:
     """_frame_moves stored over the grid."""
-    grid = w1.grid
     x = np.empty(grid.shape + (3,))
     E = np.empty(grid.shape + (3, 3))
-    for node, (xn, En) in _frame_moves(w1, w2, w12, profile, order):
+    for node, (xn, En) in _frame_moves(grid, profile, forms_at):
         x[node], E[node] = xn, En
     return FrameField(grid, x, E)
 
 
-def integrate_frame(cf: CoframeSet, order: str = "t_first") -> FrameField:
+def integrate_frame(cf: CoframeSet) -> FrameField:
     """Integrate the moving frame of the base surface over the grid."""
-    return _integrate_frame_forms(cf.omega1, cf.omega2, cf.omega12, cf.profile, order)
+    return _integrate_frame_forms(
+        cf.grid, cf.profile, _components(cf.omega12, cf.omega1, cf.omega2))
 
 
 def two_path_residual(cf: CoframeSet, frame: FrameField) -> float:
-    """Disagreement between the two integration path orders (flatness check).
+    """Disagreement between the two integration paths (flatness check).
 
     `frame` is the t-first march.  The s-first march, from the same corner,
     is compared with it as each node or line arrives and is not stored;
     np.max keeps a NaN.
     """
-    moves = _frame_moves(cf.omega1, cf.omega2, cf.omega12, cf.profile, "s_first")
+    moves = _frame_moves(cf.grid, cf.profile, _components(cf.omega12, cf.omega1, cf.omega2),
+                         s_first=True)
     return float(np.max([np.max(np.abs(a - b[node])) for node, state in moves
                          for a, b in zip(state, (frame.x, frame.frames))]))
 
@@ -532,7 +540,7 @@ def _rhs_tau(alpha, y):
     return [st * st * cb - st * np.cos(y[0]) * ca]
 
 
-def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> ScalarField:
+def integrate_deformation(cf: CoframeSet, t0: float) -> ScalarField:
     """March d(tau) = sin^2(tau) alpha2 - sin(tau) cos(tau) alpha1 over the grid
     from tau = atan2(1, t0) at the origin, and return tau.
 
@@ -562,12 +570,12 @@ def integrate_deformation(cf: CoframeSet, t0: float, order: str = "t_first") -> 
         return rk4_step(_rhs_tau, y, h, (c1[src], c2[src]), mid, (c1[dst], c2[dst]))
 
     tau = np.empty(g.shape)
-    for node, (value,) in sweep(order, g.shape, [math.atan2(1.0, t0)], step):
+    for node, (value,) in sweep(g.shape, [math.atan2(1.0, t0)], step):
         tau[node] = value
     return _adopt(g, tau)
 
 
-def build_deformed_surface(cf: CoframeSet, tau: ScalarField, order: str = "t_first") -> FrameField:
+def build_deformed_surface(cf: CoframeSet, tau: ScalarField) -> FrameField:
     """Rotate the coframe by tau(s, t) and integrate the companion surface.
 
     Returns the FrameField of the deformed immersion; fd_forms reads its
@@ -575,13 +583,17 @@ def build_deformed_surface(cf: CoframeSet, tau: ScalarField, order: str = "t_fir
     in closed form, fundamental_forms(profile, psi + tau).  The deformed
     connection is omega12 - d(tau) with d(tau) = sin^2(tau) alpha2 -
     sin(tau) cos(tau) alpha1, the tau march's own right-hand side, so no FD
-    derivative of tau enters the frame march.
+    derivative of tau enters the frame march.  It and the rotated coframe are
+    formed on each edge or line stepped across, not over the grid.
     """
-    st, ct = np.sin(tau.values), np.cos(tau.values)
-    w1s, w2s = _rotated(cf.omega1, cf.omega2, ct, st)
-    w12 = cf.omega12 - (cf.alpha2 * (st * st) - cf.alpha1 * (st * ct))
-    del st, ct  # the march holds the rotated coframe and its connection, and no more
-    return _integrate_frame_forms(w1s, w2s, w12, cf.profile, order)
+    comps = _components(cf.omega12, cf.omega1, cf.omega2, cf.alpha1, cf.alpha2)
+
+    def rotated(axis, at):
+        w12, w1, w2, a1, a2 = comps(axis, at)
+        st, ct = np.sin(tau.values[at]), np.cos(tau.values[at])
+        return w12 - (a2 * (st * st) - a1 * (st * ct)), w1 * ct - w2 * st, w1 * st + w2 * ct
+
+    return _integrate_frame_forms(cf.grid, cf.profile, rotated)
 
 
 def mean_curvature_deviation(profile: SurfaceProfile, fd: Forms) -> float:

@@ -7,6 +7,7 @@ import json
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bonnet.cli import PipelineData, load_config
@@ -14,7 +15,14 @@ from bonnet.forms2d import Grid
 from bonnet.q_family import QFamily
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.bonnet_solver import HInitialData, integrate_h
-from bonnet.surface_embed import build_coframes, integrate_frame, fundamental_forms
+from bonnet.surface_embed import (
+    FrameField,
+    _components,
+    _frame_moves,
+    build_coframes,
+    fundamental_forms,
+    integrate_frame,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_ICS = dict(s0=1.0, H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -102,3 +110,14 @@ def coframes_at(config: str, ns: int):
     cfg = load_config(ROOT / config)
     g = cfg.grid
     return PipelineData(cfg, Grid(g.s_min, g.s_max, g.t_min, g.t_max, ns, ns)).cf
+
+
+def s_first_march(w1, w2, w12, profile) -> FrameField:
+    """The s-first frame march of (w1, w2, w12), the one `two_path_residual`
+    compares, stored over the grid."""
+    grid = w1.grid
+    x = np.empty(grid.shape + (3,))
+    E = np.empty(grid.shape + (3, 3))
+    for node, (xn, En) in _frame_moves(grid, profile, _components(w12, w1, w2), s_first=True):
+        x[node], E[node] = xn, En
+    return FrameField(grid, x, E)

@@ -545,7 +545,8 @@ def test_deform_reports(tmp_path):
     assert report["t0"] == 2.0
     assert report["pole_count"] == 0
     assert [c["name"] for c in report["checks"]] == [
-        "deform.metric", "deform.h", "deform.second_form", "deform.ii_distinct"]
+        "deform.metric", "deform.h", "deform.second_form", "deform.ii_distinct",
+        "deform.harmonic"]
     assert (out / "deformed.obj").exists()
 
 
@@ -858,7 +859,8 @@ def test_verify_computes_each_battery_and_march_once_per_level(demo_config_file,
                  "theta12_report", "ideal_residuals", "lax_residuals",
                  "c_relation_residuals", "decompose_in_coframe", "weingarten_residual"):
         assert work_counts[name] == 3, name
-    assert work_counts["integrate_deformation"] == 1
+    # tau on every level, for deform.harmonic; the companion's frame on the base level
+    assert work_counts["integrate_deformation"] == 3
 
 
 @pytest.fixture()
@@ -1389,7 +1391,8 @@ def test_the_child_takes_the_frame_rows_wherever_they_sit(small_config, tmp_path
     for module, name in ((surface_embed, "structure_residuals"),
                          (lax_psi, "harmonic_residual"), (surface_embed, "_frame_moves")):
         def recorded(field, *args, _fn=getattr(module, name), _name=name, **kwargs):
-            if field.grid.ns == FINEST_NS:
+            # _frame_moves takes the grid itself
+            if getattr(field, "grid", field).ns == FINEST_NS:
                 counts.add(f"{_name}:{'here' if os.getpid() == parent else 'child'}")
             return _fn(field, *args, **kwargs)
         monkeypatch.setattr(module, name, recorded)

@@ -16,8 +16,10 @@ not harmonic, the codazzi and theta12 rows under a defect in the coframe
 each reads (theta1, alpha1, xi12 or omega12), the profile rows under a
 warped B, J, e or E, the five structure rows under an omega12 off by a
 multiple of omega1 or omega2 or by a factor in t, the transform rows
-under a connection solved 1e-3 too long, and the frame march's two_path,
-metric_recovery and second_form and weingarten.wedge.  BASE_DEFECTS does
+under a connection solved 1e-3 too long, the frame march's two_path,
+metric_recovery and second_form and weingarten.wedge, and deform.harmonic
+under a tau march with alpha1 and alpha2 swapped; HARMONIC_DEFECTS fails
+deform.harmonic under two more defects of tau.  BASE_DEFECTS does
 it for rows judged on the base level alone: the closed-form psi rows, the
 companion surface's rows, the four q rows and the frame's orthonormality
 and handedness.  A defect in a function is seen by every module that
@@ -177,6 +179,23 @@ LADDER_DEFECTS = {
     # the algebraic L the frame's second form is compared with, 1e-3 off
     "frame.second_form": (surface_embed, "fundamental_forms", lambda forms:
                           lambda profile, psi: scaled_l(forms(profile, psi)), 0.125),
+    # tau marched with alpha1 and alpha2 swapped: d*d(tau) no longer vanishes
+    "deform.harmonic": (surface_embed, "integrate_deformation", lambda march:
+                        lambda cf, t0: march(overridden(
+                            surface_embed.CoframeSet(cf.profile, cf.psi),
+                            alpha1=cf.alpha2, alpha2=cf.alpha1), t0), 0.5),
+}
+
+# more defects of the tau march that deform.harmonic fails under, on the window
+# of width 0.5, as in LADDER_DEFECTS
+HARMONIC_DEFECTS = {
+    # tau + 1e-3 (s - s_min)^2, whose Laplacian 2e-3 does not shrink with h
+    "tau_plus_s2": (surface_embed, "integrate_deformation", lambda march: lambda cf, t0:
+                    march(cf, t0) + ScalarField.from_function(
+                        cf.grid, lambda s, t: 1e-3 * (s - cf.grid.s_min) ** 2)),
+    # the alpha1 term of the march's right-hand side with its sign flipped
+    "rhs_alpha1_flipped": (surface_embed, "_rhs_tau",
+                           lambda rhs: lambda alpha, y: rhs((-alpha[0], alpha[1]), y)),
 }
 
 
@@ -319,6 +338,17 @@ def test_a_ladder_row_fails_under_its_defect(name, monkeypatch):
     cfg = window_config(width)
     clean = judged(cfg, row)
     assert clean["kind"] == "fd" and clean["passed"], clean
+    monkeypatch.setattr(module, fn, mutate(getattr(module, fn)))
+    broken = judged(cfg, row)
+    assert not broken["passed"] and broken["order"] < 1.0, broken
+
+
+@pytest.mark.parametrize("name", sorted(HARMONIC_DEFECTS))
+def test_the_harmonic_angle_fails_under_each_defect_of_tau(name, monkeypatch):
+    row = next(row for row in cli.CHECKS if row.name == "deform.harmonic")
+    cfg = window_config(0.5)
+    assert judged(cfg, row)["passed"]
+    module, fn, mutate = HARMONIC_DEFECTS[name]
     monkeypatch.setattr(module, fn, mutate(getattr(module, fn)))
     broken = judged(cfg, row)
     assert not broken["passed"] and broken["order"] < 1.0, broken

@@ -24,6 +24,7 @@ from bonnet.forms2d import Grid
 from bonnet.lax_psi import PsiBranch, psi_field_from_branch
 from bonnet.q_family import QFamily
 from bonnet.surface_embed import FrameField, integrate_frame
+from conftest import s_first_march
 
 B = se._BLOCK_ROWS
 # (family, psi branch, s-window)
@@ -40,7 +41,7 @@ SHAPES = ((B // 2 + 1, 9), (B, 24), (B + 1, 40), (2 * B + 11, 13))
 
 
 def ref_two_path_residual(cf, frame):
-    other = integrate_frame(cf, "s_first")
+    other = s_first_march(cf.omega1, cf.omega2, cf.omega12, cf.profile)
     return max(
         float(np.max(np.abs(frame.x - other.x))),
         float(np.max(np.abs(frame.frames - other.frames))),
@@ -198,7 +199,8 @@ def test_frame_reductions_hold_no_grid_sized_temporary(fine):
     assert grid_frames >= 4 * block
 
     # two_path: the s-first march is compared a line at a time and not stored
-    other, march = traced_peak(lambda: integrate_frame(cf, "s_first"))
+    other, march = traced_peak(
+        lambda: s_first_march(cf.omega1, cf.omega2, cf.omega12, cf.profile))
     assert march >= other.x.nbytes + other.frames.nbytes
     del other
     _, peak = traced_peak(lambda: se.two_path_residual(cf, frame))

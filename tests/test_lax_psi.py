@@ -205,15 +205,6 @@ def test_integrate_lax_matches_closed_form(demo_branch, demo_family):
     assert branch_consistency_error(demo_branch, got) < 1e-10
 
 
-def test_integrate_lax_path_order_agreement(demo_family):
-    g = unit_grid(1.0, 2.0, 33)
-    t_first = integrate_lax(demo_family, g, 0.0, substeps=8, order="t_first")
-    s_first = integrate_lax(demo_family, g, 0.0, substeps=8, order="s_first")
-    assert np.max(np.abs(t_first.values - s_first.values)) < 1e-10
-    with pytest.raises(ValueError):
-        integrate_lax(demo_family, g, 0.0, order="diagonal")
-
-
 @pytest.mark.parametrize("s_min", (5e-4, -0.5))
 def test_grid_past_the_guard_raises_domain_error(demo_branch, demo_family, s_min):
     # the rational +1 domain is s > 0; the guard keeps 1e-3 of its natural length off the pole

@@ -15,9 +15,9 @@ from collections import Counter
 import pytest
 
 import bonnet.text17  # noqa: F401  imported by the writers; imported here, it traces no bytes
-from bonnet import cli
+from bonnet import cli, surface_embed
 from bonnet.cli import load_config, main
-from conftest import DEMO_CONFIG
+from conftest import DEMO_CONFIG, coframes_at
 from test_cli import SMALL_CONFIG, small_config  # noqa: F401  (a fixture)
 
 # every cached value of a level, by name
@@ -193,7 +193,7 @@ def traced_peak(tmp_path, monkeypatch, ns, command, *rest):
     return code, peak
 
 
-@pytest.mark.parametrize("argv, bound", [(("mesh",), 302), (("deform", "--t0", "1"), 310)],
+@pytest.mark.parametrize("argv, bound", [(("mesh",), 296), (("deform", "--t0", "1"), 310)],
                          ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
 def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, argv, bound):
     """The traced peak of one command on the demo window at 129 x 129, in one
@@ -201,10 +201,31 @@ def test_mesh_and_deform_peak_under_their_bytes_per_node(tmp_path, monkeypatch, 
     mesh peaked at 332 and deform at 372; dropping each value after its last
     reader, 276 and 324; with the companion's march holding no sin and cos of
     tau, deform at 293; with the FD forms taken a block of rows at a time and
-    the frame march's second forms a line at a time, 274 and 287."""
+    the frame march's second forms a line at a time, 274 and 287.  In one
+    process the writers' work sets the peaks, 292 and 286, whether the
+    structure residuals are reduced as each is built and the companion's
+    coframe is formed a line at a time or not."""
     code, peak = traced_peak(tmp_path, monkeypatch, 129, *argv)
     assert code == 0
     assert peak / 129**2 < bound
+
+
+def test_structure_residuals_hold_one_residual_at_a_time():
+    """The traced peak of the structure battery on the demo at 129 x 129, in grid
+    fields, with the coframes it reads built before: each residual is reduced as
+    it is built.  Built all into a dict before any was reduced, it was 13.0
+    fields; reduced one at a time, 9.0."""
+    cf = coframes_at("configs/demo_rational.json", 129)
+    for name in ("omega1", "omega2", "omega12"):
+        getattr(cf, name)
+    tracemalloc.start()  # numpy buffers are traced too
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        surface_embed.structure_residuals(cf)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (129**2 * 8) < 10
 
 
 def test_the_childs_frame_rows_peak_under_their_bytes_per_node(tmp_path, monkeypatch):

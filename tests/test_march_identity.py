@@ -6,12 +6,16 @@ march interpolates its alpha coefficients inside every stage.  The
 package evaluates those state-independent coefficients once per march
 (or per cell) and keeps the arithmetic of each stage, so every sample,
 and every place a march stops with an error, must be exactly equal.
-The psi, tau and frame references also write out the edge-then-lines
-walk for each order by hand, which the package shares in one sweep.
+The psi and tau references also write out the t-edge-then-s-lines walk
+by hand, which the package shares in one sweep; the frame reference
+writes out the s-edge-then-t-lines walk too, which `two_path_residual`
+takes as that sweep over the transposed grid.
 The frame reference steps with its own copy of the per-step Rodrigues
 rotation (`ref_rot_exp`, `ref_step`: two rotations per node or line),
 which the package batches over the edge and over each line's full and
-half steps, so a change to the step's arithmetic shows here too.  The tau
+half steps, so a change to the step's arithmetic shows here too.  The
+companion's reference rotates its coframe over the whole grid
+(`ref_deformed_forms`), which the package does a line at a time.  The tau
 march takes one RK4 step per cell, and its reference at four steps per
 cell shows that more would move tau by far less than the march's own error.
 """
@@ -45,6 +49,8 @@ from bonnet.rk4 import sweep
 from bonnet.surface_embed import (
     MAX_STEP_ANGLE,
     FrameStepError,
+    _components,
+    _frame_moves,
     _integrate_frame_forms,
     build_coframes,
     build_deformed_surface,
@@ -52,7 +58,7 @@ from bonnet.surface_embed import (
     integrate_frame,
     two_path_residual,
 )
-from conftest import coframes_at
+from conftest import coframes_at, s_first_march
 
 FAMILIES = [QFamily(kind, sign, 1.0) for kind in KINDS for sign in (1, -1)]
 ICS = dict(H0=0.0, H0p=1.0, H0pp=0.0, tau_c=1.0)
@@ -157,7 +163,7 @@ def ref_guard_psi(value, node):
         raise LaxBlowUpError((k if i is None else i, k if j is None else j))
 
 
-def ref_integrate_lax(fam, grid, psi0, substeps, order):
+def ref_integrate_lax(fam, grid, psi0, substeps):
     s = grid.s_nodes()
     vals = np.empty(grid.shape)
 
@@ -169,36 +175,22 @@ def ref_integrate_lax(fam, grid, psi0, substeps, order):
 
     psi = float(psi0)
     vals[0, 0] = psi
-    if order == "t_first":
-        for j in range(grid.nt - 1):
-            psi = ref_rk4_scalar(psi, grid.h_t, lambda f, y: rhs_t(s[0], y), substeps)
-            ref_guard_psi(psi, (0, j + 1))
-            vals[0, j + 1] = psi
-        row = vals[0, :].copy()
-        for i in range(grid.ns - 1):
-            s0, s1 = s[i], s[i + 1]
-            row = ref_rk4_scalar(
-                row, grid.h_s, lambda f, y: rhs_s(s0 + f * (s1 - s0), y), substeps
-            )
-            ref_guard_psi(row, (i + 1, None))
-            vals[i + 1, :] = row
-    else:
-        for i in range(grid.ns - 1):
-            s0, s1 = s[i], s[i + 1]
-            psi = ref_rk4_scalar(
-                psi, grid.h_s, lambda f, y: rhs_s(s0 + f * (s1 - s0), y), substeps
-            )
-            ref_guard_psi(psi, (i + 1, 0))
-            vals[i + 1, 0] = psi
-        col = vals[:, 0].copy()
-        for j in range(grid.nt - 1):
-            col = ref_rk4_scalar(col, grid.h_t, lambda f, y: rhs_t(s, y), substeps)
-            ref_guard_psi(col, (None, j + 1))
-            vals[:, j + 1] = col
+    for j in range(grid.nt - 1):
+        psi = ref_rk4_scalar(psi, grid.h_t, lambda f, y: rhs_t(s[0], y), substeps)
+        ref_guard_psi(psi, (0, j + 1))
+        vals[0, j + 1] = psi
+    row = vals[0, :].copy()
+    for i in range(grid.ns - 1):
+        s0, s1 = s[i], s[i + 1]
+        row = ref_rk4_scalar(
+            row, grid.h_s, lambda f, y: rhs_s(s0 + f * (s1 - s0), y), substeps
+        )
+        ref_guard_psi(row, (i + 1, None))
+        vals[i + 1, :] = row
     return vals
 
 
-def ref_integrate_deformation(cf, t0, order, substeps):
+def ref_integrate_deformation(cf, t0, substeps):
     g = cf.grid
     ns, nt = g.shape
     a1p, a1q = cf.alpha1.p.values, cf.alpha1.q.values
@@ -226,24 +218,14 @@ def ref_integrate_deformation(cf, t0, order, substeps):
             y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return y
 
-    if order == "t_first":
-        for j in range(nt - 1):
-            tau[0, j + 1] = advance(
-                tau[0, j], g.h_t, a1q[0, j], a1q[0, j + 1], a2q[0, j], a2q[0, j + 1]
-            )
-        for i in range(ns - 1):
-            tau[i + 1, :] = advance(
-                tau[i, :], g.h_s, a1p[i, :], a1p[i + 1, :], a2p[i, :], a2p[i + 1, :]
-            )
-    else:
-        for i in range(ns - 1):
-            tau[i + 1, 0] = advance(
-                tau[i, 0], g.h_s, a1p[i, 0], a1p[i + 1, 0], a2p[i, 0], a2p[i + 1, 0]
-            )
-        for j in range(nt - 1):
-            tau[:, j + 1] = advance(
-                tau[:, j], g.h_t, a1q[:, j], a1q[:, j + 1], a2q[:, j], a2q[:, j + 1]
-            )
+    for j in range(nt - 1):
+        tau[0, j + 1] = advance(
+            tau[0, j], g.h_t, a1q[0, j], a1q[0, j + 1], a2q[0, j], a2q[0, j + 1]
+        )
+    for i in range(ns - 1):
+        tau[i + 1, :] = advance(
+            tau[i, :], g.h_s, a1p[i, :], a1p[i + 1, :], a2p[i, :], a2p[i + 1, :]
+        )
     return tau
 
 
@@ -431,24 +413,22 @@ def test_q_march_truncates_where_the_reference_does(args):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("order", ("t_first", "s_first"))
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("fam", FAMILIES, ids=str)
-def test_psi_march_matches_reference(fam, shape, order):
+def test_psi_march_matches_reference(fam, shape):
     grid = grid_for(fam, shape)
-    got = integrate_lax(fam, grid, 0.3, substeps=8, order=order).values
-    assert np.array_equal(got, ref_integrate_lax(fam, grid, 0.3, 8, order))
+    got = integrate_lax(fam, grid, 0.3, substeps=8).values
+    assert np.array_equal(got, ref_integrate_lax(fam, grid, 0.3, 8))
 
 
-@pytest.mark.parametrize("order", ("t_first", "s_first"))
 @pytest.mark.parametrize("s_min, t_max", [(0.0011, 5.0), (0.01, 50.0)])
 @pytest.mark.parametrize("kind", ("rational", "hyper"))
-def test_psi_blow_up_node_matches_reference(kind, s_min, t_max, order):
+def test_psi_blow_up_node_matches_reference(kind, s_min, t_max):
     fam = QFamily(kind, 1, 1.0)
     grid = Grid(s_min, 0.5, 0.0, t_max, 9, 9)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, got = raised(integrate_lax, fam, grid, 0.3, substeps=1, order=order)
-        _, want = raised(ref_integrate_lax, fam, grid, 0.3, 1, order)
+        _, got = raised(integrate_lax, fam, grid, 0.3, substeps=1)
+        _, want = raised(ref_integrate_lax, fam, grid, 0.3, 1)
     assert isinstance(got, LaxBlowUpError) and isinstance(want, LaxBlowUpError)
     assert got.node == want.node
 
@@ -464,13 +444,12 @@ def coframe_sets():
     return sets
 
 
-@pytest.mark.parametrize("order", ("t_first", "s_first"))
-def test_tau_march_matches_reference(coframe_sets, demo_coframes, order):
+def test_tau_march_matches_reference(coframe_sets, demo_coframes):
     # one step per cell: the reference's interpolated midpoint is 0.5 c_src + 0.5 c_dst
     for cf in coframe_sets + [demo_coframes]:
         for t0 in (1.0, -0.4):
-            got = integrate_deformation(cf, t0, order=order)
-            want = ref_integrate_deformation(cf, t0, order, substeps=1)
+            got = integrate_deformation(cf, t0)
+            want = ref_integrate_deformation(cf, t0, substeps=1)
             assert np.array_equal(got.values, want)
 
 
@@ -485,7 +464,7 @@ def test_tau_march_is_second_order_and_one_step_per_cell_is_enough(config):
         # tau at the base nodes, one step and four steps per cell
         one = [integrate_deformation(cf, t0).values[::2 ** k, ::2 ** k]
                for k, cf in enumerate(coframes)]
-        four = [ref_integrate_deformation(cf, t0, "t_first", substeps=4)[::2 ** k, ::2 ** k]
+        four = [ref_integrate_deformation(cf, t0, substeps=4)[::2 ** k, ::2 ** k]
                 for k, cf in enumerate(coframes)]
         change = [np.max(np.abs(b - a)) for a, b in zip(one, one[1:])]
         orders = [math.log2(a / b) for a, b in zip(change, change[1:])]
@@ -507,12 +486,18 @@ def frame_cases():
     return cases
 
 
+def frame_march(order, forms, profile, public):
+    """The package's march of forms[:3] along `order`: public(), the public
+    t-first march of those forms, or _frame_moves(..., s_first=True) stored."""
+    return public() if order == "t_first" else s_first_march(*forms[:3], profile)
+
+
 @pytest.mark.parametrize("order", ("t_first", "s_first"))
 def test_frame_march_matches_reference(frame_cases, order):
     for profile, cf in frame_cases:
-        got = integrate_frame(cf, order=order)
-        want = ref_integrate_frame(
-            *ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), cf.grid, order)
+        forms = ref_forms(cf.omega1, cf.omega2, cf.omega12, profile)
+        got = frame_march(order, forms, profile, lambda: integrate_frame(cf))
+        want = ref_integrate_frame(*forms, cf.grid, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])
 
@@ -521,8 +506,9 @@ def test_frame_march_matches_reference(frame_cases, order):
 def test_deformed_frame_matches_reference(frame_cases, order):
     for profile, cf in frame_cases:
         tau = integrate_deformation(cf, 1.0)
-        got = build_deformed_surface(cf, tau, order=order)
-        want = ref_integrate_frame(*ref_deformed_forms(cf, profile, tau), cf.grid, order)
+        forms = ref_deformed_forms(cf, profile, tau)
+        got = frame_march(order, forms, profile, lambda: build_deformed_surface(cf, tau))
+        want = ref_integrate_frame(*forms, cf.grid, order)
         assert np.array_equal(got.x, want[0])
         assert np.array_equal(got.frames, want[1])
 
@@ -540,11 +526,12 @@ def test_frame_march_makes_one_rotation_call_per_line_step(frame_cases, monkeypa
     monkeypatch.setattr(surface_embed, "_rot_exp", counted)
     for profile, cf in frame_cases:
         lines = (cf.grid.ns if order == "t_first" else cf.grid.nt) - 1
-        for march in (lambda: integrate_frame(cf, order=order),
-                      lambda: build_deformed_surface(
-                          cf, integrate_deformation(cf, 1.0), order=order)):
+        tau = integrate_deformation(cf, 1.0)
+        for forms, public in (
+                (ref_forms(cf.omega1, cf.omega2, cf.omega12, profile), lambda: integrate_frame(cf)),
+                (ref_deformed_forms(cf, profile, tau), lambda: build_deformed_surface(cf, tau))):
             calls.clear()
-            march()
+            frame_march(order, forms, profile, public)
             assert len(calls) == lines + 1
 
 
@@ -579,7 +566,10 @@ def test_oversize_frame_step_raises_before_the_march_goes_on(order, spikes, angl
     forms = spiked_forms(grid, spikes)
     profile = flat_profile(grid)
     with pytest.raises(FrameStepError, match="refine the grid") as got:
-        _integrate_frame_forms(*forms, profile, order)
+        if order == "t_first":
+            _integrate_frame_forms(grid, profile, _components(forms[2], *forms[:2]))
+        else:
+            s_first_march(*forms, profile)
     # the edge is checked whole before it is marched, so its largest step is
     # named; the node-by-node reference names the first, 0.625 rad
     assert f"rotation step of {angle} rad" in str(got.value)
@@ -590,13 +580,9 @@ def test_oversize_frame_step_raises_before_the_march_goes_on(order, spikes, angl
 ALL = slice(None)
 
 
-@pytest.mark.parametrize("order, visits", [
-    ("t_first", [(1, (0, 0), (0, 1)), (1, (0, 1), (0, 2)), (1, (0, 2), (0, 3)),
-                 (0, (0, ALL), (1, ALL)), (0, (1, ALL), (2, ALL))]),
-    ("s_first", [(0, (0, 0), (1, 0)), (0, (1, 0), (2, 0)),
-                 (1, (ALL, 0), (ALL, 1)), (1, (ALL, 1), (ALL, 2)), (1, (ALL, 2), (ALL, 3))]),
-])
-def test_sweep_walks_the_edge_then_the_lines(order, visits):
+def test_sweep_walks_the_edge_then_the_lines():
+    visits = [(1, (0, 0), (0, 1)), (1, (0, 1), (0, 2)), (1, (0, 2), (0, 3)),
+              (0, (0, ALL), (1, ALL)), (0, (1, ALL), (2, ALL))]
     seen, handed = [], []
     ij = np.zeros((3, 4, 2))
     count = np.zeros((3, 4))
@@ -610,7 +596,7 @@ def test_sweep_walks_the_edge_then_the_lines(order, visits):
         return pos, n + 1.0
 
     # each state is handed over as it is made, the corner's first
-    for node, (pos, n) in sweep(order, count.shape, [np.ones(2), 1.0], step):
+    for node, (pos, n) in sweep(count.shape, [np.ones(2), 1.0], step):
         handed.append(node)
         ij[node], count[node] = pos, n
     assert seen == visits
@@ -620,18 +606,31 @@ def test_sweep_walks_the_edge_then_the_lines(order, visits):
     assert np.array_equal(count, 1.0 + i + j)
 
 
-def test_sweep_rejects_an_unknown_order_before_any_step():
-    def step(axis, src, dst, state):
-        raise AssertionError("step called")
-
-    with pytest.raises(ValueError, match="t_first"):
-        next(sweep("diagonal", (5, 5), [0.0], step))
+@pytest.mark.parametrize("s_first, handed", [
+    (False, [(0, j) for j in range(6)] + [(i, ALL) for i in range(1, 5)]),
+    (True, [(i, 0) for i in range(5)] + [(ALL, j) for j in range(1, 6)]),
+])
+def test_frame_moves_walk_either_edge_then_the_lines(s_first, handed):
+    # w1 = ds and w2 = dt with no rotation: a step in s moves x by h_s e1 and a
+    # step in t by h_t e2, so each node's x names the node (steps 1 and 2),
+    # whichever way the march reached it
+    grid = Grid(0.0, 4.0, 0.0, 10.0, 5, 6)
+    one, zero = ScalarField(grid, np.ones(grid.shape)), ScalarField(grid, np.zeros(grid.shape))
+    forms = _components(OneForm(zero, zero), OneForm(one, zero), OneForm(zero, one))
+    moves = list(_frame_moves(grid, flat_profile(grid), forms, s_first=s_first))
+    assert [node for node, _ in moves] == handed
+    x = np.empty(grid.shape + (3,))
+    for node, (xn, E) in moves:
+        x[node] = xn
+        assert np.array_equal(E, np.broadcast_to(np.eye(3), np.shape(xn)[:-1] + (3, 3)))
+    i, j = np.indices(grid.shape)
+    assert np.array_equal(x, np.stack([1.0 * i, 2.0 * j, 0.0 * i], axis=-1))
 
 
 def ref_two_path_residual(cf, frame):
     """The s-first march stored over the grid, then the max of |difference| from
     `frame` over x and over the frames."""
-    other = integrate_frame(cf, "s_first")
+    other = s_first_march(cf.omega1, cf.omega2, cf.omega12, cf.profile)
     return float(np.max([np.max(np.abs(frame.x - other.x)),
                          np.max(np.abs(frame.frames - other.frames))]))
 
@@ -659,9 +658,11 @@ def test_two_path_residual_keeps_a_nan_of_one_s_first_line(frame_cases, monkeypa
     march = surface_embed.sweep
 
     def spoiled(*args):
-        # a NaN in one frame of one line; the march goes on from the clean state
+        # a NaN in one frame of one line; the march goes on from the clean state.
+        # The s-first march is the sweep of the transposed grid, so its nodes are
+        # turned back
         for node, (x, E) in march(*args):
-            if node == line:
+            if node[::-1] == line:
                 E = E.copy()
                 E[3, 1, 1] = np.nan
             yield node, (x, E)
