@@ -205,6 +205,19 @@ def test_integrate_lax_matches_closed_form(demo_branch, demo_family):
     assert branch_consistency_error(demo_branch, got) < 1e-10
 
 
+@pytest.mark.parametrize("shape", ((33, 65), (65, 33)))
+@pytest.mark.parametrize("case", CLOSED_CASES)
+def test_integrate_lax_matches_each_closed_branch(case, shape):
+    # the march walks the t-edge, then every s-line; on a non-square grid the
+    # edge and the lines differ in length, and the psi pair is integrable, so
+    # that one path lands on the closed form of every branch
+    branch, (lo, hi) = branch_setup(case)
+    g = Grid(lo, hi, 0.0, 1.0, *shape)
+    want = psi_field_from_branch(branch, g)
+    got = integrate_lax(branch.family, g, float(want.values[0, 0]), substeps=8)
+    assert np.max(np.abs(got.values - want.values)) < 1e-10
+
+
 @pytest.mark.parametrize("s_min", (5e-4, -0.5))
 def test_grid_past_the_guard_raises_domain_error(demo_branch, demo_family, s_min):
     # the rational +1 domain is s > 0; the guard keeps 1e-3 of its natural length off the pole

@@ -34,7 +34,7 @@ from bonnet.bonnet_solver import (
     h_third_derivative,
     integrate_h,
 )
-from bonnet.forms2d import Grid, OneForm, ScalarField
+from bonnet.forms2d import Grid, OneForm, ScalarField, laplacian
 from bonnet.lax_psi import PSI_BLOWUP, LaxBlowUpError, integrate_lax
 from bonnet.q_family import (
     KINDS,
@@ -471,6 +471,23 @@ def test_tau_march_is_second_order_and_one_step_per_cell_is_enough(config):
         assert min(orders) >= 1.9, orders
         for k in range(1, 4):
             assert np.max(np.abs(one[k] - four[k])) <= 1e-2 * change[k - 1]
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=str)
+def test_tau_is_harmonic_on_every_family(fam):
+    # the angle of deformation is harmonic (Kamberov, Pedit & Pinkall 1998), and
+    # the t-first march is the only one, so the Laplacian of its tau converges
+    # to zero at second order on each family's window, for either sign of t0
+    lap = {1.0: [], -0.7: []}
+    for n in (65, 129, 257):
+        grid = grid_for(fam, (n, n))
+        psi = integrate_lax(fam, grid, 0.3)
+        cf = build_coframes(integrate_h(HInitialData(s0=grid.s_min, **ICS), fam, grid), psi)
+        for t0, values in lap.items():
+            values.append(laplacian(integrate_deformation(cf, t0)).max_abs_interior(2))
+    for values in lap.values():
+        orders = [math.log2(a / b) for a, b in zip(values, values[1:])]
+        assert min(orders) >= 1.9, orders
 
 
 @pytest.fixture(scope="module")

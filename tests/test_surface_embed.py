@@ -174,6 +174,17 @@ def test_rot_exp_series_branch_is_smooth():
         _rot_exp(np.array(0.6), np.array(0.0), np.array(0.0))
 
 
+def test_rot_exp_of_a_batch_is_the_rotation_of_each_step():
+    # the march hands over the steps of a whole line at once; each node's
+    # rotation, on either branch, is the one a 0-d call makes of its step
+    m = np.random.default_rng(3).uniform(-0.3, 0.3, (3, 4, 5))
+    m[:, 0, :2] *= 1e-5
+    R = _rot_exp(*m)
+    assert R.shape == (4, 5, 3, 3)
+    for i, j in np.ndindex(4, 5):
+        assert np.array_equal(R[i, j], _rot_exp(*(np.array(c) for c in m[:, i, j])))
+
+
 def test_frame_integration_stays_orthonormal(demo_frame, demo_grid):
     assert demo_frame.orthonormality_error() < 1e-12
     assert demo_frame.min_handedness() == pytest.approx(1.0, abs=1e-12)
