@@ -9,9 +9,10 @@ Commands
 
 solve, mesh, deform and verify share one table of checks (CHECKS) and one
 refinement ladder (_ladder): they differ only in the rows they select and
-the number of levels they run.  A value a level caches (_value) and a row
-that computes in a function read the level names their parameters name; a
-level drops each value once no row still to run reads it (_level).  mesh
+the number of levels they run.  A level builds each value, psi and the
+profile among them, on first read (_value), and a value and a row that
+computes in a function read the level names their parameters name; a level
+drops each value once no row still to run reads it (_level).  mesh
 and deform write their CSV and OBJ files from child processes (_Writers)
 while they go on with the checks; verify and solve --refine 2 or more
 evaluate the finest ladder level partly in a child, which takes the rows
@@ -296,7 +297,7 @@ class _value:
     """A value of the level, built on first read by calling `build` with the
     level names its parameters name (`reads`), and then kept; once it is
     built, the level drops every value that no row still to run reaches
-    (PipelineData.drop)."""
+    (PipelineData.drop).  It is the one place a level builds anything."""
 
     def __init__(self, build):
         self.build, self.reads = build, _params(build)
@@ -316,31 +317,21 @@ class _value:
 class PipelineData:
     """Everything the checks need on one grid.
 
-    psi and the profile are built on construction; every other value (a
-    _value, whose parameters name what it reads: other values, psi, the
-    profile, cfg, grid, fam and t0) is built on first read: the coframe
-    set, which builds each of its coframes when a row first reads it, the
-    frame, its FD forms, the fundamental forms, the companion, every
-    battery and every scale.  _level sets `pending`, the reads of the rows
-    still to run, and the level then drops a value once none of them
-    reaches it, so no value is built twice.  A level with no pending list
-    keeps every value it builds.
+    The level builds nothing up front: every name a row reads, past cfg and
+    grid, is a _value, whose parameters name what it reads, built on first
+    read: the family, psi and its closed-form branch, the profile, the
+    coframe set, which builds each of its coframes when a row first reads
+    it, the frame, its FD forms, the fundamental forms, the companion and
+    its t0, every battery and every scale.  _level sets `pending`, the reads
+    of the rows still to run, and the level then drops a value once none of
+    them reaches it, so no value is built twice, and none that no row reads
+    is built at all.  A level with no pending list keeps every value it builds.
     """
 
     def __init__(self, cfg: RunConfig, grid: Grid):
         self.cfg = cfg
-        self.fam = cfg.family
         self.grid = grid
         self.pending = None
-        if cfg.psi_branch is not None:
-            self.psi = lax_psi.psi_field_from_branch(cfg.psi_branch, grid)
-        else:
-            self.psi = lax_psi.integrate_lax(
-                self.fam, grid, cfg.psi0, substeps=cfg.psi_substeps
-            )
-        self.profile = bonnet_solver.integrate_h(
-            cfg.h_initial, self.fam, grid, substeps=cfg.profile_substeps
-        )
 
     def evaluate(self, row: Check):
         """(value, scale, details) of one check row on this level."""
@@ -359,7 +350,16 @@ class PipelineData:
             for name in built - _reach(chain.from_iterable(self.pending), built):
                 delattr(self, name)
 
-    cf = _value(lambda profile, psi: surface_embed.build_coframes(profile, psi))
+    fam = _value(lambda cfg: cfg.family)
+    branch = _value(lambda cfg: cfg.psi_branch)  # the closed-form psi, None where it is marched
+    # psi in closed form on the branch, else marched from the corner value psi0
+    psi = _value(lambda cfg, grid, fam, branch: lax_psi.integrate_lax(
+        fam, grid, cfg.psi0, substeps=cfg.psi_substeps) if branch is None
+        else lax_psi.psi_field_from_branch(branch, grid))
+    profile = _value(lambda cfg, grid, fam: bonnet_solver.integrate_h(
+        cfg.h_initial, fam, grid, substeps=cfg.profile_substeps))
+    # psi is read before the profile wherever both are, so a bad psi is reported first
+    cf = _value(lambda psi, profile: surface_embed.build_coframes(profile, psi))
 
     # the tolerance scales that rows name
     scale_q = _value(lambda profile: max(1.0, float(np.max(np.abs(profile.Q)))))
@@ -381,19 +381,16 @@ class PipelineData:
     # (psi_1, psi_2), the components of d(psi) in the alpha coframe, which the psi.*
     # rows share
     alpha = _value(lambda psi, cf: decompose_in_coframe(d_scalar(psi), cf.alpha1, cf.alpha2))
-    forms = _value(lambda profile, psi: surface_embed.fundamental_forms(profile, psi))
+    forms = _value(lambda psi, profile: surface_embed.fundamental_forms(profile, psi))
 
-    @property
-    def t0(self) -> float:
-        """The companion's t0: the config's, else 1, which verify uses."""
-        return 1.0 if self.cfg.t0 is None else self.cfg.t0
-
+    # the companion's t0: the config's, else 1, which verify uses
+    t0 = _value(lambda cfg: 1.0 if cfg.t0 is None else cfg.t0)
     tau = _value(lambda cf, t0: surface_embed.integrate_deformation(cf, t0))
     # the companion's frame march at t0, its FD forms and its forms in closed form at psi + tau
     deformed_frame = _value(lambda cf, tau: surface_embed.build_deformed_surface(cf, tau))
     deformed_fd_forms = _value(lambda deformed_frame: surface_embed.fd_forms(deformed_frame))
     deformed_forms = _value(
-        lambda profile, psi, tau: surface_embed.fundamental_forms(profile, psi + tau))
+        lambda psi, profile, tau: surface_embed.fundamental_forms(profile, psi + tau))
 
     @_value
     def q(fam) -> dict:
@@ -441,12 +438,11 @@ class Check(NamedTuple):
     built at most once: a battery that several rows read, or a tolerance
     scale.  Any other battery is a function computing this row alone,
     called with the level names its parameters name; any other scale is
-    a number.  key picks
-    the value out of the battery's result (None: the result is the value);
-    details names result keys copied into the report.  margin is the
-    number of nodes the row's residuals strip at each edge of the grid.
-    rule sets the tolerance and the pass test, with h the base grid's
-    h_max and F the fd_factor:
+    a number.  key picks the value out of the battery's result (None: the
+    result is the value); details names result keys copied into the
+    report.  margin is the number of nodes the row's residuals strip at
+    each edge of the grid.  rule sets the tolerance and the pass test,
+    with h the base grid's h_max and F the fd_factor:
 
       algebraic    value <= tolerances.algebraic * scale
       bound        value <= scale
@@ -481,11 +477,11 @@ CHECKS = (
           margin=0),
     Check("q.rk4_error", RK4_TOL, "rk4", 0, "bound", margin=0),
     Check("q.rk4_halving", None, "rk4", 1, "ratio", margin=0),
-    Check("lax.closed_form", "scale_q", lambda cfg, grid: max(
-        r.max_abs() for r in lax_psi.branch_lax_residuals(cfg.psi_branch, grid)
+    Check("lax.closed_form", "scale_q", lambda branch, grid: max(
+        r.max_abs() for r in lax_psi.branch_lax_residuals(branch, grid)
     ), rule="algebraic", margin=0),
     Check("psi.branch_consistency", 1.0,
-          lambda cfg, psi: lax_psi.branch_consistency_error(cfg.psi_branch, psi),
+          lambda branch, psi: lax_psi.branch_consistency_error(branch, psi),
           rule="algebraic", margin=0),
     Check("frame.orthonormality", ORTHONORMALITY_TOL, lambda frame: frame.orthonormality_error(),
           rule="bound", margin=0),
@@ -552,12 +548,12 @@ CHECKS = (
 
 
 def _select(cfg: RunConfig, prefixes: tuple, only: str | None = None) -> list:
-    """Rows whose name starts with one of `prefixes` and contains `only`."""
+    """Rows whose name starts with one of `prefixes` and contains `only`, less
+    the rows that read the closed-form psi branch where psi is marched."""
     rows = [
         row for row in CHECKS
         if row.name.startswith(prefixes) and (only is None or only in row.name)
-        and not (cfg.psi_branch is None
-                 and row.name in ("lax.closed_form", "psi.branch_consistency"))
+        and (cfg.psi_branch is not None or "branch" not in _reads(row))
     ]
     if not rows:
         raise ConfigError(f"--only '{only}' matched no checks")
@@ -916,8 +912,9 @@ def cmd_solve(args) -> int:
         raise ConfigError("--refine must be >= 1")
 
     def export(level, out, write):  # two short writes: a writer would cost more than it saves
+        psi = level.psi  # read first, so a bad psi is reported before a bad profile
         bonnet_solver.write_profile_csv(level.profile, os.path.join(out, "profile.csv"))
-        write_scalar_csv(level.psi, os.path.join(out, "psi.csv"), "psi")
+        write_scalar_csv(psi, os.path.join(out, "psi.csv"), "psi")
         return {"grid": _grid_info(cfg.grid), "family": cfg.family.describe()}
 
     rows = _select(cfg, ("q.", "lax.", "psi.", "profile."))
@@ -942,7 +939,7 @@ def cmd_mesh(args) -> int:
         # process holds none through the frame march and its FD forms, mesh's peak.
         # A writer holds what it writes, not the level, to the join if no child runs it
         forms_path, obj_path = os.path.join(out, "forms.csv"), os.path.join(out, "surface.obj")
-        profile, psi = level.profile, level.psi
+        psi, profile = level.psi, level.profile
         write(forms_path, lambda: _forms_csv(
             forms_path, surface_embed.fundamental_forms(profile, psi)))
         frame = level.frame

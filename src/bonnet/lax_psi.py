@@ -241,15 +241,14 @@ def integrate_lax(
     x0 = np.arange(substeps) / substeps
     frac = np.stack([x0, x0 + 0.5 / substeps, x0 + 1.0 / substeps], axis=-1)
     q_s = eval_q(fam, s[:-1, None, None] + frac * (s[1:] - s[:-1])[:, None, None])
-    # psi_t runs along lines of fixed s, so its coefficients stay fixed
-    q_t = (eval_q(fam, s), eval_dlog_q(fam, s))
+    # the t-steps run along the t-edge alone, at s_min, so their coefficients stay fixed
+    c = (eval_q(fam, s[:1])[0], eval_dlog_q(fam, s[:1])[0])
 
     def step(axis, src, dst, y):
         if axis == 0:
             for q0, qm, q1 in q_s[src[0]].tolist():
                 y = rk4_step(_rhs_s, y, hs, q0, qm, q1)
         else:
-            c = (q_t[0][src[0]], q_t[1][src[0]])
             for _ in range(substeps):
                 y = rk4_step(_rhs_t, y, ht, c, c, c)
         _guard_psi(y[0], dst)

@@ -359,13 +359,30 @@ def test_grids_as_small_as_the_rows_margins_allow_run(tmp_path, capsys, grid, ar
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("overrides, argv", [
-    ({"family": {"kind": "hyper", "a": 1e6}, "psi": {"case": "hyper_appendix", "eta": 0.0}},
-     ["mesh"]),
+# the hyper family at a = 1e6, whose closed-form psi and profile both leave the floats
+HYPER_1E6 = {"family": {"kind": "hyper", "a": 1e6},
+             "psi": {"case": "hyper_appendix", "eta": 0.0}}
+NAN_PSI = "bonnet: NonFiniteFieldError: scalar field is nan at node ("
+
+
+@pytest.mark.parametrize("overrides, argv, error", [
+    (HYPER_1E6, ["mesh"], NAN_PSI),
     ({"family": {"kind": "trig"}, "psi": {"case": "trig_appendix", "eta": 0.3},
-      "grid": {"t_max": 1e8}}, ["verify", "--refine", "2"]),
-], ids=["hyper-a-1e6-mesh", "trig-t_max-1e8-verify"])
-def test_data_that_overflow_the_grid_exit_two(tmp_path, capsys, overrides, argv):
+      "grid": {"t_max": 1e8}}, ["verify", "--refine", "2"], NAN_PSI),
+    # psi is read before the profile wherever both are, as by every export
+    (HYPER_1E6, ["solve"], NAN_PSI),
+    (HYPER_1E6, ["solve", "--refine", "2"], NAN_PSI),
+    (HYPER_1E6, ["deform", "--t0", "1"], NAN_PSI),
+    # verify's base level runs lax.closed_form, whose closed form overflows, before
+    # any row reads psi; profile.* read no psi, so the profile's own error shows
+    (HYPER_1E6, ["verify", "--refine", "2"],
+     "bonnet: FloatingPointError: overflow encountered in sinh\n"),
+    (HYPER_1E6, ["verify", "--refine", "2", "--only", "profile."],
+     "bonnet: ProfileRangeError: profile field E must be positive everywhere"),
+], ids=["hyper-a-1e6-mesh", "trig-t_max-1e8-verify", "hyper-a-1e6-solve",
+        "hyper-a-1e6-solve-refine-2", "hyper-a-1e6-deform", "hyper-a-1e6-verify",
+        "hyper-a-1e6-verify-only-profile"])
+def test_data_that_overflow_the_grid_exit_two(tmp_path, capsys, overrides, argv, error):
     data = json.loads(json.dumps(SMALL_CONFIG))
     for key, value in overrides.items():
         data[key] = {**data[key], **value} if key != "psi" else value
@@ -376,7 +393,7 @@ def test_data_that_overflow_the_grid_exit_two(tmp_path, capsys, overrides, argv)
         assert guarded_main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
                              *rest]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("bonnet: NonFiniteFieldError: scalar field is nan at node (")
+    assert err.startswith(error)
     assert "Traceback" not in err
     assert_no_children()
 
@@ -1369,8 +1386,9 @@ def test_every_battery_is_read_and_every_battery_name_resolves():
     assert named <= cached
     # a battery or scale no row reads would be dead work on every level it is built
     # on; these are read by other values of the level or by row functions
-    assert cached - named == {"cf", "frame", "fd_forms", "alpha", "forms", "tau",
-                              "deformed_frame", "deformed_fd_forms", "deformed_forms"}
+    assert cached - named == {"fam", "branch", "psi", "profile", "t0", "cf", "frame",
+                              "fd_forms", "alpha", "forms", "tau", "deformed_frame",
+                              "deformed_fd_forms", "deformed_forms"}
 
 
 def test_check_names_are_unique():

@@ -15,17 +15,16 @@ from collections import Counter
 import pytest
 
 import bonnet.text17  # noqa: F401  imported by the writers; imported here, it traces no bytes
-from bonnet import cli, surface_embed
+from bonnet import bonnet_solver, cli, lax_psi, surface_embed
 from bonnet.cli import load_config, main
-from conftest import DEMO_CONFIG, coframes_at
-from test_cli import SMALL_CONFIG, small_config  # noqa: F401  (a fixture)
+from conftest import DEMO_CONFIG, ROOT, coframes_at
+from test_cli import SMALL_CONFIG, small_config, write_config  # noqa: F401  (a fixture)
 
 # every cached value of a level, by name
 VALUES = {name: attr for name, attr in vars(cli.PipelineData).items()
           if isinstance(attr, cli._value)}
-# the level names that values and rows read: every value, psi and the profile, built
-# on construction, the config, grid and family, and the companion's t0
-LEVEL_NAMES = {"profile", "psi", "cfg", "grid", "fam", "t0", *VALUES}
+# the level names that values and rows read: the config, the grid and every value
+LEVEL_NAMES = {"cfg", "grid", *VALUES}
 
 
 def held(level) -> set:
@@ -58,15 +57,13 @@ class RecordingLevel(cli.PipelineData):
         stack = get(self, "stack")
         stack[-1].add(name)
         built = name not in VALUES or name in get(self, "__dict__")
-        if built and name != "t0":
+        if built:
             return get(self, name)
-        stack.append(set())  # what t0 reads to be computed, or a value to be built
+        stack.append(set())  # what a value reads to be built
         try:
             return get(self, name)
         finally:
-            reads = stack.pop()
-            if not built:
-                get(self, "builds").append((name, reads, held(self)))
+            get(self, "builds").append((name, stack.pop(), held(self)))
 
     def drop(self):
         super().drop()
@@ -159,13 +156,17 @@ def held_after(level, value) -> set:
 
 def test_mesh_and_deform_drop_the_coframes_before_their_peak(recording):
     # deform: the coframes go once the companion is marched, before the writer
-    # forks and the companion's FD forms are taken
+    # forks and the companion's FD forms are taken; the deformation battery still
+    # reads psi, the profile and t0
     (level,) = recording("deform", "--t0", "1")
-    assert held_after(level, "deformed_frame") == {"tau", "deformed_frame"}
-    # mesh: the coframes go with the structure battery, the frame with its FD forms
+    assert held_after(level, "deformed_frame") == {"psi", "profile", "t0", "tau",
+                                                   "deformed_frame"}
+    # mesh: the coframes go with the structure battery, the frame with its FD forms;
+    # the closed-form forms, which frame.second_form reads, still read psi and the profile
     (level,) = recording("mesh")
     assert "cf" not in held_after(level, "structure")
-    assert held_after(level, "fd_forms") == {"fd_forms", "scale_e", "scale_ii"}
+    assert held_after(level, "fd_forms") == {"psi", "profile", "fd_forms", "scale_e",
+                                             "scale_ii"}
 
 
 def test_the_child_drops_the_coframes_and_the_frame_as_it_goes(recording):
@@ -239,3 +240,77 @@ def test_the_childs_frame_rows_peak_under_their_bytes_per_node(tmp_path, monkeyp
                              "--only", "frame.")
     assert code == 0
     assert peak / 257**2 < 200
+
+
+# the marches that build psi and the profile, looked up on their modules at each build
+MARCHES = ((lax_psi, "psi_field_from_branch"), (lax_psi, "integrate_lax"),
+           (bonnet_solver, "integrate_h"))
+RATIONAL_MARCHED = ROOT / "bench" / "configs" / "rational_marched.json"
+
+
+@pytest.fixture()
+def marches(monkeypatch):
+    """The names of the marches (MARCHES) called, in call order."""
+    calls = []
+    for module, name in MARCHES:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_fresh_level_holds_no_value_and_marches_nothing(small_config, marches):
+    cfg = load_config(small_config)
+    level = cli.PipelineData(cfg, cfg.grid)
+    assert vars(level) == {"cfg": cfg, "grid": cfg.grid, "pending": None}
+    assert marches == []
+    level.cf  # psi, then the profile, each on first read
+    assert marches == ["psi_field_from_branch", "integrate_h"]
+    assert {"psi", "profile", "cf"} <= held(level)
+
+
+@pytest.mark.parametrize("config", ["small", "rational_marched"])
+def test_verify_only_q_marches_neither_psi_nor_the_profile(small_config, tmp_path, monkeypatch,
+                                                           marches, config):
+    monkeypatch.setattr(os, "fork", no_fork)  # every level in this process
+    path = small_config if config == "small" else RATIONAL_MARCHED
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--only", "q."]) == 0
+    assert marches == []
+
+
+@pytest.mark.parametrize("only, code", [("q.", 0), ("profile.", 2), ("psi.", 2)])
+def test_a_failing_h_march_fails_only_the_rows_that_read_it(tmp_path, capsys, only, code):
+    # from s0 = 0.01 the demo's H march leaves its regime at s = 0.071875; the q.*
+    # rows read only the family, so they run; the profile.* and psi.* rows read H
+    cfg = write_config(tmp_path, grid={"s_min": 0.01, "s_max": 1.0, "ns": 5, "nt": 5},
+                       h_initial={"s0": 0.01})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--only", only]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   "bonnet: RegimeError: H' <= 0 reached; last s inside the regime: 0.071875\n")
+
+
+COMMANDS = (["solve"], ["mesh"], ["deform", "--t0", "1"], ["verify"])
+
+
+def test_a_marched_psi_drops_exactly_the_rows_that_read_the_branch(small_config, tmp_path,
+                                                                  monkeypatch):
+    selected = {}
+
+    def run(args, cfg, command, rows, levels, export):
+        selected[command, cfg.psi_branch is None] = [row.name for row in rows]
+        return 0
+
+    monkeypatch.setattr(cli, "_run", run)
+    for path in (small_config, RATIONAL_MARCHED):
+        for command, *rest in COMMANDS:
+            assert main([command, "--config", str(path), "--out", str(tmp_path), *rest]) == 0
+    branch = {row.name for row in cli.CHECKS if "branch" in cli._reads(row)}
+    assert branch == {"lax.closed_form", "psi.branch_consistency"}
+    for command, *_ in COMMANDS:
+        closed = selected[command, False]
+        assert selected[command, True] == [name for name in closed if name not in branch]
+    assert selected["verify", False] == [row.name for row in cli.CHECKS]
